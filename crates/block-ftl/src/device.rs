@@ -8,7 +8,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use kvssd_flash::{BlockId, FlashDevice, FlashTiming, Geometry, PageAddr};
+use kvssd_flash::{BlockId, FlashDevice, FlashTiming, Geometry, PageAddr, ProgramResult};
 use kvssd_nvme::NvmeLink;
 use kvssd_sim::{PrehashedMap, SimDuration, SimTime};
 
@@ -121,6 +121,15 @@ impl Stream {
     }
 }
 
+/// Buffers one page program works in, kept across programs so the
+/// command path does not allocate per page.
+#[derive(Debug, Default)]
+struct ProgramScratch {
+    blocks: Vec<BlockId>,
+    addrs: Vec<PageAddr>,
+    results: Vec<ProgramResult>,
+}
+
 /// The simulated block-firmware SSD (see crate docs).
 #[derive(Debug)]
 pub struct BlockSsd {
@@ -131,6 +140,9 @@ pub struct BlockSsd {
     state: Vec<BlockState>,
     /// Free (erased) blocks, per die-plane, for stripe-aware allocation.
     free: Vec<VecDeque<BlockId>>,
+    /// Blocks across all `free` queues (checked several times per write).
+    free_count: u32,
+    program_scratch: ProgramScratch,
     seq: Stream,
     rand: Stream,
     gc: Stream,
@@ -187,6 +199,8 @@ impl BlockSsd {
             config,
             state: vec![BlockState::Free; g.total_blocks() as usize],
             free,
+            free_count: blocks,
+            program_scratch: ProgramScratch::default(),
             seq: Stream::empty(),
             rand: Stream::empty(),
             gc: Stream::empty(),
@@ -229,7 +243,7 @@ impl BlockSsd {
 
     /// Free (erased) blocks currently available.
     pub fn free_blocks(&self) -> u32 {
-        self.free.iter().map(|q| q.len() as u32).sum()
+        self.free_count
     }
 
     /// Reads `len` bytes at byte offset `offset`. Returns completion time.
@@ -238,8 +252,7 @@ impl BlockSsd {
         let t = self.link.submit(now, 1, 0);
         let t = t + self.config.per_cmd_firmware;
         let mut finish = t;
-        let clusters: Vec<_> = self.clusters_of(offset, len).collect();
-        for (lcn, _, _) in clusters {
+        for (lcn, _, _) in self.clusters_of(offset, len) {
             let done = self.read_cluster(t, lcn);
             finish = finish.max(done);
         }
@@ -264,9 +277,10 @@ impl BlockSsd {
         // offsets. Smaller random writes pay the reorganization path.
         let sequential =
             self.is_sequential(offset, len) || len >= self.flash.geometry().page_bytes as u64;
-        let clusters: Vec<_> = self.clusters_of(offset, len).collect();
-        for &(lcn, _, bytes) in &clusters {
+        let mut clusters = 0usize;
+        for (lcn, _, bytes) in self.clusters_of(offset, len) {
             t = self.write_cluster(t, lcn, bytes, sequential);
+            clusters += 1;
         }
         self.last_written_end = Some(offset + len);
         // Background GC band: steal die time without blocking the host.
@@ -276,7 +290,7 @@ impl BlockSsd {
             let cpp = self
                 .config
                 .clusters_per_page(self.flash.geometry().page_bytes) as usize;
-            for _ in 0..(1 + clusters.len() / cpp) {
+            for _ in 0..(1 + clusters / cpp) {
                 self.background_gc_step(t);
             }
         }
@@ -291,8 +305,7 @@ impl BlockSsd {
         self.check_range(offset, len)?;
         let t = self.link.submit(now, 1, 0);
         let mut ops = 0u64;
-        let clusters: Vec<_> = self.clusters_of(offset, len).collect();
-        for (lcn, off_in, bytes) in clusters {
+        for (lcn, off_in, bytes) in self.clusters_of(offset, len) {
             if off_in == 0 && bytes == self.config.cluster_bytes as u64 {
                 self.map.invalidate(lcn);
                 ops += 1;
@@ -667,40 +680,50 @@ impl BlockSsd {
         let cpp = self
             .config
             .clusters_per_page(self.flash.geometry().page_bytes) as usize;
-        let (pending, blocks, next_page, first_arrival) = {
-            let s = self.stream_mut(which);
-            if s.pending.is_empty() {
-                return None;
-            }
-            let pending = std::mem::take(&mut s.pending);
-            let out = (pending, s.blocks.clone(), s.next_page, s.first_arrival);
-            s.next_page += 1;
-            out
-        };
+        if self.stream(which).pending.is_empty() {
+            return None;
+        }
+        // Taken, not borrowed: the loops below call `&mut self` methods
+        // while they read these.
+        let mut scratch = std::mem::take(&mut self.program_scratch);
+        let ProgramScratch {
+            blocks,
+            addrs,
+            results,
+        } = &mut scratch;
+        blocks.clear();
+        addrs.clear();
+        results.clear();
+        let s = self.stream_mut(which);
+        blocks.extend_from_slice(&s.blocks);
+        let mut pending = std::mem::take(&mut s.pending);
+        let (next_page, first_arrival) = (s.next_page, s.first_arrival);
+        s.next_page += 1;
         let _ = partial;
         let start = match which {
             WhichStream::Rand => now.max(first_arrival + self.config.coalesce_hold),
             _ => now,
         };
         let page_bytes = self.flash.geometry().page_bytes as u64;
-        let results = if blocks.len() >= 2 && pending.len() > cpp {
+        if blocks.len() >= 2 && pending.len() > cpp {
             // Multi-plane stripe across the pair.
-            let addrs: Vec<PageAddr> = blocks
-                .iter()
-                .take(pending.len().div_ceil(cpp))
-                .map(|&b| PageAddr {
-                    block: b,
-                    page: next_page,
-                })
-                .collect();
+            addrs.extend(
+                blocks
+                    .iter()
+                    .take(pending.len().div_ceil(cpp))
+                    .map(|&b| PageAddr {
+                        block: b,
+                        page: next_page,
+                    }),
+            );
             self.stats.stripe_programs += 1;
-            let rs = self
-                .flash
-                .program_multiplane(start, &addrs, page_bytes)
-                .expect("stripe program on open pair");
+            results.extend(
+                self.flash
+                    .program_multiplane(start, addrs, page_bytes)
+                    .expect("stripe program on open pair"),
+            );
             // Pair blocks advance in lockstep; program any skipped block
             // too so next_page stays aligned.
-            let mut rs = rs;
             for &b in blocks.iter().skip(addrs.len()) {
                 let r = self
                     .flash
@@ -713,11 +736,9 @@ impl BlockSsd {
                         0,
                     )
                     .expect("pad program on open pair");
-                rs.push(r);
+                results.push(r);
             }
-            rs
         } else {
-            let mut rs = Vec::new();
             for (i, &b) in blocks.iter().enumerate() {
                 let has_data = i * cpp < pending.len();
                 let bytes = if has_data { page_bytes } else { 0 };
@@ -732,10 +753,9 @@ impl BlockSsd {
                         bytes,
                     )
                     .expect("program on open block");
-                rs.push(r);
+                results.push(r);
             }
-            rs
-        };
+        }
         let done = results.iter().map(|r| r.done).max().expect("nonempty");
         // Settle buffer accounting and handle injected failures.
         let mut lost: Vec<u32> = Vec::new();
@@ -743,7 +763,7 @@ impl BlockSsd {
             let block = blocks[i / cpp];
             let failed = results
                 .iter()
-                .zip(&blocks)
+                .zip(blocks.iter())
                 .find(|(_, &b)| b == block)
                 .map(|(r, _)| r.failed)
                 .unwrap_or(false);
@@ -763,11 +783,16 @@ impl BlockSsd {
             self.buffer_leaves.push(Reverse((done, lcn)));
             self.buffer_resident.insert(lcn, done);
         }
-        for (r, &b) in results.iter().zip(&blocks) {
+        // Nothing was admitted since the take, so the stream's list is
+        // still empty: hand the allocation back for the next page.
+        pending.clear();
+        self.stream_mut(which).pending = pending;
+        for (r, &b) in results.iter().zip(blocks.iter()) {
             if r.failed {
                 lost.extend(self.retire_block(b));
             }
         }
+        self.program_scratch = scratch;
         if !lost.is_empty() {
             self.stats.replaced_after_failure += lost.len() as u64;
             for lcn in lost {
@@ -851,6 +876,7 @@ impl BlockSsd {
         for i in 0..self.free.len() {
             let q = (self.pair_cursor * 2 + i) % self.free.len();
             if let Some(b) = self.free[q].pop_front() {
+                self.free_count -= 1;
                 self.pair_cursor = (self.pair_cursor + 1) % self.free.len().max(1);
                 return Some(b);
             }
@@ -878,6 +904,7 @@ impl BlockSsd {
             if !self.free[p0].is_empty() && !self.free[p1].is_empty() {
                 let a = self.free[p0].pop_front().expect("checked");
                 let b = self.free[p1].pop_front().expect("checked");
+                self.free_count -= 2;
                 self.pair_cursor = (self.pair_cursor + i + 1) % dies;
                 return Some((a, b));
             }
@@ -959,9 +986,8 @@ impl BlockSsd {
             return false;
         }
         let v = self.gc_victim.expect("victim selected");
-        let live = self.map.live_clusters(v);
-        match live.first() {
-            Some(&(lcn, loc)) => {
+        match self.map.first_live(v) {
+            Some((lcn, loc)) => {
                 let addr = PageAddr {
                     block: loc.block,
                     page: loc.page,
@@ -1007,6 +1033,7 @@ impl BlockSsd {
         let g = self.flash.geometry();
         let dp = (g.die_of(v) * g.planes_per_die + g.plane_of(v)) as usize;
         self.free[dp].push_back(v);
+        self.free_count += 1;
         r.done
     }
 
@@ -1231,8 +1258,12 @@ mod tests {
         let cap = d.capacity_bytes();
         let clusters = cap / 4096;
         let mut t = SimTime::ZERO;
+        // The maintained free-block count must track the queues through
+        // allocation and GC alike.
+        let queued = |d: &BlockSsd| d.free.iter().map(|q| q.len() as u32).sum::<u32>();
         for off in (0..cap).step_by(4096) {
             t = d.write(t, off, 4096).unwrap();
+            assert_eq!(d.free_blocks(), queued(&d));
         }
         // Pseudo-random overwrites: stride pattern leaves every block
         // partially valid, forcing copy work.
@@ -1240,6 +1271,7 @@ mod tests {
         for _ in 0..clusters * 2 {
             idx = idx.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(3) % clusters;
             t = d.write(t, idx * 4096, 4096).unwrap();
+            assert_eq!(d.free_blocks(), queued(&d));
         }
         assert!(
             d.stats().gc_copied_clusters > 0,

@@ -27,6 +27,10 @@ pub struct MappingTable {
     /// For each block: reverse map slot-index -> LCN (None = invalid/pad).
     reverse: Vec<Vec<Option<u32>>>,
     valid: Vec<u32>,
+    /// For each block: no slot below this index is live. GC drains a
+    /// victim lowest slot first, so the scan in [`Self::first_live`]
+    /// resumes here instead of at slot 0.
+    live_floor: Vec<u32>,
     clusters_per_page: u32,
 }
 
@@ -39,6 +43,7 @@ impl MappingTable {
             forward: vec![None; logical_clusters as usize],
             reverse: vec![vec![None; slots_per_block as usize]; geometry.total_blocks() as usize],
             valid: vec![0; geometry.total_blocks() as usize],
+            live_floor: vec![0; geometry.total_blocks() as usize],
         }
     }
 
@@ -61,6 +66,8 @@ impl MappingTable {
         debug_assert!(rev[slot].is_none(), "slot written twice without erase");
         rev[slot] = Some(lcn);
         self.valid[loc.block.0 as usize] += 1;
+        let floor = &mut self.live_floor[loc.block.0 as usize];
+        *floor = (*floor).min(slot as u32);
     }
 
     /// Unmaps `lcn` (overwrite or TRIM), decrementing its old block's
@@ -78,24 +85,23 @@ impl MappingTable {
         self.valid[block.0 as usize]
     }
 
-    /// The LCNs still valid in `block`, with their slots (GC's work list).
-    pub fn live_clusters(&self, block: BlockId) -> Vec<(u32, PhysLoc)> {
-        self.reverse[block.0 as usize]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &lcn)| {
-                lcn.map(|l| {
-                    (
-                        l,
-                        PhysLoc {
-                            block,
-                            page: i as u32 / self.clusters_per_page,
-                            slot: i as u32 % self.clusters_per_page,
-                        },
-                    )
-                })
-            })
-            .collect()
+    /// The valid cluster in the lowest slot of `block` (GC's next copy),
+    /// or `None` when the block holds no valid data. Amortized O(1)
+    /// while a block drains: the scan never revisits a dead slot.
+    pub fn first_live(&mut self, block: BlockId) -> Option<(u32, PhysLoc)> {
+        let b = block.0 as usize;
+        let rev = &self.reverse[b];
+        let from = self.live_floor[b] as usize;
+        let found = rev[from..].iter().position(Option::is_some);
+        let i = found.map_or(rev.len(), |off| from + off);
+        self.live_floor[b] = i as u32;
+        let lcn = (*rev.get(i)?)?;
+        let loc = PhysLoc {
+            block,
+            page: i as u32 / self.clusters_per_page,
+            slot: i as u32 % self.clusters_per_page,
+        };
+        Some((lcn, loc))
     }
 
     /// Clears all reverse-map entries of `block` after its erase.
@@ -113,6 +119,7 @@ impl MappingTable {
         for s in &mut self.reverse[block.0 as usize] {
             *s = None;
         }
+        self.live_floor[block.0 as usize] = 0;
     }
 
     /// Total valid clusters across the device.
@@ -172,16 +179,56 @@ mod tests {
     }
 
     #[test]
-    fn live_clusters_lists_survivors() {
+    fn first_live_skips_invalidated_slots() {
         let mut t = table();
         t.update(1, loc(0, 0, 0));
         t.update(2, loc(0, 0, 1));
         t.update(3, loc(0, 1, 0));
+        assert_eq!(t.first_live(BlockId(0)), Some((1, loc(0, 0, 0))));
+        t.invalidate(1);
         t.invalidate(2);
-        let live = t.live_clusters(BlockId(0));
-        assert_eq!(live.len(), 2);
-        assert!(live.iter().any(|&(l, _)| l == 1));
-        assert!(live.iter().any(|&(l, p)| l == 3 && p.page == 1));
+        assert_eq!(t.first_live(BlockId(0)), Some((3, loc(0, 1, 0))));
+        t.invalidate(3);
+        assert_eq!(t.first_live(BlockId(0)), None);
+    }
+
+    #[test]
+    fn first_live_matches_a_full_scan_under_random_churn() {
+        use kvssd_sim::DeterministicRng;
+        let g = Geometry::small();
+        let (cpp, blocks) = (8u32, 4u32);
+        let slots = g.pages_per_block * cpp;
+        for seed in [1u64, 2, 3] {
+            let mut rng = DeterministicRng::seed_from(seed);
+            let mut t = MappingTable::new(1024, &g, cpp);
+            for _ in 0..20_000 {
+                let b = rng.below(blocks as u64) as u32;
+                match rng.below(16) {
+                    // Erase (after unmapping whatever the block holds).
+                    0 => {
+                        while let Some((lcn, _)) = t.first_live(BlockId(b)) {
+                            t.invalidate(lcn);
+                        }
+                        t.on_erase(BlockId(b));
+                    }
+                    1..=6 => t.invalidate(rng.below(1024) as u32),
+                    // Map an LCN to a random slot, below the floor too.
+                    _ => {
+                        let i = rng.below(slots as u64) as u32;
+                        if t.reverse[b as usize][i as usize].is_none() {
+                            t.update(rng.below(1024) as u32, loc(b, i / cpp, i % cpp));
+                        }
+                    }
+                }
+                for b in 0..blocks {
+                    let scan = t.reverse[b as usize]
+                        .iter()
+                        .enumerate()
+                        .find_map(|(i, &lcn)| Some((lcn?, loc(b, i as u32 / cpp, i as u32 % cpp))));
+                    assert_eq!(t.first_live(BlockId(b)), scan, "seed {seed} block {b}");
+                }
+            }
+        }
     }
 
     #[test]

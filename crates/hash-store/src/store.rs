@@ -81,6 +81,24 @@ struct WBlockMeta {
     sealed: bool,
 }
 
+/// The device and its write-block layout: everything a record append
+/// touches except the index, so that one index probe can stay borrowed
+/// as the record's slot across the append.
+#[derive(Debug)]
+struct WriteBlocks {
+    device: BlockSsd,
+    block_bytes: u64,
+    defrag_threshold: f64,
+    meta: Vec<WBlockMeta>,
+    /// Keys whose newest record was appended to each write block (may
+    /// contain stale entries; verified against the index during defrag).
+    /// Inline key copies: pushing one is allocation-free on the put path.
+    keys: Vec<Vec<KeyBuf>>,
+    free: Vec<u32>,
+    current: u32,
+    defrag_queue: Vec<u32>,
+}
+
 /// The Aerospike-like store (see crate docs). Owns its device directly
 /// (direct I/O — no filesystem, no page cache).
 #[derive(Debug)]
@@ -88,18 +106,22 @@ pub struct HashStore {
     config: HashStoreConfig,
     cpu: HostCpu,
     costs: CpuCosts,
-    device: BlockSsd,
     index: PrehashedMap<Box<[u8]>, (RecordLoc, Payload)>,
-    wblocks: Vec<WBlockMeta>,
-    /// Keys whose newest record was appended to each write block (may
-    /// contain stale entries; verified against the index during defrag).
-    /// Inline key copies: pushing one is allocation-free on the put path.
-    wblock_keys: Vec<Vec<KeyBuf>>,
-    free_wblocks: Vec<u32>,
-    current: u32,
-    defrag_queue: Vec<u32>,
+    blocks: WriteBlocks,
     user_bytes: u64,
     stats: HashStoreStats,
+    #[cfg(test)]
+    probe: WorkProbe,
+}
+
+/// Deterministic work counters for the scale test.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+struct WorkProbe {
+    /// Index lookups (one hash plus one table walk each).
+    index_probes: u64,
+    /// Candidate keys defrag popped off a block's key list.
+    defrag_pops: u64,
 }
 
 impl HashStore {
@@ -107,21 +129,25 @@ impl HashStore {
     pub fn new(device: BlockSsd, config: HashStoreConfig) -> Self {
         let n_wblocks = (device.capacity_bytes() / config.write_block_bytes) as u32;
         assert!(n_wblocks >= 4, "device too small for the write-block size");
-        let mut wblocks = vec![WBlockMeta::default(); n_wblocks as usize];
-        wblocks[0].sealed = false;
         HashStore {
             cpu: HostCpu::new(config.host_cores),
             costs: CpuCosts::xeon_like(),
             index: PrehashedMap::default(),
-            wblock_keys: vec![Vec::new(); n_wblocks as usize],
-            free_wblocks: (1..n_wblocks).rev().collect(),
-            current: 0,
-            defrag_queue: Vec::new(),
+            blocks: WriteBlocks {
+                device,
+                block_bytes: config.write_block_bytes,
+                defrag_threshold: config.defrag_threshold,
+                meta: vec![WBlockMeta::default(); n_wblocks as usize],
+                keys: vec![Vec::new(); n_wblocks as usize],
+                free: (1..n_wblocks).rev().collect(),
+                current: 0,
+                defrag_queue: Vec::new(),
+            },
             user_bytes: 0,
             stats: HashStoreStats::default(),
-            wblocks,
-            device,
             config,
+            #[cfg(test)]
+            probe: WorkProbe::default(),
         }
     }
 
@@ -132,7 +158,7 @@ impl HashStore {
 
     /// The device underneath.
     pub fn device(&self) -> &BlockSsd {
-        &self.device
+        &self.blocks.device
     }
 
     /// Host CPU pool (for utilization reporting).
@@ -158,33 +184,44 @@ impl HashStore {
     /// Bytes occupied on the device by live + dead records (space
     /// amplification numerator, before defrag reclaims).
     pub fn device_bytes(&self) -> u64 {
-        self.wblocks.iter().map(|w| w.used_bytes).sum()
+        self.blocks.meta.iter().map(|w| w.used_bytes).sum()
     }
 
     /// Bytes of live records only (post-defrag steady state — what the
     /// paper's "actual SSD space utilization" converges to).
     pub fn live_device_bytes(&self) -> u64 {
-        self.wblocks.iter().map(|w| w.live_bytes).sum()
+        self.blocks.meta.iter().map(|w| w.live_bytes).sum()
     }
 
     /// Inserts or updates a key.
     pub fn put(&mut self, now: SimTime, key: &[u8], value: Payload) -> SimTime {
         self.stats.puts += 1;
-        let rec = self.record_bytes(key.len() as u64, value.len());
-        let vlen = value.len();
-        let mut t = self
+        let klen = key.len() as u64;
+        let rec = self.record_bytes(klen, value.len());
+        let t = self
             .cpu
             .run(now, self.config.cost_index_op + self.costs.memcpy(rec));
-        // Invalidate any previous version.
-        let update = self.index.get(key).map(|(l, v)| (*l, v.len()));
-        if let Some((old, oldv)) = update {
-            self.invalidate(old);
-            self.user_bytes -= key.len() as u64 + oldv;
-        }
-        // Append into the current write block; this probe already
-        // settled whether the key exists, so the append need not.
-        t = self.append_record(t, key, value, rec, update.is_some());
-        self.user_bytes += key.len() as u64 + vlen;
+        self.user_bytes += klen + value.len();
+        // One probe settles whether the key exists, yields the previous
+        // version to invalidate, and is the slot the new one lands in.
+        self.count_probe();
+        let t = match self.index.get_mut(key) {
+            Some(slot) => {
+                self.user_bytes -= klen + slot.1.len();
+                self.blocks.invalidate(slot.0);
+                let (loc, t) = self.blocks.append(&mut self.stats, t, key, rec);
+                *slot = (loc, value);
+                t
+            }
+            None => {
+                let (loc, t) = self.blocks.append(&mut self.stats, t, key, rec);
+                // Only first-time keys allocate a boxed key (and pay a
+                // second walk: std has no entry API for borrowed keys).
+                self.count_probe();
+                self.index.insert(key.into(), (loc, value));
+                t
+            }
+        };
         // Defragmentation tax rides on writes.
         for _ in 0..self.config.defrag_copies_per_write {
             if !self.defrag_step(t) {
@@ -198,29 +235,23 @@ impl HashStore {
     pub fn get(&mut self, now: SimTime, key: &[u8]) -> (SimTime, Option<Payload>) {
         self.stats.gets += 1;
         let t = self.cpu.run(now, self.config.cost_index_op);
+        self.count_probe();
         let Some((loc, value)) = self.index.get(key) else {
             return (t, None);
         };
-        let value = value.clone();
-        // Direct read of the enclosing 512 B sectors of the record.
-        let base = loc.wblock as u64 * self.config.write_block_bytes;
-        let lo = loc.offset / 512 * 512;
-        let hi = (loc.offset + loc.len).div_ceil(512) * 512;
-        let t = self
-            .device
-            .read(t, base + lo, hi - lo)
-            .expect("record read");
-        (t, Some(value))
+        let t = self.blocks.read(t, *loc);
+        (t, Some(value.clone()))
     }
 
     /// Deletes a key.
     pub fn delete(&mut self, now: SimTime, key: &[u8]) -> (SimTime, bool) {
         self.stats.deletes += 1;
         let t = self.cpu.run(now, self.config.cost_index_op);
+        self.count_probe();
         match self.index.remove(key) {
             Some((loc, v)) => {
                 self.user_bytes -= key.len() as u64 + v.len();
-                self.invalidate(loc);
+                self.blocks.invalidate(loc);
                 (t, true)
             }
             None => (t, false),
@@ -230,7 +261,7 @@ impl HashStore {
     /// End-of-phase barrier. Records are written through at append
     /// time, so this only flushes the device's own volatile state.
     pub fn flush(&mut self, now: SimTime) -> SimTime {
-        self.device.flush(now)
+        self.blocks.device.flush(now)
     }
 
     // ----- internals -------------------------------------------------
@@ -240,73 +271,121 @@ impl HashStore {
             * self.config.record_align
     }
 
-    /// Appends a record and writes it through to the device at its
-    /// offset (commit-to-device semantics: the paper's Aerospike runs
-    /// with direct I/O). Returns the device completion.
-    fn append_record(
+    /// Test probe: an index lookup is about to happen.
+    #[inline]
+    fn count_probe(&mut self) {
+        #[cfg(test)]
+        {
+            self.probe.index_probes += 1;
+        }
+    }
+
+    /// Copies one live record off the defrag queue's head block; reclaims
+    /// the block when empty. Returns false when idle.
+    fn defrag_step(&mut self, now: SimTime) -> bool {
+        let Some(&wb) = self.blocks.defrag_queue.first() else {
+            return false;
+        };
+        // Pop candidates off the block's key list until one is still
+        // live *in this block* (others are stale: overwritten or moved).
+        // The probe that tells is also the slot the copy re-points.
+        while let Some(key) = self.blocks.keys[wb as usize].pop() {
+            self.count_probe();
+            #[cfg(test)]
+            {
+                self.probe.defrag_pops += 1;
+            }
+            let Some((loc, _)) = self.index.get_mut(key.as_slice()) else {
+                continue;
+            };
+            if loc.wblock != wb {
+                continue;
+            }
+            // Read the record and re-append it.
+            let old = *loc;
+            let _ = self.blocks.read(now, old);
+            self.blocks.invalidate(old);
+            (*loc, _) = self.blocks.append(&mut self.stats, now, &key, old.len);
+            self.stats.defrag_copies += 1;
+            return true;
+        }
+        // Block fully dead: TRIM and recycle it.
+        self.blocks.reclaim(now, wb);
+        self.stats.defrag_reclaims += 1;
+        true
+    }
+}
+
+impl WriteBlocks {
+    /// Direct read of the enclosing 512 B sectors of a record.
+    fn read(&mut self, now: SimTime, loc: RecordLoc) -> SimTime {
+        let base = loc.wblock as u64 * self.block_bytes;
+        let lo = loc.offset / 512 * 512;
+        let hi = (loc.offset + loc.len).div_ceil(512) * 512;
+        self.device
+            .read(now, base + lo, hi - lo)
+            .expect("record read")
+    }
+
+    /// Appends a `rec`-byte record for `key` and writes it through to the
+    /// device at its offset (commit-to-device semantics: the paper's
+    /// Aerospike runs with direct I/O). Returns where the record went,
+    /// for the caller to put in the key's index slot, and the device
+    /// completion.
+    fn append(
         &mut self,
+        stats: &mut HashStoreStats,
         now: SimTime,
         key: &[u8],
-        value: Payload,
         rec: u64,
-        existing: bool,
-    ) -> SimTime {
+    ) -> (RecordLoc, SimTime) {
         let cur = self.current as usize;
-        if self.wblocks[cur].used_bytes + rec > self.config.write_block_bytes {
+        if self.meta[cur].used_bytes + rec > self.block_bytes {
             // Seal the block; its records are already on the device.
-            self.wblocks[cur].sealed = true;
-            self.stats.blocks_flushed += 1;
+            self.meta[cur].sealed = true;
+            stats.blocks_flushed += 1;
             self.maybe_queue_defrag(self.current);
-            self.current = self
-                .free_wblocks
-                .pop()
-                .expect("device sized for the working set");
+            self.current = self.free.pop().expect("device sized for the working set");
         }
         let cur = self.current as usize;
-        let offset = self.wblocks[cur].used_bytes;
-        self.wblocks[cur].used_bytes += rec;
-        self.wblocks[cur].live_bytes += rec;
-        self.wblock_keys[cur].push(KeyBuf::new(key));
+        let w = &mut self.meta[cur];
+        let offset = w.used_bytes;
+        w.used_bytes += rec;
+        w.live_bytes += rec;
+        self.keys[cur].push(KeyBuf::new(key));
         let loc = RecordLoc {
             wblock: self.current,
             offset,
             len: rec,
         };
-        // Updates overwrite in place (`insert` would also keep the
-        // original boxed key); only first-time keys allocate one.
-        if existing {
-            *self.index.get_mut(key).expect("caller probed the key") = (loc, value);
-        } else {
-            self.index.insert(key.into(), (loc, value));
-        }
         // Commit-to-device writes flush the not-yet-written enclosing
         // 512 B sectors (records are 128 B-aligned inside the block; the
         // shared boundary sector was already flushed with its
         // predecessor and is patched in the device's write buffer).
-        let cur = self.current as usize;
-        let dev_base = self.current as u64 * self.config.write_block_bytes;
-        let lo = (offset / 512 * 512).max(self.wblocks[cur].flushed_hi);
+        let lo = (offset / 512 * 512).max(w.flushed_hi);
         let hi = (offset + rec).div_ceil(512) * 512;
         if hi <= lo {
-            return now;
+            return (loc, now);
         }
-        self.wblocks[cur].flushed_hi = hi;
-        self.device
-            .write(now, dev_base + lo, hi - lo)
-            .expect("record write")
+        w.flushed_hi = hi;
+        let base = cur as u64 * self.block_bytes;
+        let done = self
+            .device
+            .write(now, base + lo, hi - lo)
+            .expect("record write");
+        (loc, done)
     }
 
     fn invalidate(&mut self, loc: RecordLoc) {
-        let w = &mut self.wblocks[loc.wblock as usize];
-        w.live_bytes -= loc.len;
+        self.meta[loc.wblock as usize].live_bytes -= loc.len;
         self.maybe_queue_defrag(loc.wblock);
     }
 
     fn maybe_queue_defrag(&mut self, wblock: u32) {
-        let w = &self.wblocks[wblock as usize];
+        let w = &self.meta[wblock as usize];
         if w.sealed
             && w.used_bytes > 0
-            && (w.live_bytes as f64) < self.config.defrag_threshold * w.used_bytes as f64
+            && (w.live_bytes as f64) < self.defrag_threshold * w.used_bytes as f64
             && !self.defrag_queue.contains(&wblock)
             && wblock != self.current
         {
@@ -314,65 +393,17 @@ impl HashStore {
         }
     }
 
-    /// Copies one live record off the defrag queue's head block; reclaims
-    /// the block when empty. Returns false when idle.
-    fn defrag_step(&mut self, now: SimTime) -> bool {
-        let Some(&wb) = self.defrag_queue.first() else {
-            return false;
-        };
-        // Pop candidates off the block's key list until one is still
-        // live *in this block* (others are stale: overwritten or moved).
-        let victim_key = loop {
-            let Some(k) = self.wblock_keys[wb as usize].pop() else {
-                break None;
-            };
-            if self
-                .index
-                .get(k.as_slice())
-                .is_some_and(|(loc, _)| loc.wblock == wb)
-            {
-                break Some(k);
-            }
-        };
-        match victim_key {
-            Some(key) => {
-                let (loc, value) = self
-                    .index
-                    .get(key.as_slice())
-                    .map(|(l, v)| (*l, v.clone()))
-                    .expect("found");
-                // Read the record and re-append it.
-                let base = wb as u64 * self.config.write_block_bytes;
-                let lo = loc.offset / 512 * 512;
-                let hi = (loc.offset + loc.len).div_ceil(512) * 512;
-                let _ = self
-                    .device
-                    .read(now, base + lo, hi - lo)
-                    .expect("defrag read");
-                self.invalidate(loc);
-                self.append_record(now, &key, value, loc.len, true);
-                self.stats.defrag_copies += 1;
-                true
-            }
-            None => {
-                // Block fully dead: TRIM and recycle it.
-                self.defrag_queue.remove(0);
-                self.wblock_keys[wb as usize].clear();
-                let offset = wb as u64 * self.config.write_block_bytes;
-                let _ = self
-                    .device
-                    .trim(now, offset, self.config.write_block_bytes)
-                    .expect("defrag trim");
-                let w = &mut self.wblocks[wb as usize];
-                w.used_bytes = 0;
-                w.live_bytes = 0;
-                w.flushed_hi = 0;
-                w.sealed = false;
-                self.free_wblocks.push(wb);
-                self.stats.defrag_reclaims += 1;
-                true
-            }
-        }
+    /// TRIMs the fully dead block at the head of the defrag queue and
+    /// returns it to the free list.
+    fn reclaim(&mut self, now: SimTime, wb: u32) {
+        self.defrag_queue.remove(0);
+        self.keys[wb as usize].clear();
+        let _ = self
+            .device
+            .trim(now, wb as u64 * self.block_bytes, self.block_bytes)
+            .expect("defrag trim");
+        self.meta[wb as usize] = WBlockMeta::default();
+        self.free.push(wb);
     }
 }
 
@@ -383,11 +414,15 @@ mod tests {
     use kvssd_flash::{FlashTiming, Geometry};
 
     fn store() -> HashStore {
+        store_with_blocks_per_plane(16)
+    }
+
+    fn store_with_blocks_per_plane(blocks_per_plane: u32) -> HashStore {
         let g = Geometry {
             channels: 2,
             dies_per_channel: 2,
             planes_per_die: 2,
-            blocks_per_plane: 16,
+            blocks_per_plane,
             pages_per_block: 16,
             page_bytes: 32 * 1024,
         };
@@ -514,5 +549,50 @@ mod tests {
             s.stats().defrag_copies > copies_before,
             "updates must trigger defrag copies"
         );
+    }
+
+    /// Index lookups per op over a 20 000-op Zipfian update/read mix on a
+    /// store of `n` 512 B pairs: (per get, per put beyond its defrag pops).
+    fn index_probes_per_op(n: u64) -> (f64, f64) {
+        use kvssd_sim::{DeterministicRng, ZipfianDistribution};
+        // 64 MiB of flash per 16 blocks a plane; 50 000 x 640 B records
+        // with their dead versions need the second 64.
+        let mut s = store_with_blocks_per_plane(32);
+        let mut t = SimTime::ZERO;
+        for i in 0..n {
+            t = s.put(t, &key(i), Payload::synthetic(512, 0));
+        }
+        let zipf = ZipfianDistribution::new(n, 0.9);
+        let mut rng = DeterministicRng::seed_from(7);
+        let (mut get_probes, mut put_probes) = (0, 0);
+        let before = s.stats().clone();
+        for op in 0..20_000u64 {
+            let k = key(zipf.sample(&mut rng));
+            let was = s.probe;
+            if rng.chance(0.5) {
+                t = s.put(t, &k, Payload::synthetic(512, op));
+                put_probes += s.probe.index_probes - was.index_probes;
+                put_probes -= s.probe.defrag_pops - was.defrag_pops;
+            } else {
+                let (done, v) = s.get(t, &k);
+                assert!(v.is_some());
+                t = done;
+                get_probes += s.probe.index_probes - was.index_probes;
+            }
+        }
+        let (gets, puts) = (s.stats().gets - before.gets, s.stats().puts - before.puts);
+        assert!(s.stats().defrag_copies > before.defrag_copies);
+        (
+            get_probes as f64 / gets as f64,
+            put_probes as f64 / puts as f64,
+        )
+    }
+
+    #[test]
+    fn index_work_per_op_does_not_grow_with_population() {
+        let small = index_probes_per_op(5_000);
+        let large = index_probes_per_op(50_000);
+        assert_eq!(small, (1.0, 1.0));
+        assert_eq!(large, small);
     }
 }

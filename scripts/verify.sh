@@ -86,9 +86,16 @@ time KVSSD_BENCH_SCALE=tiny \
     cargo run "${CARGO_FLAGS[@]}" --release -q -p kvssd-bench --example repro_all > /dev/null
 
 echo "== golden digests (figure tables pinned at threads 1 and 4) =="
-# The per-op fast path must not move a byte of any figure: the tiny
-# scaleout/replication/fabric tables are pinned to fixed digests.
+# Host-side optimizations must not move a byte of any figure: the tiny
+# scaleout/replication/fabric tables, fig2 (KV-SSD, LSM and hash-store)
+# and fig4 (block-direct) are pinned to fixed digests.
 cargo test "${CARGO_FLAGS[@]}" -q --test golden_digests
+
+echo "== repo benchmark self-test (sim results repeat bit for bit) =="
+# All five BENCHMARK.json workloads at 1/100 size, twice each: fails
+# unless every sim-domain result repeats exactly and no op failed.
+# Always --offline: the nested workspace has path dependencies only.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "== device_ops microbench (legacy scan vs victim queue) =="
 # Measures both legs in this same run and records the result in

@@ -1,19 +1,21 @@
-//! Pinned golden digests for the cluster figures' rendered tables.
+//! Pinned golden digests for the figures' rendered tables.
 //!
 //! The per-op fast path (batched submission, in-place key generation,
-//! hash-keyed registries) and the fill/measure sub-cell split are
-//! host-side optimizations: they must not move a single byte of any
-//! figure. These tests pin the tiny-scale `scaleout`, `replication`,
-//! and `fabric` tables to fixed digests at worker thread counts 1 (the
-//! exact serial path) and 4 (the pool), so any behavioral drift —
-//! from the hot path, the scheduler, or the device model — fails CI
-//! with a diffable signal.
+//! hash-keyed registries), the fill/measure sub-cell split and the
+//! byte-key hasher are host-side optimizations: they must not move a
+//! single byte of any figure. These tests pin the tiny-scale
+//! `scaleout`, `replication` and `fabric` tables, plus `fig2` (KV-SSD,
+//! LSM and hash-store end to end) and `fig4` (block-direct), to fixed
+//! digests at worker thread counts 1 (the exact serial path) and 4 (the
+//! pool), so any behavioral drift — from the hot path, the scheduler,
+//! a map's iteration order, or the device model — fails CI with a
+//! diffable signal.
 //!
 //! If a change is *supposed* to move these tables (a modeling change,
 //! a new column), re-pin: run with `KVSSD_GOLDEN_PRINT=1` to print the
 //! new digests, and record the move in CHANGES.md.
 
-use kvssd_study::bench::experiments::{cells, fabric, replication, scaleout};
+use kvssd_study::bench::experiments::{cells, fabric, fig2, fig4, replication, scaleout};
 use kvssd_study::bench::Scale;
 
 /// FNV-style fold (mix64-chained) over the rendered bytes.
@@ -28,6 +30,8 @@ fn digest(s: &str) -> u64 {
 const SCALEOUT_TINY: u64 = 0xabe13033e5996bbd;
 const REPLICATION_TINY: u64 = 0x1d1051945373459c;
 const FABRIC_TINY: u64 = 0x4dfc10f50a108b79;
+const FIG2_TINY: u64 = 0x4ef34a875caea89c;
+const FIG4_TINY: u64 = 0xbd3bffcf169491bb;
 
 fn check(name: &str, rendered: &str, want: u64) {
     let got = digest(rendered);
@@ -45,7 +49,7 @@ fn check(name: &str, rendered: &str, want: u64) {
 /// One test (not several) so the process-global thread override cannot
 /// race between concurrently running test functions.
 #[test]
-fn cluster_figures_match_pinned_digests_at_threads_1_and_4() {
+fn figures_match_pinned_digests_at_threads_1_and_4() {
     for threads in [1usize, 4] {
         cells::set_thread_override(Some(threads));
         check(
@@ -58,6 +62,8 @@ fn cluster_figures_match_pinned_digests_at_threads_1_and_4() {
             &replication::render(&replication::run(Scale::Tiny)),
             REPLICATION_TINY,
         );
+        check("fig2", &fig2::render(&fig2::run(Scale::Tiny)), FIG2_TINY);
+        check("fig4", &fig4::render(&fig4::run(Scale::Tiny)), FIG4_TINY);
         check(
             "fabric",
             &fabric::render(&fabric::run(Scale::Tiny)),
