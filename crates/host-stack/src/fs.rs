@@ -217,7 +217,11 @@ impl ExtFs {
         len: u64,
     ) -> Result<SimTime, FsError> {
         assert!(len > 0, "zero-length read");
-        let size = self.meta(file)?.size;
+        let meta = self.files.get(&file).ok_or(FsError::NoSuchFile(file))?;
+        let size = meta.size;
+        // Unflushed tails are served from memory even on cache miss
+        // (they only exist in the page cache / dirty buffers).
+        let dirty_from = meta.dirty_from.unwrap_or(u64::MAX);
         if offset + len > size {
             return Err(FsError::ReadPastEof {
                 file,
@@ -233,15 +237,12 @@ impl ExtFs {
                 continue;
             }
             self.stats.cache_misses += 1;
-            // Unflushed tails are served from memory even on cache miss
-            // (they only exist in the page cache / dirty buffers).
-            let dirty_from = self.files[&file].dirty_from.unwrap_or(u64::MAX);
             let page_start = page * PAGE_BYTES;
             if page_start >= dirty_from {
                 cache.insert(file.0, page);
                 continue;
             }
-            let dev_off = self.resolve(file, page_start)?;
+            let (dev_off, _) = locate(file, &meta.extents, page_start);
             let bytes = PAGE_BYTES.min(size - page_start);
             let done = self
                 .device
@@ -327,12 +328,12 @@ impl ExtFs {
                 .push(extent);
         }
         // Write each covered chunk (usually one extent).
+        let extents = &self.files[&file].extents;
         let mut t = now;
         let mut remaining = len;
         let mut pos = offset;
         while remaining > 0 {
-            let dev_off = self.resolve(file, pos)?;
-            let ext_room = self.extent_room(file, pos);
+            let (dev_off, ext_room) = locate(file, extents, pos);
             let chunk = remaining.min(ext_room);
             let aligned = chunk.div_ceil(512) * 512;
             let done = self
@@ -377,35 +378,6 @@ impl ExtFs {
         Ok(e)
     }
 
-    /// Maps a file offset to a device offset.
-    fn resolve(&self, file: FileId, offset: u64) -> Result<u64, FsError> {
-        let meta = self.files.get(&file).ok_or(FsError::NoSuchFile(file))?;
-        let mut remaining = offset;
-        for e in &meta.extents {
-            if remaining < e.len {
-                return Ok(e.dev_offset + remaining);
-            }
-            remaining -= e.len;
-        }
-        panic!(
-            "offset {offset} of file {} beyond its extents (fs bug)",
-            file.0
-        );
-    }
-
-    /// Bytes remaining in the extent containing `offset`.
-    fn extent_room(&self, file: FileId, offset: u64) -> u64 {
-        let meta = &self.files[&file];
-        let mut remaining = offset;
-        for e in &meta.extents {
-            if remaining < e.len {
-                return e.len - remaining;
-            }
-            remaining -= e.len;
-        }
-        unreachable!("extent_room past extents");
-    }
-
     /// One 4 KiB journal record, sequential in the journal region.
     fn journal_write(&mut self, now: SimTime) -> SimTime {
         let off = self.journal_head % (self.journal_region / PAGE_BYTES) * PAGE_BYTES;
@@ -415,6 +387,22 @@ impl ExtFs {
             .write(now, off, PAGE_BYTES)
             .expect("journal write")
     }
+}
+
+/// Maps a file offset to its device offset and the bytes remaining in
+/// the extent that holds it, in one walk of the extent list.
+fn locate(file: FileId, extents: &[Extent], offset: u64) -> (u64, u64) {
+    let mut remaining = offset;
+    for e in extents {
+        if remaining < e.len {
+            return (e.dev_offset + remaining, e.len - remaining);
+        }
+        remaining -= e.len;
+    }
+    panic!(
+        "offset {offset} of file {} beyond its extents (fs bug)",
+        file.0
+    );
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! The LSM store: write path, read path, flush, and leveled compaction.
 
 use std::collections::BTreeMap;
+use std::ops::{Bound, Range};
 
 use kvssd_core::hash::key_hash;
-use kvssd_core::Payload;
+use kvssd_core::{KeyBuf, Payload};
 use kvssd_host_stack::{ExtFs, FileId, HostCpu, LruCache, PageCache};
-use kvssd_sim::{PrehashedMap, PrehashedSet, SimDuration, SimTime};
+use kvssd_sim::{PrehashedMap, SimDuration, SimTime};
 
 use crate::config::LsmConfig;
-use crate::sst::{merge_runs, SstData, SstMeta};
+use crate::sst::{merge_runs, Entry, SstData, SstMeta};
 
 /// One live entry returned by [`LsmStore::scan`]: owned key + payload.
 pub type ScanEntry = (Box<[u8]>, Payload);
@@ -50,7 +51,7 @@ pub struct LsmStore {
     fs: ExtFs,
     page_cache: PageCache,
     block_cache: LruCache<(u64, u64)>,
-    memtable: BTreeMap<Box<[u8]>, Option<Payload>>,
+    memtable: BTreeMap<KeyBuf, Option<Payload>>,
     memtable_bytes: u64,
     wal: FileId,
     levels: Vec<Vec<SstMeta>>,
@@ -60,6 +61,9 @@ pub struct LsmStore {
     live_user_bytes: u64,
     live_keys: u64,
     stats: LsmStats,
+    /// Test probe: candidate tables handed to point lookups.
+    #[cfg(test)]
+    candidates_probed: std::cell::Cell<u64>,
 }
 
 impl LsmStore {
@@ -83,6 +87,8 @@ impl LsmStore {
             live_user_bytes: 0,
             live_keys: 0,
             stats: LsmStats::default(),
+            #[cfg(test)]
+            candidates_probed: std::cell::Cell::new(0),
             wal,
             cpu,
             bg_cpu,
@@ -152,32 +158,16 @@ impl LsmStore {
             self.stats.gets_from_memtable += 1;
             return (t, v.clone());
         }
-        // L0 newest-first, then each deeper level.
+        // L0 newest-first, then the one candidate of each deeper level.
+        let hash = key_hash(key);
         for lvl in 0..self.levels.len() {
-            let metas = &self.levels[lvl];
-            let candidates: Vec<usize> = if lvl == 0 {
-                (0..metas.len()).rev().collect()
-            } else {
-                match metas.binary_search_by(|m| {
-                    if m.max_key.as_ref() < key {
-                        std::cmp::Ordering::Less
-                    } else if m.min_key.as_ref() > key {
-                        std::cmp::Ordering::Greater
-                    } else {
-                        std::cmp::Ordering::Equal
-                    }
-                }) {
-                    Ok(i) => vec![i],
-                    Err(_) => vec![],
-                }
-            };
-            for i in candidates {
+            for i in self.candidates(lvl, key).rev() {
                 let meta = &self.levels[lvl][i];
                 if !meta.covers(key) {
                     continue;
                 }
                 t = self.cpu.run(t, self.config.cost_bloom);
-                if !meta.bloom.may_contain(key_hash(key)) {
+                if !meta.bloom.may_contain(hash) {
                     continue;
                 }
                 let file = meta.file;
@@ -195,57 +185,44 @@ impl LsmStore {
     /// key order (the YCSB workload-E shape). Returns (completion,
     /// entries). Charges a block probe per visited table.
     pub fn scan(&mut self, now: SimTime, from: &[u8], limit: usize) -> (SimTime, Vec<ScanEntry>) {
-        // Merge iterators across memtable and every level, newest wins.
         let mut t = now;
-        let mut out: Vec<(Box<[u8]>, Payload)> = Vec::new();
-        let mut shadowed: PrehashedSet<Box<[u8]>> = PrehashedSet::default();
-        // Collect candidates (key-ordered walk over each source).
-        let mut candidates: Vec<(Box<[u8]>, Option<Payload>, usize)> = Vec::new();
-        for (k, v) in self
-            .memtable
-            .range::<[u8], _>((std::ops::Bound::Included(from), std::ops::Bound::Unbounded))
-        {
-            candidates.push((k.clone(), v.clone(), 0));
-            if candidates.len() >= limit * 4 {
-                break;
-            }
+        let visited: Vec<FileId> = self
+            .levels
+            .iter()
+            .flatten()
+            .filter(|m| m.max_key.as_slice() >= from)
+            .map(|m| m.file)
+            .collect();
+        for file in visited {
+            let size = self.fs.size_of(file).expect("live SST");
+            t = self.read_block(t, file, u64::MAX, size);
         }
-        let mut age = 1usize;
-        for lvl in 0..self.levels.len() {
-            let files: Vec<FileId> = self.levels[lvl]
+        // One run per source, newest first: the memtable, each L0 table
+        // from the youngest back, then each deeper level's disjoint,
+        // key-ordered files chained. The merge pulls lazily, so no
+        // source is cut short of a version that shadows an older one.
+        let tables = &self.tables;
+        let tail = move |m: &SstMeta| tables[&m.file].entries_from(from).iter().cloned();
+        let (l0, deeper) = self.levels.split_first().expect("L0 always exists");
+        let mut runs: Vec<Box<dyn Iterator<Item = Entry> + '_>> = vec![Box::new(
+            self.memtable
+                .range::<[u8], _>((Bound::Included(from), Bound::Unbounded))
+                .map(|(k, v)| (k.clone(), v.clone())),
+        )];
+        runs.extend(l0.iter().rev().map(|m| Box::new(tail(m)) as _));
+        runs.extend(
+            deeper
                 .iter()
-                .filter(|m| m.max_key.as_ref() >= from)
-                .map(|m| m.file)
-                .collect();
-            for file in files {
-                let size = self.fs.size_of(file).expect("live SST");
-                t = self.read_block(t, file, u64::MAX, size);
-                let data = &self.tables[&file];
-                let start = match data
-                    .entries()
-                    .binary_search_by(|(k, _)| k.as_ref().cmp(from))
-                {
-                    Ok(i) | Err(i) => i,
-                };
-                for (k, v) in data.entries().iter().skip(start).take(limit * 2) {
-                    candidates.push((k.clone(), v.clone(), age));
-                }
-                age += 1;
-            }
-        }
-        // Newest version per key wins; tombstones shadow.
-        candidates.sort_by(|a, b| a.0.cmp(&b.0).then(a.2.cmp(&b.2)));
-        for (k, v, _) in candidates {
+                .map(|metas| Box::new(metas.iter().flat_map(tail)) as _),
+        );
+        let mut out = Vec::new();
+        for (k, v) in merge_runs(runs, false) {
             if out.len() >= limit {
                 break;
             }
-            if shadowed.contains(&k) {
-                continue;
-            }
-            shadowed.insert(k.clone());
             if let Some(v) = v {
                 t = self.cpu.run(t, self.config.cost_lookup);
-                out.push((k, v));
+                out.push((k.as_slice().into(), v));
             }
         }
         (t, out)
@@ -300,7 +277,7 @@ impl LsmStore {
             }
             (None, None) => {}
         }
-        let prev = self.memtable.insert(key.into(), value);
+        let prev = self.memtable.insert(KeyBuf::new(key), value);
         let prev_bytes = prev
             .map(|p| key.len() as u64 + p.map_or(0, |v| v.len()) + self.config.entry_overhead_bytes)
             .unwrap_or(0);
@@ -329,14 +306,13 @@ impl LsmStore {
         if let Some(v) = self.memtable.get(key) {
             return v.as_ref();
         }
-        for (lvl, metas) in self.levels.iter().enumerate() {
-            let iter: Box<dyn Iterator<Item = &SstMeta>> = if lvl == 0 {
-                Box::new(metas.iter().rev())
-            } else {
-                Box::new(metas.iter())
-            };
-            for meta in iter {
-                if !meta.covers(key) {
+        let hash = key_hash(key);
+        for lvl in 0..self.levels.len() {
+            for i in self.candidates(lvl, key).rev() {
+                let meta = &self.levels[lvl][i];
+                // Bloom filters have no false negatives, so consulting
+                // one before the binary search cannot change the answer.
+                if !meta.covers(key) || !meta.bloom.may_contain(hash) {
                     continue;
                 }
                 let data = &self.tables[&meta.file];
@@ -346,6 +322,23 @@ impl LsmStore {
             }
         }
         None
+    }
+
+    /// Files of `lvl` that may hold `key`, as indices to probe from the
+    /// back: all of L0 (newest last), and in a deeper level — disjoint
+    /// and key-ordered — the first file that does not end before `key`.
+    fn candidates(&self, lvl: usize, key: &[u8]) -> Range<usize> {
+        let metas = &self.levels[lvl];
+        let range = if lvl == 0 {
+            0..metas.len()
+        } else {
+            let first = metas.partition_point(|m| m.max_key.as_slice() < key);
+            first..(first + 1).min(metas.len())
+        };
+        #[cfg(test)]
+        self.candidates_probed
+            .set(self.candidates_probed.get() + range.len() as u64);
+        range
     }
 
     /// Reads one table's index + data block for `key`, via block cache,
@@ -407,8 +400,7 @@ impl LsmStore {
             return;
         }
         self.stats.flushes += 1;
-        let entries: Vec<(Box<[u8]>, Option<Payload>)> =
-            std::mem::take(&mut self.memtable).into_iter().collect();
+        let entries: Vec<Entry> = std::mem::take(&mut self.memtable).into_iter().collect();
         self.memtable_bytes = 0;
         let data = SstData::from_sorted(entries);
         let start = self.bg_done.max(now);
@@ -510,30 +502,10 @@ impl LsmStore {
         if self.levels.len() < 2 {
             self.levels.push(Vec::new());
         }
-        let lo = l0
-            .iter()
-            .map(|m| m.min_key.clone())
-            .min()
-            .expect("L0 files");
-        let hi = l0
-            .iter()
-            .map(|m| m.max_key.clone())
-            .max()
-            .expect("L0 files");
-        let mut l1_in = Vec::new();
-        let mut l1_keep = Vec::new();
-        for m in std::mem::take(&mut self.levels[1]) {
-            if m.overlaps(&lo, &hi) {
-                l1_in.push(m);
-            } else {
-                l1_keep.push(m);
-            }
-        }
-        self.levels[1] = l1_keep;
-        // Newest first: L0 newest..oldest, then L1 (disjoint).
-        let mut inputs: Vec<&SstMeta> = l0.iter().rev().collect();
-        inputs.extend(l1_in.iter());
-        self.merge_into(inputs, &l0, &l1_in, 1);
+        let lo = l0.iter().map(|m| &m.min_key).min().expect("L0 files");
+        let hi = l0.iter().map(|m| &m.max_key).max().expect("L0 files");
+        let l1_in = self.take_overlapping(1, lo, hi);
+        self.merge_into(l0, l1_in, 1);
     }
 
     fn compact_level(&mut self, level: usize) {
@@ -541,35 +513,30 @@ impl LsmStore {
         while self.levels.len() <= level + 1 {
             self.levels.push(Vec::new());
         }
-        let mut next_in = Vec::new();
-        let mut next_keep = Vec::new();
-        for m in std::mem::take(&mut self.levels[level + 1]) {
-            if m.overlaps(&src.min_key, &src.max_key) {
-                next_in.push(m);
-            } else {
-                next_keep.push(m);
-            }
-        }
-        self.levels[level + 1] = next_keep;
-        let srcs = vec![src];
-        let mut inputs: Vec<&SstMeta> = srcs.iter().collect();
-        inputs.extend(next_in.iter());
-        self.merge_into(inputs, &srcs, &next_in, level + 1);
+        let next_in = self.take_overlapping(level + 1, &src.min_key, &src.max_key);
+        self.merge_into(vec![src], next_in, level + 1);
     }
 
-    /// Merges `inputs` (newest first) into `out_level`, charging reads of
-    /// every input, CPU merge work, writes of the outputs, and deleting
-    /// (TRIM-ing) the inputs.
-    fn merge_into(
-        &mut self,
-        inputs: Vec<&SstMeta>,
-        owned_a: &[SstMeta],
-        owned_b: &[SstMeta],
-        out_level: usize,
-    ) {
+    /// Removes and returns the files of `level` overlapping `[lo, hi]`,
+    /// in key order.
+    fn take_overlapping(&mut self, level: usize, lo: &[u8], hi: &[u8]) -> Vec<SstMeta> {
+        let (taken, kept) = std::mem::take(&mut self.levels[level])
+            .into_iter()
+            .partition(|m| m.overlaps(lo, hi));
+        self.levels[level] = kept;
+        taken
+    }
+
+    /// Merges `upper` (oldest first, each file its own run) with `dest`
+    /// (the output level's overlapping files: disjoint and key-ordered,
+    /// so one chained run) into `out_level`, charging reads of every
+    /// input, CPU merge work, writes of the outputs, and deleting
+    /// (TRIM-ing) the inputs — which is why the merge may consume them.
+    fn merge_into(&mut self, upper: Vec<SstMeta>, dest: Vec<SstMeta>, out_level: usize) {
         let mut t = self.bg_done;
-        // Read every input through the fs (sequential, page-cache aware).
-        for m in &inputs {
+        // Read every input through the fs (sequential, page-cache aware),
+        // newest first.
+        for m in upper.iter().rev().chain(&dest) {
             let size = self.fs.size_of(m.file).expect("input exists");
             if size > 0 {
                 t = self
@@ -578,21 +545,27 @@ impl LsmStore {
                     .expect("compaction input read");
             }
         }
-        let runs: Vec<&SstData> = inputs.iter().map(|m| &self.tables[&m.file]).collect();
+        let mut take = |m: &SstMeta| self.tables.remove(&m.file).expect("input table");
+        let mut runs: Vec<Vec<SstData>> = upper.iter().rev().map(|m| vec![take(m)]).collect();
+        runs.push(dest.iter().map(take).collect());
+        let runs = runs
+            .into_iter()
+            .map(|chain| chain.into_iter().flat_map(SstData::into_entries))
+            .collect();
         // Tombstones drop when merging into the bottom-most populated level.
         let bottom = (out_level + 1..self.levels.len()).all(|l| self.levels[l].is_empty());
-        let merged = merge_runs(runs, bottom);
         // Split into target-sized output files.
         let mut outputs = Vec::new();
-        let mut cur: Vec<(Box<[u8]>, Option<Payload>)> = Vec::new();
+        let mut cur: Vec<Entry> = Vec::new();
         let mut cur_bytes = 0u64;
-        for (k, v) in merged {
+        for (k, v) in merge_runs(runs, bottom) {
             cur_bytes += k.len() as u64
                 + v.as_ref().map_or(0, Payload::len)
                 + self.config.entry_overhead_bytes;
             cur.push((k, v));
             if cur_bytes >= self.config.sst_target_bytes {
-                outputs.push(SstData::from_sorted(std::mem::take(&mut cur)));
+                let next = Vec::with_capacity(cur.len());
+                outputs.push(SstData::from_sorted(std::mem::replace(&mut cur, next)));
                 cur_bytes = 0;
             }
         }
@@ -600,15 +573,13 @@ impl LsmStore {
             outputs.push(SstData::from_sorted(cur));
         }
         self.bg_done = t;
-        let t = self.write_sst_chain(t, outputs, out_level, false);
+        let mut t = self.write_sst_chain(t, outputs, out_level, false);
         // Delete the inputs (whole-file TRIM on the device).
-        let mut t = t;
-        for m in owned_a.iter().chain(owned_b) {
+        for m in upper.iter().chain(&dest) {
             t = self
                 .fs
                 .delete(t, &mut self.bg_cpu, &mut self.page_cache, m.file)
                 .expect("compaction input delete");
-            self.tables.remove(&m.file);
             self.block_cache.remove_if(|&(f, _)| f == m.file.0);
         }
         self.bg_done = t;
@@ -622,6 +593,10 @@ mod tests {
     use kvssd_flash::{FlashTiming, Geometry};
 
     fn store() -> LsmStore {
+        store_with(LsmConfig::tiny())
+    }
+
+    fn store_with(config: LsmConfig) -> LsmStore {
         let g = Geometry {
             channels: 2,
             dies_per_channel: 2,
@@ -631,7 +606,7 @@ mod tests {
             page_bytes: 32 * 1024,
         };
         let dev = BlockSsd::new(g, FlashTiming::pm983_like(), BlockFtlConfig::pm983_like());
-        LsmStore::new(ExtFs::format(dev), LsmConfig::tiny())
+        LsmStore::new(ExtFs::format(dev), config)
     }
 
     fn key(i: u64) -> Vec<u8> {
@@ -781,6 +756,78 @@ mod tests {
     }
 
     #[test]
+    fn scan_never_returns_deleted_keys() {
+        // Two L0 tables, the younger holding tombstones for part of the
+        // older one's range: the younger table must win, and no source
+        // may be cut off before a tombstone that shadows an older value.
+        let mut s = store();
+        let mut t = SimTime::ZERO;
+        for i in (0..400u64).step_by(5) {
+            t = s.put(t, &key(i), Payload::synthetic(100, i));
+        }
+        t = s.flush_all(t);
+        for i in 100..=130u64 {
+            t = s.delete(t, &key(i));
+        }
+        t = s.flush_all(t);
+        let (mut t, got) = s.scan(t, &key(100), 10);
+        assert_eq!(got.len(), 10);
+        for (k, v) in &got {
+            let (done, live) = s.get(t, k);
+            t = done;
+            assert_eq!(live.as_ref(), Some(v), "scan returned a dead or stale key");
+        }
+        assert_eq!(got[0].0.as_ref(), key(135).as_slice());
+    }
+
+    #[test]
+    fn point_lookups_probe_one_table_per_deeper_level() {
+        // Small files so that L2 grows to dozens of them.
+        let mut s = store_with(LsmConfig {
+            sst_target_bytes: 16 * 1024,
+            ..LsmConfig::tiny()
+        });
+        let mut t = SimTime::ZERO;
+        let mut next = 0u64;
+        // Grows L2 to `files` files, then returns the worst number of
+        // candidate tables below L0 that one `get` or one `peek` (run by
+        // every put) was handed, over present and absent keys, with the
+        // level count. Candidates bound the tables binary-searched.
+        let mut deeper_candidates_when_l2_has = |files: usize| {
+            while s.levels.get(2).map_or(0, Vec::len) < files {
+                // 7919 is coprime to 100 000: scattered, distinct keys.
+                let k = key(next * 7919 % 100_000);
+                t = s.put(t, &k, Payload::synthetic(512, next));
+                next += 1;
+            }
+            let (l0, depth) = (s.levels[0].len() as u64, s.levels.len());
+            let deeper = depth as u64 - 1;
+            let mut worst = 0;
+            for i in (0..100_000u64).step_by(997) {
+                let c0 = s.candidates_probed.get();
+                let (done, got) = s.get(t, &key(i));
+                t = done;
+                let c1 = s.candidates_probed.get();
+                let peeked = s.peek(&key(i)).cloned();
+                let c2 = s.candidates_probed.get();
+                assert_eq!(peeked, got, "key {i}");
+                worst = worst.max(c1 - c0).max(c2 - c1);
+            }
+            assert!(
+                worst <= l0 + deeper,
+                "{worst} candidates with {l0} L0 files and {depth} levels"
+            );
+            (worst.saturating_sub(l0), depth)
+        };
+        let (few, depth_few) = deeper_candidates_when_l2_has(5);
+        let (many, depth_many) = deeper_candidates_when_l2_has(40);
+        assert!(
+            many <= few + (depth_many - depth_few) as u64,
+            "candidates grew with the file count: {few} -> {many}"
+        );
+    }
+
+    #[test]
     fn scan_from_end_is_empty() {
         let mut s = store();
         let t = s.put(SimTime::ZERO, b"aaa-key", Payload::synthetic(8, 0));
@@ -797,45 +844,5 @@ mod tests {
         }
         assert!(s.cpu().busy_total() > SimDuration::from_micros(100));
         let _ = t;
-    }
-}
-
-#[cfg(test)]
-mod debug_probe {
-    use super::*;
-    use kvssd_block_ftl::{BlockFtlConfig, BlockSsd};
-    use kvssd_flash::{FlashTiming, Geometry};
-
-    #[test]
-    #[ignore]
-    fn probe_stall_dynamics() {
-        let g = Geometry {
-            channels: 2,
-            dies_per_channel: 2,
-            planes_per_die: 2,
-            blocks_per_plane: 16,
-            pages_per_block: 16,
-            page_bytes: 32 * 1024,
-        };
-        let dev = BlockSsd::new(g, FlashTiming::pm983_like(), BlockFtlConfig::pm983_like());
-        let mut s = LsmStore::new(ExtFs::format(dev), LsmConfig::tiny());
-        for i in 0..30_000u64 {
-            let now = SimTime::from_nanos(i * 200);
-            let done = s.put(
-                now,
-                format!("key{:013}", i % 2000).as_bytes(),
-                Payload::synthetic(2048, i),
-            );
-            if i % 5000 == 0 {
-                println!(
-                    "i={i} now={now} done={done} bg={} flushes={} stalls={}",
-                    s.bg_done, s.stats.flushes, s.stats.stalls
-                );
-            }
-        }
-        println!(
-            "final: flushes={} stalls={} compactions={}",
-            s.stats.flushes, s.stats.stalls, s.stats.compactions
-        );
     }
 }

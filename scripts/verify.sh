@@ -91,6 +91,15 @@ echo "== golden digests (figure tables pinned at threads 1 and 4) =="
 # and fig4 (block-direct) are pinned to fixed digests.
 cargo test "${CARGO_FLAGS[@]}" -q --test golden_digests
 
+echo "== lsm-store differential (model oracle) =="
+# The RocksDB baseline against a BTreeMap oracle: 3 seeds x 20 000
+# seeded put/delete/get/scan ops on ~600 keys (a third of them longer
+# than KeyBuf's inline buffer), through flush and compaction; asserts
+# len, user_bytes, every get and every scan. Host-speed work on the
+# store (inline keys, consuming merge, per-level candidates) must
+# keep it green.
+cargo test "${CARGO_FLAGS[@]}" -q -p kvssd-lsm-store --test differential
+
 echo "== repo benchmark self-test (sim results repeat bit for bit) =="
 # All five BENCHMARK.json workloads at 1/100 size, twice each: fails
 # unless every sim-domain result repeats exactly and no op failed.
