@@ -5,12 +5,15 @@
 //! thread counts, and the deadline/retry/hedged-write machinery —
 //! quorum-failure payloads, duplicate-delivery idempotency,
 //! partition-aware hedging, repair under partitions, and liveness
-//! under combined faults.
+//! under combined faults. The lossy client and repair scenarios are
+//! also pinned byte for byte (digests of their rendered summaries), so
+//! a refactor of the leg engine cannot move a retry, a dedupe or a
+//! repair leg unnoticed.
 
 use kvssd_cluster::{ClusterConfig, KvCluster};
 use kvssd_core::{KvConfig, KvError, KvSsd, Payload};
 use kvssd_fabric::{Fabric, FabricConfig, LinkConfig};
-use kvssd_sim::{SimDuration, SimTime};
+use kvssd_sim::{mix64, SimDuration, SimTime};
 
 fn device(_id: usize) -> KvSsd {
     KvSsd::new(
@@ -637,5 +640,160 @@ fn every_op_resolves_under_drops_partitions_and_deadlines() {
                 );
             }
         }
+    }
+}
+
+/// FNV-style fold (mix64-chained) over the rendered bytes — the same
+/// digest `tests/golden_digests.rs` pins the figure tables with.
+fn digest(s: &str) -> u64 {
+    let mut d = 0xcbf2_9ce4_8422_2325u64;
+    for &b in s.as_bytes() {
+        d = mix64(d ^ b as u64);
+    }
+    d
+}
+
+fn check_pin(name: &str, rendered: &str, want: u64) {
+    let got = digest(rendered);
+    assert_eq!(
+        got, want,
+        "{name} drifted from its pinned digest (got 0x{got:016x}); the leg \
+         engine must not move a byte of fault-path behaviour.\n{rendered}"
+    );
+}
+
+/// Client ops interleaved with membership changes over a wire that
+/// drops, duplicates, jitters and partitions, deadlines and hedged
+/// writes armed (`lean` adds lean hedged reads): every repair read,
+/// copy and drop leg crosses the faulty fabric. Renders every
+/// `RebalanceReport`, the final `stats()` and `report()`.
+fn lossy_repair_scenario(seed: u64, lean: bool) -> String {
+    let link = LinkConfig {
+        latency: SimDuration::from_micros(15),
+        jitter: SimDuration::from_micros(30),
+        drop_ppm: 200_000,
+        duplicate_ppm: 20_000,
+        ..LinkConfig::ideal()
+    };
+    let mut cfg = ClusterConfig::new(6, seed)
+        .replication(3)
+        .deadlines(SimDuration::from_millis(1), 2)
+        .hedged_writes(Some(SimDuration::from_micros(200)));
+    if lean {
+        cfg = cfg.lean_reads(Some(SimDuration::from_micros(300)));
+    }
+    let mut c = KvCluster::with_transport(
+        cfg,
+        Box::new(Fabric::new(FabricConfig::new(seed, link), 6)),
+        device,
+    );
+    let mut out = format!("seed={seed} lean={lean}\n");
+    let mut t = SimTime::ZERO;
+    let mut ok = 0u64;
+    let mut unavailable = 0u64;
+    for i in 0..600u64 {
+        // Membership changes and roaming partitions, all under the
+        // same 20 % loss: repair legs retry, fail over and fail typed.
+        match i {
+            100 => c.fabric_mut().expect("fabric-backed").partition(1),
+            150 | 400 => {
+                let (id, rep) = c.add_shard(t, device(0)).unwrap();
+                t = rep.completed;
+                out.push_str(&format!("op {i}: add {id} {rep:?}\n"));
+            }
+            250 => {
+                let f = c.fabric_mut().expect("fabric-backed");
+                f.heal(1);
+                f.partition(4);
+            }
+            300 | 500 => {
+                let victim = c.shards()[if i == 300 { 2 } else { 0 }].id();
+                let rep = c.remove_shard(t, victim).unwrap();
+                t = rep.completed;
+                out.push_str(&format!("op {i}: remove {victim} {rep:?}\n"));
+            }
+            350 => {
+                for link in 0..c.shard_count() {
+                    c.fabric_mut().expect("fabric-backed").heal(link);
+                }
+            }
+            450 => c.fabric_mut().expect("fabric-backed").partition(0),
+            _ => {}
+        }
+        let k = key(i % 150);
+        let done = match i % 4 {
+            0 | 1 => c.store(t, k.as_bytes(), Payload::synthetic(512, i)),
+            2 => c.retrieve(t, k.as_bytes()).map(|l| l.at),
+            _ => c.delete(t, k.as_bytes()).map(|(d, _)| d),
+        };
+        match done {
+            Ok(at) => {
+                assert!(at >= t, "an acked op never completes before it starts");
+                ok += 1;
+                t = at;
+            }
+            Err(KvError::QuorumUnavailable { acked, quorum, .. }) => {
+                assert!(acked < quorum);
+                unavailable += 1;
+            }
+            Err(e) => panic!("op {i} must resolve Ok or QuorumUnavailable, got {e}"),
+        }
+    }
+    let st = c.stats();
+    let ts = st.transport;
+    out.push_str(&format!(
+        "ok={ok} unavailable={unavailable} len={} quiesce={:?}\n{:?}\n\
+         sq_stalls={} sq_stall={:?} rebalanced={}/{} spares={} retries={} rescued={} \
+         write_spares={} dup={}\n\
+         wire req={} resp={} dropped={} partition_drops={} dup={} stalls={} bytes={}\n{}",
+        c.len(),
+        c.quiesce_time(),
+        st.devices,
+        st.sq_full_stalls,
+        st.sq_stall_time,
+        st.rebalanced_keys,
+        st.rebalanced_bytes,
+        st.hedged_spares,
+        st.leg_retries,
+        st.retry_rescued_ops,
+        st.hedged_write_spares,
+        st.dup_suppressed,
+        ts.requests,
+        ts.responses,
+        ts.dropped,
+        ts.partition_drops,
+        ts.duplicated,
+        ts.queue_stalls,
+        ts.bytes,
+        c.report().render()
+    ));
+    out
+}
+
+#[test]
+fn lossy_scenarios_match_their_pinned_digests() {
+    // Computed on the six-leg-function code before the leg engine
+    // replaced it (see CHANGES.md, PR 15); never re-pinned since.
+    for (seed, want) in [
+        (1u64, 0xe25a03ade0311c5cu64),
+        (7, 0x56e5f1c95b51998d),
+        (13, 0x92481df077148eb8),
+    ] {
+        check_pin("lossy_scenario", &lossy_scenario(seed), want);
+    }
+    for (seed, lean, want) in [
+        (1u64, false, 0xcd649e467b057206u64),
+        (1, true, 0xa4a0e0bcd4c452af),
+        (7, false, 0x3f42d9d1d3c0a8cd),
+        (7, true, 0xcf215607d6b140d5),
+        (13, false, 0x67430ad06d4c9698),
+        (13, true, 0xeab99b1fed7c749b),
+    ] {
+        let rendered = lossy_repair_scenario(seed, lean);
+        assert!(
+            rendered.contains("failed_copies") && rendered.contains("deadlines retries="),
+            "the repair scenario must exercise repair legs and retries:\n{rendered}"
+        );
+        check_pin("lossy_repair_scenario", &rendered, want);
     }
 }

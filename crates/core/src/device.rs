@@ -1984,6 +1984,29 @@ mod tests {
         )
     }
 
+    /// `gc_workload_digest` per seed as the O(blocks) reference scan
+    /// produces it — computed by running the scan for real, before it
+    /// stopped being a runtime mode (PR 15), and never re-pinned since.
+    const GC_REFERENCE_HISTORY: [(u64, (u64, u64, u64, u64, u64, u32)); 3] = [
+        (7, (1_574_470_745, 286, 10_076, 65, 594, 4)),
+        (1931, (1_702_085_125, 295, 10_336, 104, 604, 4)),
+        (0xDEC0DE, (1_705_425_405, 296, 10_522, 116, 613, 3)),
+    ];
+
+    #[test]
+    fn gc_workload_matches_pinned_reference_history() {
+        for (seed, (t, erases, copied, fg, len, free)) in GC_REFERENCE_HISTORY {
+            let want = (SimTime::from_nanos(t), erases, copied, fg, len, free);
+            for legacy in [true, false] {
+                assert_eq!(
+                    gc_workload_digest(legacy, seed),
+                    want,
+                    "GC history moved at seed {seed} (legacy scan: {legacy})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn victim_queue_matches_legacy_scan_end_to_end() {
         // The tentpole's differential test: the incremental victim queue

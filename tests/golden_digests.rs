@@ -4,10 +4,11 @@
 //! hash-keyed registries), the fill/measure sub-cell split and the
 //! byte-key hasher are host-side optimizations: they must not move a
 //! single byte of any figure. These tests pin the tiny-scale
-//! `scaleout`, `replication` and `fabric` tables, plus `fig2` (KV-SSD,
-//! LSM and hash-store end to end) and `fig4` (block-direct), to fixed
-//! digests at worker thread counts 1 (the exact serial path) and 4 (the
-//! pool), so any behavioral drift — from the hot path, the scheduler,
+//! `scaleout`, `replication`, `fabric` and `fabric_faults` (retries,
+//! tied writes, replica dedupe) tables, plus `fig2` (KV-SSD, LSM and
+//! hash-store end to end) and `fig4` (block-direct), to fixed digests
+//! at worker thread counts 1 (the exact serial path) and 4 (the pool),
+//! so any behavioral drift — from the hot path, the scheduler,
 //! a map's iteration order, or the device model — fails CI with a
 //! diffable signal.
 //!
@@ -15,7 +16,9 @@
 //! a new column), re-pin: run with `KVSSD_GOLDEN_PRINT=1` to print the
 //! new digests, and record the move in CHANGES.md.
 
-use kvssd_study::bench::experiments::{cells, fabric, fig2, fig4, replication, scaleout};
+use kvssd_study::bench::experiments::{
+    cells, fabric, fabric_faults, fig2, fig4, replication, scaleout,
+};
 use kvssd_study::bench::Scale;
 
 /// FNV-style fold (mix64-chained) over the rendered bytes.
@@ -32,6 +35,7 @@ const REPLICATION_TINY: u64 = 0x1d1051945373459c;
 const FABRIC_TINY: u64 = 0x4dfc10f50a108b79;
 const FIG2_TINY: u64 = 0x4ef34a875caea89c;
 const FIG4_TINY: u64 = 0xbd3bffcf169491bb;
+const FABRIC_FAULTS_TINY: u64 = 0x7e36ff7e4d2a09de;
 
 fn check(name: &str, rendered: &str, want: u64) {
     let got = digest(rendered);
@@ -68,6 +72,11 @@ fn figures_match_pinned_digests_at_threads_1_and_4() {
             "fabric",
             &fabric::render(&fabric::run(Scale::Tiny)),
             FABRIC_TINY,
+        );
+        check(
+            "fabric_faults",
+            &fabric_faults::render(&fabric_faults::run(Scale::Tiny)),
+            FABRIC_FAULTS_TINY,
         );
     }
     cells::set_thread_override(None);
