@@ -8,7 +8,7 @@
 //! Scale: `KVSSD_BENCH_SCALE` = tiny|quick|full (default quick).
 use std::fmt::Write as _;
 
-use kvssd_bench::experiments::{self, cells, cluster_ops, device_ops};
+use kvssd_bench::experiments::{self, cells, cluster_ops};
 use kvssd_bench::walltime::Stopwatch;
 use kvssd_bench::{opprof, Scale};
 
@@ -68,8 +68,6 @@ fn main() {
         threads
     );
 
-    eprintln!("bench_harness: device_ops microbench...");
-    let ops = device_ops::run(scale);
     eprintln!("bench_harness: cluster_ops microbench...");
     let cl_ops = cluster_ops::run(scale);
     eprintln!("bench_harness: opprof stage profile...");
@@ -88,19 +86,6 @@ fn main() {
     json.push_str("{\n");
     writeln!(json, "  \"scale\": \"{}\",", scale_name(scale)).unwrap();
     writeln!(json, "  \"threads\": {threads},").unwrap();
-    writeln!(
-        json,
-        "  \"device_ops\": {{\"scale\": \"{}\", \"ops\": {}, \
-         \"baseline_ops_per_sec\": {:.0}, \"optimized_ops_per_sec\": {:.0}, \
-         \"improvement\": {:.2}, \"checksum\": \"{:016x}\"}},",
-        scale_name(scale),
-        ops.baseline.ops,
-        ops.baseline.ops_per_sec(),
-        ops.optimized.ops_per_sec(),
-        ops.improvement(),
-        ops.baseline.checksum
-    )
-    .unwrap();
     writeln!(
         json,
         "  \"cluster_ops\": {{\"scale\": \"{}\", \"ops\": {}, \

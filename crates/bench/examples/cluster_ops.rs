@@ -1,5 +1,5 @@
-//! Cluster hot-path microbench runner: prints the legacy per-op vs
-//! batched fast-path throughput table and records the result in
+//! Cluster hot-path microbench runner: prints the per-op vs batched
+//! driver throughput table and records the result in
 //! `BENCH_HARNESS.json` (override the path with
 //! `KVSSD_BENCH_HARNESS_OUT`).
 //!

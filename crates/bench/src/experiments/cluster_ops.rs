@@ -1,26 +1,26 @@
 //! Cluster hot-path microbenchmark: host-side ops/second of the
 //! replicated KV-SSD cluster simulator under a store-heavy churn.
 //!
-//! The `device_ops` companion for the per-op fast path overhaul. Unlike
-//! the figures, this measures *wall-clock* cost of simulating the
-//! cluster, not virtual-time behavior. Both legs replay the identical
-//! fixed-seed op plan against identically filled clusters:
+//! Unlike the figures, this measures *wall-clock* cost of simulating
+//! the cluster, not virtual-time behavior. Its two legs are the two
+//! drivers a caller can actually use today — both production paths,
+//! over the same cluster code — replaying the identical fixed-seed op
+//! plan against identically filled clusters:
 //!
-//! * **baseline** — the pre-overhaul hot loop: one boxed key
-//!   allocation per op ([`KeyGen::key`]), one dynamic [`KvStore`]
-//!   dispatch and one runner hand-off per op, with every shard's key
-//!   registry routed through the legacy byte-ordered tree
-//!   ([`kvssd_cluster::KvCluster::set_legacy_key_registry`]);
-//! * **optimized** — the batched path the figures run: keys
+//! * **baseline** — the per-op driver: one boxed key allocation per op
+//!   ([`KeyGen::key`]), one dynamic [`KvStore`] dispatch and one runner
+//!   hand-off per op;
+//! * **optimized** — the batched driver the figures run: keys
 //!   regenerated in place ([`KeyGen::key_into`]), ops planned into an
 //!   [`OpBatch`] and executed through the monomorphized
-//!   [`ClusterStore`] `run_ops` fan-out, registries on the
-//!   hash-by-key-hash fast path (the default).
+//!   [`ClusterStore`] `run_ops` fan-out.
 //!
 //! Both legs must produce an identical behavior checksum (final virtual
 //! time, latency aggregates, and every cluster-visible counter) — the
-//! fast path is a pure host-side optimization, so any divergence is a
-//! bug and the run panics.
+//! batched driver is a pure host-side optimization, so any divergence
+//! is a bug and the run panics. (The host cost of the cluster itself is
+//! what the repo benchmark's `cluster_quorum_fabric` `host_kops`
+//! measures, under a proper protocol.)
 
 use kvssd_cluster::{ClusterConfig, KvCluster};
 use kvssd_core::{KvConfig, KvSsd};
@@ -41,8 +41,8 @@ const SEED: u64 = 0xC1_05_7E_12;
 /// Shards in the cluster under test.
 const SHARDS: usize = 4;
 
-/// Replication factor: every store and delete fans out to R registries,
-/// so registry cost shows the way a replicated deployment would see it.
+/// Replication factor: every store and delete fans out to R replica
+/// legs, the way a replicated deployment would see it.
 const R: usize = 2;
 
 /// Key size (bytes) — the figures' 16-byte keys.
@@ -79,9 +79,9 @@ impl Leg {
 /// Both legs of the microbenchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterOpsResult {
-    /// Legacy per-op allocating leg.
+    /// Per-op allocating driver leg.
     pub baseline: Leg,
-    /// Batched fast-path leg.
+    /// Batched driver leg.
     pub optimized: Leg,
 }
 
@@ -148,7 +148,7 @@ fn filled(scale: Scale, n: u64) -> ClusterStore {
     store
 }
 
-/// The pre-overhaul per-op hot loop: allocate the key, dispatch through
+/// The per-op driver: allocate the key, dispatch through
 /// `dyn KvStore`, hand the runner one op at a time.
 fn drive_per_op(
     store: &mut dyn KvStore,
@@ -238,17 +238,15 @@ fn checksum(
 }
 
 /// Replays the fixed-seed churn on a freshly filled cluster and returns
-/// the leg measurement. Fill and registry-mode switch are setup; only
-/// the churn is timed.
-fn run_leg(scale: Scale, plan: &[Planned], fast: bool) -> Leg {
+/// the leg measurement. The fill is setup; only the churn is timed.
+fn run_leg(scale: Scale, plan: &[Planned], batched: bool) -> Leg {
     let n = population(scale);
     let mut store = filled(scale, n);
-    store.cluster_mut().set_legacy_key_registry(!fast);
     let keygen = KeyGen::new(KEY_BYTES);
     let start = crate::experiments::settle(store.cluster().quiesce_time());
 
     let t0 = Stopwatch::start();
-    let (end, writes, reads) = if fast {
+    let (end, writes, reads) = if batched {
         drive_batched(&mut store, &keygen, plan, start)
     } else {
         drive_per_op(&mut store, &keygen, plan, start)
@@ -273,7 +271,7 @@ const ROUNDS: usize = 3;
 /// # Panics
 ///
 /// Panics if the two legs' behavior checksums diverge — the batched
-/// fast path must be wall-clock-only.
+/// driver must be wall-clock-only.
 pub fn run(scale: Scale) -> ClusterOpsResult {
     let plan = plan_churn(population(scale));
     let mut best: Option<(Leg, Leg)> = None;
@@ -282,7 +280,7 @@ pub fn run(scale: Scale) -> ClusterOpsResult {
         let optimized = run_leg(scale, &plan, true);
         assert_eq!(
             baseline.checksum, optimized.checksum,
-            "batched fast path changed cluster behavior"
+            "the batched driver changed cluster behavior"
         );
         best = Some(match best {
             None => (baseline, optimized),
@@ -317,13 +315,13 @@ pub fn print_table(r: &ClusterOpsResult) {
     println!("cluster_ops: replicated-cluster host throughput (R={R}, fixed seed)");
     println!("  leg        ops      seconds   ops/sec");
     println!(
-        "  legacy     {:<8} {:<9.3} {:.0}",
+        "  per-op     {:<8} {:<9.3} {:.0}",
         r.baseline.ops,
         r.baseline.seconds,
         r.baseline.ops_per_sec()
     );
     println!(
-        "  optimized  {:<8} {:<9.3} {:.0}",
+        "  batched    {:<8} {:<9.3} {:.0}",
         r.optimized.ops,
         r.optimized.seconds,
         r.optimized.ops_per_sec()

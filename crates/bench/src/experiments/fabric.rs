@@ -176,7 +176,7 @@ fn run_point(scale: Scale, sc: FabricScenario) -> FabricPoint {
         crate::experiments::settle(f.finished),
     );
 
-    let spares = store.cluster().hedged_spares();
+    let spares = store.cluster().stats().hedged_spares;
     FabricPoint {
         name: sc.name,
         link_us: sc.link_us,

@@ -208,7 +208,7 @@ fn run_point(scale: Scale, sc: FaultScenario) -> FaultPoint {
     }
 
     let ops = 2 * n_kv;
-    let ts = c.transport_stats();
+    let st = c.stats();
     FaultPoint {
         name: sc.name,
         drop_ppm: sc.drop_ppm,
@@ -219,12 +219,12 @@ fn run_point(scale: Scale, sc: FaultScenario) -> FaultPoint {
         ok_ops,
         unavailable,
         availability_pct: ok_ops as f64 * 100.0 / ops as f64,
-        rescued: c.retry_rescued_ops(),
-        leg_retries: c.leg_retries(),
-        write_spares: c.hedged_write_spares(),
-        dup_suppressed: c.dup_suppressed(),
-        wire_bytes: ts.bytes,
-        dropped: ts.dropped,
+        rescued: st.retry_rescued_ops,
+        leg_retries: st.leg_retries,
+        write_spares: st.hedged_write_spares,
+        dup_suppressed: st.dup_suppressed,
+        wire_bytes: st.transport.bytes,
+        dropped: st.transport.dropped,
     }
 }
 

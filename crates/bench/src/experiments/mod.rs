@@ -7,7 +7,6 @@
 pub mod ablations;
 pub mod cells;
 pub mod cluster_ops;
-pub mod device_ops;
 pub mod fabric;
 pub mod fabric_faults;
 pub mod fig2;

@@ -6,7 +6,7 @@
 //! "same substrate, two firmwares" comparison depend on. Real clocks are
 //! still needed in exactly one place: the self-timing harness that reports
 //! how long the *simulator itself* takes on the host (`BENCH_HARNESS.json`,
-//! the `device_ops` microbench, per-cell scheduler timings). Those numbers
+//! the `cluster_ops` microbench, per-cell scheduler timings). Those numbers
 //! describe the host, never the modeled device, and feed no experiment
 //! table.
 //!

@@ -40,19 +40,33 @@
 //! quorum. Hedged quorum *writes*
 //! ([`crate::ClusterConfig::hedged_writes`]) symmetrize the read
 //! hedge: when the write quorum has not assembled by `now + hedge`, a
-//! spare (tied) leg re-sends the mutation to the slowest unacked
+//! spare (tied) leg re-sends the mutation to the first unacked
 //! replica, skipping known-partitioned links. Replicas dedupe
 //! re-delivered mutations by op id — the losing copy's device work is
 //! cancelled and the recorded completion re-acknowledged — so retries,
 //! wire duplicates, and tied legs are all idempotent.
+//!
+//! There is exactly one implementation of each of these mechanisms.
+//! Every leg — client store / retrieve / delete and repair read / copy
+//! / drop alike — is one call of the leg engine `KvCluster::run_leg`
+//! (send → execute the delivered copies → acknowledge → deadline →
+//! seeded backoff → retry), which is the only code that touches the
+//! [`Transport`]; what a leg executes and accounts is passed in as
+//! closures, and the two things the attempt loop itself does
+//! differently per kind are the two bits of `LegPolicy` (does every
+//! delivered copy execute, and does any acknowledgement — however late
+//! — end the leg). Device commands go through one `submit_on`,
+//! mutations through one op-id dedupe (`run_mutation`), and store,
+//! retrieve and delete share one first-wave → hedge → spare → quorum
+//! driver (`quorum_op`).
 
 use kvssd_core::hash::key_hash;
 use kvssd_core::KeyBuf;
 use kvssd_core::{KvError, KvSsd, KvSsdStats, Lookup, Payload, SpaceReport};
 use kvssd_nvme::{SqStats, SubmissionQueue};
 use kvssd_sim::{
-    mix64, BandwidthSeries, DeterministicRng, FanIn, LatencyHistogram, PrehashedMap, SimDuration,
-    SimTime,
+    mix64, BandwidthSeries, DeterministicRng, FanIn, LatencyHistogram, OpTiming, PrehashedMap,
+    SimDuration, SimTime,
 };
 
 use crate::config::ClusterConfig;
@@ -76,12 +90,6 @@ use crate::transport::{
 struct KeyRegistry {
     by_hash: PrehashedMap<u64, KeySlot>,
     len: usize,
-    /// Baseline leg of the `cluster_ops` microbench: when set, the
-    /// registry routes every probe and update through the original
-    /// byte-ordered tree instead of the hash map (the same
-    /// keep-the-slow-path-measurable pattern as
-    /// `KvSsd::set_legacy_gc_scan`). Host-side only; behavior-invisible.
-    legacy: Option<std::collections::BTreeSet<Box<[u8]>>>,
 }
 
 #[derive(Debug)]
@@ -104,40 +112,13 @@ impl KeyRegistry {
         self.len
     }
 
-    /// Switches between the hash-map fast path and the legacy tree
-    /// (rebuilding the chosen structure from the other's contents).
-    fn set_legacy(&mut self, on: bool) {
-        if on == self.legacy.is_some() {
-            return;
-        }
-        let snapshot: Vec<Box<[u8]>> = self.iter().map(Box::from).collect();
-        self.by_hash.clear();
-        self.len = 0;
-        self.legacy = on.then(std::collections::BTreeSet::new);
-        for key in &snapshot {
-            self.insert(key);
-        }
-    }
-
-    fn contains(&self, key: &[u8]) -> bool {
-        self.contains_hashed(key_hash(key), key)
-    }
-
-    /// [`Self::contains`] with the key's hash precomputed — repair
-    /// probes every shard's registry for the same key, and hashes it
-    /// once instead of once per shard.
+    /// Whether `key` (whose hash is `h`) is registered. Callers hash
+    /// once: the op fan-out reuses the ring-lookup hash for every
+    /// replica leg, and repair probes every shard for the same key.
     fn contains_hashed(&self, h: u64, key: &[u8]) -> bool {
-        if let Some(tree) = &self.legacy {
-            return tree.contains(key);
-        }
         self.by_hash
             .get(&h)
             .is_some_and(|slot| slot.as_slice().iter().any(|k| k.as_slice() == key))
-    }
-
-    /// Inserts a key copy; no-op when already present.
-    fn insert(&mut self, key: &[u8]) {
-        self.insert_hashed(key_hash(key), key);
     }
 
     /// Registry update for one executed store leg. The device just ran
@@ -145,26 +126,10 @@ impl KeyRegistry {
     /// mirrors the device's key set leg-for-leg (stores insert on both,
     /// deletes remove from both, repair keeps them in step, and a
     /// decommissioned shard is dropped whole), so an existing key is
-    /// already registered and the fast path skips its probe entirely.
-    /// The legacy tree still probes every leg — the microbench baseline
-    /// keeps paying the baseline's costs.
+    /// already registered and its probe is skipped entirely.
     fn note_store(&mut self, h: u64, key: &[u8], existed: bool) {
-        if self.legacy.is_some() {
-            self.insert(key);
-        } else if !existed {
-            self.insert_hashed(h, key);
-        }
-    }
-
-    /// [`Self::insert`] with the key's hash precomputed — the store
-    /// fan-out hashes the key once for ring lookup and reuses it for
-    /// every replica leg's registry update.
-    fn insert_hashed(&mut self, h: u64, key: &[u8]) {
         use std::collections::hash_map::Entry;
-        if let Some(tree) = &mut self.legacy {
-            if tree.insert(key.into()) {
-                self.len += 1;
-            }
+        if existed {
             return;
         }
         match self.by_hash.entry(h) {
@@ -191,20 +156,8 @@ impl KeyRegistry {
     }
 
     /// Removes a key copy; no-op when absent.
-    fn remove(&mut self, key: &[u8]) {
-        self.remove_hashed(key_hash(key), key);
-    }
-
-    /// [`Self::remove`] with the key's hash precomputed (see
-    /// [`Self::insert_hashed`]).
     fn remove_hashed(&mut self, h: u64, key: &[u8]) {
         use std::collections::hash_map::Entry;
-        if let Some(tree) = &mut self.legacy {
-            if tree.remove(key) {
-                self.len -= 1;
-            }
-            return;
-        }
         let Entry::Occupied(mut o) = self.by_hash.entry(h) else {
             return;
         };
@@ -230,15 +183,10 @@ impl KeyRegistry {
     }
 
     /// All registered keys, in unspecified order.
-    fn iter(&self) -> Box<dyn Iterator<Item = &[u8]> + '_> {
-        if let Some(tree) = &self.legacy {
-            return Box::new(tree.iter().map(|k| &**k));
-        }
-        Box::new(
-            self.by_hash
-                .values()
-                .flat_map(|slot| slot.as_slice().iter().map(|k| k.as_slice())),
-        )
+    fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.by_hash
+            .values()
+            .flat_map(|slot| slot.as_slice().iter().map(|k| k.as_slice()))
     }
 }
 
@@ -301,7 +249,7 @@ impl Shard {
 
     /// True when this shard holds a replica of `key`.
     pub fn holds(&self, key: &[u8]) -> bool {
-        self.keys.contains(key)
+        self.keys.contains_hashed(key_hash(key), key)
     }
 }
 
@@ -388,6 +336,66 @@ impl std::fmt::Display for ClusterReport {
     }
 }
 
+/// What distinguishes one kind of leg from another inside
+/// [`KvCluster::run_leg`]'s attempt loop — everything else a leg does
+/// differently lives in its closures.
+#[derive(Debug, Clone, Copy)]
+struct LegPolicy {
+    /// `true`: every delivered copy of the request (the original and a
+    /// wire duplicate) executes on the replica — mutations dedupe the
+    /// second copy by op id, client reads simply run twice. `false`:
+    /// one device pass per delivered attempt (repair reads: a
+    /// duplicate of an idempotent read just re-acks).
+    every_copy_executes: bool,
+    /// `true`: the leg stops at the first attempt that produced any
+    /// acknowledgement, however late (repair copies and drops: the
+    /// router only needs to know the mutation landed). `false`: it
+    /// stops once an acknowledgement arrived inside the current
+    /// attempt's deadline, and otherwise retries — a late ack still
+    /// counts when it finally arrives (client legs, repair reads).
+    stop_at_any_ack: bool,
+}
+
+impl LegPolicy {
+    /// Client store / retrieve / delete legs.
+    const CLIENT: Self = LegPolicy {
+        every_copy_executes: true,
+        stop_at_any_ack: false,
+    };
+    /// Repair read legs.
+    const REPAIR_READ: Self = LegPolicy {
+        every_copy_executes: false,
+        stop_at_any_ack: false,
+    };
+    /// Repair copy and demotion legs.
+    const REPAIR_WRITE: Self = LegPolicy {
+        every_copy_executes: true,
+        stop_at_any_ack: true,
+    };
+}
+
+/// What one leg achieved (see [`KvCluster::run_leg`]).
+#[derive(Debug, Clone, Copy)]
+struct LegOutcome {
+    /// The leg's earliest acknowledgement at the router and the attempt
+    /// that produced it (0 = first try); `None` when no attempt acked.
+    ack: Option<(SimTime, u32)>,
+    /// The latest completion any delivered copy was given on the
+    /// replica; `None` when no request ever arrived.
+    executed: Option<SimTime>,
+}
+
+impl LegOutcome {
+    /// When a repair mutation is known durable: once it executed and —
+    /// if the router heard back — once the acknowledgement arrived (the
+    /// instant it may safely act on it). An executed-but-unacked
+    /// mutation still counts: the device holds it.
+    fn durable(&self) -> Option<SimTime> {
+        self.executed
+            .map(|done| self.ack.map_or(done, |(a, _)| done.max(a)))
+    }
+}
+
 /// The sharded multi-device store (see module and crate docs).
 #[derive(Debug)]
 pub struct KvCluster {
@@ -433,7 +441,8 @@ impl KvCluster {
     /// # Panics
     ///
     /// Panics if `config.shards` is zero, the replication factor is
-    /// zero, or a quorum size is outside `1..=replication_factor`.
+    /// outside `1..=64`, or a quorum size is outside
+    /// `1..=replication_factor`.
     pub fn new(config: ClusterConfig, make_device: impl FnMut(usize) -> KvSsd) -> Self {
         Self::with_transport(config, Box::new(InProcess), make_device)
     }
@@ -456,6 +465,13 @@ impl KvCluster {
         assert!(
             config.replication_factor >= 1,
             "replication factor must be at least 1"
+        );
+        // Replica lanes are tracked as bits of a `u64` mask
+        // (`QuorumUnavailable::acked_replicas`, the spare-lane search).
+        assert!(
+            config.replication_factor <= 64,
+            "replication factor {} exceeds the 64 replica lanes an op can track",
+            config.replication_factor
         );
         for (name, q) in [("write", config.write_quorum), ("read", config.read_quorum)] {
             assert!(
@@ -569,17 +585,6 @@ impl KvCluster {
             })
     }
 
-    /// Routes every shard's key registry through the legacy byte-ordered
-    /// tree (`true`) or the hash-map fast path (`false`, the default).
-    /// Purely host-side bookkeeping — virtual-time behavior is identical
-    /// either way; the `cluster_ops` microbench uses the legacy mode as
-    /// its measured baseline.
-    pub fn set_legacy_key_registry(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.keys.set_legacy(on);
-        }
-    }
-
     /// The shard index a key's primary replica routes to.
     pub fn route(&self, key: &[u8]) -> Result<usize, KvError> {
         self.index_of(self.ring.shard_for(key_hash(key)))
@@ -627,15 +632,6 @@ impl KvCluster {
         self.op_seq
     }
 
-    /// Attempts allowed per leg: one, plus `max_retries` once deadlines
-    /// are armed.
-    fn leg_attempts(&self) -> u32 {
-        match self.config.op_timeout {
-            Some(_) => 1 + self.config.max_retries,
-            None => 1,
-        }
-    }
-
     /// Seeded exponential backoff added before retry `attempt`
     /// (0-based): uniform in `[0, timeout << min(attempt, 16)]`. Drawn
     /// only when a retry actually fires, so fault-free runs never
@@ -645,282 +641,267 @@ impl KvCluster {
         SimDuration::from_nanos(self.retry_rng.below(span.saturating_add(1)))
     }
 
-    /// Executes a store request arriving at replica `idx` at `arrival`.
-    /// A re-delivery of a mutation this replica already ran (a retry
-    /// after a lost ack, a wire duplicate, a tied hedge leg) is deduped
-    /// by op id: the device work is cancelled and the recorded
-    /// completion re-acknowledged once the re-delivery is in hand.
-    fn exec_store_replica(
+    /// Runs one device command on shard `idx` through its submission
+    /// queue, the request having arrived at `arrival`. `f` gets the
+    /// device and the issue instant and returns the device completion
+    /// plus whatever the caller wants back.
+    fn submit_on<T>(
         &mut self,
         idx: usize,
-        op_id: u64,
+        arrival: SimTime,
+        f: impl FnOnce(&mut KvSsd, SimTime) -> Result<(SimTime, T), KvError>,
+    ) -> Result<(OpTiming, T), KvError> {
+        let Shard { device, sq, .. } = &mut self.shards[idx];
+        let mut res: Option<Result<T, KvError>> = None;
+        let timing = sq.submit(arrival, |issue| match f(device, issue) {
+            Ok((done, out)) => {
+                res = Some(Ok(out));
+                done
+            }
+            Err(e) => {
+                res = Some(Err(e));
+                issue
+            }
+        });
+        let out = res.ok_or(KvError::Internal {
+            what: "submit ran the leg synchronously",
+        })??;
+        Ok((timing, out))
+    }
+
+    /// Stores `key` on replica `idx`'s device and mirrors it into the
+    /// shard's registry (client store legs and repair copies alike).
+    fn exec_store(
+        &mut self,
+        idx: usize,
         arrival: SimTime,
         h: u64,
         key: &[u8],
         value: &Payload,
-    ) -> Result<SimTime, KvError> {
-        let bytes = key.len() as u64 + value.len();
-        if let Some((last, completed, _)) = self.shards[idx].last_exec {
-            if last == op_id {
-                self.dup_suppressed += 1;
-                return Ok(completed.max(arrival));
-            }
-        }
+    ) -> Result<(OpTiming, bool), KvError> {
+        let (timing, ()) = self.submit_on(idx, arrival, |device, issue| {
+            Ok((device.store(issue, key, value.clone())?, ()))
+        })?;
         let shard = &mut self.shards[idx];
-        let Shard { device, sq, .. } = shard;
-        let v = value.clone();
-        let mut res: Option<Result<SimTime, KvError>> = None;
-        let timing = sq.submit(arrival, |issue| match device.store(issue, key, v) {
-            Ok(done) => {
-                res = Some(Ok(done));
-                done
-            }
-            Err(e) => {
-                res = Some(Err(e));
-                issue
-            }
-        });
-        res.ok_or(KvError::Internal {
-            what: "submit ran the store leg synchronously",
-        })??;
-        shard.writes.record(timing.latency());
-        shard.bandwidth.record(timing.completed, bytes);
         let existed = shard.device.last_store_was_update();
         shard.keys.note_store(h, key, existed);
-        shard.last_exec = Some((op_id, timing.completed, existed));
-        self.aggregate_bw.record(timing.completed, bytes);
-        self.completions.record(idx, timing.completed);
-        Ok(timing.completed)
+        Ok((timing, existed))
     }
 
-    /// [`Self::exec_store_replica`]'s delete counterpart; also reports
-    /// whether the key existed on this replica.
-    fn exec_delete_replica(
+    /// [`Self::exec_store`]'s delete counterpart (client delete legs and
+    /// repair demotions alike).
+    fn exec_delete(
         &mut self,
         idx: usize,
-        op_id: u64,
         arrival: SimTime,
         h: u64,
         key: &[u8],
-    ) -> Result<(SimTime, bool), KvError> {
-        if let Some((last, completed, existed)) = self.shards[idx].last_exec {
-            if last == op_id {
-                self.dup_suppressed += 1;
-                return Ok((completed.max(arrival), existed));
-            }
-        }
-        let shard = &mut self.shards[idx];
-        let Shard { device, sq, .. } = shard;
-        let mut res: Option<Result<(SimTime, bool), KvError>> = None;
-        let timing = sq.submit(arrival, |issue| match device.delete(issue, key) {
-            Ok((done, existed)) => {
-                res = Some(Ok((done, existed)));
-                done
-            }
-            Err(e) => {
-                res = Some(Err(e));
-                issue
-            }
-        });
-        let (_, existed) = res.ok_or(KvError::Internal {
-            what: "submit ran the delete leg synchronously",
-        })??;
+    ) -> Result<(OpTiming, bool), KvError> {
+        let (timing, existed) =
+            self.submit_on(idx, arrival, |device, issue| device.delete(issue, key))?;
         if existed {
-            shard.keys.remove_hashed(h, key);
+            self.shards[idx].keys.remove_hashed(h, key);
         }
-        shard.last_exec = Some((op_id, timing.completed, existed));
-        self.completions.record(idx, timing.completed);
-        Ok((timing.completed, existed))
+        Ok((timing, existed))
     }
 
-    /// One store leg against replica `idx` under the deadline/retry
-    /// budget: each attempt crosses the transport out, executes (or
-    /// dedupes) on the replica, and crosses back. An attempt whose
-    /// acknowledgement misses `send + op_timeout` is re-issued with
-    /// seeded backoff; a late ack still counts when it arrives. Returns
-    /// the leg's earliest acknowledgement and the attempt that produced
-    /// it (0 = first try), or `None` when no attempt acked.
-    fn store_leg(
+    /// Looks `key` up on replica `idx`'s device. Reads are
+    /// side-effect-free, so re-deliveries simply execute again.
+    fn exec_read(
+        &mut self,
+        idx: usize,
+        arrival: SimTime,
+        key: &[u8],
+    ) -> Result<(OpTiming, Option<Payload>), KvError> {
+        let (timing, value) = self.submit_on(idx, arrival, |device, issue| {
+            let l = device.retrieve(issue, key)?;
+            Ok((l.at, l.value))
+        })?;
+        self.completions.record(idx, timing.completed);
+        Ok((timing, value))
+    }
+
+    /// The leg engine: one leg against replica `idx` under the
+    /// deadline/retry budget. Each attempt crosses the transport out
+    /// (`req_bytes`), runs `exec` on the replica for the delivered
+    /// copies — `exec` returns the completion to acknowledge, the
+    /// response's wire bytes, and a reply — and crosses back; `on_ack`
+    /// receives the reply of every response that reached the router.
+    /// An attempt that does not satisfy the policy's stop rule by
+    /// `send + op_timeout` is re-issued with seeded backoff, up to
+    /// `max_retries` times; with no deadline armed a lost leg stays
+    /// lost after its single attempt. Client and repair legs differ
+    /// only in `policy` and in what their closures account.
+    fn run_leg<T>(
         &mut self,
         issue_at: SimTime,
         idx: usize,
-        op_id: u64,
-        h: u64,
-        key: &[u8],
-        value: &Payload,
-    ) -> Result<Option<(SimTime, u32)>, KvError> {
-        let bytes = key.len() as u64 + value.len();
-        let attempts = self.leg_attempts();
-        let mut best: Option<(SimTime, u32)> = None;
+        req_bytes: u64,
+        policy: LegPolicy,
+        mut exec: impl FnMut(&mut Self, SimTime) -> Result<(SimTime, u64, T), KvError>,
+        mut on_ack: impl FnMut(T),
+    ) -> Result<LegOutcome, KvError> {
+        let attempts = match self.config.op_timeout {
+            Some(_) => 1 + self.config.max_retries,
+            None => 1,
+        };
+        let mut out = LegOutcome {
+            ack: None,
+            executed: None,
+        };
         let mut send_at = issue_at;
         for attempt in 0..attempts {
             if attempt > 0 {
                 self.leg_retries += 1;
             }
-            let d = self
-                .transport
-                .request(send_at, idx, REQUEST_CAPSULE_BYTES + bytes);
-            for arrival in [d.delivered, d.duplicate].into_iter().flatten() {
-                let completed = self.exec_store_replica(idx, op_id, arrival, h, key, value)?;
-                if let Some(a) = self
-                    .transport
-                    .response(completed, idx, RESPONSE_CAPSULE_BYTES)
-                    .first_arrival()
-                {
-                    if best.is_none_or(|(b, _)| a < b) {
-                        best = Some((a, attempt));
+            let d = self.transport.request(send_at, idx, req_bytes);
+            let copies = if policy.every_copy_executes {
+                [d.delivered, d.duplicate]
+            } else {
+                [d.first_arrival(), None]
+            };
+            for arrival in copies.into_iter().flatten() {
+                let (completed, resp_bytes, reply) = exec(self, arrival)?;
+                out.executed = Some(out.executed.map_or(completed, |e| e.max(completed)));
+                let acked = self.transport.response(completed, idx, resp_bytes);
+                if let Some(a) = acked.first_arrival() {
+                    // A late ack still counts; the earliest one wins.
+                    if out.ack.is_none_or(|(best, _)| a < best) {
+                        out.ack = Some((a, attempt));
                     }
+                    on_ack(reply);
                 }
             }
             let Some(timeout) = self.config.op_timeout else {
                 break; // no deadline armed: a lost leg stays lost
             };
-            if best.is_some_and(|(b, _)| b <= send_at + timeout) {
-                break; // acked within this attempt's deadline
+            if out
+                .ack
+                .is_some_and(|(a, _)| policy.stop_at_any_ack || a <= send_at + timeout)
+            {
+                break;
             }
             if attempt + 1 < attempts {
                 send_at = send_at + timeout + self.retry_backoff(attempt, timeout);
             }
         }
-        Ok(best)
+        Ok(out)
     }
 
-    /// [`Self::store_leg`]'s delete counterpart; flags `existed_any`
-    /// when the key existed on the replica (known at execution, like
-    /// the pre-deadline path).
-    fn delete_leg(
+    /// One mutation leg ([`Self::run_leg`] plus replica-side
+    /// idempotency): each delivered copy executes exactly once per op
+    /// id. A re-delivery of a mutation this replica already ran (a
+    /// retry after a lost ack, a wire duplicate, a tied hedge leg) is
+    /// deduped: the device work is cancelled and the recorded
+    /// completion re-acknowledged once the re-delivery is in hand.
+    /// Otherwise `apply` runs the device command and reports its timing
+    /// and whether the key existed before. Returns the leg's outcome
+    /// and whether the key existed on the replica (known at execution,
+    /// acknowledged or not).
+    fn run_mutation(
         &mut self,
         issue_at: SimTime,
         idx: usize,
         op_id: u64,
-        h: u64,
-        key: &[u8],
-        existed_any: &mut bool,
-    ) -> Result<Option<(SimTime, u32)>, KvError> {
-        let attempts = self.leg_attempts();
-        let mut best: Option<(SimTime, u32)> = None;
-        let mut send_at = issue_at;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.leg_retries += 1;
-            }
-            let d = self
-                .transport
-                .request(send_at, idx, REQUEST_CAPSULE_BYTES + key.len() as u64);
-            for arrival in [d.delivered, d.duplicate].into_iter().flatten() {
-                let (completed, existed) = self.exec_delete_replica(idx, op_id, arrival, h, key)?;
-                if existed {
-                    *existed_any = true;
+        req_bytes: u64,
+        policy: LegPolicy,
+        mut apply: impl FnMut(&mut Self, SimTime) -> Result<(OpTiming, bool), KvError>,
+    ) -> Result<(LegOutcome, bool), KvError> {
+        let mut existed_any = false;
+        let exec = |c: &mut Self, arrival: SimTime| {
+            let (completed, existed) = match c.shards[idx].last_exec {
+                Some((last, completed, existed)) if last == op_id => {
+                    c.dup_suppressed += 1;
+                    (completed.max(arrival), existed)
                 }
-                if let Some(a) = self
-                    .transport
-                    .response(completed, idx, RESPONSE_CAPSULE_BYTES)
-                    .first_arrival()
-                {
-                    if best.is_none_or(|(b, _)| a < b) {
-                        best = Some((a, attempt));
-                    }
+                _ => {
+                    let (timing, existed) = apply(c, arrival)?;
+                    c.shards[idx].last_exec = Some((op_id, timing.completed, existed));
+                    c.completions.record(idx, timing.completed);
+                    (timing.completed, existed)
                 }
-            }
-            let Some(timeout) = self.config.op_timeout else {
-                break;
             };
-            if best.is_some_and(|(b, _)| b <= send_at + timeout) {
-                break;
-            }
-            if attempt + 1 < attempts {
-                send_at = send_at + timeout + self.retry_backoff(attempt, timeout);
-            }
-        }
-        Ok(best)
+            existed_any |= existed;
+            Ok((completed, RESPONSE_CAPSULE_BYTES, ()))
+        };
+        let out = self.run_leg(issue_at, idx, req_bytes, policy, exec, |()| ())?;
+        Ok((out, existed_any))
     }
 
-    /// One retrieve leg against replica `idx` under the deadline/retry
-    /// budget. Reads are side-effect-free, so re-deliveries simply
-    /// execute again (no dedupe needed). Fills `value` from the first
-    /// acked hit in call order; returns the leg's earliest
-    /// acknowledgement and its attempt, or `None`.
-    fn retrieve_leg(
+    /// The quorum driver shared by store, retrieve and delete. The
+    /// first `first_wave` replicas of the current op's set (in
+    /// `replica_scratch`) each get a leg issued at `now`; `leg` runs
+    /// one (through [`Self::run_leg`]). With `hedge` armed, a quorum
+    /// still missing or late at `now + hedge` launches exactly one
+    /// spare leg there, to
+    /// the first replica with no acknowledgement whose link is not
+    /// known-partitioned (a spare down a cut link could only be
+    /// wasted): writes, which already tried every lane, tie any
+    /// un-acked one — a slow-but-acked quorum would only re-pay the
+    /// same slow link — while lean reads take the first untried lane.
+    ///
+    /// Returns the quorum acknowledgement instant, or
+    /// [`KvError::QuorumUnavailable`] — carrying the acked lane mask
+    /// and the mutation flag — when fewer than `quorum` legs made it
+    /// back. An op whose quorum only assembled thanks to retried or
+    /// hedged legs counts as rescued.
+    fn quorum_op(
         &mut self,
-        issue_at: SimTime,
-        idx: usize,
-        key: &[u8],
-        value: &mut Option<Payload>,
-    ) -> Result<Option<(SimTime, u32)>, KvError> {
-        let attempts = self.leg_attempts();
-        let mut best: Option<(SimTime, u32)> = None;
-        let mut send_at = issue_at;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.leg_retries += 1;
-            }
-            let d = self
-                .transport
-                .request(send_at, idx, REQUEST_CAPSULE_BYTES + key.len() as u64);
-            for arrival in [d.delivered, d.duplicate].into_iter().flatten() {
-                let shard = &mut self.shards[idx];
-                let Shard { device, sq, .. } = shard;
-                let mut res: Option<Result<Lookup, KvError>> = None;
-                let timing = sq.submit(arrival, |issue| match device.retrieve(issue, key) {
-                    Ok(l) => {
-                        let at = l.at;
-                        res = Some(Ok(l));
-                        at
-                    }
-                    Err(e) => {
-                        res = Some(Err(e));
-                        issue
-                    }
-                });
-                let lookup = res.ok_or(KvError::Internal {
-                    what: "submit ran the read leg synchronously",
-                })??;
-                shard.reads.record(timing.latency());
-                let mut resp_bytes = RESPONSE_CAPSULE_BYTES;
-                if let Some(v) = &lookup.value {
-                    let vbytes = key.len() as u64 + v.len();
-                    shard.bandwidth.record(timing.completed, vbytes);
-                    self.aggregate_bw.record(timing.completed, vbytes);
-                    resp_bytes += vbytes;
+        now: SimTime,
+        first_wave: usize,
+        quorum: usize,
+        hedge: Option<SimDuration>,
+        write: bool,
+        mut leg: impl FnMut(&mut Self, SimTime, usize) -> Result<LegOutcome, KvError>,
+    ) -> Result<SimTime, KvError> {
+        let lane_bit = |lane: usize| 1u64 << (lane as u32 & 63);
+        let mut acked_lanes = 0u64;
+        let mut first_try_acks = 0usize;
+        for lane in 0..first_wave {
+            let idx = self.replica_scratch[lane];
+            if let Some((acked, attempt)) = leg(self, now, idx)?.ack {
+                self.op_fan.push(acked);
+                acked_lanes |= lane_bit(lane);
+                if attempt == 0 {
+                    first_try_acks += 1;
                 }
-                self.completions.record(idx, timing.completed);
-                let Some(a) = self
-                    .transport
-                    .response(timing.completed, idx, resp_bytes)
-                    .first_arrival()
-                else {
-                    continue; // completion lost: value never reached the router
-                };
-                if best.is_none_or(|(b, _)| a < b) {
-                    best = Some((a, attempt));
-                }
-                if value.is_none() {
-                    *value = lookup.value;
-                }
-            }
-            let Some(timeout) = self.config.op_timeout else {
-                break;
-            };
-            if best.is_some_and(|(b, _)| b <= send_at + timeout) {
-                break;
-            }
-            if attempt + 1 < attempts {
-                send_at = send_at + timeout + self.retry_backoff(attempt, timeout);
             }
         }
-        Ok(best)
-    }
-
-    /// The lane a hedged write re-sends to: the first replica with no
-    /// acknowledgement whose link is not known-partitioned (a spare
-    /// down a cut link could only be wasted). `None` when every lane
-    /// acked — a slow-but-acked quorum would re-pay the same slow
-    /// link — or only partitioned lanes remain.
-    fn tied_write_lane(&self, k: usize, acked_lanes: u64) -> Option<usize> {
-        (0..k).find(|&lane| {
-            acked_lanes & (1u64 << (lane as u32 & 63)) == 0
-                && !self.transport.is_partitioned(self.replica_scratch[lane])
-        })
+        if let Some(hedge) = hedge {
+            let late = self.op_fan.len() < quorum || self.op_fan.quorum(quorum) > now + hedge;
+            let spare_from = if write { 0 } else { first_wave };
+            let spare = || {
+                (spare_from..self.replica_scratch.len()).find(|&lane| {
+                    acked_lanes & lane_bit(lane) == 0
+                        && !self.transport.is_partitioned(self.replica_scratch[lane])
+                })
+            };
+            if let Some(lane) = late.then(spare).flatten() {
+                if write {
+                    self.hedged_write_spares += 1;
+                } else {
+                    self.hedged_spares += 1;
+                }
+                let idx = self.replica_scratch[lane];
+                if let Some((acked, _)) = leg(self, now + hedge, idx)?.ack {
+                    self.op_fan.push(acked);
+                    acked_lanes |= lane_bit(lane);
+                }
+            }
+        }
+        let acked = self.op_fan.len();
+        if acked < quorum {
+            return Err(KvError::QuorumUnavailable {
+                acked,
+                quorum,
+                acked_replicas: acked_lanes,
+                write,
+            });
+        }
+        if first_try_acks < quorum {
+            self.retry_rescued_ops += 1;
+        }
+        Ok(self.op_fan.quorum(quorum))
     }
 
     /// Stores one pair on every replica shard; completes at the write
@@ -935,7 +916,7 @@ impl KvCluster {
     /// [`crate::ClusterConfig::deadlines`]; with
     /// [`crate::ClusterConfig::hedged_writes`] armed, a quorum still
     /// missing or late at `now + hedge` launches one spare (tied) leg
-    /// to the slowest unacked replica, deduped by op id at the
+    /// to the first unacked replica, deduped by op id at the
     /// replica. On a device error the error is returned immediately;
     /// if fewer than `write_quorum` acknowledgements arrive after all
     /// that, [`KvError::QuorumUnavailable`] reports exactly which
@@ -946,36 +927,20 @@ impl KvCluster {
         let (k, h) = self.begin_replicated_op(key)?;
         let op_id = self.next_op_id();
         let wq = self.config.write_quorum.min(k);
-        let mut acked_lanes = 0u64;
-        let mut first_try_acks = 0usize;
-        for lane in 0..k {
-            let idx = self.replica_scratch[lane];
-            if let Some((acked, attempt)) = self.store_leg(now, idx, op_id, h, key, &value)? {
-                self.op_fan.push(acked);
-                acked_lanes |= 1u64 << (lane as u32 & 63);
-                if attempt == 0 {
-                    first_try_acks += 1;
-                }
-            }
-        }
-        if let Some(hedge) = self.config.write_hedge {
-            // Hedge once: the write quorum is missing or late and an
-            // unacked, un-partitioned replica remains to tie.
-            let late = self.op_fan.len() < wq || self.op_fan.quorum(wq) > now + hedge;
-            if late {
-                if let Some(lane) = self.tied_write_lane(k, acked_lanes) {
-                    let idx = self.replica_scratch[lane];
-                    self.hedged_write_spares += 1;
-                    if let Some((acked, _)) =
-                        self.store_leg(now + hedge, idx, op_id, h, key, &value)?
-                    {
-                        self.op_fan.push(acked);
-                        acked_lanes |= 1u64 << (lane as u32 & 63);
-                    }
-                }
-            }
-        }
-        self.finish_quorum(wq, acked_lanes, first_try_acks, true)
+        let bytes = key.len() as u64 + value.len();
+        let req_bytes = REQUEST_CAPSULE_BYTES + bytes;
+        self.quorum_op(now, k, wq, self.config.write_hedge, true, |c, at, idx| {
+            let apply = |c: &mut Self, arrival| {
+                let (timing, existed) = c.exec_store(idx, arrival, h, key, &value)?;
+                let shard = &mut c.shards[idx];
+                shard.writes.record(timing.latency());
+                shard.bandwidth.record(timing.completed, bytes);
+                c.aggregate_bw.record(timing.completed, bytes);
+                Ok((timing, existed))
+            };
+            let (out, _) = c.run_mutation(at, idx, op_id, req_bytes, LegPolicy::CLIENT, apply)?;
+            Ok(out)
+        })
     }
 
     /// Looks a key up on its replica set; completes at the read quorum
@@ -992,117 +957,56 @@ impl KvCluster {
     pub fn retrieve(&mut self, now: SimTime, key: &[u8]) -> Result<Lookup, KvError> {
         let (k, _) = self.begin_replicated_op(key)?;
         let rq = self.config.read_quorum.min(k);
-        let legs = match self.config.read_fanout {
-            ReadFanout::All => k,
-            ReadFanout::Lean { .. } => rq,
+        let (legs, hedge) = match self.config.read_fanout {
+            ReadFanout::All => (k, None),
+            ReadFanout::Lean { hedge } => (rq, hedge),
         };
         let mut value: Option<Payload> = None;
-        let mut acked_lanes = 0u64;
-        let mut first_try_acks = 0usize;
-        for lane in 0..legs {
-            let idx = self.replica_scratch[lane];
-            if let Some((acked, attempt)) = self.retrieve_leg(now, idx, key, &mut value)? {
-                self.op_fan.push(acked);
-                acked_lanes |= 1u64 << (lane as u32 & 63);
-                if attempt == 0 {
-                    first_try_acks += 1;
+        let at = self.quorum_op(now, legs, rq, hedge, false, |c, at, idx| {
+            let exec = |c: &mut Self, arrival| {
+                let (timing, found) = c.exec_read(idx, arrival, key)?;
+                let shard = &mut c.shards[idx];
+                shard.reads.record(timing.latency());
+                let mut resp_bytes = RESPONSE_CAPSULE_BYTES;
+                if let Some(v) = &found {
+                    let vbytes = key.len() as u64 + v.len();
+                    shard.bandwidth.record(timing.completed, vbytes);
+                    c.aggregate_bw.record(timing.completed, vbytes);
+                    resp_bytes += vbytes;
                 }
-            }
-        }
-        if let ReadFanout::Lean { hedge: Some(hedge) } = self.config.read_fanout {
-            // Hedge once: the quorum is late (or short a leg) and an
-            // unused replica with a live link remains — a spare down a
-            // known-partitioned link could only be wasted.
-            let late = self.op_fan.len() < rq || self.op_fan.quorum(rq) > now + hedge;
-            if late {
-                if let Some(lane) =
-                    (legs..k).find(|&l| !self.transport.is_partitioned(self.replica_scratch[l]))
-                {
-                    self.hedged_spares += 1;
-                    let idx = self.replica_scratch[lane];
-                    if let Some((acked, _)) =
-                        self.retrieve_leg(now + hedge, idx, key, &mut value)?
-                    {
-                        self.op_fan.push(acked);
-                        acked_lanes |= 1u64 << (lane as u32 & 63);
-                    }
+                Ok((timing.completed, resp_bytes, found))
+            };
+            // A lost completion never reaches the router, so only acked
+            // replies can supply the value: the first acked hit wins.
+            let on_ack = |found: Option<Payload>| {
+                if value.is_none() {
+                    value = found;
                 }
-            }
-        }
-        match self.finish_quorum(rq, acked_lanes, first_try_acks, false) {
-            Ok(at) => Ok(Lookup { at, value }),
-            Err(e) => Err(e),
-        }
+            };
+            let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
+            c.run_leg(at, idx, req_bytes, LegPolicy::CLIENT, exec, on_ack)
+        })?;
+        Ok(Lookup { at, value })
     }
 
     /// Deletes a key on every replica shard; completes at the write
     /// quorum, with the same deadline/retry/hedge machinery as
-    /// [`Self::store`]. Returns whether any replica held it.
+    /// [`Self::store`]. Returns whether any replica held it (known at
+    /// execution, acknowledged or not).
     pub fn delete(&mut self, now: SimTime, key: &[u8]) -> Result<(SimTime, bool), KvError> {
         let (k, h) = self.begin_replicated_op(key)?;
         let op_id = self.next_op_id();
         let wq = self.config.write_quorum.min(k);
         let mut existed_any = false;
-        let mut acked_lanes = 0u64;
-        let mut first_try_acks = 0usize;
-        for lane in 0..k {
-            let idx = self.replica_scratch[lane];
-            if let Some((acked, attempt)) =
-                self.delete_leg(now, idx, op_id, h, key, &mut existed_any)?
-            {
-                self.op_fan.push(acked);
-                acked_lanes |= 1u64 << (lane as u32 & 63);
-                if attempt == 0 {
-                    first_try_acks += 1;
-                }
-            }
-        }
-        if let Some(hedge) = self.config.write_hedge {
-            let late = self.op_fan.len() < wq || self.op_fan.quorum(wq) > now + hedge;
-            if late {
-                if let Some(lane) = self.tied_write_lane(k, acked_lanes) {
-                    let idx = self.replica_scratch[lane];
-                    self.hedged_write_spares += 1;
-                    if let Some((acked, _)) =
-                        self.delete_leg(now + hedge, idx, op_id, h, key, &mut existed_any)?
-                    {
-                        self.op_fan.push(acked);
-                        acked_lanes |= 1u64 << (lane as u32 & 63);
-                    }
-                }
-            }
-        }
-        match self.finish_quorum(wq, acked_lanes, first_try_acks, true) {
-            Ok(at) => Ok((at, existed_any)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The quorum acknowledgement instant over the current op's acked
-    /// legs, or [`KvError::QuorumUnavailable`] — carrying the acked
-    /// lane mask and the mutation flag — when fewer than `quorum` legs
-    /// made it back. An op whose quorum only assembled thanks to
-    /// retried or hedged legs counts as rescued.
-    fn finish_quorum(
-        &mut self,
-        quorum: usize,
-        acked_lanes: u64,
-        first_try_acks: usize,
-        write: bool,
-    ) -> Result<SimTime, KvError> {
-        let acked = self.op_fan.len();
-        if acked < quorum {
-            return Err(KvError::QuorumUnavailable {
-                acked,
-                quorum,
-                acked_replicas: acked_lanes,
-                write,
-            });
-        }
-        if first_try_acks < quorum {
-            self.retry_rescued_ops += 1;
-        }
-        Ok(self.op_fan.quorum(quorum))
+        let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
+        let at = self.quorum_op(now, k, wq, self.config.write_hedge, true, |c, at, idx| {
+            let apply = |c: &mut Self, arrival| c.exec_delete(idx, arrival, h, key);
+            let (out, existed) =
+                c.run_mutation(at, idx, op_id, req_bytes, LegPolicy::CLIENT, apply)?;
+            existed_any |= existed;
+            Ok(out)
+        })?;
+        Ok((at, existed_any))
     }
 
     /// Flushes every shard; returns the fan-in barrier (when the last
@@ -1191,234 +1095,74 @@ impl KvCluster {
         src: usize,
         key: &[u8],
     ) -> Result<Option<(Payload, SimTime)>, KvError> {
-        let attempts = self.leg_attempts();
-        let mut best: Option<(Payload, SimTime)> = None;
-        let mut send_at = now;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.leg_retries += 1;
-            }
-            let d = self
-                .transport
-                .request(send_at, src, REQUEST_CAPSULE_BYTES + key.len() as u64);
-            // Reads are idempotent: one device pass per delivered
-            // attempt suffices (duplicates just re-ack).
-            if let Some(arrival) = d.first_arrival() {
-                let (payload, read_done) = {
-                    let Shard { device, sq, .. } = &mut self.shards[src];
-                    let mut res: Option<Result<Lookup, KvError>> = None;
-                    let read = sq.submit(arrival, |issue| match device.retrieve(issue, key) {
-                        Ok(l) => {
-                            let at = l.at;
-                            res = Some(Ok(l));
-                            at
-                        }
-                        Err(e) => {
-                            res = Some(Err(e));
-                            issue
-                        }
-                    });
-                    let lookup = res.ok_or(KvError::Internal {
-                        what: "submit ran the repair read synchronously",
-                    })??;
-                    let payload = lookup.value.ok_or(KvError::Internal {
-                        what: "registry said the repaired key was live",
-                    })?;
-                    (payload, read.completed)
-                };
-                self.completions.record(src, read_done);
-                let resp_bytes = RESPONSE_CAPSULE_BYTES + key.len() as u64 + payload.len();
-                if let Some(a) = self
-                    .transport
-                    .response(read_done, src, resp_bytes)
-                    .first_arrival()
-                {
-                    if best.as_ref().is_none_or(|(_, b)| a < *b) {
-                        best = Some((payload, a));
-                    }
-                }
-            }
-            let Some(timeout) = self.config.op_timeout else {
-                break;
-            };
-            if best.as_ref().is_some_and(|(_, b)| *b <= send_at + timeout) {
-                break;
-            }
-            if attempt + 1 < attempts {
-                send_at = send_at + timeout + self.retry_backoff(attempt, timeout);
-            }
-        }
-        Ok(best)
+        let mut payload: Option<Payload> = None;
+        let exec = |c: &mut Self, arrival| {
+            let (timing, found) = c.exec_read(src, arrival, key)?;
+            let found = found.ok_or(KvError::Internal {
+                what: "registry said the repaired key was live",
+            })?;
+            let resp_bytes = RESPONSE_CAPSULE_BYTES + key.len() as u64 + found.len();
+            Ok((timing.completed, resp_bytes, found))
+        };
+        // Nothing mutates the holder between attempts, so every acked
+        // reply carries the same payload.
+        let on_ack = |found| payload = Some(found);
+        let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
+        let out = self.run_leg(now, src, req_bytes, LegPolicy::REPAIR_READ, exec, on_ack)?;
+        Ok(payload.zip(out.ack.map(|(at, _)| at)))
     }
 
     /// One repair copy over the fabric: store `key`/`payload` onto
-    /// `dst`. Returns the instant the copy is known durable when it
-    /// executed (registry updated; an executed-but-unacked copy still
-    /// counts — the device holds it), or `Ok(None)` when no attempt's
-    /// request ever arrived.
+    /// `dst` under a fresh op id. Returns the instant the copy is known
+    /// durable when it executed (registry updated; an
+    /// executed-but-unacked copy still counts — the device holds it),
+    /// or `Ok(None)` when no attempt's request ever arrived.
     fn repair_copy_leg(
         &mut self,
         send_from: SimTime,
         dst: usize,
-        op_id: u64,
+        h: u64,
         key: &[u8],
         payload: &Payload,
     ) -> Result<Option<SimTime>, KvError> {
-        let bytes = REQUEST_CAPSULE_BYTES + key.len() as u64 + payload.len();
-        let attempts = self.leg_attempts();
-        let mut durable: Option<SimTime> = None;
-        let mut send_at = send_from;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.leg_retries += 1;
-            }
-            let d = self.transport.request(send_at, dst, bytes);
-            let mut acked: Option<SimTime> = None;
-            for arrival in [d.delivered, d.duplicate].into_iter().flatten() {
-                let completed = match self.shards[dst].last_exec {
-                    Some((last, completed, _)) if last == op_id => {
-                        self.dup_suppressed += 1;
-                        completed.max(arrival)
-                    }
-                    _ => {
-                        let Shard { device, sq, .. } = &mut self.shards[dst];
-                        let mut res: Option<Result<SimTime, KvError>> = None;
-                        let write = sq.submit(arrival, |issue| {
-                            match device.store(issue, key, payload.clone()) {
-                                Ok(done) => {
-                                    res = Some(Ok(done));
-                                    done
-                                }
-                                Err(e) => {
-                                    res = Some(Err(e));
-                                    issue
-                                }
-                            }
-                        });
-                        res.ok_or(KvError::Internal {
-                            what: "submit ran the repair copy synchronously",
-                        })??;
-                        let done = write.completed;
-                        self.shards[dst].keys_insert(key);
-                        self.shards[dst].last_exec = Some((op_id, done, false));
-                        self.completions.record(dst, done);
-                        done
-                    }
-                };
-                durable = Some(match durable {
-                    Some(p) => p.max(completed),
-                    None => completed,
-                });
-                if let Some(a) = self
-                    .transport
-                    .response(completed, dst, RESPONSE_CAPSULE_BYTES)
-                    .first_arrival()
-                {
-                    acked = Some(match acked {
-                        Some(p) => p.min(a),
-                        None => a,
-                    });
-                }
-            }
-            if let Some(a) = acked {
-                // The router heard the copy land; the ack instant is
-                // when it may safely demote the replica it replaces.
-                return Ok(Some(match durable {
-                    Some(p) => p.max(a),
-                    None => a,
-                }));
-            }
-            let Some(timeout) = self.config.op_timeout else {
-                break;
-            };
-            if attempt + 1 < attempts {
-                send_at = send_at + timeout + self.retry_backoff(attempt, timeout);
-            }
-        }
-        Ok(durable)
+        let op_id = self.next_op_id();
+        let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64 + payload.len();
+        let apply = |c: &mut Self, arrival| c.exec_store(dst, arrival, h, key, payload);
+        let (out, _) = self.run_mutation(
+            send_from,
+            dst,
+            op_id,
+            req_bytes,
+            LegPolicy::REPAIR_WRITE,
+            apply,
+        )?;
+        Ok(out.durable())
     }
 
-    /// One demotion over the fabric: delete `key` off holder `holder`.
-    /// Returns the instant the drop is known complete when it executed
-    /// (registry updated), or `Ok(None)` when no attempt's request ever
-    /// arrived — the stale copy survives on its old holder.
+    /// One demotion over the fabric: delete `key` off holder `holder`
+    /// under a fresh op id. Returns the instant the drop is known
+    /// complete when it executed (registry updated), or `Ok(None)` when
+    /// no attempt's request ever arrived — the stale copy survives on
+    /// its old holder.
     fn repair_drop_leg(
         &mut self,
         send_from: SimTime,
         holder: usize,
-        op_id: u64,
+        h: u64,
         key: &[u8],
     ) -> Result<Option<SimTime>, KvError> {
-        let attempts = self.leg_attempts();
-        let mut durable: Option<SimTime> = None;
-        let mut send_at = send_from;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.leg_retries += 1;
-            }
-            let d =
-                self.transport
-                    .request(send_at, holder, REQUEST_CAPSULE_BYTES + key.len() as u64);
-            let mut acked: Option<SimTime> = None;
-            for arrival in [d.delivered, d.duplicate].into_iter().flatten() {
-                let completed = match self.shards[holder].last_exec {
-                    Some((last, completed, _)) if last == op_id => {
-                        self.dup_suppressed += 1;
-                        completed.max(arrival)
-                    }
-                    _ => {
-                        let Shard { device, sq, .. } = &mut self.shards[holder];
-                        let mut res: Option<Result<SimTime, KvError>> = None;
-                        let drop_leg =
-                            sq.submit(arrival, |issue| match device.delete(issue, key) {
-                                Ok((done, _)) => {
-                                    res = Some(Ok(done));
-                                    done
-                                }
-                                Err(e) => {
-                                    res = Some(Err(e));
-                                    issue
-                                }
-                            });
-                        res.ok_or(KvError::Internal {
-                            what: "submit ran the repair drop synchronously",
-                        })??;
-                        let done = drop_leg.completed;
-                        self.shards[holder].keys.remove(key);
-                        self.shards[holder].last_exec = Some((op_id, done, true));
-                        self.completions.record(holder, done);
-                        done
-                    }
-                };
-                durable = Some(match durable {
-                    Some(p) => p.max(completed),
-                    None => completed,
-                });
-                if let Some(a) = self
-                    .transport
-                    .response(completed, holder, RESPONSE_CAPSULE_BYTES)
-                    .first_arrival()
-                {
-                    acked = Some(match acked {
-                        Some(p) => p.min(a),
-                        None => a,
-                    });
-                }
-            }
-            if let Some(a) = acked {
-                return Ok(Some(match durable {
-                    Some(p) => p.max(a),
-                    None => a,
-                }));
-            }
-            let Some(timeout) = self.config.op_timeout else {
-                break;
-            };
-            if attempt + 1 < attempts {
-                send_at = send_at + timeout + self.retry_backoff(attempt, timeout);
-            }
-        }
-        Ok(durable)
+        let op_id = self.next_op_id();
+        let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
+        let apply = |c: &mut Self, arrival| c.exec_delete(holder, arrival, h, key);
+        let (out, _) = self.run_mutation(
+            send_from,
+            holder,
+            op_id,
+            req_bytes,
+            LegPolicy::REPAIR_WRITE,
+            apply,
+        )?;
+        Ok(out.durable())
     }
 
     /// Re-converges every key onto its current replica set after a
@@ -1490,7 +1234,7 @@ impl KvCluster {
             );
             missing.clear();
             missing.extend(desired.iter().copied().filter(|d| !holders.contains(d)));
-            let demote_any = holders.iter().any(|h| !desired.contains(h));
+            let demote_any = holders.iter().any(|s| !desired.contains(s));
             if missing.is_empty() && !demote_any {
                 continue;
             }
@@ -1504,8 +1248,8 @@ impl KvCluster {
             let mut copies_ok = true;
             if !missing.is_empty() {
                 sources.clear();
-                sources.extend(holders.iter().copied().filter(|h| desired.contains(h)));
-                sources.extend(holders.iter().copied().filter(|h| !desired.contains(h)));
+                sources.extend(holders.iter().copied().filter(|s| desired.contains(s)));
+                sources.extend(holders.iter().copied().filter(|s| !desired.contains(s)));
                 debug_assert!(
                     !sources.is_empty(),
                     "a registered key has at least one holder"
@@ -1521,8 +1265,7 @@ impl KvCluster {
                     Some((payload, have_at)) => {
                         let mut copied = 0u64;
                         for &dst in &missing {
-                            let op_id = self.next_op_id();
-                            match self.repair_copy_leg(have_at, dst, op_id, key, &payload)? {
+                            match self.repair_copy_leg(have_at, dst, h, key, &payload)? {
                                 Some(done) => {
                                     write_barrier = write_barrier.max(done);
                                     moved_bytes += key.len() as u64 + payload.len();
@@ -1549,15 +1292,15 @@ impl KvCluster {
             }
 
             // Demotion legs: never before the new copies are durable.
-            for h in 0..self.shards.len() {
-                if !holders.contains(&h) || desired.contains(&h) {
+            for holder in 0..self.shards.len() {
+                if !holders.contains(&holder) || desired.contains(&holder) {
                     continue;
                 }
-                if decommission == Some(self.shards[h].id) {
+                if decommission == Some(self.shards[holder].id) {
                     // The decommissioned device leaves wholesale; its
                     // registry entries go with it (any unfilled replica
                     // is already counted as a failed copy).
-                    self.shards[h].keys.remove(key);
+                    self.shards[holder].keys.remove_hashed(h, key);
                     continue;
                 }
                 if !copies_ok {
@@ -1566,8 +1309,7 @@ impl KvCluster {
                     failed_drops += 1;
                     continue;
                 }
-                let op_id = self.next_op_id();
-                match self.repair_drop_leg(write_barrier, h, op_id, key)? {
+                match self.repair_drop_leg(write_barrier, holder, h, key)? {
                     Some(done) => {
                         barrier = barrier.max(done);
                         dropped_replicas += 1;
@@ -1630,38 +1372,6 @@ impl KvCluster {
             hedged_write_spares: self.hedged_write_spares,
             dup_suppressed: self.dup_suppressed,
         }
-    }
-
-    /// The router↔shard transport counters (all zero on the default
-    /// in-process transport).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.transport.stats()
-    }
-
-    /// Spare read legs launched by hedged lean reads so far.
-    pub fn hedged_spares(&self) -> u64 {
-        self.hedged_spares
-    }
-
-    /// Leg re-issues after a missed per-op deadline so far.
-    pub fn leg_retries(&self) -> u64 {
-        self.leg_retries
-    }
-
-    /// Ops whose quorum only assembled thanks to a retried or hedged
-    /// leg so far.
-    pub fn retry_rescued_ops(&self) -> u64 {
-        self.retry_rescued_ops
-    }
-
-    /// Spare (tied) legs launched by hedged quorum writes so far.
-    pub fn hedged_write_spares(&self) -> u64 {
-        self.hedged_write_spares
-    }
-
-    /// Re-delivered mutations deduped at a replica so far.
-    pub fn dup_suppressed(&self) -> u64 {
-        self.dup_suppressed
     }
 
     /// The underlying fabric, when this cluster runs on one — the hook
@@ -1830,12 +1540,6 @@ impl KvCluster {
             ));
         }
         ClusterReport { lines }
-    }
-}
-
-impl Shard {
-    fn keys_insert(&mut self, key: &[u8]) {
-        self.keys.insert(key);
     }
 }
 
@@ -2029,5 +1733,210 @@ mod tests {
         let mut c = KvCluster::for_test(1);
         let id = c.shards()[0].id();
         let _ = c.remove_shard(SimTime::ZERO, id);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64 replica lanes")]
+    fn more_than_64_replicas_is_rejected() {
+        // Lane masks are `1 << (lane & 63)`: lane 64 would alias lane 0
+        // in `QuorumUnavailable::acked_replicas` and the spare search.
+        let _ = KvCluster::for_test_replicated(65, 65);
+    }
+
+    // ---- the leg engine and quorum driver, against a scripted wire ----
+
+    use kvssd_fabric::Delivery;
+    use std::collections::VecDeque;
+    use std::sync::{Arc, Mutex};
+
+    /// What the scripted wire does with one message.
+    #[derive(Debug, Clone, Copy)]
+    enum Wire {
+        Lost,
+        /// Arrives this many microseconds after it was sent.
+        After(u64),
+        /// Arrives at once, and so does a wire duplicate.
+        Twice,
+    }
+
+    #[derive(Debug, Default)]
+    struct Script {
+        /// Outcomes for successive requests / responses, front first;
+        /// once exhausted every message arrives the instant it is sent.
+        requests: VecDeque<Wire>,
+        responses: VecDeque<Wire>,
+        partitioned: Vec<usize>,
+        /// `(shard, send instant)` of every request / response offered.
+        requested: Vec<(usize, SimTime)>,
+        responded: Vec<(usize, SimTime)>,
+    }
+
+    /// A [`Transport`] fake that plays a script and logs every message.
+    #[derive(Debug, Clone, Default)]
+    struct Scripted(Arc<Mutex<Script>>);
+
+    impl Scripted {
+        fn script(&self) -> std::sync::MutexGuard<'_, Script> {
+            self.0.lock().unwrap()
+        }
+
+        fn deliver(wire: Option<Wire>, now: SimTime) -> Delivery {
+            let (delivered, duplicate) = match wire.unwrap_or(Wire::After(0)) {
+                Wire::Lost => (None, None),
+                Wire::After(us) => (Some(now + SimDuration::from_micros(us)), None),
+                Wire::Twice => (Some(now), Some(now)),
+            };
+            Delivery {
+                delivered,
+                duplicate,
+                admitted: now,
+            }
+        }
+    }
+
+    impl Transport for Scripted {
+        fn request(&mut self, now: SimTime, shard: usize, _bytes: u64) -> Delivery {
+            let mut s = self.script();
+            s.requested.push((shard, now));
+            let wire = s.requests.pop_front();
+            Self::deliver(wire, now)
+        }
+
+        fn response(&mut self, now: SimTime, shard: usize, _bytes: u64) -> Delivery {
+            let mut s = self.script();
+            s.responded.push((shard, now));
+            let wire = s.responses.pop_front();
+            Self::deliver(wire, now)
+        }
+
+        fn is_partitioned(&self, shard: usize) -> bool {
+            self.script().partitioned.contains(&shard)
+        }
+
+        fn on_add_shard(&mut self) {}
+
+        fn on_remove_shard(&mut self, _idx: usize) {}
+
+        fn stats(&self) -> TransportStats {
+            TransportStats::default()
+        }
+    }
+
+    fn scripted(config: ClusterConfig) -> (KvCluster, Scripted) {
+        let wire = Scripted::default();
+        let c = KvCluster::with_transport(config, Box::new(wire.clone()), |_| {
+            KvSsd::new(
+                kvssd_flash::Geometry::small(),
+                kvssd_flash::FlashTiming::pm983_like(),
+                kvssd_core::KvConfig::small(),
+            )
+        });
+        (c, wire)
+    }
+
+    const KEY: &[u8] = b"engine-key";
+
+    #[test]
+    fn late_ack_retries_a_client_store_but_stops_a_repair_copy() {
+        let timeout = SimDuration::from_micros(100);
+        let deadlines = ClusterConfig::new(1, 42).deadlines(timeout, 2);
+        // Client store: the first ack arrives, but 400 µs past its
+        // deadline — the leg re-issues, the replica dedupes the retry,
+        // and the late ack still counts once it is the earliest.
+        let (mut c, wire) = scripted(deadlines);
+        wire.script().responses.push_back(Wire::After(500));
+        c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
+        assert_eq!(wire.script().requested.len(), 2, "one retry");
+        let st = c.stats();
+        assert_eq!((st.leg_retries, st.dup_suppressed), (1, 1));
+        assert_eq!(st.devices.stores, 1);
+        // Repair copy: the same late ack ends the leg — the router only
+        // needs to hear the copy landed, however late.
+        let (mut c, wire) = scripted(deadlines);
+        wire.script().responses.push_back(Wire::After(500));
+        let done = c
+            .repair_copy_leg(SimTime::ZERO, 0, key_hash(KEY), KEY, &payload(512, 1))
+            .unwrap()
+            .expect("the copy executed");
+        assert_eq!(wire.script().requested.len(), 1, "no retry");
+        assert_eq!(c.stats().leg_retries, 0);
+        let executed = wire.script().responded[0].1;
+        assert_eq!(done, executed + SimDuration::from_micros(500));
+        assert!(c.shards()[0].holds(KEY), "registry mirrors the copy");
+    }
+
+    #[test]
+    fn duplicated_request_runs_a_client_read_twice_and_a_repair_read_once() {
+        let (mut c, wire) = scripted(ClusterConfig::new(1, 42));
+        let t = c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
+        wire.script().requests.push_back(Wire::Twice);
+        assert!(c.retrieve(t, KEY).unwrap().value.is_some());
+        assert_eq!(c.stats().devices.retrieves, 2, "every copy executes");
+        wire.script().requests.push_back(Wire::Twice);
+        let (got, _) = c.repair_read_leg(t, 0, KEY).unwrap().expect("acked");
+        assert_eq!(got, payload(512, 1));
+        assert_eq!(c.stats().devices.retrieves, 3, "one pass per attempt");
+    }
+
+    #[test]
+    fn duplicate_of_an_executed_mutation_reacks_the_recorded_completion() {
+        let (mut c, wire) = scripted(ClusterConfig::new(1, 42));
+        wire.script().requests.push_back(Wire::Twice);
+        let acked = c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
+        let st = c.stats();
+        assert_eq!((st.devices.stores, st.dup_suppressed), (1, 1));
+        let responded = wire.script().responded.clone();
+        assert_eq!(responded.len(), 2, "both deliveries are acknowledged");
+        assert_eq!(responded[0], responded[1], "at the recorded completion");
+        assert_eq!(responded[0].1, acked);
+    }
+
+    #[test]
+    fn without_deadlines_one_attempt_and_an_untouched_retry_rng() {
+        let (mut c, wire) = scripted(ClusterConfig::new(1, 42));
+        wire.script().requests.push_back(Wire::Lost);
+        let err = c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap_err();
+        assert!(matches!(err, KvError::QuorumUnavailable { acked: 0, .. }));
+        assert_eq!(wire.script().requested.len(), 1, "a lost leg stays lost");
+        assert_eq!(c.stats().leg_retries, 0);
+        let (mut fresh, _) = scripted(ClusterConfig::new(1, 42));
+        assert_eq!(
+            c.retry_rng.below(u64::MAX),
+            fresh.retry_rng.below(u64::MAX),
+            "the backoff stream must not have advanced"
+        );
+    }
+
+    #[test]
+    fn write_spare_ties_an_unacked_lane_and_read_spare_takes_an_untried_one() {
+        let hedge = SimDuration::from_micros(100);
+        let base = ClusterConfig::new(6, 42).replication(4).quorums(2, 3);
+        // Write: lanes 0 and 1 lose their acks, so the quorum of 3 is
+        // missing; lane 0's link is known-partitioned, so the tied leg
+        // re-sends to lane 1.
+        let (mut c, wire) = scripted(base.hedged_writes(Some(hedge)));
+        let routes = c.replica_routes(KEY).unwrap();
+        wire.script().responses.extend([Wire::Lost, Wire::Lost]);
+        wire.script().partitioned.push(routes[0]);
+        c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
+        let requested = wire.script().requested.clone();
+        assert_eq!(requested.len(), 5, "four first-wave legs and one spare");
+        assert_eq!(requested[4], (routes[1], SimTime::ZERO + hedge));
+        let st = c.stats();
+        assert_eq!((st.hedged_write_spares, st.hedged_spares), (1, 0));
+        assert_eq!(st.dup_suppressed, 1, "the tied leg dedupes at the replica");
+        // Lean read: lanes 0 and 1 are tried, lane 0 loses its ack; the
+        // spare skips lane 0 (un-acked, link fine) for the first
+        // *untried* lane.
+        let (mut c, wire) = scripted(base.lean_reads(Some(hedge)));
+        let t = c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
+        wire.script().requested.clear();
+        wire.script().responses.push_back(Wire::Lost);
+        assert!(c.retrieve(t, KEY).unwrap().value.is_some());
+        let requested = wire.script().requested.clone();
+        assert_eq!(requested.len(), 3, "two first-wave legs and one spare");
+        assert_eq!(requested[2], (routes[2], t + hedge));
+        let st = c.stats();
+        assert_eq!((st.hedged_spares, st.hedged_write_spares), (1, 0));
     }
 }

@@ -14,8 +14,9 @@
 //!   handling ([`kvssd_sim::FanIn`]) so concurrent operations on
 //!   different shards overlap in virtual time,
 //! * cluster-level metrics: merged latency histograms plus per-shard and
-//!   aggregate bandwidth series, and a byte-stable [`ClusterReport`]
-//!   table for determinism checks,
+//!   aggregate bandwidth series, one [`ClusterStats`] snapshot carrying
+//!   every counter (device sums, transport, retries, hedges, dedupes),
+//!   and a byte-stable [`ClusterReport`] table for determinism checks,
 //! * R-way replication: [`HashRing::replica_set`] places every key on
 //!   the first R distinct shards past its hash, operations fan out to
 //!   the whole set and acknowledge at configurable read/write quorums,

@@ -35,25 +35,10 @@ pub const REQUEST_CAPSULE_BYTES: u64 = 64;
 /// Wire size of one completion capsule (status + context).
 pub const RESPONSE_CAPSULE_BYTES: u64 = 16;
 
-/// Aggregated transport counters, transport-agnostic so reports can
-/// quote them without downcasting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Request messages offered (router → shard).
-    pub requests: u64,
-    /// Response messages offered (shard → router).
-    pub responses: u64,
-    /// Messages lost in transit (seeded drops), both directions.
-    pub dropped: u64,
-    /// Messages swallowed by partitions, both directions.
-    pub partition_drops: u64,
-    /// Messages duplicated on the wire.
-    pub duplicated: u64,
-    /// Sends that stalled on a full transport queue.
-    pub queue_stalls: u64,
-    /// Payload bytes offered, both directions.
-    pub bytes: u64,
-}
+/// Aggregated transport counters: the fabric's own stats struct, so a
+/// fabric-backed transport hands its counters through unchanged and
+/// reports can quote them without downcasting.
+pub type TransportStats = kvssd_fabric::FabricStats;
 
 /// A bidirectional message transport between the router and shard
 /// index `shard` (see module docs).
@@ -151,16 +136,7 @@ impl Transport for kvssd_fabric::Fabric {
     }
 
     fn stats(&self) -> TransportStats {
-        let s = kvssd_fabric::Fabric::stats(self);
-        TransportStats {
-            requests: s.requests,
-            responses: s.responses,
-            dropped: s.dropped,
-            partition_drops: s.partition_drops,
-            duplicated: s.duplicated,
-            queue_stalls: s.queue_stalls,
-            bytes: s.bytes,
-        }
+        kvssd_fabric::Fabric::stats(self)
     }
 
     fn fabric_mut(&mut self) -> Option<&mut kvssd_fabric::Fabric> {

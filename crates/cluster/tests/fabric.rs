@@ -258,7 +258,7 @@ fn hedged_lean_reads_route_around_a_slow_replica() {
         now_h = lh.at;
     }
     assert!(
-        hedged.hedged_spares() > 0,
+        hedged.stats().hedged_spares > 0,
         "the slow link never tripped a hedge"
     );
     assert!(
@@ -378,7 +378,7 @@ fn duplicate_deliveries_are_idempotent_at_the_replica() {
     );
     assert_eq!(c.len(), 150, "every replica holds exactly one copy");
     assert_eq!(
-        c.dup_suppressed(),
+        c.stats().dup_suppressed,
         150,
         "each of the 150 duplicated request legs deduped exactly once"
     );
@@ -431,7 +431,7 @@ fn hedged_read_spare_skips_partitioned_links() {
         .retrieve(t, k.as_bytes())
         .expect("the spare must route around the partitioned candidate");
     assert!(l.value.is_some());
-    assert_eq!(c.hedged_spares(), 1, "exactly one spare leg launched");
+    assert_eq!(c.stats().hedged_spares, 1, "exactly one spare leg launched");
     // Control: with *every* spare candidate partitioned the hedge is
     // never launched (it could only be wasted) and the read fails
     // typed with the one surviving ack in the mask.
@@ -459,7 +459,7 @@ fn hedged_read_spare_skips_partitioned_links() {
         other => panic!("expected a typed quorum failure, got {other:?}"),
     }
     assert_eq!(
-        c2.hedged_spares(),
+        c2.stats().hedged_spares,
         0,
         "a spare with only partitioned candidates must not launch"
     );
@@ -501,7 +501,7 @@ fn repair_completes_and_accounts_failures_across_a_partition() {
         "repair must still converge keys on surviving links"
     );
     assert!(
-        c.leg_retries() > 0,
+        c.stats().leg_retries > 0,
         "deadline retries must fire before a repair leg is failed"
     );
     // Heal whatever link index the partition shifted to and confirm the
@@ -588,13 +588,14 @@ fn lossy_scenario(seed: u64) -> String {
             Err(e) => panic!("op {i} must resolve Ok or QuorumUnavailable, got {e}"),
         }
     }
+    let st = c.stats();
     format!(
         "seed={seed} ok={ok} unavailable={unavailable} retries={} rescued={} \
          write_spares={} dup={}\n{}",
-        c.leg_retries(),
-        c.retry_rescued_ops(),
-        c.hedged_write_spares(),
-        c.dup_suppressed(),
+        st.leg_retries,
+        st.retry_rescued_ops,
+        st.hedged_write_spares,
+        st.dup_suppressed,
         c.report().render()
     )
 }

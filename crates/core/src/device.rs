@@ -168,10 +168,6 @@ pub struct KvSsd {
     /// Incremental victim selection: closed blocks' accounting tuples,
     /// min-heaped with lazy invalidation (see [`crate::victim`]).
     victims: VictimQueue,
-    /// Routes victim selection through the O(n) reference scan instead
-    /// of the queue — the pre-change baseline for the `device_ops`
-    /// microbench. Must be enabled on a fresh device.
-    legacy_gc_scan: bool,
     /// Whether the most recent store replaced an existing key (vs
     /// inserting a fresh one). Host layers that mirror the device's key
     /// set (the cluster's per-shard registry) read this to skip their
@@ -257,7 +253,6 @@ impl KvSsd {
             read_cache: VecDeque::new(),
             gc_victim: None,
             victims: VictimQueue::new(),
-            legacy_gc_scan: false,
             last_store_was_update: false,
             in_gc: false,
             compound_seq: 0,
@@ -289,19 +284,6 @@ impl KvSsd {
     /// Device counters.
     pub fn stats(&self) -> &KvSsdStats {
         &self.stats
-    }
-
-    /// Routes GC victim selection through the original O(blocks) linear
-    /// scan instead of the incremental [`VictimQueue`]. Behavior is
-    /// identical by construction (the differential tests enforce it);
-    /// only host-side cost differs. This is the pre-change baseline leg
-    /// of the `device_ops` microbench and must be set on a fresh device.
-    pub fn set_legacy_gc_scan(&mut self, on: bool) {
-        assert!(
-            self.is_empty() && self.stats.stores == 0,
-            "legacy GC scan mode must be chosen before the first store"
-        );
-        self.legacy_gc_scan = on;
     }
 
     /// Whether the most recent [`Self::store`] replaced an existing key
@@ -783,7 +765,7 @@ impl KvSsd {
     fn dec_valid(&mut self, block: BlockId, bytes: u64) {
         let b = block.0 as usize;
         self.valid_bytes[b] -= bytes;
-        if self.state[b] == BState::Closed && !self.legacy_gc_scan {
+        if self.state[b] == BState::Closed {
             self.victims
                 .note(block, self.valid_bytes[b], self.flash.erase_count(block));
         }
@@ -1126,13 +1108,11 @@ impl KvSsd {
                 self.state[block.0 as usize] = BState::Closed;
                 // A block becomes a victim candidate the moment it
                 // closes; push its first accounting snapshot.
-                if !self.legacy_gc_scan {
-                    self.victims.note(
-                        block,
-                        self.valid_bytes[block.0 as usize],
-                        self.flash.erase_count(block),
-                    );
-                }
+                self.victims.note(
+                    block,
+                    self.valid_bytes[block.0 as usize],
+                    self.flash.erase_count(block),
+                );
             }
             self.stream_mut(kind).active.retain(|&b| b != block);
         }
@@ -1301,10 +1281,8 @@ impl KvSsd {
                 // Its heap entry was consumed at selection, so re-note
                 // it — the queue must keep every closed block's current
                 // snapshot for the lazy-invalidation invariant to hold.
-                if !self.legacy_gc_scan {
-                    self.victims
-                        .note(v, self.valid_bytes[v.0 as usize], self.flash.erase_count(v));
-                }
+                self.victims
+                    .note(v, self.valid_bytes[v.0 as usize], self.flash.erase_count(v));
                 self.gc_victim = None;
                 futile += 1;
                 continue;
@@ -1327,40 +1305,30 @@ impl KvSsd {
     fn erase_dead_blocks(&mut self, now: SimTime) -> Result<SimTime, KvError> {
         let sticky = self.gc_victim.take();
         let mut t = now;
-        if self.legacy_gc_scan {
-            for b in 0..self.state.len() {
-                if self.state[b] == BState::Closed && self.valid_bytes[b] == 0 {
-                    self.gc_victim = Some(BlockId(b as u32));
-                    t = self.erase_victim(t)?;
-                }
-            }
-        } else {
-            let candidates = {
-                let state = &self.state;
-                let valid = &self.valid_bytes;
-                self.victims.take_zero_valid(|b| {
-                    state[b.0 as usize] == BState::Closed && valid[b.0 as usize] == 0
+        let candidates = {
+            let state = &self.state;
+            let valid = &self.valid_bytes;
+            self.victims.take_zero_valid(|b| {
+                state[b.0 as usize] == BState::Closed && valid[b.0 as usize] == 0
+            })
+        };
+        #[cfg(debug_assertions)]
+        {
+            let reference: Vec<u32> = (0..self.state.len() as u32)
+                .filter(|&b| {
+                    self.state[b as usize] == BState::Closed && self.valid_bytes[b as usize] == 0
                 })
-            };
-            #[cfg(debug_assertions)]
-            {
-                let reference: Vec<u32> = (0..self.state.len() as u32)
-                    .filter(|&b| {
-                        self.state[b as usize] == BState::Closed
-                            && self.valid_bytes[b as usize] == 0
-                    })
-                    .collect();
-                debug_assert_eq!(
-                    candidates, reference,
-                    "zero-valid sweep diverged from reference scan"
-                );
-            }
-            for &id in &candidates {
-                self.gc_victim = Some(BlockId(id));
-                t = self.erase_victim(t)?;
-            }
-            self.victims.recycle_zero_buf(candidates);
+                .collect();
+            debug_assert_eq!(
+                candidates, reference,
+                "zero-valid sweep diverged from reference scan"
+            );
         }
+        for &id in &candidates {
+            self.gc_victim = Some(BlockId(id));
+            t = self.erase_victim(t)?;
+        }
+        self.victims.recycle_zero_buf(candidates);
         // Restore the in-progress victim only if this sweep did not just
         // erase it — a stale victim handle would later erase whatever
         // block reuses that id.
@@ -1491,25 +1459,20 @@ impl KvSsd {
     /// is checked against the retained reference scan, so the whole test
     /// suite doubles as a differential test.
     fn select_victim(&mut self) -> bool {
-        let picked = if self.legacy_gc_scan {
-            self.select_victim_reference()
-        } else {
-            let payload = self.config.page_payload_bytes as u64;
-            let (state, valid, flash) = (&self.state, &self.valid_bytes, &self.flash);
-            let picked = self.victims.pop_best(payload, |b| {
-                let i = b.0 as usize;
-                (state[i] == BState::Closed).then(|| {
-                    let written = flash.written_pages(b) as u64;
-                    (valid[i], flash.erase_count(b), written * payload - valid[i])
-                })
-            });
-            debug_assert_eq!(
-                picked,
-                self.select_victim_reference(),
-                "victim queue diverged from the reference greedy scan"
-            );
-            picked
-        };
+        let payload = self.config.page_payload_bytes as u64;
+        let (state, valid, flash) = (&self.state, &self.valid_bytes, &self.flash);
+        let picked = self.victims.pop_best(payload, |b| {
+            let i = b.0 as usize;
+            (state[i] == BState::Closed).then(|| {
+                let written = flash.written_pages(b) as u64;
+                (valid[i], flash.erase_count(b), written * payload - valid[i])
+            })
+        });
+        debug_assert_eq!(
+            picked,
+            self.select_victim_reference(),
+            "victim queue diverged from the reference greedy scan"
+        );
         match picked {
             Some(id) => {
                 self.gc_victim = Some(id);
@@ -1520,9 +1483,11 @@ impl KvSsd {
     }
 
     /// The original O(blocks) greedy scan, kept as the executable
-    /// specification: the legacy baseline mode runs it for real, and
-    /// debug builds compare every queue selection against it. Preference
-    /// order: fewest valid bytes, then least-worn, then lowest block id.
+    /// specification: debug builds compare every queue selection
+    /// against it, and `gc_workload_matches_pinned_reference_history`
+    /// pins the end-to-end history it produced when it ran for real.
+    /// Preference order: fewest valid bytes, then least-worn, then
+    /// lowest block id.
     fn select_victim_reference(&self) -> Option<BlockId> {
         let payload = self.config.page_payload_bytes as u64;
         let mut best: Option<(u64, BlockId)> = None;
@@ -1939,13 +1904,17 @@ mod tests {
         }
     }
 
+    /// `gc_workload_digest`'s behavior digest: final virtual time, GC
+    /// erases, GC-copied segments, foreground-GC events, live pairs and
+    /// free blocks.
+    type GcDigest = (SimTime, u64, u64, u64, u64, u32);
+
     /// Drives one device through a randomized GC-heavy workload and
     /// returns a behavior digest: final virtual time plus every piece of
     /// state the victim policy can influence.
-    fn gc_workload_digest(legacy: bool, seed: u64) -> (SimTime, u64, u64, u64, u64, u32) {
+    fn gc_workload_digest(seed: u64) -> GcDigest {
         use kvssd_sim::DeterministicRng;
         let mut d = dev();
-        d.set_legacy_gc_scan(legacy);
         let mut rng = DeterministicRng::seed_from(seed);
         let cap = d.space().capacity_bytes;
         let n = (cap * 7 / 10) / (4096 + 64);
@@ -1987,36 +1956,34 @@ mod tests {
     /// `gc_workload_digest` per seed as the O(blocks) reference scan
     /// produces it — computed by running the scan for real, before it
     /// stopped being a runtime mode (PR 15), and never re-pinned since.
-    const GC_REFERENCE_HISTORY: [(u64, (u64, u64, u64, u64, u64, u32)); 3] = [
-        (7, (1_574_470_745, 286, 10_076, 65, 594, 4)),
-        (1931, (1_702_085_125, 295, 10_336, 104, 604, 4)),
-        (0xDEC0DE, (1_705_425_405, 296, 10_522, 116, 613, 3)),
+    const GC_REFERENCE_HISTORY: [(u64, GcDigest); 3] = [
+        (
+            7,
+            (SimTime::from_nanos(1_574_470_745), 286, 10_076, 65, 594, 4),
+        ),
+        (
+            1931,
+            (SimTime::from_nanos(1_702_085_125), 295, 10_336, 104, 604, 4),
+        ),
+        (
+            0xDEC0DE,
+            (SimTime::from_nanos(1_705_425_405), 296, 10_522, 116, 613, 3),
+        ),
     ];
 
     #[test]
     fn gc_workload_matches_pinned_reference_history() {
-        for (seed, (t, erases, copied, fg, len, free)) in GC_REFERENCE_HISTORY {
-            let want = (SimTime::from_nanos(t), erases, copied, fg, len, free);
-            for legacy in [true, false] {
-                assert_eq!(
-                    gc_workload_digest(legacy, seed),
-                    want,
-                    "GC history moved at seed {seed} (legacy scan: {legacy})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn victim_queue_matches_legacy_scan_end_to_end() {
-        // The tentpole's differential test: the incremental victim queue
-        // must reproduce the legacy full scan's behavior *exactly* —
-        // same victims in the same order means same erase timings, same
-        // copy traffic, and therefore an identical virtual-time history.
-        for seed in [7, 1931, 0xDEC0DE] {
-            let legacy = gc_workload_digest(true, seed);
-            let queued = gc_workload_digest(false, seed);
-            assert_eq!(legacy, queued, "behavior diverged at seed {seed}");
+        // The incremental victim queue must reproduce the reference
+        // full scan's behavior *exactly* — same victims in the same
+        // order means same erase timings, same copy traffic, and
+        // therefore an identical virtual-time history. (Debug builds
+        // also check every single selection against the scan.)
+        for (seed, want) in GC_REFERENCE_HISTORY {
+            assert_eq!(
+                gc_workload_digest(seed),
+                want,
+                "GC history diverged from the reference scan's at seed {seed}"
+            );
         }
     }
 }

@@ -106,15 +106,10 @@ echo "== repo benchmark self-test (sim results repeat bit for bit) =="
 # Always --offline: the nested workspace has path dependencies only.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
-echo "== device_ops microbench (legacy scan vs victim queue) =="
-# Measures both legs in this same run and records the result in
-# BENCH_HARNESS.json (the "device_ops" line is patched in place).
-KVSSD_BENCH_SCALE="${KVSSD_BENCH_SCALE:-quick}" \
-    cargo run "${CARGO_FLAGS[@]}" --release -q -p kvssd-bench --example device_ops
-
-echo "== cluster_ops microbench (legacy per-op path vs batched fast path) =="
-# Both legs assert identical behavior checksums in-process; the
-# "cluster_ops" line in BENCH_HARNESS.json is patched in place.
+echo "== cluster_ops microbench (per-op driver vs batched driver) =="
+# Both production drivers must reach identical behavior checksums
+# in-process; the "cluster_ops" line in BENCH_HARNESS.json is patched in
+# place.
 KVSSD_BENCH_SCALE="${KVSSD_BENCH_SCALE:-quick}" \
     cargo run "${CARGO_FLAGS[@]}" --release -q -p kvssd-bench --example cluster_ops
 
