@@ -2126,3 +2126,338 @@ mod power_cycle_tests {
         );
     }
 }
+
+#[cfg(test)]
+mod lookup_history_tests {
+    use super::*;
+    use kvssd_sim::DeterministicRng;
+
+    fn key(i: u64) -> Vec<u8> {
+        format!("key{i:013}").into_bytes() // 16 B keys
+    }
+
+    /// A small device whose Bloom filters are lean enough (4 Kibit per
+    /// manager, k = 2) to give real false positives at a few thousand
+    /// keys, and whose index overflows its DRAM so lookups pay flash
+    /// reads.
+    fn lean_bloom_dev() -> KvSsd {
+        let cfg = KvConfig {
+            bloom_bits_per_key: 4,
+            max_kvps: 4_096,
+            index_dram_bytes: 16 * 1024,
+            ..KvConfig::small()
+        };
+        KvSsd::new(Geometry::small(), FlashTiming::pm983_like(), cfg)
+    }
+
+    /// `(final SimTime, bloom_negatives, not_found, lookup_flash_reads)`.
+    type LookupDigest = (SimTime, u64, u64, u64);
+
+    /// Fill, overwrite, delete a third, power-cycle, then `retrieve` /
+    /// `exist` over twice the key space: index hits, Bloom negatives,
+    /// stale positives (deleted keys) and true false positives (keys
+    /// never stored) all occur, and every answer is checked.
+    fn miss_heavy_lookup_digest(seed: u64) -> LookupDigest {
+        let mut d = lean_bloom_dev();
+        let mut rng = DeterministicRng::seed_from(seed);
+        let n = d.space().capacity_bytes * 6 / 10 / 1024;
+        let mut live = vec![false; 2 * n as usize];
+        let mut t = SimTime::ZERO;
+        for i in 0..n {
+            let len = rng.between(16, 900) as u32;
+            t = d.store(t, &key(i), Payload::synthetic(len, i)).unwrap();
+            live[i as usize] = true;
+        }
+        for _ in 0..n / 2 {
+            let i = rng.below(n);
+            let len = rng.between(16, 900) as u32;
+            t = d.store(t, &key(i), Payload::synthetic(len, i)).unwrap();
+        }
+        for i in 0..n {
+            if rng.below(3) == 0 {
+                let (done, existed) = d.delete(t, &key(i)).unwrap();
+                assert!(existed, "key {i} was live");
+                t = done;
+                live[i as usize] = false;
+            }
+        }
+        t = d.power_cycle(t).unwrap();
+        let (mut hits, mut false_positives) = (0u64, 0u64);
+        for _ in 0..4 * n {
+            let i = rng.below(2 * n);
+            let negatives_before = d.stats().bloom_negatives;
+            let found = if rng.below(2) == 0 {
+                let got = d.retrieve(t, &key(i)).unwrap();
+                t = got.at;
+                got.value.is_some()
+            } else {
+                let (done, found) = d.exist(t, &key(i)).unwrap();
+                t = done;
+                found
+            };
+            assert_eq!(found, live[i as usize], "wrong answer for key {i}");
+            hits += found as u64;
+            // A key that was never stored yet got past the filter.
+            if i >= n && d.stats().bloom_negatives == negatives_before {
+                false_positives += 1;
+            }
+        }
+        let s = d.stats();
+        assert!(hits > 0 && false_positives > 0 && s.bloom_negatives > 0);
+        assert!(s.not_found > s.bloom_negatives / 2, "index misses occur");
+        (
+            t,
+            s.bloom_negatives,
+            s.not_found,
+            d.index_stats().lookup_flash_reads,
+        )
+    }
+
+    /// `miss_heavy_lookup_digest` per seed, computed on the code as it
+    /// stood before the index probe moved ahead of the Bloom filter on
+    /// the host (which must not move a single charge or counter).
+    const LOOKUP_HISTORY: [(u64, LookupDigest); 3] = [
+        (3, (SimTime::from_nanos(2_339_404_796), 4_526, 3_488, 5_496)),
+        (
+            1931,
+            (SimTime::from_nanos(2_242_337_875), 4_608, 3_468, 5_406),
+        ),
+        (
+            0xB100F,
+            (SimTime::from_nanos(2_292_876_620), 4_557, 3_505, 5_542),
+        ),
+    ];
+
+    #[test]
+    fn miss_heavy_lookup_history_is_pinned() {
+        for (seed, want) in LOOKUP_HISTORY {
+            assert_eq!(
+                miss_heavy_lookup_digest(seed),
+                want,
+                "lookup history moved at seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn index_hit_implies_bloom_positive_after_every_op() {
+        // The invariant that lets `retrieve`/`exist` ask the exact index
+        // first: a key present in the index was inserted into its
+        // manager's filter, and filter bits are never cleared.
+        const KEYS: u64 = 160;
+        for seed in [5u64, 77, 0xFEED] {
+            let mut d = lean_bloom_dev();
+            let mut rng = DeterministicRng::seed_from(seed);
+            let mut t = SimTime::ZERO;
+            let mut rolled_back = 0u32;
+            for _ in 0..1_500 {
+                let i = rng.below(KEYS);
+                match rng.below(16) {
+                    0..=8 => {
+                        // Mostly small values; now and then one big
+                        // enough to split, or to fill the device and
+                        // take the store's roll-back path.
+                        let len = match rng.below(5) {
+                            0 => rng.between(30_000, 400_000),
+                            _ => rng.between(0, 6_000),
+                        } as u32;
+                        match d.store(t, &key(i), Payload::synthetic(len, i)) {
+                            Ok(done) => t = done,
+                            Err(KvError::DeviceFull) => rolled_back += 1,
+                            Err(e) => panic!("unexpected error: {e}"),
+                        }
+                    }
+                    9..=14 => t = d.delete(t, &key(i)).unwrap().0,
+                    _ => t = d.power_cycle(t).unwrap(),
+                }
+                for k in 0..KEYS {
+                    let (h, fp) = (key_hash(&key(k)), key_fingerprint(&key(k)));
+                    let m = (h % d.managers.len() as u64) as usize;
+                    assert!(
+                        d.index.get(h, fp).is_none() || d.blooms[m].may_contain(h),
+                        "seed {seed}: key {k} is indexed but its filter says no"
+                    );
+                }
+            }
+            assert!(!d.is_empty() && rolled_back > 0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod spill_boundary_tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// `(value bytes, segments)` for 16 B keys under `KvConfig::small()`:
+    /// one page holds 25 040 value bytes, a continuation 25 072, so
+    /// 25 041 B is the smallest 2-segment value, 50 112 B the largest
+    /// and 50 113 B the smallest 3-segment one. These straddle every
+    /// inline/spilled boundary a segment list can have.
+    const BLOBS: [(u32, usize); 9] = [
+        (24_576, 1),
+        (25_000, 1),
+        (25_040, 1),
+        (25_041, 2),
+        (49_000, 2),
+        (50_000, 2),
+        (50_112, 2),
+        (50_113, 3),
+        (131_072, 6),
+    ];
+    const FILLER_BYTES: u32 = 4_096;
+
+    fn key(i: u64) -> Vec<u8> {
+        format!("key{i:013}").into_bytes() // 16 B keys
+    }
+
+    /// 64 blocks x 16 pages: room for the blobs plus enough filler that
+    /// GC has real victims.
+    fn geometry() -> Geometry {
+        Geometry {
+            blocks_per_plane: 8,
+            pages_per_block: 16,
+            ..Geometry::small()
+        }
+    }
+
+    struct Harness {
+        d: KvSsd,
+        t: SimTime,
+        /// key index -> (value bytes, tag)
+        model: BTreeMap<u64, (u32, u64)>,
+        next_tag: u64,
+    }
+
+    impl Harness {
+        fn put(&mut self, i: u64, len: u32) {
+            self.next_tag += 1;
+            let value = Payload::synthetic(len, self.next_tag);
+            self.t = self.d.store(self.t, &key(i), value).unwrap();
+            self.model.insert(i, (len, self.next_tag));
+        }
+
+        fn segs(&self, i: u64) -> Vec<SegLoc> {
+            self.d.segments_of(&key(i)).expect("live key").to_vec()
+        }
+
+        /// Every key reads back what the model holds, segment counts are
+        /// the layout's, and the space report is the sum of the layouts.
+        fn check(&mut self, stage: &str) {
+            let (mut user, mut alloc) = (0u64, 0u64);
+            for (&i, &(len, tag)) in &self.model {
+                let got = self.d.retrieve(self.t, &key(i)).unwrap();
+                self.t = got.at;
+                assert_eq!(
+                    got.value,
+                    Some(Payload::synthetic(len, tag)),
+                    "{stage}: key {i} read back wrong"
+                );
+                let layout = BlobLayout::plan(self.d.config(), 16, len as u64);
+                let segs = self.d.segments_of(&key(i)).expect("live key");
+                assert_eq!(segs.len(), layout.segments(), "{stage}: key {i}");
+                for (s, &a) in segs.iter().zip(&layout.segment_alloc) {
+                    assert_eq!(s.alloc, a, "{stage}: key {i} segment allocation");
+                }
+                user += layout.user_bytes;
+                alloc += layout.allocated_bytes();
+            }
+            let space = self.d.space();
+            assert_eq!(space.kvp_count, self.model.len() as u64, "{stage}");
+            assert_eq!(space.user_bytes, user, "{stage}: user bytes");
+            assert_eq!(space.allocated_bytes, alloc, "{stage}: allocated bytes");
+        }
+    }
+
+    /// Drives blobs on both sides of every segment-count boundary
+    /// through overwrite, GC relocation, a program failure on a page
+    /// holding a continuation segment, and a power cycle.
+    fn run(flash: FlashDevice, fill_pct: u64, inject: bool) {
+        let d = KvSsd::over(flash, KvConfig::small());
+        let blobs = BLOBS.len() as u64;
+        let mut h = Harness {
+            d,
+            t: SimTime::ZERO,
+            model: BTreeMap::new(),
+            next_tag: 0,
+        };
+        // Blobs interleaved with filler up to `fill_pct` of capacity.
+        let cap = h.d.space().capacity_bytes;
+        let fillers = (cap * fill_pct / 100 - 500_000) / (FILLER_BYTES as u64 + 64);
+        for f in 0..fillers {
+            if f % 8 == 0 && f / 8 < blobs {
+                h.put(f / 8, BLOBS[(f / 8) as usize].0);
+            }
+            h.put(blobs + f, FILLER_BYTES);
+        }
+        for (j, &(len, want)) in BLOBS.iter().enumerate() {
+            let layout = BlobLayout::plan(h.d.config(), 16, len as u64);
+            assert_eq!(layout.segments(), want, "{len} B value");
+            assert_eq!(h.segs(j as u64).len(), want, "{len} B value as stored");
+        }
+        h.check("after fill");
+
+        // Overwrite every blob with its neighbour's size: segment lists
+        // shrink and grow across the inline/spilled boundary in place.
+        for j in 0..blobs {
+            h.put(j, BLOBS[((j + 1) % blobs) as usize].0);
+        }
+        h.check("after overwrite");
+
+        // Churn the filler until GC has relocated part of every blob.
+        let before: Vec<Vec<SegLoc>> = (0..blobs).map(|j| h.segs(j)).collect();
+        let copied_before = h.d.stats().gc_copied_segments;
+        let mut rounds = 0;
+        while (0..blobs).any(|j| h.segs(j) == before[j as usize]) {
+            rounds += 1;
+            assert!(rounds <= 40, "GC never relocated some blob");
+            for f in 0..fillers {
+                h.put(blobs + f, FILLER_BYTES);
+            }
+        }
+        assert!(h.d.stats().gc_copied_segments > copied_before);
+        h.check("after GC relocation");
+
+        // Fresh copies of the split blobs (continuations back on
+        // dedicated pages), then fail the program of a page holding a
+        // continuation segment of each.
+        if inject {
+            for j in 0..blobs {
+                let (len, _) = h.model[&j];
+                h.put(j, len);
+                let segs = h.segs(j);
+                let Some(&cont) = segs.get(1) else { continue };
+                h.t = h.d.flush(h.t).unwrap();
+                let replaced = h.d.stats().replaced_after_failure;
+                h.d.handle_program_failure(h.t, cont.block, cont.page)
+                    .unwrap();
+                assert!(h.d.stats().replaced_after_failure > replaced);
+                let moved = h.segs(j)[1];
+                assert_ne!((moved.block, moved.page), (cont.block, cont.page));
+                assert_eq!((moved.alloc, moved.raw), (cont.alloc, cont.raw));
+            }
+            h.check("after program failure");
+        }
+
+        h.t = h.d.power_cycle(h.t).unwrap();
+        h.check("after power cycle");
+
+        // Deleting the blobs hands back exactly what they held.
+        for j in 0..blobs {
+            let (done, existed) = h.d.delete(h.t, &key(j)).unwrap();
+            assert!(existed);
+            h.t = done;
+            h.model.remove(&j);
+        }
+        h.check("after delete");
+    }
+
+    #[test]
+    fn blobs_across_the_spill_boundary_survive_gc_failure_and_power_cycle() {
+        run(
+            FlashDevice::new(geometry(), FlashTiming::pm983_like()),
+            70,
+            true,
+        );
+    }
+}

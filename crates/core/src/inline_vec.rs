@@ -219,4 +219,53 @@ mod tests {
         assert!(!small.spilled());
         assert_eq!(small.to_vec(), vec![7]);
     }
+
+    #[test]
+    fn capacity_one_pushes_across_the_boundary() {
+        let mut v: InlineVec<u32, 1> = InlineVec::new();
+        assert!(v.is_empty() && !v.spilled());
+        v.push(7);
+        assert!(!v.spilled());
+        assert_eq!(v.as_slice(), &[7]);
+        v.push(8);
+        assert!(v.spilled());
+        assert_eq!(v.as_slice(), &[7, 8]);
+        for i in 9..20 {
+            v.push(i);
+        }
+        assert_eq!(v.len(), 13);
+        assert_eq!(v.to_vec(), (7..20).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn capacity_one_from_vec_at_each_side_of_the_boundary() {
+        let empty: InlineVec<u32, 1> = Vec::new().into();
+        assert!(empty.is_empty() && !empty.spilled());
+        let one: InlineVec<u32, 1> = vec![5].into();
+        assert!(!one.spilled());
+        assert_eq!(one.as_slice(), &[5]);
+        let two: InlineVec<u32, 1> = vec![5, 6].into();
+        assert!(two.spilled());
+        assert_eq!(two.as_slice(), &[5, 6]);
+        // Same contents, other representation.
+        let mut pushed: InlineVec<u32, 1> = InlineVec::new();
+        pushed.push(5);
+        pushed.push(6);
+        assert_eq!(two, pushed);
+    }
+
+    #[test]
+    fn spilled_vector_mutates_and_clones() {
+        let mut v: InlineVec<u32, 1> = vec![1, 2, 3].into();
+        v.as_mut_slice()[2] = 30;
+        v[0] = 10;
+        let copy = v.clone();
+        v[1] = 20;
+        assert_eq!(copy.as_slice(), &[10, 2, 30], "clone is independent");
+        assert_eq!(v.as_slice(), &[10, 20, 30]);
+        assert!(copy.spilled());
+        let mut inline: InlineVec<u32, 1> = vec![4].into();
+        inline.as_mut_slice()[0] = 40;
+        assert_eq!(inline.clone().as_slice(), &[40]);
+    }
 }
