@@ -119,13 +119,17 @@ struct OpenPage {
     page: u32,
     used: u32,
     first_arrival: SimTime,
-    entries: Vec<PendingSeg>,
 }
 
 #[derive(Debug, Default)]
 struct AppendStream {
     active: VecDeque<BlockId>,
     open: Option<OpenPage>,
+    /// Segments appended to `open` and not yet programmed. Owned by the
+    /// stream, not the page, so one buffer serves every page the stream
+    /// ever opens: emptied when the page is programmed or abandoned,
+    /// never dropped. Non-empty only while `open` is `Some`.
+    pending: Vec<PendingSeg>,
 }
 
 /// A compact reverse-map record: which blob segment lives in a block.
@@ -428,7 +432,6 @@ impl KvSsd {
             h,
             fp,
             IndexEntry {
-                fingerprint: fp,
                 key_len: key.len() as u8,
                 value_len: vlen as u32,
                 payload: value,
@@ -503,11 +506,12 @@ impl KvSsd {
         }
 
         // 7. Local-index batch; merge into the global index when full.
-        self.local_batches[m].push(h);
-        if self.local_batches[m].len() >= self.config.local_index_entries {
-            let batch = std::mem::take(&mut self.local_batches[m]);
+        let batch = &mut self.local_batches[m];
+        batch.push(h);
+        if batch.len() >= self.config.local_index_entries {
             let entries = self.index.len();
-            let merged = self.itiming.merge(t, &batch, entries, &mut self.flash);
+            let merged = self.itiming.merge(t, batch, entries, &mut self.flash);
+            batch.clear();
             self.stats.merges += 1;
             t = self.managers[m]
                 .acquire_after(t, merged, SimDuration::ZERO)
@@ -539,8 +543,9 @@ impl KvSsd {
         let t = self.managers[m]
             .acquire(t, self.config.key_handling_cost(key.len()))
             .end;
+        let entry = self.index.get(h, fp);
         // Bloom filter: definite negatives skip the index walk.
-        if self.config.bloom_enabled && !self.blooms[m].may_contain(h) {
+        if self.bloom_rules_out(m, h, entry.is_some()) {
             self.stats.bloom_negatives += 1;
             self.stats.not_found += 1;
             self.stats.retrieves += 1;
@@ -552,7 +557,7 @@ impl KvSsd {
         let t = self.managers[m].acquire(t, self.config.cost_index_dram).end;
         let entries = self.index.len();
         let t = self.itiming.lookup(t, h, entries, &mut self.flash);
-        let Some(entry) = self.index.get(h, fp) else {
+        let Some(entry) = entry else {
             self.stats.not_found += 1;
             self.stats.retrieves += 1;
             return Ok(Lookup {
@@ -589,13 +594,13 @@ impl KvSsd {
             .acquire(t, self.config.key_handling_cost(key.len()))
             .end;
         self.stats.exists += 1;
-        if self.config.bloom_enabled && !self.blooms[m].may_contain(h) {
+        let found = self.index.get(h, fp).is_some();
+        if self.bloom_rules_out(m, h, found) {
             self.stats.bloom_negatives += 1;
             return Ok((self.link.complete(t, 0), false));
         }
         let t = self.managers[m].acquire(t, self.config.cost_index_dram).end;
         let t = self.itiming.lookup(t, h, self.index.len(), &mut self.flash);
-        let found = self.index.get(h, fp).is_some();
         Ok((self.link.complete(t, 0), found))
     }
 
@@ -618,11 +623,12 @@ impl KvSsd {
                 self.invalidate_entry(&entry);
                 self.iters.remove(key);
                 // Deletes also dirty the index; count them in a batch.
-                self.local_batches[m].push(h);
-                if self.local_batches[m].len() >= self.config.local_index_entries {
-                    let batch = std::mem::take(&mut self.local_batches[m]);
+                let batch = &mut self.local_batches[m];
+                batch.push(h);
+                if batch.len() >= self.config.local_index_entries {
                     let entries = self.index.len();
-                    t = self.itiming.merge(t, &batch, entries, &mut self.flash);
+                    t = self.itiming.merge(t, batch, entries, &mut self.flash);
+                    batch.clear();
                     self.stats.merges += 1;
                 }
                 true
@@ -735,6 +741,19 @@ impl KvSsd {
 
     // ----- internals -------------------------------------------------
 
+    /// Whether manager `m`'s Bloom filter rules `h` out. The modelled
+    /// firmware asks it first; the host asks the exact index first
+    /// (`indexed`) and reads the filter's `k` scattered cache lines only
+    /// on a miss: a stored key was inserted into its manager's filter and
+    /// bits are never cleared, so an index hit implies a Bloom positive.
+    fn bloom_rules_out(&self, m: usize, h: u64, indexed: bool) -> bool {
+        debug_assert!(
+            !indexed || self.blooms[m].may_contain(h),
+            "an indexed key must be in its manager's Bloom filter"
+        );
+        !indexed && self.config.bloom_enabled && !self.blooms[m].may_contain(h)
+    }
+
     fn check_key(&self, key: &[u8]) -> Result<(), KvError> {
         if key.len() < self.config.key_min {
             return Err(KvError::KeyTooShort {
@@ -768,6 +787,17 @@ impl KvSsd {
         if self.state[b] == BState::Closed {
             self.victims
                 .note(block, self.valid_bytes[b], self.flash.erase_count(block));
+            // Each call strands the block's previous snapshot in the
+            // queue: sweep once they outnumber the blocks 8:1 (amortised O(1)).
+            if self.victims.len() > 8 * self.state.len() {
+                let current = Self::closed_block_accounting(
+                    &self.state,
+                    &self.valid_bytes,
+                    &self.flash,
+                    self.config.page_payload_bytes as u64,
+                );
+                self.victims.drop_stale(current);
+            }
         }
     }
 
@@ -791,12 +821,9 @@ impl KvSsd {
                 }
                 None => {
                     // Everything unprogrammed: force the open page out.
-                    match self.program_open_page(t, StreamKind::Data)? {
-                        Some(done) => {
-                            // Its entries are now in the heap; loop.
-                            let _ = done;
-                        }
-                        None => break, // nothing buffered at all
+                    // Programming queues its entries on the heap; loop.
+                    if self.program_open_page(t, StreamKind::Data)?.is_none() {
+                        break; // nothing buffered at all
                     }
                 }
             }
@@ -831,7 +858,7 @@ impl KvSsd {
         raw: u32,
         dedicated: bool,
     ) -> Result<Option<(SegLoc, Option<SimTime>)>, KvError> {
-        for attempt in 0..16 {
+        for _ in 0..16 {
             let Some((loc, done)) = self.append_segment(now, key, seg_no, alloc, raw, dedicated)?
             else {
                 return Ok(None);
@@ -842,7 +869,6 @@ impl KvSsd {
             // The copy on the dead block is garbage now; it was counted
             // once by account_append, so uncount it once and try again.
             self.dec_valid(loc.block, alloc as u64);
-            let _ = attempt;
         }
         Err(KvError::Internal {
             what: "16 consecutive program failures placing one segment — \
@@ -929,26 +955,31 @@ impl KvSsd {
         // Shared open page: byte-aligned log append.
         let payload = self.config.page_payload_bytes;
         let mut programmed = None;
-        let needs_new_page = match self.stream(kind).open.as_ref() {
-            Some(p) => p.used + alloc > payload,
-            None => true,
-        };
-        // Only host data is timeout-flushed (durability expectation);
-        // the GC stream is bursty and must keep filling its page across
-        // episodes or it litters the array with near-empty pages.
-        let timed_out = kind == StreamKind::Data
-            && self
-                .stream(kind)
-                .open
-                .as_ref()
-                .map(|p| {
-                    !p.entries.is_empty()
-                        && now.saturating_since(p.first_arrival)
-                            >= self.config.partial_flush_timeout
-                })
-                .unwrap_or(false);
-        if needs_new_page || timed_out {
-            programmed = self.program_open_page(now, kind)?;
+        loop {
+            let s = self.stream(kind);
+            let needs_new_page = match s.open.as_ref() {
+                Some(p) => p.used + alloc > payload,
+                None => true,
+            };
+            // Only host data is timeout-flushed (durability expectation);
+            // the GC stream is bursty and must keep filling its page
+            // across episodes or it litters the array with near-empty
+            // pages.
+            let timed_out = kind == StreamKind::Data
+                && !s.pending.is_empty()
+                && s.open.as_ref().is_some_and(|p| {
+                    now.saturating_since(p.first_arrival) >= self.config.partial_flush_timeout
+                });
+            if !(needs_new_page || timed_out) {
+                break;
+            }
+            programmed = programmed.max(self.program_open_page(now, kind)?);
+            // A failed program re-places that page's segments through
+            // this stream, which then has a fresh page with segments
+            // pending on it: append there (re-checking the fit).
+            if self.stream(kind).open.is_some() {
+                continue;
+            }
             let Some(block) = self.pick_block(now, kind)? else {
                 return Ok(None);
             };
@@ -958,18 +989,15 @@ impl KvSsd {
                 page,
                 used: 0,
                 first_arrival: now,
-                entries: Vec::new(),
             });
+            break;
         }
         let payload_limit = self.config.page_payload_bytes;
         let alloc_unit = self.config.alloc_unit;
-        let open = self
-            .stream_mut(kind)
-            .open
-            .as_mut()
-            .ok_or(KvError::Internal {
-                what: "stream open page installed before the append",
-            })?;
+        let stream = self.stream_mut(kind);
+        let open = stream.open.as_mut().ok_or(KvError::Internal {
+            what: "stream open page installed before the append",
+        })?;
         let loc = SegLoc {
             block: open.block,
             page: open.page,
@@ -978,7 +1006,7 @@ impl KvSsd {
             raw,
         };
         open.used += alloc;
-        open.entries.push(PendingSeg { key, alloc });
+        stream.pending.push(PendingSeg { key, alloc });
         let full = open.used + alloc_unit > payload_limit;
         let block = open.block;
         self.account_append(block, key, seg_no, alloc);
@@ -1009,7 +1037,7 @@ impl KvSsd {
         let Some(open) = self.stream_mut(kind).open.take() else {
             return Ok(None);
         };
-        if open.entries.is_empty() {
+        if self.stream(kind).pending.is_empty() {
             // Nothing written: hand the page back by reopening lazily.
             return Ok(None);
         }
@@ -1031,7 +1059,11 @@ impl KvSsd {
                 what: "program rejected on a stream's own open page",
             })?;
         let done = r.done;
-        for seg in &open.entries {
+        let pending = match kind {
+            StreamKind::Data => &mut self.data.pending,
+            StreamKind::Gc => &mut self.gc.pending,
+        };
+        for seg in pending.drain(..) {
             self.buffer_leaves
                 .push(Reverse((done, seg.alloc as u64, seg.key)));
             self.buffer_resident.insert(seg.key, done);
@@ -1057,6 +1089,7 @@ impl KvSsd {
             s.active.retain(|&b| b != block);
             if s.open.as_ref().is_some_and(|p| p.block == block) {
                 s.open = None;
+                s.pending.clear();
             }
         }
         // A block's ref list may name the same (key, segment) several
@@ -1449,6 +1482,24 @@ impl KvSsd {
         Ok(r.done)
     }
 
+    /// What the victim queue revalidates snapshots against: a closed
+    /// block's `(valid bytes, erase count, reclaimable bytes)`, else
+    /// `None`. Borrows fields, not `self`, so the queue stays borrowable.
+    fn closed_block_accounting<'a>(
+        state: &'a [BState],
+        valid: &'a [u64],
+        flash: &'a FlashDevice,
+        payload: u64,
+    ) -> impl FnMut(BlockId) -> Option<(u64, u32, u64)> + 'a {
+        move |b| {
+            let i = b.0 as usize;
+            (state[i] == BState::Closed).then(|| {
+                let written = flash.written_pages(b) as u64;
+                (valid[i], flash.erase_count(b), written * payload - valid[i])
+            })
+        }
+    }
+
     /// Greedy victim selection among closed blocks: fewest valid bytes
     /// first, and only blocks whose erase would actually gain space
     /// (dead bytes + trapped waste of at least one page's payload) —
@@ -1460,14 +1511,9 @@ impl KvSsd {
     /// suite doubles as a differential test.
     fn select_victim(&mut self) -> bool {
         let payload = self.config.page_payload_bytes as u64;
-        let (state, valid, flash) = (&self.state, &self.valid_bytes, &self.flash);
-        let picked = self.victims.pop_best(payload, |b| {
-            let i = b.0 as usize;
-            (state[i] == BState::Closed).then(|| {
-                let written = flash.written_pages(b) as u64;
-                (valid[i], flash.erase_count(b), written * payload - valid[i])
-            })
-        });
+        let current =
+            Self::closed_block_accounting(&self.state, &self.valid_bytes, &self.flash, payload);
+        let picked = self.victims.pop_best(payload, current);
         debug_assert_eq!(
             picked,
             self.select_victim_reference(),
@@ -1587,7 +1633,7 @@ mod tests {
         )
     }
 
-    fn key(i: u64) -> Vec<u8> {
+    pub(super) fn key(i: u64) -> Vec<u8> {
         format!("key{i:013}").into_bytes() // 16 B keys
     }
 
@@ -1943,6 +1989,10 @@ mod tests {
         t = d.flush(t).unwrap();
         let s = d.stats();
         assert!(s.gc_erases > 0, "workload must exercise GC");
+        assert!(
+            d.victims.len() <= 9 * d.state.len(),
+            "stale victim snapshots must be swept, not hoarded"
+        );
         (
             t,
             s.gc_erases,
@@ -2129,12 +2179,9 @@ mod power_cycle_tests {
 
 #[cfg(test)]
 mod lookup_history_tests {
+    use super::tests::key;
     use super::*;
     use kvssd_sim::DeterministicRng;
-
-    fn key(i: u64) -> Vec<u8> {
-        format!("key{i:013}").into_bytes() // 16 B keys
-    }
 
     /// A small device whose Bloom filters are lean enough (4 Kibit per
     /// manager, k = 2) to give real false positives at a few thousand
@@ -2286,7 +2333,9 @@ mod lookup_history_tests {
 
 #[cfg(test)]
 mod spill_boundary_tests {
+    use super::tests::key;
     use super::*;
+    use kvssd_flash::FaultPlan;
     use std::collections::BTreeMap;
 
     /// `(value bytes, segments)` for 16 B keys under `KvConfig::small()`:
@@ -2306,10 +2355,6 @@ mod spill_boundary_tests {
         (131_072, 6),
     ];
     const FILLER_BYTES: u32 = 4_096;
-
-    fn key(i: u64) -> Vec<u8> {
-        format!("key{i:013}").into_bytes() // 16 B keys
-    }
 
     /// 64 blocks x 16 pages: room for the blobs plus enough filler that
     /// GC has real victims.
@@ -2372,7 +2417,7 @@ mod spill_boundary_tests {
     /// Drives blobs on both sides of every segment-count boundary
     /// through overwrite, GC relocation, a program failure on a page
     /// holding a continuation segment, and a power cycle.
-    fn run(flash: FlashDevice, fill_pct: u64, inject: bool) {
+    fn run(flash: FlashDevice, fill_pct: u64, inject: bool) -> KvSsd {
         let d = KvSsd::over(flash, KvConfig::small());
         let blobs = BLOBS.len() as u64;
         let mut h = Harness {
@@ -2450,6 +2495,7 @@ mod spill_boundary_tests {
             h.model.remove(&j);
         }
         h.check("after delete");
+        h.d
     }
 
     #[test]
@@ -2459,5 +2505,26 @@ mod spill_boundary_tests {
             70,
             true,
         );
+    }
+
+    #[test]
+    fn blobs_across_the_spill_boundary_survive_injected_flash_faults() {
+        let flash = FlashDevice::with_faults(
+            geometry(),
+            FlashTiming::pm983_like(),
+            FaultPlan {
+                program_fail_one_in: Some(300),
+                erase_fail_one_in: None,
+            },
+        );
+        // Every failed program retires a block for good, so this run
+        // starts emptier than the clean one. At this rate a shared page
+        // fails while the stream is opening its next one: the handler's
+        // re-placed segments must not be lost under the new page (they
+        // once were, over-counting the block until GC's gain went
+        // negative).
+        let d = run(flash, 45, false);
+        assert!(d.flash().stats().program_failures > 0);
+        assert!(d.stats().replaced_after_failure > 0);
     }
 }

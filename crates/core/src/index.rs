@@ -23,9 +23,9 @@ use kvssd_sim::{PrehashedMap, SimTime};
 use crate::inline_vec::InlineVec;
 use crate::value::Payload;
 
-/// Segment list of one entry: inline up to 2 segments (the common case
-/// — only values past the per-page budget split), heap beyond.
-pub type SegList = InlineVec<SegLoc, 2>;
+/// Segment list of one entry: one segment inline (every value that fits
+/// the per-page budget, ~24 KiB), heap for blobs that split.
+pub type SegList = InlineVec<SegLoc, 1>;
 
 /// Location of one blob segment on flash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +59,6 @@ impl Default for SegLoc {
 /// One global-index record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexEntry {
-    /// Collision-verification fingerprint.
-    pub fingerprint: u64,
     /// Key length in bytes.
     pub key_len: u8,
     /// Value length in bytes.
@@ -70,6 +68,11 @@ pub struct IndexEntry {
     /// Segment locations, in order (inline for unsplit blobs).
     pub segs: SegList,
 }
+
+// One per live KVP on the host: with the 16 B map key, 64 B makes an 80 B
+// bucket, and growing it grows every index probe's cache footprint and the
+// simulator's RSS. (Unrelated to the *modelled* `index_entry_bytes`.)
+const _: () = assert!(std::mem::size_of::<IndexEntry>() <= 64);
 
 impl IndexEntry {
     /// Total allocated bytes across segments.
@@ -499,12 +502,12 @@ mod tests {
     use super::*;
     use kvssd_flash::{FlashTiming, Geometry};
 
-    fn entry(fp: u64) -> IndexEntry {
+    /// An entry whose `value_len` (and payload) identify it.
+    fn entry(value_len: u32) -> IndexEntry {
         IndexEntry {
-            fingerprint: fp,
             key_len: 4,
-            value_len: 10,
-            payload: Payload::synthetic(10, 0),
+            value_len,
+            payload: Payload::synthetic(value_len, 0),
             segs: vec![SegLoc {
                 block: BlockId(0),
                 page: 0,
@@ -522,8 +525,8 @@ mod tests {
         g.insert(42, 1, entry(1));
         g.insert(42, 2, entry(2));
         assert_eq!(g.len(), 2);
-        assert_eq!(g.get(42, 1).unwrap().fingerprint, 1);
-        assert_eq!(g.get(42, 2).unwrap().fingerprint, 2);
+        assert_eq!(g.get(42, 1).unwrap().value_len, 1);
+        assert_eq!(g.get(42, 2).unwrap().value_len, 2);
         assert!(g.remove(42, 1).is_some());
         assert!(g.get(42, 1).is_none());
         assert_eq!(g.len(), 1);
@@ -533,9 +536,26 @@ mod tests {
     fn replace_returns_old_entry() {
         let mut g = GlobalStore::new();
         assert!(g.insert(7, 7, entry(7)).is_none());
-        let old = g.insert(7, 7, entry(7)).unwrap();
-        assert_eq!(old.fingerprint, 7);
+        let old = g.insert(7, 7, entry(8)).unwrap();
+        assert_eq!(old.value_len, 7);
+        assert_eq!(g.get(7, 7).unwrap().value_len, 8);
         assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn index_bucket_is_eighty_bytes() {
+        // The compile-time assertion caps the entry; this names the parts
+        // when the map's bucket (key + entry) outgrows its budget.
+        use std::mem::size_of;
+        assert!(
+            size_of::<((u64, u64), IndexEntry)>() <= 80,
+            "bucket {} B: IndexEntry {} B = SegList {} B (SegLoc {} B) + Payload {} B + lengths",
+            size_of::<((u64, u64), IndexEntry)>(),
+            size_of::<IndexEntry>(),
+            size_of::<SegList>(),
+            size_of::<SegLoc>(),
+            size_of::<Payload>()
+        );
     }
 
     fn timing_fixture() -> (IndexTiming, FlashDevice) {

@@ -1,14 +1,25 @@
 //! An in-repo inline small-vector for segment lists.
 //!
-//! Most index entries hold 1–2 segments (only values past the per-page
-//! budget split), so `IndexEntry` storing a `Vec<SegLoc>` paid a heap
-//! allocation per live KVP and a second one per clone. [`InlineVec`]
-//! keeps up to `N` elements inline in the struct and spills to a `Vec`
-//! only when a blob actually splits beyond that, making the common path
-//! allocation-free. No `unsafe`: the inline buffer requires
-//! `T: Copy + Default` and unused slots simply hold `T::default()`.
+//! Nearly every index entry holds one segment (only values past the
+//! per-page budget split), and the global index keeps one entry per
+//! live KVP, so the list's footprint is the index's footprint.
+//! [`InlineVec`] keeps up to `N` elements inside the struct and moves to
+//! a `Vec` only when a blob actually splits beyond that: the common
+//! path never allocates, and a spilled list grows like any `Vec` (one
+//! allocation per growth step, one pointer hop to the elements). No
+//! `unsafe`: the inline buffer requires `T: Copy + Default` and unused
+//! slots simply hold `T::default()`.
 
 use std::ops::{Deref, DerefMut};
+
+/// Inline with a `u32` length, or spilled. The two states share their
+/// bytes, which is what keeps `InlineVec<SegLoc, 1>` at 32 B (pinned
+/// through `IndexEntry`'s size assertion in `index.rs`).
+#[derive(Clone)]
+enum Repr<T, const N: usize> {
+    Inline { len: u32, buf: [T; N] },
+    Heap(Vec<T>),
+}
 
 /// A vector storing up to `N` elements inline, spilling to the heap
 /// beyond that.
@@ -27,62 +38,55 @@ use std::ops::{Deref, DerefMut};
 /// assert_eq!(v.as_slice(), &[1, 2, 3]);
 /// ```
 #[derive(Clone)]
-pub struct InlineVec<T: Copy + Default, const N: usize> {
-    /// Valid element count while inline; ignored once spilled.
-    len: usize,
-    inline: [T; N],
-    heap: Option<Vec<T>>,
-}
+pub struct InlineVec<T: Copy + Default, const N: usize>(Repr<T, N>);
 
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Creates an empty vector (no heap allocation).
     pub fn new() -> Self {
-        InlineVec {
+        InlineVec(Repr::Inline {
             len: 0,
-            inline: [T::default(); N],
-            heap: None,
-        }
+            buf: [T::default(); N],
+        })
     }
 
     /// Appends an element, spilling to the heap past `N` elements.
     pub fn push(&mut self, value: T) {
-        match &mut self.heap {
-            Some(v) => v.push(value),
-            None if self.len < N => {
-                self.inline[self.len] = value;
-                self.len += 1;
-            }
-            None => {
-                let mut v = Vec::with_capacity(N + 1);
-                v.extend_from_slice(&self.inline[..self.len]);
-                v.push(value);
-                self.heap = Some(v);
-            }
+        match &mut self.0 {
+            Repr::Heap(v) => v.push(value),
+            Repr::Inline { len, buf } => match buf.get_mut(*len as usize) {
+                Some(slot) => {
+                    *slot = value;
+                    *len += 1;
+                }
+                None => {
+                    let mut v = Vec::with_capacity(N + 1);
+                    v.extend_from_slice(buf);
+                    v.push(value);
+                    self.0 = Repr::Heap(v);
+                }
+            },
         }
     }
 
     /// The elements as a slice.
     pub fn as_slice(&self) -> &[T] {
-        match &self.heap {
-            Some(v) => v,
-            None => &self.inline[..self.len],
+        match &self.0 {
+            Repr::Heap(v) => v,
+            Repr::Inline { len, buf } => &buf[..*len as usize],
         }
     }
 
     /// The elements as a mutable slice.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        match &mut self.heap {
-            Some(v) => v,
-            None => &mut self.inline[..self.len],
+        match &mut self.0 {
+            Repr::Heap(v) => v,
+            Repr::Inline { len, buf } => &mut buf[..*len as usize],
         }
     }
 
     /// Element count.
     pub fn len(&self) -> usize {
-        match &self.heap {
-            Some(v) => v.len(),
-            None => self.len,
-        }
+        self.as_slice().len()
     }
 
     /// True when no elements are stored.
@@ -92,7 +96,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// True once the vector has spilled to the heap.
     pub fn spilled(&self) -> bool {
-        self.heap.is_some()
+        matches!(self.0, Repr::Heap(_))
     }
 
     /// Copies the elements into a fresh `Vec`.
@@ -129,11 +133,7 @@ impl<T: Copy + Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
             }
             out
         } else {
-            InlineVec {
-                len: 0,
-                inline: [T::default(); N],
-                heap: Some(v),
-            }
+            InlineVec(Repr::Heap(v))
         }
     }
 }

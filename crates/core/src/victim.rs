@@ -99,6 +99,16 @@ impl VictimQueue {
         None
     }
 
+    /// Drops every snapshot `cur` (`pop_best`'s `current`) no
+    /// longer confirms — exactly what `pop_best` would discard one by one,
+    /// so selection is unchanged. Each overwrite of a closed block's data
+    /// leaves one behind, and those that sort last are never popped.
+    pub(crate) fn drop_stale(&mut self, mut cur: impl FnMut(BlockId) -> Option<(u64, u32, u64)>) {
+        self.heap.retain(|&Reverse((valid, wear, id))| {
+            cur(BlockId(id)).is_some_and(|(v, w, _)| (v, w) == (valid, wear))
+        });
+    }
+
     /// Drains the zero-valid candidates in ascending block-id order,
     /// deduplicated, keeping only blocks `still_zero` confirms (closed
     /// with zero valid bytes). The ascending order reproduces the old
@@ -221,5 +231,61 @@ mod tests {
         q.recycle_zero_buf(got);
         // Drained: a second sweep sees nothing.
         assert!(q.take_zero_valid(|_| true).is_empty());
+    }
+
+    #[test]
+    fn dropping_stale_entries_never_changes_a_selection() {
+        // Two queues fed the same random accounting history; one sweeps
+        // its stale snapshots every few steps. Every selection, and the
+        // drain at the end, must agree — and the swept queue must hold
+        // no more than one snapshot per block plus what arrived since.
+        use kvssd_sim::DeterministicRng;
+        const BLOCKS: u64 = 24;
+        let mut rng = DeterministicRng::seed_from(11);
+        let mut model = Model {
+            blocks: (0..BLOCKS).map(|_| (100, 0, true)).collect(),
+            full_bytes: 100,
+        };
+        let (mut plain, mut swept) = (VictimQueue::new(), VictimQueue::new());
+        for b in 0..BLOCKS as u32 {
+            plain.note(BlockId(b), 100, 0);
+            swept.note(BlockId(b), 100, 0);
+        }
+        for step in 0..4_000 {
+            let b = rng.below(BLOCKS) as usize;
+            let (valid, wear, closed) = &mut model.blocks[b];
+            match rng.below(8) {
+                // Overwrites chip at a closed block's valid bytes.
+                0..=5 if *closed && *valid > 0 => {
+                    *valid -= rng.between(1, *valid);
+                    plain.note(BlockId(b as u32), *valid, *wear);
+                    swept.note(BlockId(b as u32), *valid, *wear);
+                }
+                // GC takes the best victim; it is erased, refilled and
+                // closes again one erase older.
+                6 => {
+                    let got = plain.pop_best(10, |b| model.current(b));
+                    assert_eq!(swept.pop_best(10, |b| model.current(b)), got, "step {step}");
+                    if let Some(v) = got {
+                        let w = model.blocks[v.0 as usize].1 + 1;
+                        model.blocks[v.0 as usize] = (100, w, true);
+                        plain.note(v, 100, w);
+                        swept.note(v, 100, w);
+                    }
+                }
+                _ => {}
+            }
+            if step % 16 == 0 {
+                swept.drop_stale(|b| model.current(b));
+                assert!(swept.len() <= BLOCKS as usize);
+            }
+        }
+        assert!(plain.len() > 4 * swept.len(), "the unswept queue piles up");
+        loop {
+            let got = plain.pop_best(10, |b| model.current(b));
+            assert_eq!(swept.pop_best(10, |b| model.current(b)), got);
+            let Some(v) = got else { break };
+            model.blocks[v.0 as usize].2 = false; // erased, not reused
+        }
     }
 }

@@ -17,7 +17,6 @@ use kvssd_sim::SimTime;
 
 fn entry(fp: u64, vlen: u32) -> IndexEntry {
     IndexEntry {
-        fingerprint: fp,
         key_len: 8,
         value_len: vlen,
         payload: Payload::synthetic(vlen, fp),

@@ -106,6 +106,15 @@ echo "== repo benchmark self-test (sim results repeat bit for bit) =="
 # Always --offline: the nested workspace has path dependencies only.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
+echo "== core alloc budget + lookup history =="
+# The KV-FTL's host hot paths stay off the heap (counting allocator:
+# <= 5 allocations per 1 000 Zipfian updates with background and
+# foreground GC running, 0 per retrieve) and the index-first /
+# Bloom-second host probe order leaves every virtual charge and
+# counter where the pinned, Bloom-first history put them.
+cargo test "${CARGO_FLAGS[@]}" -q -p kvssd-core --test alloc_budget
+cargo test "${CARGO_FLAGS[@]}" -q -p kvssd-core --lib lookup_history_tests
+
 echo "== cluster_ops microbench (per-op driver vs batched driver) =="
 # Both production drivers must reach identical behavior checksums
 # in-process; the "cluster_ops" line in BENCH_HARNESS.json is patched in
