@@ -4,8 +4,18 @@
 
 use kvssd_study::bench::experiments::{fig5, fig7};
 use kvssd_study::bench::{setup, Scale};
-use kvssd_study::kvbench::{run_phase, AccessPattern, KvStore, OpMix, ValueSize, WorkloadSpec};
-use kvssd_study::sim::SimTime;
+use kvssd_study::cluster::{ClusterConfig, KvCluster};
+use kvssd_study::core::{KvConfig, KvSsd};
+use kvssd_study::flash::{FlashTiming, Geometry};
+use kvssd_study::kvbench::keys::KeyGen;
+use kvssd_study::kvbench::{
+    run_phase, AccessPattern, ClusterStore, KvStore, OpBatch, OpMix, PhaseRecorder, ValueSize,
+    WorkloadSpec,
+};
+use kvssd_study::sim::rng::mix64;
+use kvssd_study::sim::{
+    BandwidthSeries, DeterministicRng, LatencyHistogram, QueueRunner, SimDuration, SimTime,
+};
 
 fn signature(store: &mut dyn KvStore) -> (u64, u64, u64) {
     let spec = WorkloadSpec::new("sig", 1_500, 1_500)
@@ -125,4 +135,124 @@ fn whole_experiments_are_deterministic() {
         assert_eq!(ra.kv_mbps.to_bits(), rb.kv_mbps.to_bits());
         assert_eq!(ra.blk_mbps.to_bits(), rb.blk_mbps.to_bits());
     }
+}
+
+/// The per-op `dyn KvStore` driver and the batched `ClusterStore::run_ops`
+/// driver the figures use are both production paths over the same
+/// cluster code; batching is a host-side optimization only. Replays one
+/// fixed-seed churn (85 % stores, 15 % reads) through each on identically
+/// filled N=4, R=2 clusters and folds everything either could have
+/// perturbed into one checksum, pinned.
+#[test]
+fn per_op_and_batched_cluster_drivers_agree() {
+    const SEED: u64 = 0xC1_05_7E_12;
+    const KEYS: u64 = 2_000;
+    const VSIZE: u32 = 1024;
+    const QD: usize = 16;
+    const PINNED: u64 = 0x5611ef23c5b7c6b9;
+
+    let mut rng = DeterministicRng::seed_from(SEED);
+    let plan: Vec<(u64, u64, bool)> = (0..2 * KEYS)
+        .map(|op| (rng.below(KEYS), op, rng.below(100) < 15))
+        .collect();
+    let keygen = KeyGen::new(16);
+
+    let run = |batched: bool| -> u64 {
+        let mut store = ClusterStore::new(KvCluster::new(
+            ClusterConfig::new(4, SEED).replication(2),
+            |_| {
+                KvSsd::new(
+                    Geometry {
+                        channels: 4,
+                        dies_per_channel: 2,
+                        planes_per_die: 2,
+                        blocks_per_plane: 64,
+                        pages_per_block: 64,
+                        page_bytes: 32 * 1024,
+                    },
+                    FlashTiming::pm983_like(),
+                    KvConfig {
+                        iterator_buckets: false,
+                        max_kvps: 1_000_000,
+                        ..KvConfig::pm983_scaled()
+                    },
+                )
+            },
+        ));
+        let fill = WorkloadSpec::new("fill", KEYS, KEYS)
+            .mix(OpMix::InsertOnly)
+            .pattern(AccessPattern::Sequential)
+            .value(ValueSize::Fixed(VSIZE))
+            .queue_depth(QD);
+        run_phase(&mut store, &fill, SimTime::ZERO);
+        let start = store.cluster().quiesce_time() + SimDuration::from_millis(200);
+
+        let mut runner = QueueRunner::starting_at(QD, start);
+        let mut writes = LatencyHistogram::new();
+        let mut reads = LatencyHistogram::new();
+        if batched {
+            let mut bandwidth = BandwidthSeries::new(SimDuration::from_millis(100));
+            let mut not_found = 0u64;
+            let mut key_buf = Vec::with_capacity(16);
+            let mut batch = OpBatch::default();
+            for chunk in plan.chunks(256) {
+                batch.clear();
+                for &(idx, tag, is_read) in chunk {
+                    keygen.key_into(idx, &mut key_buf);
+                    batch.push(&key_buf, VSIZE, tag, is_read);
+                }
+                let mut rec = PhaseRecorder {
+                    writes: &mut writes,
+                    reads: &mut reads,
+                    bandwidth: &mut bandwidth,
+                    not_found: &mut not_found,
+                    phase_start: start,
+                };
+                store.run_ops(&mut runner, &batch, &mut rec);
+            }
+        } else {
+            let store: &mut dyn KvStore = &mut store;
+            for &(idx, tag, is_read) in &plan {
+                let key = keygen.key(idx);
+                if is_read {
+                    let t = runner.submit(|issue| store.read(issue, &key).0);
+                    reads.record(t.latency());
+                } else {
+                    let t = runner.submit(|issue| store.insert(issue, &key, VSIZE, tag));
+                    writes.record(t.latency());
+                }
+            }
+        }
+        let finished = runner.drain();
+        let end = store.flush(finished).max(finished);
+
+        let cluster = store.cluster();
+        let dev = cluster.stats().devices;
+        let mut c = mix64(end.since(SimTime::ZERO).as_nanos());
+        for part in [
+            dev.stores,
+            dev.retrieves,
+            dev.not_found,
+            dev.foreground_gc_events,
+            writes.count(),
+            reads.count(),
+            writes.mean().as_nanos(),
+            reads.mean().as_nanos(),
+            cluster.len(),
+        ] {
+            c = mix64(c ^ part);
+        }
+        for shard in cluster.shards() {
+            c = mix64(c ^ shard.key_count() as u64);
+        }
+        c
+    };
+
+    let per_op = run(false);
+    assert_eq!(
+        per_op,
+        run(true),
+        "the batched driver changed cluster behavior"
+    );
+    assert_eq!(per_op, PINNED, "got {per_op:#018x}");
 }
