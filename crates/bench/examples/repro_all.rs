@@ -1,5 +1,6 @@
-//! Runs every experiment's report at the selected scale
-//! (`KVSSD_BENCH_SCALE` = tiny|quick|full) and prints the tables.
+//! Runs every experiment at the selected scale (`KVSSD_BENCH_SCALE` =
+//! tiny|quick|full, default quick; anything else is an error) and prints
+//! the tables — the one program that prints a figure.
 //!
 //! With an argument, runs just that figure: `repro_all -- fig5`.
 //! With `--timings`, appends a per-figure scheduler table (cells, wall
@@ -39,28 +40,27 @@ fn print_timings(timings: &[cells::FigureTiming]) {
 
 fn main() {
     kvssd_bench::alloctune::retain_large_allocations();
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let timings = args.iter().any(|a| a == "--timings");
-    let figure = args.iter().find(|a| *a != "--timings");
+    let wanted = args.iter().find(|a| *a != "--timings");
 
-    match figure {
-        None => {
-            for (_, report) in experiments::FIGURES {
-                report(scale);
-            }
-        }
-        Some(name) => match experiments::FIGURES.iter().find(|(n, _)| n == name) {
-            Some((_, report)) => report(scale),
-            None => {
-                let valid = experiments::figure_names();
-                eprintln!(
-                    "unknown figure `{name}`; valid names: {} (flags: --timings)",
-                    valid.join(", ")
-                );
-                std::process::exit(1);
-            }
-        },
+    let selected: Vec<_> = experiments::FIGURES
+        .iter()
+        .filter(|(name, _)| wanted.is_none_or(|w| w == name))
+        .collect();
+    if let (Some(name), true) = (wanted, selected.is_empty()) {
+        eprintln!(
+            "unknown figure `{name}`; valid names: {} (flags: --timings)",
+            experiments::figure_names().join(", ")
+        );
+        std::process::exit(1);
+    }
+    for (_, figure) in selected {
+        print!("{}", figure(scale));
     }
 
     if timings {

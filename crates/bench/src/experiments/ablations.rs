@@ -8,7 +8,6 @@
 //!   large-key bandwidth loss of Fig. 8.
 
 use kvssd_core::KvConfig;
-use kvssd_kvbench::report::f2;
 use kvssd_kvbench::{run_phase, KvStore, OpMix, Table, ValueSize, WorkloadSpec};
 use kvssd_nvme::KvCommandSet;
 use kvssd_sim::SimTime;
@@ -228,13 +227,5 @@ pub fn render(r: &AblationResult) -> String {
         r.largekey_compound_kops / r.largekey_stock_kops.max(0.01),
     )
     .unwrap();
-    let _ = f2(0.0);
     out
-}
-
-/// Prints the ablation tables.
-pub fn report(scale: Scale) -> AblationResult {
-    let r = run(scale);
-    print!("{}", render(&r));
-    r
 }

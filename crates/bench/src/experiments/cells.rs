@@ -13,8 +13,8 @@
 //! 1-shard-equals-bare-device invariant.
 //!
 //! The scheduler also self-times: per-cell and per-figure wall-clock
-//! land in a process-wide registry that the `bench_harness` example
-//! drains into `BENCH_HARNESS.json`.
+//! land in a process-wide registry that `repro_all --timings` drains
+//! into a table.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -45,8 +45,8 @@ pub struct FigureTiming {
 static TIMINGS: Mutex<Vec<FigureTiming>> = Mutex::new(Vec::new());
 
 /// Programmatic thread-count override (`0` = none). Takes precedence
-/// over the environment so one process can time serial vs parallel
-/// passes back to back.
+/// over the environment so one test process can compare serial and
+/// pooled passes back to back.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Forces the worker count (`None` restores env/auto sizing).
@@ -71,7 +71,7 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Drains the accumulated per-figure timings (used by `bench_harness`).
+/// Drains the accumulated per-figure timings (used by `repro_all --timings`).
 pub fn take_timings() -> Vec<FigureTiming> {
     std::mem::take(&mut *TIMINGS.lock().expect("timing registry"))
 }
@@ -83,9 +83,8 @@ pub fn run_cells<T: Send>(figure: &str, cells: Vec<Cell<T>>) -> Vec<T> {
 
 /// Runs one phase of a figure split into scheduling sub-cells
 /// (e.g. `fill` then `measure`): identical execution semantics to
-/// [`run_cells`], but the timing record carries the phase label so the
-/// harness and `repro_all --timings` can show where a figure's
-/// wall-clock goes.
+/// [`run_cells`], but the timing record carries the phase label so
+/// `repro_all --timings` can show where a figure's wall-clock goes.
 pub fn run_cells_phase<T: Send>(figure: &str, phase: &str, cells: Vec<Cell<T>>) -> Vec<T> {
     let n = cells.len();
     let threads = thread_count().min(n.max(1));

@@ -266,10 +266,3 @@ pub fn render(res: &FabricResult) -> String {
     .unwrap();
     out
 }
-
-/// Prints the sweep table.
-pub fn report(scale: Scale) -> FabricResult {
-    let res = run(scale);
-    print!("{}", render(&res));
-    res
-}

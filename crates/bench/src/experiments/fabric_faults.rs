@@ -286,10 +286,3 @@ pub fn render(res: &FabricFaultsResult) -> String {
     .unwrap();
     out
 }
-
-/// Prints the sweep table.
-pub fn report(scale: Scale) -> FabricFaultsResult {
-    let res = run(scale);
-    print!("{}", render(&res));
-    res
-}

@@ -230,10 +230,3 @@ pub fn render(r: &Fig2Result) -> String {
     .unwrap();
     out
 }
-
-/// Prints the paper-shaped table.
-pub fn report(scale: Scale) -> Fig2Result {
-    let r = run(scale);
-    print!("{}", render(&r));
-    r
-}

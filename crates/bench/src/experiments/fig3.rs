@@ -126,10 +126,15 @@ fn probe(store: &mut dyn KvStore, n: u64, probes: u64, start: SimTime) -> (f64, 
     )
 }
 
-/// Prints the paper-shaped table.
-pub fn report(scale: Scale) -> Fig3Result {
-    let res = run(scale);
-    println!("\n=== Fig. 3: index occupancy (16 B keys, 512 B values, QD 1 probes) ===");
+/// The paper-shaped table as a string (byte-stable for a given result).
+pub fn render(res: &Fig3Result) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    writeln!(
+        out,
+        "\n=== Fig. 3: index occupancy (16 B keys, 512 B values, QD 1 probes) ==="
+    )
+    .unwrap();
     let mut t = Table::new(&[
         "occupancy",
         "population",
@@ -146,16 +151,20 @@ pub fn report(scale: Scale) -> Fig3Result {
             &f2(r.read_us),
         ]);
     }
-    println!("{t}");
-    println!(
+    writeln!(out, "{t}").unwrap();
+    writeln!(
+        out,
         "KV-SSD degradation high/low: write {:.2}x (paper: up to 16.4x), read {:.2}x (paper: up to 2x)",
         res.write_degradation("KV-SSD"),
         res.read_degradation("KV-SSD"),
-    );
-    println!(
+    )
+    .unwrap();
+    writeln!(
+        out,
         "Block-SSD degradation high/low: write {:.2}x, read {:.2}x (paper: ~flat)",
         res.write_degradation("Block-SSD"),
         res.read_degradation("Block-SSD"),
-    );
-    res
+    )
+    .unwrap();
+    out
 }

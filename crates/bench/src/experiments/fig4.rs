@@ -169,10 +169,3 @@ pub fn render(res: &Fig4Result) -> String {
     .unwrap();
     out
 }
-
-/// Prints the paper-shaped table.
-pub fn report(scale: Scale) -> Fig4Result {
-    let res = run(scale);
-    print!("{}", render(&res));
-    res
-}

@@ -122,10 +122,3 @@ pub fn render(res: &Fig5Result) -> String {
     .unwrap();
     out
 }
-
-/// Prints the paper-shaped series.
-pub fn report(scale: Scale) -> Fig5Result {
-    let res = run(scale);
-    print!("{}", render(&res));
-    res
-}

@@ -167,10 +167,15 @@ fn downsample(m: &kvssd_kvbench::RunMetrics) -> Vec<f64> {
         .collect()
 }
 
-/// Prints the paper-shaped panels.
-pub fn report(scale: Scale) -> Fig6Result {
-    let res = run(scale);
-    println!("\n=== Fig. 6: bandwidth under random updates after an 80 % fill ===");
+/// The paper-shaped panels as a string (byte-stable for a given result).
+pub fn render(res: &Fig6Result) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    writeln!(
+        out,
+        "\n=== Fig. 6: bandwidth under random updates after an 80 % fill ==="
+    )
+    .unwrap();
     let mut t = Table::new(&[
         "panel",
         "mean MB/s",
@@ -191,13 +196,15 @@ pub fn report(scale: Scale) -> Fig6Result {
             &p.copies.to_string(),
         ]);
     }
-    println!("{t}");
+    writeln!(out, "{t}").unwrap();
     for p in &res.panels {
         let spark: Vec<String> = p.timeline.iter().map(|v| format!("{v:.0}")).collect();
-        println!("{:<18} MB/s timeline: {}", p.label, spark.join(" "));
+        writeln!(out, "{:<18} MB/s timeline: {}", p.label, spark.join(" ")).unwrap();
     }
-    println!(
+    writeln!(
+        out,
         "Paper: (a) no drastic drop on RocksDB/block; (b),(c) intermittent collapses on KV-SSD."
-    );
-    res
+    )
+    .unwrap();
+    out
 }

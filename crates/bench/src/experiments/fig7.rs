@@ -135,10 +135,3 @@ pub fn render(res: &Fig7Result) -> String {
     .unwrap();
     out
 }
-
-/// Prints the paper-shaped table.
-pub fn report(scale: Scale) -> Fig7Result {
-    let res = run(scale);
-    print!("{}", render(&res));
-    res
-}

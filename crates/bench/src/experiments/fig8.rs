@@ -74,10 +74,15 @@ fn throughput(n: u64, key_bytes: usize, qd: usize) -> f64 {
     m.ops_per_sec() / 1e3
 }
 
-/// Prints the paper-shaped series.
-pub fn report(scale: Scale) -> Fig8Result {
-    let res = run(scale);
-    println!("\n=== Fig. 8: store throughput vs key size (128 B values) ===");
+/// The paper-shaped series as a string (byte-stable for a given result).
+pub fn render(res: &Fig8Result) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    writeln!(
+        out,
+        "\n=== Fig. 8: store throughput vs key size (128 B values) ==="
+    )
+    .unwrap();
     let mut t = Table::new(&["key", "NVMe cmds", "sync Kops/s", "async Kops/s"]);
     for r in &res.rows {
         t.row(&[
@@ -87,14 +92,16 @@ pub fn report(scale: Scale) -> Fig8Result {
             &f2(r.async_kops),
         ]);
     }
-    println!("{t}");
+    writeln!(out, "{t}").unwrap();
     let r16 = res.row(16);
     let r20 = res.row(20);
-    println!(
+    writeln!(
+        out,
         "16B -> 20B key async throughput: {:.2} -> {:.2} Kops/s ({:.2}x; paper: drops to ~0.53x for large keys)",
         r16.async_kops,
         r20.async_kops,
         r20.async_kops / r16.async_kops,
-    );
-    res
+    )
+    .unwrap();
+    out
 }

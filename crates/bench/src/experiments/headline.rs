@@ -83,15 +83,6 @@ pub fn run(scale: Scale) -> HeadlineResult {
     let sw = probe(AccessPattern::Sequential, OpMix::UpdateOnly, 4);
     let rr = probe(AccessPattern::Uniform, OpMix::ReadOnly, 5);
     let sr = probe(AccessPattern::Sequential, OpMix::ReadOnly, 6);
-    if crate::env_config("KVSSD_DEBUG").is_some() {
-        eprintln!(
-            "DEBUG seq/rand: rw={} sw={} rr={} sr={}",
-            rw.writes.mean(),
-            sw.writes.mean(),
-            rr.reads.mean(),
-            sr.reads.mean()
-        );
-    }
     out.block_seq_write_ratio = sw.writes.mean().as_micros_f64() / rw.writes.mean().as_micros_f64();
     out.block_seq_read_ratio = sr.reads.mean().as_micros_f64() / rr.reads.mean().as_micros_f64();
 
@@ -176,10 +167,8 @@ fn cpu_cycle(store: &mut dyn KvStore, n: u64) -> f64 {
     store.host_cpu_busy().as_secs_f64()
 }
 
-/// Prints the headline table.
-pub fn report(scale: Scale) -> HeadlineResult {
-    let r = run(scale);
-    println!("\n=== Headline ratios (Sec. I) — 4 KiB random direct I/O ===");
+/// The headline table as a string (byte-stable for a given result).
+pub fn render(r: &HeadlineResult) -> String {
     let mut t = Table::new(&["metric", "measured", "paper"]);
     t.row(&[
         "KV/blk write latency (QD1)",
@@ -231,6 +220,5 @@ pub fn report(scale: Scale) -> HeadlineResult {
         &format!("{:.2}x", r.worst_read_bw_ratio),
         "as low as 0.44x",
     ]);
-    println!("{t}");
-    r
+    format!("\n=== Headline ratios (Sec. I) — 4 KiB random direct I/O ===\n{t}\n")
 }

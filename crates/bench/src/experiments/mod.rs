@@ -1,12 +1,12 @@
 //! The paper's experiments, one module per table/figure.
 //!
 //! Every module exposes `run(scale) -> <ResultType>` returning structured
-//! measurements (integration tests assert on those) and `report(scale)`
-//! printing the paper-shaped rows.
+//! measurements (integration tests assert on those) and
+//! `render(&result) -> String`, the paper-shaped rows. [`FIGURES`] is the
+//! one registry; the `repro_all` example is the one program that prints.
 
 pub mod ablations;
 pub mod cells;
-pub mod cluster_ops;
 pub mod fabric;
 pub mod fabric_faults;
 pub mod fig2;
@@ -27,83 +27,26 @@ use kvssd_sim::SimTime;
 
 use crate::Scale;
 
-/// A figure entry point taking only the run scale.
-pub type FigureFn = fn(Scale);
+/// Runs one figure at a scale and returns its rendered table.
+pub type FigureFn = fn(Scale) -> String;
 
-/// Every figure's name with its report function, in canonical order
-/// (the order `repro_all` runs them).
+/// Every figure's name with its run-and-render function, in canonical
+/// order (the order `repro_all` runs them).
 pub const FIGURES: [(&str, FigureFn); 13] = [
-    ("fig2", |s| {
-        fig2::report(s);
-    }),
-    ("fig3", |s| {
-        fig3::report(s);
-    }),
-    ("fig4", |s| {
-        fig4::report(s);
-    }),
-    ("fig5", |s| {
-        fig5::report(s);
-    }),
-    ("fig6", |s| {
-        fig6::report(s);
-    }),
-    ("fig7", |s| {
-        fig7::report(s);
-    }),
-    ("fig8", |s| {
-        fig8::report(s);
-    }),
-    ("headline", |s| {
-        headline::report(s);
-    }),
-    ("ablations", |s| {
-        ablations::report(s);
-    }),
-    ("scaleout", |s| {
-        scaleout::report(s);
-    }),
-    ("replication", |s| {
-        replication::report(s);
-    }),
-    ("fabric", |s| {
-        fabric::report(s);
-    }),
+    ("fig2", |s| fig2::render(&fig2::run(s))),
+    ("fig3", |s| fig3::render(&fig3::run(s))),
+    ("fig4", |s| fig4::render(&fig4::run(s))),
+    ("fig5", |s| fig5::render(&fig5::run(s))),
+    ("fig6", |s| fig6::render(&fig6::run(s))),
+    ("fig7", |s| fig7::render(&fig7::run(s))),
+    ("fig8", |s| fig8::render(&fig8::run(s))),
+    ("headline", |s| headline::render(&headline::run(s))),
+    ("ablations", |s| ablations::render(&ablations::run(s))),
+    ("scaleout", |s| scaleout::render(&scaleout::run(s))),
+    ("replication", |s| replication::render(&replication::run(s))),
+    ("fabric", |s| fabric::render(&fabric::run(s))),
     ("fabric_faults", |s| {
-        fabric_faults::report(s);
-    }),
-];
-
-/// The figures ported onto the parallel cell scheduler, in canonical
-/// order. Each entry runs the figure *silently* (no table printing) —
-/// what the self-timing harness executes.
-pub const PORTED: [(&str, FigureFn); 9] = [
-    ("fig2", |s| {
-        fig2::run(s);
-    }),
-    ("fig4", |s| {
-        fig4::run(s);
-    }),
-    ("fig5", |s| {
-        fig5::run(s);
-    }),
-    ("fig7", |s| {
-        fig7::run(s);
-    }),
-    ("ablations", |s| {
-        ablations::run(s);
-    }),
-    ("scaleout", |s| {
-        scaleout::run(s);
-    }),
-    ("replication", |s| {
-        replication::run(s);
-    }),
-    ("fabric", |s| {
-        fabric::run(s);
-    }),
-    ("fabric_faults", |s| {
-        fabric_faults::run(s);
+        fabric_faults::render(&fabric_faults::run(s))
     }),
 ];
 
@@ -130,18 +73,6 @@ pub(crate) fn fill(
     run_phase(store, &spec, start)
 }
 
-/// Public wrapper around the internal fill helper, for diagnostic
-/// examples and tests.
-pub fn fill_pub(
-    store: &mut dyn KvStore,
-    n: u64,
-    value_bytes: u32,
-    qd: usize,
-    start: SimTime,
-) -> RunMetrics {
-    fill(store, n, value_bytes, qd, start)
-}
-
 /// Settle time inserted between phases so buffered state drains.
 pub(crate) fn settle(t: SimTime) -> SimTime {
     t + kvssd_sim::SimDuration::from_millis(200)
@@ -157,11 +88,5 @@ mod tests {
         let unique: std::collections::BTreeSet<_> = names.iter().collect();
         assert_eq!(unique.len(), names.len(), "duplicate figure name");
         assert!(names.contains(&"fabric"), "fabric missing from FIGURES");
-        for (n, _) in PORTED {
-            assert!(
-                names.contains(&n),
-                "PORTED figure `{n}` missing from FIGURES"
-            );
-        }
     }
 }

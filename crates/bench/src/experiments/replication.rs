@@ -264,10 +264,3 @@ pub fn render(res: &ReplicationResult) -> String {
     .unwrap();
     out
 }
-
-/// Prints the sweep table.
-pub fn report(scale: Scale) -> ReplicationResult {
-    let res = run(scale);
-    print!("{}", render(&res));
-    res
-}

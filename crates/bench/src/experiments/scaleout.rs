@@ -212,7 +212,7 @@ fn dip_windows(store: &ClusterStore, update_start: SimTime) -> (u64, u64) {
         per_shard.push(pts);
     }
     // Per-shard dip threshold: half that shard's own mean across the
-    // phase (the Fig. 6 "collapse" criterion, applied per device).
+    // phase (the Fig. 6 "collapse" rule, applied per device).
     let thresholds: Vec<f64> = per_shard
         .iter()
         .map(|pts| {
@@ -312,11 +312,4 @@ pub fn render(res: &ScaleoutResult) -> String {
     )
     .unwrap();
     out
-}
-
-/// Prints the sweep table and timelines.
-pub fn report(scale: Scale) -> ScaleoutResult {
-    let res = run(scale);
-    print!("{}", render(&res));
-    res
 }

@@ -1,11 +1,11 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! Each bench target under `benches/` prints the corresponding figure's
-//! rows/series (captured into `bench_output.txt` by the top-level
-//! `cargo bench` run) and then times a small scenario kernel under
-//! Criterion. The experiment logic lives here so integration tests can
-//! assert on the *shapes* (who wins, where the crossovers fall) without
-//! re-running the benches.
+//! [`experiments::FIGURES`] is the one registry of experiments and the
+//! `repro_all` example the one program that prints them; each experiment
+//! module returns structured results so integration tests can assert on
+//! the *shapes* (who wins, where the crossovers fall) rather than on
+//! printed text. Host wall-clock and allocation claims belong to the
+//! repo benchmark (`benchmark/`), not to this crate.
 //!
 //! Scale: experiments default to a laptop-friendly size; set
 //! `KVSSD_BENCH_SCALE=full` for populations closer to the scaled-paper
@@ -13,18 +13,17 @@
 
 pub mod alloctune;
 pub mod experiments;
-pub mod opprof;
 pub mod setup;
 pub mod walltime;
 
 /// Reads one `KVSSD_*` configuration variable from the environment.
 ///
 /// This is the workspace's only sanctioned environment read: every knob
-/// (`KVSSD_BENCH_SCALE`, `KVSSD_BENCH_THREADS`, `KVSSD_BENCH_HARNESS_OUT`,
-/// `KVSSD_DEBUG`, ...) funnels through here so `kvlint`'s `no-env-read`
-/// rule can allowlist exactly one module — ambient host state must never
-/// steer a library crate, or runs stop being pure functions of their
-/// seeds. Returns `None` when unset or not valid UTF-8.
+/// (`KVSSD_BENCH_SCALE`, `KVSSD_BENCH_THREADS`, `KVSSD_GOLDEN_PRINT`)
+/// funnels through here so `kvlint`'s `no-env-read` rule can allowlist
+/// exactly one module — ambient host state must never steer a library
+/// crate, or runs stop being pure functions of their seeds. Returns
+/// `None` when unset or not valid UTF-8.
 #[allow(clippy::disallowed_methods)] // the one sanctioned env read (see doc)
 pub fn env_config(name: &str) -> Option<String> {
     debug_assert!(
@@ -44,20 +43,34 @@ pub enum Scale {
     /// Minimal populations for (debug-build) integration tests: shapes
     /// hold, absolute numbers are noisy.
     Tiny,
-    /// CI-sized populations (the default for `cargo bench`).
+    /// CI-sized populations (the default).
     Quick,
     /// Populations near the scaled-paper sizes.
     Full,
 }
 
-impl Scale {
-    /// Reads the scale from the environment.
-    pub fn from_env() -> Self {
-        match env_config("KVSSD_BENCH_SCALE").as_deref() {
-            Some("full") => Scale::Full,
-            Some("tiny") => Scale::Tiny,
-            _ => Scale::Quick,
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses `tiny`, `quick` or `full`; anything else is an error
+    /// naming the three, never a silent default.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "quick" => Ok(Scale::Quick),
+            "full" => Ok(Scale::Full),
+            other => Err(format!(
+                "unknown KVSSD_BENCH_SCALE `{other}`; expected tiny|quick|full"
+            )),
         }
+    }
+}
+
+impl Scale {
+    /// Reads the scale from `KVSSD_BENCH_SCALE`; unset means
+    /// [`Scale::Quick`], an unrecognised value is an error.
+    pub fn from_env() -> Result<Self, String> {
+        env_config("KVSSD_BENCH_SCALE").map_or(Ok(Scale::Quick), |s| s.parse())
     }
 
     /// Picks the value for this scale.
@@ -82,11 +95,22 @@ mod tests {
     }
 
     #[test]
+    fn scale_parses_the_three_names_and_rejects_the_rest() {
+        assert_eq!("tiny".parse(), Ok(Scale::Tiny));
+        assert_eq!("quick".parse(), Ok(Scale::Quick));
+        assert_eq!("full".parse(), Ok(Scale::Full));
+        for bad in ["", "Tiny", "quick ", "fast"] {
+            let err = bad.parse::<Scale>().unwrap_err();
+            assert!(err.contains("tiny|quick|full"), "{err}");
+        }
+    }
+
+    #[test]
     fn env_scale_defaults_to_quick() {
         // (No env mutation: just check the default path when the
-        // variable is absent or unknown.)
+        // variable is absent.)
         if env_config("KVSSD_BENCH_SCALE").is_none() {
-            assert_eq!(Scale::from_env(), Scale::Quick);
+            assert_eq!(Scale::from_env(), Ok(Scale::Quick));
         }
     }
 }

@@ -4,11 +4,11 @@
 //! so that every figure is a pure function of its seeds — the property the
 //! `determinism`/`harness_determinism` suites and the paper's
 //! "same substrate, two firmwares" comparison depend on. Real clocks are
-//! still needed in exactly one place: the self-timing harness that reports
-//! how long the *simulator itself* takes on the host (`BENCH_HARNESS.json`,
-//! the `cluster_ops` microbench, per-cell scheduler timings). Those numbers
-//! describe the host, never the modeled device, and feed no experiment
-//! table.
+//! still needed in exactly one place: reporting how long the *simulator
+//! itself* takes on the host (the per-cell scheduler timings behind
+//! `repro_all --timings`, and the repo benchmark under `benchmark/`).
+//! Those numbers describe the host, never the modeled device, and feed no
+//! experiment table.
 //!
 //! `kvlint`'s `no-wall-clock` rule forbids `std::time::{Instant, SystemTime}`
 //! everywhere except this file, so any new timing need must either route

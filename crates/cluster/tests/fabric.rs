@@ -13,7 +13,7 @@
 use kvssd_cluster::{ClusterConfig, KvCluster};
 use kvssd_core::{KvConfig, KvError, KvSsd, Payload};
 use kvssd_fabric::{Fabric, FabricConfig, LinkConfig};
-use kvssd_sim::{mix64, SimDuration, SimTime};
+use kvssd_sim::{digest64, SimDuration, SimTime};
 
 fn device(_id: usize) -> KvSsd {
     KvSsd::new(
@@ -644,18 +644,8 @@ fn every_op_resolves_under_drops_partitions_and_deadlines() {
     }
 }
 
-/// FNV-style fold (mix64-chained) over the rendered bytes — the same
-/// digest `tests/golden_digests.rs` pins the figure tables with.
-fn digest(s: &str) -> u64 {
-    let mut d = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        d = mix64(d ^ b as u64);
-    }
-    d
-}
-
 fn check_pin(name: &str, rendered: &str, want: u64) {
-    let got = digest(rendered);
+    let got = digest64(rendered.as_bytes());
     assert_eq!(
         got, want,
         "{name} drifted from its pinned digest (got 0x{got:016x}); the leg \

@@ -1,7 +1,7 @@
 //! Aligned text tables for the experiment reports.
 //!
-//! The benches regenerate the paper's tables and figure series as plain
-//! text (captured into `bench_output.txt`); this module does the layout.
+//! The experiments render the paper's tables and figure series as plain
+//! text; this module does the layout.
 
 use std::fmt;
 

@@ -529,10 +529,7 @@ mod tests {
             classify("crates/bench/examples/repro_all.rs"),
             FileClass::Examples
         );
-        assert_eq!(
-            classify("crates/bench/benches/fig2_end_to_end.rs"),
-            FileClass::Benches
-        );
+        assert_eq!(classify("benchmark/benches/main.rs"), FileClass::Benches);
         assert_eq!(
             classify("crates/lint/fixtures/clean.rs"),
             FileClass::Fixture

@@ -44,7 +44,7 @@ pub mod time;
 
 pub use prehash::{PrehashHasher, PrehashedMap, PrehashedSet};
 pub use resource::{Resource, ResourcePool, Window};
-pub use rng::{mix64, DeterministicRng, ZipfianDistribution};
+pub use rng::{digest64, mix64, DeterministicRng, ZipfianDistribution};
 pub use runner::{FanIn, OpTiming, QueueRunner};
 pub use stats::{BandwidthSeries, Counter, LatencyHistogram, RatioSummary};
 pub use time::{SimDuration, SimTime};

@@ -108,6 +108,14 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// [`mix64`]-chained fold over `bytes` from the FNV-1a offset basis: the
+/// digest the golden tests pin rendered tables and reports with.
+pub fn digest64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |d, &b| mix64(d ^ u64::from(b)))
+}
+
 /// Zipfian distribution over `[0, n)` with parameter `theta` (Gray et al.,
 /// SIGMOD '94 — the YCSB generator). Rank 0 is the hottest item.
 ///

@@ -13,20 +13,9 @@
 //! a new column), re-pin: run with `KVSSD_GOLDEN_PRINT=1` to print the
 //! new digests, and record the move in CHANGES.md.
 
-use kvssd_study::bench::experiments::{
-    ablations, cells, fabric, fabric_faults, fig2, fig3, fig4, fig5, fig6, fig7, fig8, headline,
-    replication, scaleout,
-};
+use kvssd_study::bench::experiments::{cells, FIGURES};
 use kvssd_study::bench::Scale;
-
-/// FNV-style fold (mix64-chained) over the rendered bytes.
-fn digest(s: &str) -> u64 {
-    let mut d = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        d = kvssd_study::sim::rng::mix64(d ^ b as u64);
-    }
-    d
-}
+use kvssd_study::sim::digest64;
 
 const SCALEOUT_TINY: u64 = 0xabe13033e5996bbd;
 const REPLICATION_TINY: u64 = 0x1d1051945373459c;
@@ -53,59 +42,6 @@ const PINS: [(&str, u64); 13] = [
     ("fabric_faults", FABRIC_FAULTS_TINY),
 ];
 
-/// Brackets what a print-only figure writes in the re-executed child.
-const MARK: &str = "\u{1}golden-capture\u{1}\n";
-
-/// Four figures still print from `report()` and have no `render`; their
-/// bytes are captured by re-running this test binary on the ignored
-/// `print_figure` helper with `--nocapture` and cutting between marks.
-fn captured_report(name: &str) -> String {
-    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["--exact", "print_figure", "--ignored", "--nocapture"])
-        .env("KVSSD_GOLDEN_FIGURE", name)
-        .output()
-        .expect("re-run the test binary");
-    assert!(out.status.success(), "child failed for {name}");
-    let text = String::from_utf8(out.stdout).expect("utf-8 tables");
-    let mut parts = text.split(MARK);
-    parts.next();
-    parts.next().expect("marked figure output").to_string()
-}
-
-/// Child half of [`captured_report`]; does nothing under a plain run.
-#[test]
-#[ignore = "helper re-executed by figures_match_pinned_digests_at_threads_1_and_4"]
-fn print_figure() {
-    let Some(name) = kvssd_study::bench::env_config("KVSSD_GOLDEN_FIGURE") else {
-        return;
-    };
-    print!("{MARK}");
-    match name.as_str() {
-        "fig3" => drop(fig3::report(Scale::Tiny)),
-        "fig6" => drop(fig6::report(Scale::Tiny)),
-        "fig8" => drop(fig8::report(Scale::Tiny)),
-        "headline" => drop(headline::report(Scale::Tiny)),
-        other => panic!("{other} has a render(); no capture needed"),
-    }
-    print!("{MARK}");
-}
-
-fn rendered(name: &str) -> String {
-    let s = Scale::Tiny;
-    match name {
-        "fig2" => fig2::render(&fig2::run(s)),
-        "fig4" => fig4::render(&fig4::run(s)),
-        "fig5" => fig5::render(&fig5::run(s)),
-        "fig7" => fig7::render(&fig7::run(s)),
-        "ablations" => ablations::render(&ablations::run(s)),
-        "scaleout" => scaleout::render(&scaleout::run(s)),
-        "replication" => replication::render(&replication::run(s)),
-        "fabric" => fabric::render(&fabric::run(s)),
-        "fabric_faults" => fabric_faults::render(&fabric_faults::run(s)),
-        _ => captured_report(name),
-    }
-}
-
 /// One test (not several) so the process-global thread override cannot
 /// race between concurrently running test functions.
 #[test]
@@ -113,9 +49,10 @@ fn figures_match_pinned_digests_at_threads_1_and_4() {
     let print = kvssd_study::bench::env_config("KVSSD_GOLDEN_PRINT").is_some();
     for threads in [1usize, 4] {
         cells::set_thread_override(Some(threads));
-        for (name, want) in PINS {
-            let table = rendered(name);
-            let got = digest(&table);
+        for ((name, figure), (pinned, want)) in FIGURES.into_iter().zip(PINS) {
+            assert_eq!(name, pinned, "PINS must list FIGURES in order");
+            let table = figure(Scale::Tiny);
+            let got = digest64(table.as_bytes());
             if print {
                 println!("{name}: 0x{got:016x}");
                 continue;

@@ -2,21 +2,11 @@
 //! tables with `KVSSD_BENCH_THREADS=1` (the exact serial pass-through)
 //! and `=4` (the worker pool) are byte-identical at tiny scale.
 
-use kvssd_study::bench::experiments::{
-    ablations, cells, fig2, fig4, fig5, fig7, replication, scaleout,
-};
+use kvssd_study::bench::experiments::{cells, FIGURES};
 use kvssd_study::bench::Scale;
 
 fn rendered_suite(scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str(&fig2::render(&fig2::run(scale)));
-    out.push_str(&fig4::render(&fig4::run(scale)));
-    out.push_str(&fig5::render(&fig5::run(scale)));
-    out.push_str(&fig7::render(&fig7::run(scale)));
-    out.push_str(&ablations::render(&ablations::run(scale)));
-    out.push_str(&scaleout::render(&scaleout::run(scale)));
-    out.push_str(&replication::render(&replication::run(scale)));
-    out
+    FIGURES.iter().map(|(_, figure)| figure(scale)).collect()
 }
 
 /// One test (not several) so the process-global thread override cannot
@@ -34,13 +24,10 @@ fn thread_count_does_not_change_rendered_tables() {
 
     std::env::remove_var("KVSSD_BENCH_THREADS");
 
-    assert!(
-        serial.contains("=== Fig. 2")
-            && serial.contains("=== Fig. 5")
-            && serial.contains("=== Ablations")
-            && serial.contains("=== Scale-out")
-            && serial.contains("=== Replication"),
-        "suite must actually render the ported figures"
+    assert_eq!(
+        serial.matches("\n=== ").count(),
+        FIGURES.len(),
+        "suite must actually render every figure"
     );
     assert_eq!(
         serial, parallel,
