@@ -1,120 +1,120 @@
 //! Property tests: the block-SSD keeps exact mapping/validity accounting
-//! through buffering, GC, TRIM, and write streams.
-//!
-//! The default (offline) suite generates operation sequences with the
-//! in-repo [`kvssd_sim::DeterministicRng`]; the original proptest
-//! versions — with shrinking — stay available behind the non-default
-//! `proptest` feature (restore the `proptest` dev-dependency to enable).
-
-use kvssd_sim::PrehashedSet;
+//! through buffering, GC, TRIM, write streams and failed programs.
+//! Seeded cases on [`kvssd_sim::check`] (a failed assertion is a failing
+//! case, shrunk by deletion).
 
 use kvssd_block_ftl::{BlockFtlConfig, BlockSsd};
-use kvssd_flash::{FlashTiming, Geometry};
-use kvssd_sim::{DeterministicRng, SimTime};
+use kvssd_flash::{FaultPlan, FlashDevice, FlashTiming, Geometry};
+use kvssd_sim::check::check;
+use kvssd_sim::{DeterministicRng, PrehashedSet, SimTime};
 
+/// `(first cluster, cluster count)`, reduced to the device's range.
 #[derive(Debug, Clone, Copy)]
 enum BlkOp {
-    Write { cluster: u16, clusters: u8 },
-    Read { cluster: u16, clusters: u8 },
-    Trim { cluster: u16, clusters: u8 },
+    Write(u16, u8),
+    Read(u16, u8),
+    Trim(u16, u8),
+    Flush,
+}
+use BlkOp::*;
+
+fn blk_ops(rng: &mut DeterministicRng) -> Vec<BlkOp> {
+    let n = rng.between(1, 150);
+    let op = |rng: &mut DeterministicRng| {
+        let (cluster, clusters) = (rng.below(1 << 16) as u16, rng.between(1, 3) as u8);
+        match rng.below(10) {
+            0..=3 => Write(cluster, clusters),
+            4..=6 => Read(cluster, clusters),
+            7..=8 => Trim(cluster, clusters),
+            _ => Flush,
+        }
+    };
+    (0..n).map(|_| op(rng)).collect()
 }
 
-fn random_op(rng: &mut DeterministicRng) -> BlkOp {
-    let cluster = rng.next_u64() as u16;
-    let clusters = rng.between(1, 3) as u8;
-    match rng.below(3) {
-        0 => BlkOp::Write { cluster, clusters },
-        1 => BlkOp::Read { cluster, clusters },
-        _ => BlkOp::Trim { cluster, clusters },
-    }
-}
-
-fn small_device() -> BlockSsd {
-    BlockSsd::new(
-        Geometry::small(),
-        FlashTiming::pm983_like(),
-        BlockFtlConfig::pm983_like(),
-    )
+fn ssd(program_fail_one_in: Option<u64>) -> BlockSsd {
+    let plan = FaultPlan {
+        program_fail_one_in,
+        erase_fail_one_in: None,
+    };
+    let flash = FlashDevice::with_faults(Geometry::small(), FlashTiming::pm983_like(), plan);
+    BlockSsd::over(flash, BlockFtlConfig::pm983_like())
 }
 
 /// Valid-byte accounting equals the reference set of written (and
 /// not-trimmed) clusters under arbitrary mixes of I/O — through GC
-/// relocations and buffer flushes.
-#[test]
-fn validity_matches_reference() {
-    let mut rng = DeterministicRng::seed_from(0xB10C_0001);
-    for _ in 0..48 {
-        let mut dev = small_device();
-        let total_clusters = (dev.capacity_bytes() / 4096) as u16;
-        let mut model: PrehashedSet<u16> = PrehashedSet::default();
-        let mut t = SimTime::ZERO;
-        for _ in 0..rng.between(1, 150) {
-            match random_op(&mut rng) {
-                BlkOp::Write { cluster, clusters } => {
-                    let c = cluster % total_clusters;
-                    let n = (clusters as u16).min(total_clusters - c).max(1);
-                    t = dev.write(t, c as u64 * 4096, n as u64 * 4096).unwrap();
-                    for i in 0..n {
-                        model.insert(c + i);
-                    }
-                }
-                BlkOp::Read { cluster, clusters } => {
-                    let c = cluster % total_clusters;
-                    let n = (clusters as u16).min(total_clusters - c).max(1);
-                    t = dev.read(t, c as u64 * 4096, n as u64 * 4096).unwrap();
-                }
-                BlkOp::Trim { cluster, clusters } => {
-                    let c = cluster % total_clusters;
-                    let n = (clusters as u16).min(total_clusters - c).max(1);
-                    t = dev.trim(t, c as u64 * 4096, n as u64 * 4096).unwrap();
-                    for i in 0..n {
-                        model.remove(&(c + i));
-                    }
-                }
+/// relocations, buffer flushes and the re-placement of clusters whose
+/// page program failed — and no completion precedes its issue.
+fn validity_holds(mut dev: BlockSsd, ops: &[BlkOp]) -> Result<(), String> {
+    let total = (dev.capacity_bytes() / 4096) as u16;
+    let range = |cluster: u16, clusters: u8| {
+        let first = cluster % total;
+        first..first + (clusters as u16).min(total - first)
+    };
+    let bytes = |r: &std::ops::Range<u16>| (r.start as u64 * 4096, r.len() as u64 * 4096);
+    let mut model: PrehashedSet<u16> = PrehashedSet::default();
+    let mut t = SimTime::ZERO;
+    for op in ops {
+        let issued = t;
+        match *op {
+            Write(cluster, clusters) => {
+                let r = range(cluster, clusters);
+                t = dev.write(t, bytes(&r).0, bytes(&r).1).unwrap();
+                model.extend(r);
             }
-            assert_eq!(
-                dev.valid_bytes(),
-                model.len() as u64 * 4096,
-                "validity accounting diverged"
-            );
+            Read(cluster, clusters) => {
+                let r = range(cluster, clusters);
+                t = dev.read(t, bytes(&r).0, bytes(&r).1).unwrap();
+            }
+            Trim(cluster, clusters) => {
+                let r = range(cluster, clusters);
+                t = dev.trim(t, bytes(&r).0, bytes(&r).1).unwrap();
+                model.retain(|c| !r.contains(c));
+            }
+            Flush => t = dev.flush(t),
         }
-        // A final flush must not change logical validity.
-        dev.flush(t);
+        assert!(t >= issued, "completion preceded its issue");
         assert_eq!(dev.valid_bytes(), model.len() as u64 * 4096);
     }
+    // A final flush must not change logical validity.
+    dev.flush(t);
+    assert_eq!(dev.valid_bytes(), model.len() as u64 * 4096);
+    Ok(())
 }
 
-/// Virtual time never runs backwards across any op mix, and completions
-/// are causal with issues.
 #[test]
-fn completions_are_causal() {
-    let mut rng = DeterministicRng::seed_from(0xB10C_0002);
-    for _ in 0..48 {
-        let mut dev = small_device();
-        let total_clusters = (dev.capacity_bytes() / 4096) as u16;
-        let mut t = SimTime::ZERO;
-        for _ in 0..rng.between(1, 100) {
-            let before = t;
-            t = match random_op(&mut rng) {
-                BlkOp::Write { cluster, clusters } => {
-                    let c = (cluster % total_clusters) as u64;
-                    let n = (clusters as u64).min(total_clusters as u64 - c).max(1);
-                    dev.write(t, c * 4096, n * 4096).unwrap()
-                }
-                BlkOp::Read { cluster, clusters } => {
-                    let c = (cluster % total_clusters) as u64;
-                    let n = (clusters as u64).min(total_clusters as u64 - c).max(1);
-                    dev.read(t, c * 4096, n * 4096).unwrap()
-                }
-                BlkOp::Trim { cluster, clusters } => {
-                    let c = (cluster % total_clusters) as u64;
-                    let n = (clusters as u64).min(total_clusters as u64 - c).max(1);
-                    dev.trim(t, c * 4096, n * 4096).unwrap()
-                }
-            };
-            assert!(t >= before, "completion preceded its issue");
-        }
-    }
+fn validity_matches_reference() {
+    check(
+        0..48,
+        blk_ops,
+        |_| None,
+        |ops| validity_holds(ssd(None), ops),
+    );
+}
+
+/// One program in 20 fails: a case loses a block or two, not the device.
+#[test]
+#[ignore = "(C) a failed Rand-stream program parks the unit its re-placed clusters pend on: seed 0, shrunk to 19 ops"]
+fn validity_matches_reference_on_faulty_flash() {
+    let faulty = |ops: &[BlkOp]| validity_holds(ssd(Some(20)), ops);
+    check(0..48, blk_ops, |_| None, faulty);
+}
+
+/// Defect (C): a partial Rand-stream page fails, its clusters are
+/// re-admitted to a fresh Rand unit, and the failed program's epilogue
+/// parks that unit under them — the next program finds pending clusters
+/// and no blocks. Seed 0 of the campaign above.
+#[test]
+#[ignore = "(C) block-ftl re-placement after a failed partial page: seed 0, shrunk to 19 ops"]
+fn replaced_clusters_keep_their_unit() {
+    #[rustfmt::skip]
+    let ops = vec![
+        Write(52947, 2), Write(61927, 1), Write(55525, 1), Write(64970, 2), Write(2712, 3), Flush,
+        Write(19972, 2), Flush, Write(51342, 3), Write(41783, 3), Write(24778, 3), Flush,
+        Write(33509, 2), Write(36404, 1), Write(1717, 3), Write(40137, 3), Flush, Write(62942, 2),
+        Flush,
+    ];
+    validity_holds(ssd(Some(20)), &ops).unwrap();
 }
 
 /// Capacity overwrite churn: writing the whole logical space several
@@ -122,7 +122,7 @@ fn completions_are_causal() {
 #[test]
 fn full_device_churn_survives() {
     for seed in [0u64, 97, 251, 499] {
-        let mut dev = small_device();
+        let mut dev = ssd(None);
         let clusters = dev.capacity_bytes() / 4096;
         let mut rng = DeterministicRng::seed_from(seed);
         let mut t = SimTime::ZERO;
@@ -136,141 +136,5 @@ fn full_device_churn_survives() {
         }
         assert_eq!(dev.valid_bytes(), clusters * 4096);
         assert!(dev.stats().gc_erases > 0, "churn must have forced GC");
-    }
-}
-
-/// The original proptest suite (with shrinking), behind the non-default
-/// `proptest` feature. Restore `proptest = "1"` under [dev-dependencies]
-/// before enabling.
-#[cfg(feature = "proptest")]
-mod with_proptest {
-    use kvssd_sim::PrehashedSet;
-
-    use proptest::prelude::*;
-
-    use kvssd_block_ftl::{BlockFtlConfig, BlockSsd};
-    use kvssd_flash::{FlashTiming, Geometry};
-    use kvssd_sim::SimTime;
-
-    use super::BlkOp;
-
-    fn op_strategy() -> impl Strategy<Value = BlkOp> {
-        prop_oneof![
-            (any::<u16>(), 1u8..4).prop_map(|(c, n)| BlkOp::Write {
-                cluster: c,
-                clusters: n
-            }),
-            (any::<u16>(), 1u8..4).prop_map(|(c, n)| BlkOp::Read {
-                cluster: c,
-                clusters: n
-            }),
-            (any::<u16>(), 1u8..4).prop_map(|(c, n)| BlkOp::Trim {
-                cluster: c,
-                clusters: n
-            }),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn validity_matches_reference(ops in prop::collection::vec(op_strategy(), 1..150)) {
-            let mut dev = BlockSsd::new(
-                Geometry::small(),
-                FlashTiming::pm983_like(),
-                BlockFtlConfig::pm983_like(),
-            );
-            let total_clusters = (dev.capacity_bytes() / 4096) as u16;
-            let mut model: PrehashedSet<u16> = PrehashedSet::default();
-            let mut t = SimTime::ZERO;
-            for op in ops {
-                match op {
-                    BlkOp::Write { cluster, clusters } => {
-                        let c = cluster % total_clusters;
-                        let n = (clusters as u16).min(total_clusters - c).max(1);
-                        t = dev
-                            .write(t, c as u64 * 4096, n as u64 * 4096)
-                            .unwrap();
-                        for i in 0..n {
-                            model.insert(c + i);
-                        }
-                    }
-                    BlkOp::Read { cluster, clusters } => {
-                        let c = cluster % total_clusters;
-                        let n = (clusters as u16).min(total_clusters - c).max(1);
-                        t = dev.read(t, c as u64 * 4096, n as u64 * 4096).unwrap();
-                    }
-                    BlkOp::Trim { cluster, clusters } => {
-                        let c = cluster % total_clusters;
-                        let n = (clusters as u16).min(total_clusters - c).max(1);
-                        t = dev.trim(t, c as u64 * 4096, n as u64 * 4096).unwrap();
-                        for i in 0..n {
-                            model.remove(&(c + i));
-                        }
-                    }
-                }
-                prop_assert_eq!(
-                    dev.valid_bytes(),
-                    model.len() as u64 * 4096,
-                    "validity accounting diverged"
-                );
-            }
-            dev.flush(t);
-            prop_assert_eq!(dev.valid_bytes(), model.len() as u64 * 4096);
-        }
-
-        #[test]
-        fn completions_are_causal(ops in prop::collection::vec(op_strategy(), 1..100)) {
-            let mut dev = BlockSsd::new(
-                Geometry::small(),
-                FlashTiming::pm983_like(),
-                BlockFtlConfig::pm983_like(),
-            );
-            let total_clusters = (dev.capacity_bytes() / 4096) as u16;
-            let mut t = SimTime::ZERO;
-            for op in ops {
-                let before = t;
-                t = match op {
-                    BlkOp::Write { cluster, clusters } => {
-                        let c = (cluster % total_clusters) as u64;
-                        let n = (clusters as u64).min(total_clusters as u64 - c).max(1);
-                        dev.write(t, c * 4096, n * 4096).unwrap()
-                    }
-                    BlkOp::Read { cluster, clusters } => {
-                        let c = (cluster % total_clusters) as u64;
-                        let n = (clusters as u64).min(total_clusters as u64 - c).max(1);
-                        dev.read(t, c * 4096, n * 4096).unwrap()
-                    }
-                    BlkOp::Trim { cluster, clusters } => {
-                        let c = (cluster % total_clusters) as u64;
-                        let n = (clusters as u64).min(total_clusters as u64 - c).max(1);
-                        dev.trim(t, c * 4096, n * 4096).unwrap()
-                    }
-                };
-                prop_assert!(t >= before, "completion preceded its issue");
-            }
-        }
-
-        #[test]
-        fn full_device_churn_survives(seed in 0u64..500) {
-            let mut dev = BlockSsd::new(
-                Geometry::small(),
-                FlashTiming::pm983_like(),
-                BlockFtlConfig::pm983_like(),
-            );
-            let clusters = dev.capacity_bytes() / 4096;
-            let mut rng = kvssd_sim::DeterministicRng::seed_from(seed);
-            let mut t = SimTime::ZERO;
-            for c in 0..clusters {
-                t = dev.write(t, c * 4096, 4096).unwrap();
-            }
-            for _ in 0..clusters * 3 / 2 {
-                let c = rng.below(clusters);
-                t = dev.write(t, c * 4096, 4096).unwrap();
-            }
-            prop_assert_eq!(dev.valid_bytes(), clusters * 4096);
-            prop_assert!(dev.stats().gc_erases > 0, "churn must have forced GC");
-        }
     }
 }

@@ -435,28 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn every_adapter_round_trips() {
-        for mut s in all_stores() {
-            let t = s.insert(SimTime::ZERO, b"adapter-key", 512, 7);
-            let (t2, found) = s.read(t, b"adapter-key");
-            assert!(found, "{} lost the key", s.name());
-            assert!(t2 >= t);
-            let (_, missing) = s.read(t2, b"absent-key-xx");
-            assert!(!missing, "{} invented a key", s.name());
-        }
-    }
-
-    #[test]
-    fn every_adapter_deletes() {
-        for mut s in all_stores() {
-            let t = s.insert(SimTime::ZERO, b"doomed-key", 128, 0);
-            let t = s.delete(t, b"doomed-key");
-            let (_, found) = s.read(t, b"doomed-key");
-            assert!(!found, "{} kept a deleted key", s.name());
-        }
-    }
-
-    #[test]
     fn every_adapter_reports_space_and_cpu() {
         for mut s in all_stores() {
             let mut t = SimTime::ZERO;

@@ -17,6 +17,8 @@
 //! * [`QueueRunner`] — an outstanding-operation scheduler that models a
 //!   host issuing requests at a fixed queue depth,
 //! * [`rng`] — deterministic RNG and a Zipfian distribution for workloads,
+//! * [`check`] — seeded property checking with shrink-by-deletion (what
+//!   every property and model-oracle suite in the workspace runs on),
 //! * [`stats`] — latency histograms with percentiles, bandwidth time
 //!   series, and helper counters.
 //!
@@ -35,6 +37,7 @@
 //! assert_eq!(second.start, first.end);
 //! ```
 
+pub mod check;
 pub mod prehash;
 pub mod resource;
 pub mod rng;

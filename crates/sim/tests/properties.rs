@@ -1,10 +1,5 @@
-//! Property tests for the simulation substrate.
-//!
-//! The default (offline) suite drives the same properties with the
-//! in-repo [`DeterministicRng`] as the case generator; the original
-//! proptest versions — with shrinking — stay available behind the
-//! non-default `proptest` feature (restore the `proptest` dev-dependency
-//! to enable).
+//! Property tests for the simulation substrate, with the in-repo
+//! [`DeterministicRng`] as the case generator.
 
 use kvssd_sim::{
     DeterministicRng, LatencyHistogram, QueueRunner, Resource, ResourcePool, SimDuration, SimTime,
@@ -156,126 +151,5 @@ fn zipf_in_range_and_skewed() {
             hot * 100 >= draws * 8,
             "hot decile under uniform share: {hot}"
         );
-    }
-}
-
-/// The original proptest suite (with shrinking), behind the non-default
-/// `proptest` feature. Restore `proptest = "1"` under [dev-dependencies]
-/// before enabling.
-#[cfg(feature = "proptest")]
-mod with_proptest {
-    use proptest::prelude::*;
-
-    use kvssd_sim::{
-        LatencyHistogram, QueueRunner, Resource, ResourcePool, SimDuration, SimTime,
-        ZipfianDistribution,
-    };
-
-    proptest! {
-        #[test]
-        fn histogram_percentiles_bounded_error(
-            mut samples in prop::collection::vec(1u64..10_000_000_000, 1..400),
-            p in 1.0f64..100.0,
-        ) {
-            let mut h = LatencyHistogram::new();
-            for &s in &samples {
-                h.record(SimDuration::from_nanos(s));
-            }
-            samples.sort_unstable();
-            let rank = ((p / 100.0 * samples.len() as f64).ceil() as usize)
-                .clamp(1, samples.len());
-            let exact = samples[rank - 1];
-            let got = h.percentile(p).as_nanos();
-            prop_assert!(got as f64 >= exact as f64 * 0.96, "got {got} exact {exact}");
-            prop_assert!(got <= h.max().as_nanos());
-        }
-
-        #[test]
-        fn histogram_exact_moments(samples in prop::collection::vec(0u64..1_000_000_000, 1..200)) {
-            let mut h = LatencyHistogram::new();
-            for &s in &samples {
-                h.record(SimDuration::from_nanos(s));
-            }
-            let sum: u128 = samples.iter().map(|&s| s as u128).sum();
-            prop_assert_eq!(h.mean().as_nanos() as u128, sum / samples.len() as u128);
-            prop_assert_eq!(h.min().as_nanos(), *samples.iter().min().unwrap());
-            prop_assert_eq!(h.max().as_nanos(), *samples.iter().max().unwrap());
-        }
-
-        #[test]
-        fn resource_windows_never_overlap(
-            arrivals in prop::collection::vec((0u64..1_000_000, 1u64..10_000), 1..100),
-        ) {
-            let mut r = Resource::new();
-            let mut windows = Vec::new();
-            let mut total = 0u64;
-            for &(at, dur) in &arrivals {
-                let w = r.acquire(SimTime::from_nanos(at), SimDuration::from_nanos(dur));
-                prop_assert_eq!(w.end.since(w.start).as_nanos(), dur);
-                prop_assert!(w.start >= SimTime::from_nanos(at));
-                windows.push(w);
-                total += dur;
-            }
-            prop_assert_eq!(r.busy_total().as_nanos(), total);
-            for pair in windows.windows(2) {
-                prop_assert!(pair[1].start >= pair[0].end, "service overlapped");
-            }
-        }
-
-        #[test]
-        fn pool_speedup_is_bounded(
-            n in 1usize..8,
-            jobs in prop::collection::vec(1u64..10_000, 1..80),
-        ) {
-            let mut single = Resource::new();
-            let mut pool = ResourcePool::new(n);
-            let mut single_end = SimTime::ZERO;
-            let mut pool_end = SimTime::ZERO;
-            for &j in &jobs {
-                single_end = single.acquire(SimTime::ZERO, SimDuration::from_nanos(j)).end;
-                pool_end = pool_end.max(pool.acquire(SimTime::ZERO, SimDuration::from_nanos(j)).end);
-            }
-            let total: u64 = jobs.iter().sum();
-            prop_assert_eq!(single_end.as_nanos(), total);
-            prop_assert!(pool_end <= single_end);
-            prop_assert!(pool_end.as_nanos() >= total / n as u64);
-        }
-
-        #[test]
-        fn queue_runner_conservation(
-            qd in 1usize..16,
-            services in prop::collection::vec(1u64..5_000, 1..80),
-        ) {
-            let mut server = Resource::new();
-            let mut runner = QueueRunner::new(qd);
-            let max_service = *services.iter().max().unwrap();
-            for &s in &services {
-                let t = runner.submit(|issue| {
-                    server.acquire(issue, SimDuration::from_nanos(s)).end
-                });
-                prop_assert!(
-                    t.latency().as_nanos() <= qd as u64 * max_service,
-                    "latency exceeded QD x max service"
-                );
-            }
-            let total: u64 = services.iter().sum();
-            prop_assert_eq!(runner.drain().as_nanos(), total);
-        }
-
-        #[test]
-        fn zipf_in_range_and_skewed(n in 10u64..5_000, theta in 0.05f64..0.99, seed in 0u64..1_000) {
-            let zipf = ZipfianDistribution::new(n, theta);
-            let mut rng = kvssd_sim::DeterministicRng::seed_from(seed);
-            let draws = 2_000;
-            let mut hot = 0u64;
-            for _ in 0..draws {
-                let r = zipf.sample(&mut rng);
-                prop_assert!(r < n);
-                if r < n.div_ceil(10) {
-                    hot += 1;
-                }
-            }
-            prop_assert!(hot * 100 >= draws * 8, "hot decile under uniform share: {hot}");
-        }
     }
 }

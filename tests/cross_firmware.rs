@@ -5,36 +5,6 @@ use kvssd_study::bench::setup;
 use kvssd_study::kvbench::{run_phase, AccessPattern, KvStore, OpMix, ValueSize, WorkloadSpec};
 use kvssd_study::sim::{SimDuration, SimTime};
 
-fn all_stores() -> Vec<Box<dyn KvStore>> {
-    vec![
-        Box::new(setup::kv_ssd()),
-        Box::new(setup::rocksdb()),
-        Box::new(setup::aerospike()),
-        Box::new(setup::block_direct(1024)),
-    ]
-}
-
-#[test]
-fn every_stack_serves_a_full_crud_cycle() {
-    for mut s in all_stores() {
-        let name = s.name();
-        let mut t = SimTime::ZERO;
-        for i in 0..200u64 {
-            t = s.insert(t, format!("crud.{i:06}").as_bytes(), 700, i);
-        }
-        for i in (0..200).step_by(11) {
-            let (t2, found) = s.read(t, format!("crud.{i:06}").as_bytes());
-            t = t2;
-            assert!(found, "{name}: lost key {i}");
-        }
-        let (_, ghost) = s.read(t, b"crud.999999");
-        assert!(!ghost, "{name}: invented a key");
-        t = s.delete(t, b"crud.000011");
-        let (_, gone) = s.read(t, b"crud.000011");
-        assert!(!gone, "{name}: kept a deleted key");
-    }
-}
-
 #[test]
 fn runs_are_deterministic_per_seed() {
     let run = || {
