@@ -793,15 +793,10 @@ impl BlockSsd {
             }
         }
         self.program_scratch = scratch;
-        if !lost.is_empty() {
-            self.stats.replaced_after_failure += lost.len() as u64;
-            for lcn in lost {
-                self.map.invalidate(lcn);
-                self.admit(done, lcn, WhichStream::Rand);
-            }
-        }
         // Rotate: park the unit (or close it when full) so the next page
-        // lands on a different die.
+        // lands on a different die. Before re-placing lost clusters: they
+        // may open a fresh unit on this very stream, and parking that one
+        // would strand them pending on a stream with no blocks.
         let ppb = self.flash.geometry().pages_per_block;
         let s = self.stream_mut(which);
         if !s.blocks.is_empty() {
@@ -816,6 +811,13 @@ impl BlockSsd {
                         self.state[b.0 as usize] = BlockState::Closed;
                     }
                 }
+            }
+        }
+        if !lost.is_empty() {
+            self.stats.replaced_after_failure += lost.len() as u64;
+            for lcn in lost {
+                self.map.invalidate(lcn);
+                self.admit(done, lcn, WhichStream::Rand);
             }
         }
         Some(done)

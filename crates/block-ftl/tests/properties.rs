@@ -94,7 +94,6 @@ fn validity_matches_reference() {
 
 /// One program in 20 fails: a case loses a block or two, not the device.
 #[test]
-#[ignore = "(C) a failed Rand-stream program parks the unit its re-placed clusters pend on: seed 0, shrunk to 19 ops"]
 fn validity_matches_reference_on_faulty_flash() {
     let faulty = |ops: &[BlkOp]| validity_holds(ssd(Some(20)), ops);
     check(0..48, blk_ops, |_| None, faulty);
@@ -105,7 +104,6 @@ fn validity_matches_reference_on_faulty_flash() {
 /// parks that unit under them — the next program finds pending clusters
 /// and no blocks. Seed 0 of the campaign above.
 #[test]
-#[ignore = "(C) block-ftl re-placement after a failed partial page: seed 0, shrunk to 19 ops"]
 fn replaced_clusters_keep_their_unit() {
     #[rustfmt::skip]
     let ops = vec![

@@ -340,6 +340,11 @@ impl KvSsd {
     }
 
     /// Stores a key-value pair; returns the host-visible completion time.
+    ///
+    /// `Err(DeviceFull)` leaves the key with its old value or with none,
+    /// never a torn one: the capacity check up front keeps the old
+    /// version; running out of pages mid-append rolls the new segments
+    /// back after the old version was invalidated.
     pub fn store(&mut self, now: SimTime, key: &[u8], value: Payload) -> Result<SimTime, KvError> {
         self.check_key(key)?;
         let vlen = value.len();
@@ -692,8 +697,12 @@ impl KvSsd {
     /// re-reading the flash-resident index levels. Returns when the
     /// device is ready again.
     pub fn power_cycle(&mut self, now: SimTime) -> Result<SimTime, KvError> {
-        // Capacitor flush of in-flight pages.
+        // Capacitor flush of in-flight pages, repeated while a failed
+        // program's re-placed segments are pending on a new open page.
         let mut t = self.flush(now)?;
+        while !(self.data.pending.is_empty() && self.gc.pending.is_empty()) {
+            t = self.flush(t)?;
+        }
         // Volatile state is gone.
         self.read_cache.clear();
         self.drain_buffer(t + SimDuration::from_secs(3600));
@@ -912,6 +921,10 @@ impl KvSsd {
                     .is_some_and(|p| p.block == block)
                 {
                     self.program_open_page(now, kind)?;
+                    // That program may have failed and retired the block.
+                    if self.state.get(block.0 as usize) == Some(&BState::Dead) {
+                        continue;
+                    }
                 }
                 // The flush may have consumed the block's last page.
                 if self.flash.written_pages(block) < ppb {

@@ -1,13 +1,11 @@
 //! Seeded property checking with shrink-by-deletion.
 //!
 //! A case is a `Vec<Op>` generated from a seed; a property replays it
-//! and returns `Err(what diverged)` — or panics, which counts the same,
-//! so a tripped `assert!`, `expect` or overflow check shrinks too. The
-//! first failing seed is shrunk (drop halves, quarters, … single ops,
-//! then simplify single ops, e.g. halve a size; every candidate is
+//! and returns `Err(what diverged)` — or panics, which counts the same.
+//! The first failing seed is shrunk (drop halves, quarters, … single
+//! ops, then simplify single ops, e.g. halve a size; every candidate is
 //! replayed) and reported with its seed and the shrunk ops as a
-//! pasteable `vec![…]` literal. Case counts are the caller's constants:
-//! no feature, environment knob or dependency stands behind this.
+//! pasteable `vec![…]`. No feature, environment knob or dependency.
 
 use std::fmt::{self, Debug, Display};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -7,8 +7,10 @@
 # is stale.
 #
 # Tier-1 (`cargo build --release && cargo test -q` at the repo root) runs
-# the root package's integration tests only; the crates' unit, property,
-# differential and alloc-budget suites run here, under `--workspace`.
+# the root package's integration tests only (the model oracle over every
+# store among them); the crates' unit, property and alloc-budget suites
+# run here, under `--workspace`. Every property suite is seeded and
+# always on: there is no feature to enable.
 #
 # Usage: scripts/verify.sh [--offline]
 set -euo pipefail
@@ -42,11 +44,18 @@ cargo build "${CARGO_FLAGS[@]}" --release --workspace
 
 echo "== cargo test --workspace =="
 # Every suite, once: root integration tests (figure shapes, all 13
-# golden digests at threads 1 and 4, determinism, the kvlint gate) and
-# each crate's unit/property tests — cluster replication and fabric
-# fault regressions, the fabric transport's contracts, the lsm-store
-# model-oracle differential, the core alloc budget and lookup history.
-cargo test "${CARGO_FLAGS[@]}" -q --workspace
+# golden digests at threads 1 and 4, determinism, the kvlint gate, the
+# map oracle over every store on clean and faulty flash) and each
+# crate's unit/property tests — cluster replication and fabric fault
+# regressions, the fabric transport's contracts, the core alloc budget
+# and lookup history. A test binary that compiles to nothing is a
+# failure: a suite gated off whole looks exactly like that.
+cargo test "${CARGO_FLAGS[@]}" -q --workspace 2>&1 | tee target/verify-test.log
+if grep -q '^running 0 tests' target/verify-test.log; then
+    echo "a test binary ran 0 tests; find it with:" >&2
+    echo "  cargo test --workspace 2>&1 | grep -B2 '^running 0 tests'" >&2
+    exit 1
+fi
 
 echo "== cargo clippy -D warnings =="
 cargo clippy "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
