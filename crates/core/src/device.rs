@@ -697,12 +697,8 @@ impl KvSsd {
     /// re-reading the flash-resident index levels. Returns when the
     /// device is ready again.
     pub fn power_cycle(&mut self, now: SimTime) -> Result<SimTime, KvError> {
-        // Capacitor flush of in-flight pages, repeated while a failed
-        // program's re-placed segments are pending on a new open page.
+        // Capacitor flush of in-flight pages.
         let mut t = self.flush(now)?;
-        while !(self.data.pending.is_empty() && self.gc.pending.is_empty()) {
-            t = self.flush(t)?;
-        }
         // Volatile state is gone.
         self.read_cache.clear();
         self.drain_buffer(t + SimDuration::from_secs(3600));
@@ -736,16 +732,20 @@ impl KvSsd {
         self.index.get(h, fp).map(|e| e.segs.as_slice())
     }
 
-    /// Programs all partially filled open pages (end-of-phase barrier).
+    /// Programs all partially filled open pages (end-of-phase barrier),
+    /// again while a failed program's re-placed segments are pending.
     pub fn flush(&mut self, now: SimTime) -> Result<SimTime, KvError> {
         let mut end = now;
-        if let Some(done) = self.program_open_page(now, StreamKind::Data)? {
-            end = end.max(done);
+        loop {
+            for kind in [StreamKind::Data, StreamKind::Gc] {
+                if let Some(done) = self.program_open_page(now, kind)? {
+                    end = end.max(done);
+                }
+            }
+            if self.data.pending.is_empty() && self.gc.pending.is_empty() {
+                return Ok(end);
+            }
         }
-        if let Some(done) = self.program_open_page(now, StreamKind::Gc)? {
-            end = end.max(done);
-        }
-        Ok(end)
     }
 
     // ----- internals -------------------------------------------------
