@@ -64,11 +64,23 @@ echo "== repro_all smoke (every figure, tiny scale, timed) =="
 time KVSSD_BENCH_SCALE=tiny \
     cargo run "${CARGO_FLAGS[@]}" --release -q -p kvssd-bench --example repro_all > /dev/null
 
-echo "== repo benchmark self-test (sim results repeat bit for bit) =="
+echo "== repo benchmark self-test (sim results repeat bit for bit, digests pinned) =="
 # All five BENCHMARK.json workloads at 1/100 size, twice each: fails
 # unless every sim-domain result repeats exactly and no op failed.
 # Always --offline: the nested workspace has path dependencies only.
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+smoke=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke)
+echo "$smoke"
+# Repeating itself is not enough: a change meant to be host-only must
+# also leave virtual time where it was. Each workload's sim_digest is
+# pinned; a change that moves virtual time on purpose re-pins it here.
+for pin in kv_update_gc=46ce61c507ab0aaf kv_read_overflow=74905d2bb27fc06e \
+    cluster_quorum_fabric=a6bfdc25c36fe994 lsm_block_mixed=334f259f36b2e931 \
+    hash_block_mixed=8a3b49b08258aae6; do
+    if ! grep -Eq "^smoke ${pin%%=*} +ok sim_digest=${pin#*=} " <<<"$smoke"; then
+        echo "smoke digest of ${pin%%=*} is not the pinned ${pin#*=}" >&2
+        exit 1
+    fi
+done
 
 echo "== working tree unchanged =="
 if [[ "$(tree_state)" != "$tree_before" ]]; then
