@@ -50,6 +50,7 @@ pub mod keybuf;
 pub mod model;
 pub mod value;
 pub mod victim;
+mod write_buffer;
 
 pub use config::KvConfig;
 pub use device::{KvSsd, KvSsdStats, Lookup, SpaceReport};

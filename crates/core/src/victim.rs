@@ -11,7 +11,9 @@
 //!   block closes and whenever a closed block's `valid_bytes` drops
 //!   (overwrite, delete, GC copy). The heap therefore always contains the
 //!   *current* accounting tuple of every closed block (plus any number of
-//!   stale ones).
+//!   stale ones) — except the victim GC holds: selection never runs while
+//!   a victim is held, so its drain pushes nothing (a snapshot per copied
+//!   segment would be stale by the next copy).
 //! * Popped entries are revalidated against current accounting before
 //!   use: an entry is discarded unless the block is still closed and its
 //!   `(valid_bytes, erase_count)` still match. Since a block's current
@@ -23,7 +25,8 @@
 //! a victim (consuming its heap entry) but later gives the block up
 //! without erasing it, the caller must [`VictimQueue::note`] it again, or
 //! the invariant above breaks. `KvSsd::foreground_gc` is the only such
-//! path.
+//! path, and the re-note carries the block's accounting as the drain
+//! left it.
 //!
 //! The queue also tracks **zero-valid closed blocks** (the zero-copy
 //! erase sweep): candidates accumulate as valid counts hit zero and are
@@ -64,8 +67,15 @@ impl VictimQueue {
     pub fn note(&mut self, block: BlockId, valid_bytes: u64, erase_count: u32) {
         self.heap.push(Reverse((valid_bytes, erase_count, block.0)));
         if valid_bytes == 0 {
-            self.zero.push(block.0);
+            self.note_zero_valid(block);
         }
+    }
+
+    /// Records only that a closed block's valid bytes reached zero: a
+    /// zero-copy erase candidate, with no heap snapshot. For the victim
+    /// being drained, which no selection can pick while it is held.
+    pub fn note_zero_valid(&mut self, block: BlockId) {
+        self.zero.push(block.0);
     }
 
     /// Pops the best victim: the smallest `(valid, wear, id)` entry whose
