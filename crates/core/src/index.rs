@@ -231,6 +231,32 @@ impl GlobalStore {
         }
     }
 
+    /// Resolves a reverse-map ref, which names its key by the 64-bit hash
+    /// alone: walks `hash`'s run and returns the full key and segment
+    /// `seg_no` of the first record with that hash whose segment `seg_no`
+    /// satisfies `here` (lies in the block, or on the page, being asked
+    /// about). Distinct keys that share the hash are told apart only by
+    /// where that segment lies; when several qualify, the one nearest the
+    /// home slot comes first.
+    pub(crate) fn find_segment(
+        &self,
+        hash: u64,
+        seg_no: u32,
+        here: impl Fn(&SegLoc) -> bool,
+    ) -> Option<((u64, u64), SegLoc)> {
+        let mask = self.mask();
+        let mut i = hash as usize & mask;
+        while let Some(Some((key, entry))) = self.slots.get(i) {
+            if key.0 == hash {
+                if let Some(seg) = entry.segs.get(seg_no as usize).filter(|s| here(s)) {
+                    return Some((*key, *seg));
+                }
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+
     /// Asks the CPU to start loading `hash`'s home slot, so a probe for
     /// it shortly afterwards finds the slot in cache. A hint only: it
     /// changes no state and no result.
@@ -704,6 +730,61 @@ mod tests {
             );
             assert!(g.slots.len().is_power_of_two());
         }
+    }
+
+    #[test]
+    fn find_segment_tells_colliding_keys_apart_by_location() {
+        let seg = |block, page| SegLoc {
+            block: BlockId(block),
+            page,
+            offset: 0,
+            alloc: 1024,
+            raw: 46,
+        };
+        let holding = |s: SegLoc| IndexEntry {
+            segs: vec![s].into(),
+            ..entry(1)
+        };
+        let in_block = |b| move |s: &SegLoc| s.block == BlockId(b);
+        // Three keys share one 64-bit hash (fingerprints 1, 2, 3); the
+        // first two both hold segment 0 in block 5. A key with another
+        // hash but the same home slot sits inside their run.
+        let h = 0x0000_0001_C011_1DE5;
+        let other = h + (1 << 40);
+        let mut g = GlobalStore::new();
+        g.insert(h, 1, holding(seg(5, 0)));
+        g.insert(other, 1, holding(seg(5, 1)));
+        g.insert(h, 2, holding(seg(5, 3)));
+        g.insert(h, 3, holding(seg(9, 0)));
+        assert_eq!(other as usize & g.mask(), h as usize & g.mask());
+
+        // A ref naming (h, 0) in block 5 resolves to the record nearest
+        // the home slot: the first inserted.
+        let first = Some(((h, 1), seg(5, 0)));
+        assert_eq!(g.find_segment(h, 0, in_block(5)), first);
+        // A narrower question (the page) picks out the other one, and
+        // keys elsewhere or segments nobody has are not found.
+        let on_page_3 = |s: &SegLoc| s.block == BlockId(5) && s.page == 3;
+        assert_eq!(g.find_segment(h, 0, on_page_3), Some(((h, 2), seg(5, 3))));
+        assert_eq!(g.find_segment(h, 0, in_block(9)), Some(((h, 3), seg(9, 0))));
+        assert_eq!(g.find_segment(h, 1, in_block(5)), None);
+        assert_eq!(g.find_segment(h ^ 1, 0, in_block(5)), None);
+
+        // GC's drain of block 5: each of the two refs to (h, 0) pops,
+        // resolves and moves its record's segment out of the block, so
+        // both colliding segments are copied, the first-inserted first.
+        let mut refs = vec![(h, 0u32), (h, 0)];
+        let mut copied = Vec::new();
+        while let Some((hash, seg_no)) = refs.pop() {
+            if let Some((key, at)) = g.find_segment(hash, seg_no, in_block(5)) {
+                let moved = g.get_mut(key.0, key.1).and_then(|e| e.segs.get_mut(0));
+                *moved.unwrap() = seg(7, at.page);
+                copied.push(key);
+            }
+        }
+        assert_eq!(copied, vec![(h, 1), (h, 2)]);
+        assert_eq!(g.find_segment(h, 0, in_block(5)), None);
+        assert_eq!(g.get(other, 1).map(|e| e.segs[0]), Some(seg(5, 1)));
     }
 
     #[test]

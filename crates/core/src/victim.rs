@@ -75,6 +75,14 @@ impl VictimQueue {
     /// zero-copy erase candidate, with no heap snapshot. For the victim
     /// being drained, which no selection can pick while it is held.
     pub fn note_zero_valid(&mut self, block: BlockId) {
+        // Only a foreground sweep drains the list, and GC running in the
+        // background alone never sweeps: before it would grow, drop the
+        // duplicates the sweep drops anyway, so it holds at most one
+        // entry per block.
+        if self.zero.len() == self.zero.capacity() {
+            self.zero.sort_unstable();
+            self.zero.dedup();
+        }
         self.zero.push(block.0);
     }
 

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use kvssd_core::inline_vec::InlineVec;
 use kvssd_core::{KvConfig, KvSsd, Payload};
 use kvssd_flash::{FlashTiming, Geometry};
-use kvssd_sim::{DeterministicRng, SimTime, ZipfianDistribution};
+use kvssd_sim::{DeterministicRng, SimDuration, SimTime, ZipfianDistribution};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -114,9 +114,57 @@ fn read(d: &mut KvSsd, t: &mut SimTime, pairs: u64, rng: &mut DeterministicRng) 
     i < pairs
 }
 
+/// Reverse-map buffers change hands between blocks (while the collector
+/// is idle, a fully invalid closed block's buffer goes to a spare list
+/// that opening blocks draw from) but are never freed, and a buffer lent
+/// to a block opening for the first time comes back once GC runs. So once
+/// the device is at steady GC, overwriting its 1 KiB values allocates
+/// nothing, erase cycle after erase cycle. Pages are only ever programmed
+/// full (no partial-flush timeout), so every block takes the same number
+/// of refs and a buffer that changes hands never has to grow.
+fn ref_buffers_are_recycled_not_reallocated() {
+    // 128 blocks of 16 pages (120 for data) under the scaled firmware
+    // constants, two thirds full of keys written in random order.
+    let geometry = Geometry {
+        blocks_per_plane: 16,
+        pages_per_block: 16,
+        ..Geometry::small()
+    };
+    let config = KvConfig {
+        iterator_buckets: false,
+        partial_flush_timeout: SimDuration::from_secs(3_600),
+        ..KvConfig::pm983_scaled()
+    };
+    let mut d = KvSsd::new(geometry, FlashTiming::pm983_like(), config);
+    let data_blocks = d.free_blocks() as u64;
+    let pairs = d.space().capacity_bytes / 3 * 2 / 1088;
+    let mut rng = DeterministicRng::seed_from(29);
+    let mut t = SimTime::ZERO;
+    let mut overwrite = |d: &mut KvSsd, t: &mut SimTime| {
+        let i = rng.below(pairs);
+        let mut kb = [0u8; 16];
+        *t = d
+            .store(*t, key(&mut kb, i), Payload::synthetic(1024, i))
+            .unwrap();
+    };
+    // The first erase cycle fills the device and starts GC; the second is
+    // the first at steady GC, in which the write buffer's residency map
+    // (it also holds the keys GC is copying) reaches its working size.
+    while d.stats().gc_erases < 2 * data_blocks {
+        overwrite(&mut d, &mut t);
+    }
+    let allocs = allocs_during(|| {
+        while d.stats().gc_erases < 8 * data_blocks {
+            overwrite(&mut d, &mut t);
+        }
+    });
+    assert_eq!(allocs, 0, "allocations in six erase cycles at steady GC");
+}
+
 #[test]
 fn kv_ftl_hot_paths_stay_off_the_heap() {
     inline_vec_spill_costs_one_allocation_per_growth_step();
+    ref_buffers_are_recycled_not_reallocated();
 
     // The paper's device at 1/8 of the scaled block count (448 data
     // blocks; same pages, watermarks and firmware constants), filled to

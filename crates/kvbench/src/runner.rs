@@ -491,90 +491,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod probe {
-    use super::*;
-    use crate::adapters::KvSsdStore;
-    use kvssd_core::{KvConfig, KvSsd};
-    use kvssd_flash::{FlashTiming, Geometry};
-
-    #[test]
-    #[ignore]
-    fn probe_qd_scaling() {
-        for qd in [1usize, 16] {
-            let mut s = KvSsdStore::new(KvSsd::new(
-                Geometry::small(),
-                FlashTiming::pm983_like(),
-                KvConfig::small(),
-            ));
-            let mut runner = QueueRunner::new(qd);
-            let keygen = KeyGen::new(16);
-            let mut lat = Vec::new();
-            for i in 0..500u64 {
-                let key = keygen.key(i);
-                let t = runner.submit(|issue| s.insert(issue, &key, 512, i));
-                lat.push(t.latency().as_micros_f64());
-            }
-            let end = runner.drain();
-            let st = s.device().stats().clone();
-            println!(
-                "qd={qd} wall={} lat[0..5]={:?} lat[100..105]={:?} stall={} merges={} programs={}",
-                end,
-                &lat[0..5],
-                &lat[100..105],
-                st.stall_time,
-                st.merges,
-                s.device().flash().stats().programs
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod probe2 {
-    use super::*;
-    use crate::adapters::KvSsdStore;
-    use kvssd_core::{KvConfig, KvSsd};
-    use kvssd_flash::{FlashTiming, Geometry};
-
-    #[test]
-    #[ignore]
-    fn probe_read_parallelism() {
-        let mut s = KvSsdStore::new(KvSsd::new(
-            Geometry::small(),
-            FlashTiming::pm983_like(),
-            KvConfig::small(),
-        ));
-        let fill = run_phase(
-            &mut s,
-            &WorkloadSpec::new("fill", 500, 500)
-                .mix(OpMix::InsertOnly)
-                .value(ValueSize::Fixed(512)),
-            SimTime::ZERO,
-        );
-        let start = fill.finished + SimDuration::from_secs(1);
-        let reads_before = s.device().flash().stats().reads;
-        let hits_before = s.device().stats().write_buffer_hits;
-        let spec = WorkloadSpec::new("read", 500, 500)
-            .mix(OpMix::ReadOnly)
-            .queue_depth(16)
-            .seed(3);
-        let m = run_phase(&mut s, &spec, start);
-        println!(
-            "elapsed={} flash_reads={} buffer_hits={} lookup_flash={} mean={}",
-            m.elapsed(),
-            s.device().flash().stats().reads - reads_before,
-            s.device().stats().write_buffer_hits - hits_before,
-            s.device().index_stats().lookup_flash_reads,
-            m.reads.mean()
-        );
-        println!(
-            "die_util={:.3}",
-            s.device().flash().die_utilization(m.finished)
-        );
-    }
-}
-
-#[cfg(test)]
 mod permute_tests {
     use super::*;
     use kvssd_sim::PrehashedSet;
