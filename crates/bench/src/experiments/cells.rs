@@ -44,23 +44,9 @@ pub struct FigureTiming {
 
 static TIMINGS: Mutex<Vec<FigureTiming>> = Mutex::new(Vec::new());
 
-/// Programmatic thread-count override (`0` = none). Takes precedence
-/// over the environment so one test process can compare serial and
-/// pooled passes back to back.
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces the worker count (`None` restores env/auto sizing).
-pub fn set_thread_override(threads: Option<usize>) {
-    OVERRIDE.store(threads.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// Worker threads the next `run_cells` will use: the programmatic
-/// override, else `KVSSD_BENCH_THREADS`, else `available_parallelism()`.
+/// Worker threads the next `run_cells` will use: `KVSSD_BENCH_THREADS`,
+/// else `available_parallelism()`.
 pub fn thread_count() -> usize {
-    let forced = OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced;
-    }
     if let Some(s) = crate::env_config("KVSSD_BENCH_THREADS") {
         if let Some(n) = s.trim().parse::<usize>().ok().filter(|&n| n >= 1) {
             return n;
@@ -160,25 +146,21 @@ mod tests {
 
     #[test]
     fn results_come_back_in_index_order() {
-        set_thread_override(Some(4));
         let cells: Vec<Cell<usize>> = (0..32)
             .map(|i| {
                 let c: Cell<usize> = Box::new(move || i * i);
                 c
             })
             .collect();
-        let got = run_cells("test-order", cells);
-        set_thread_override(None);
+        let (got, _) = run_pool(cells, 4);
         assert_eq!(got, (0..32).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn serial_override_runs_on_calling_thread() {
-        set_thread_override(Some(1));
+    fn serial_path_runs_on_calling_thread() {
         let me = std::thread::current().id();
         let cells: Vec<Cell<bool>> = vec![Box::new(move || std::thread::current().id() == me)];
-        let got = run_cells("test-serial", cells);
-        set_thread_override(None);
+        let (got, _) = run_serial(cells);
         assert_eq!(got, vec![true]);
     }
 

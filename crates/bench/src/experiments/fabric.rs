@@ -18,6 +18,7 @@
 //! "slow-link RTT" back toward "hedge delay + a fast RTT" at a spare-leg
 //! cost well under one extra leg per read.
 
+use kvssd_cluster::ClusterConfig;
 use kvssd_fabric::LinkConfig;
 use kvssd_kvbench::report::f2;
 use kvssd_kvbench::{run_phase, ClusterStore, OpMix, Table, ValueSize, WorkloadSpec};
@@ -142,10 +143,10 @@ fn cluster(scale: Scale, sc: FabricScenario) -> ClusterStore {
         .latency(SimDuration::from_micros(sc.link_us))
         .jitter(SimDuration::from_micros(sc.jitter_us));
     let hedge = (sc.hedge_us > 0).then(|| SimDuration::from_micros(sc.hedge_us));
-    let mut store = match scale {
-        Scale::Tiny => setup::kv_cluster_fabric_small(SHARDS, REPLICAS, 42, link, hedge),
-        _ => setup::kv_cluster_fabric(SHARDS, REPLICAS, 42, link, hedge),
-    };
+    let config = ClusterConfig::new(SHARDS, 42)
+        .replication(REPLICAS)
+        .lean_reads(hedge);
+    let mut store = ClusterStore::new(setup::kv_cluster(config, Some(link), scale));
     if sc.slow_link_us > 0 {
         let slow = link
             .latency(SimDuration::from_micros(sc.slow_link_us))

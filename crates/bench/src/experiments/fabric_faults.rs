@@ -16,6 +16,7 @@
 //! a little more unavailability for a few spare legs. Each cell is
 //! deterministic — same seed, same faults, same table bytes.
 
+use kvssd_cluster::ClusterConfig;
 use kvssd_core::KvError;
 use kvssd_core::Payload;
 use kvssd_fabric::LinkConfig;
@@ -173,18 +174,14 @@ fn run_point(scale: Scale, sc: FaultScenario) -> FaultPoint {
         .latency(SimDuration::from_micros(15))
         .jitter(SimDuration::from_micros(5))
         .drop_ppm(sc.drop_ppm);
-    let deadlines =
-        (sc.timeout_us > 0).then(|| (SimDuration::from_micros(sc.timeout_us), sc.retries));
     let hedge = (sc.hedge_us > 0).then(|| SimDuration::from_micros(sc.hedge_us));
-    let mut c = setup::kv_cluster_faulty(
-        SHARDS,
-        REPLICAS,
-        42,
-        link,
-        scale == Scale::Tiny,
-        deadlines,
-        hedge,
-    );
+    let mut config = ClusterConfig::new(SHARDS, 42)
+        .replication(REPLICAS)
+        .hedged_writes(hedge);
+    if sc.timeout_us > 0 {
+        config = config.deadlines(SimDuration::from_micros(sc.timeout_us), sc.retries);
+    }
+    let mut c = setup::kv_cluster(config, Some(link), scale);
 
     let n_kv = scale.pick(300, 3_000, 12_000);
     let mut t = SimTime::ZERO;

@@ -14,6 +14,7 @@
 //! (the majority ack waits on more legs) while read latency grows more
 //! slowly; the repair bill scales with the victim's key share times R.
 
+use kvssd_cluster::ClusterConfig;
 use kvssd_kvbench::report::f2;
 use kvssd_kvbench::{run_phase, ClusterStore, OpMix, Table, ValueSize, WorkloadSpec};
 use kvssd_sim::{LatencyHistogram, SimTime};
@@ -83,10 +84,8 @@ impl ReplicationResult {
 
 /// Builds one cell's cluster.
 fn cluster(scale: Scale, shards: usize, replicas: usize) -> ClusterStore {
-    match scale {
-        Scale::Tiny => setup::kv_cluster_replicated_small(shards, replicas, 42),
-        _ => setup::kv_cluster_replicated(shards, replicas, 42),
-    }
+    let config = ClusterConfig::new(shards, 42).replication(replicas);
+    ClusterStore::new(setup::kv_cluster(config, None, scale))
 }
 
 /// An (N, R) cluster after its fill phase: the fill sub-cell's product,

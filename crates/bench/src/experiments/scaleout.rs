@@ -15,6 +15,7 @@
 //! whole-cluster collapses are rarer than per-shard ones because
 //! consistent hashing decorrelates per-shard fill levels.
 
+use kvssd_cluster::ClusterConfig;
 use kvssd_kvbench::report::f2;
 use kvssd_kvbench::{run_phase, ClusterStore, OpMix, RunMetrics, Table, ValueSize, WorkloadSpec};
 use kvssd_sim::SimTime;
@@ -81,10 +82,11 @@ impl ScaleoutResult {
 
 /// Builds the sweep's cluster for one shard count.
 fn cluster(scale: Scale, shards: usize) -> ClusterStore {
-    match scale {
-        Scale::Tiny => setup::kv_cluster_small(shards, 42),
-        _ => setup::kv_cluster(shards, 42),
-    }
+    ClusterStore::new(setup::kv_cluster(
+        ClusterConfig::new(shards, 42),
+        None,
+        scale,
+    ))
 }
 
 /// A shard count's cluster after its fill phase: the fill sub-cell's

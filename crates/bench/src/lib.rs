@@ -24,7 +24,6 @@ pub mod walltime;
 /// exactly one module — ambient host state must never steer a library
 /// crate, or runs stop being pure functions of their seeds. Returns
 /// `None` when unset or not valid UTF-8.
-#[allow(clippy::disallowed_methods)] // the one sanctioned env read (see doc)
 pub fn env_config(name: &str) -> Option<String> {
     debug_assert!(
         name.starts_with("KVSSD_"),

@@ -5,14 +5,16 @@
 //! in firmware/stack — the paper's methodology.
 
 use kvssd_block_ftl::{BlockFtlConfig, BlockSsd};
-use kvssd_cluster::{ClusterConfig, KvCluster};
+use kvssd_cluster::{ClusterConfig, InProcess, KvCluster, Transport};
 use kvssd_core::{KvConfig, KvSsd};
 use kvssd_fabric::{Fabric, FabricConfig, LinkConfig};
 use kvssd_flash::{FlashTiming, Geometry};
 use kvssd_hash_store::{HashStore, HashStoreConfig};
 use kvssd_host_stack::ExtFs;
-use kvssd_kvbench::{ClusterStore, HashKvStore, KvSsdStore, LsmKvStore, RawBlockStore};
+use kvssd_kvbench::{HashKvStore, KvSsdStore, LsmKvStore, RawBlockStore};
 use kvssd_lsm_store::{LsmConfig, LsmStore};
+
+use crate::Scale;
 
 /// The shared hardware: scaled PM983 geometry.
 pub fn geometry() -> Geometry {
@@ -71,136 +73,33 @@ pub fn rocksdb_small_host() -> LsmKvStore {
     ))
 }
 
-/// A KV-SSD cluster of `shards` scaled-PM983 devices behind the default
-/// pass-through submission queues (1 shard == the single-device setup).
-pub fn kv_cluster(shards: usize, seed: u64) -> ClusterStore {
-    kv_cluster_with(shards, seed, kv_config_macro())
-}
-
-/// A KV-SSD cluster with a custom per-device configuration.
-pub fn kv_cluster_with(shards: usize, seed: u64, config: KvConfig) -> ClusterStore {
-    ClusterStore::new(KvCluster::new(ClusterConfig::new(shards, seed), |_| {
-        KvSsd::new(geometry(), timing(), config)
-    }))
-}
-
-/// A KV-SSD cluster of unit-test-geometry devices, for Tiny-scale runs
-/// where occupancy (not absolute size) drives the mechanism.
-pub fn kv_cluster_small(shards: usize, seed: u64) -> ClusterStore {
-    ClusterStore::new(KvCluster::new(ClusterConfig::new(shards, seed), |_| {
-        KvSsd::new(
+/// A KV-SSD cluster under `config`. Shards are scaled-PM983 devices
+/// configured by [`kv_config_macro`], or, at [`Scale::Tiny`], unit-test
+/// geometry devices, where occupancy (not absolute size) drives the
+/// mechanism. With a `link`, replica legs cross a [`Fabric`] of links of
+/// that shape (reshape single links later through
+/// [`KvCluster::fabric_mut`]); without one they take the pass-through
+/// in-process queues, so a 1-shard cluster is the single-device setup.
+/// Wrap it in a `ClusterStore` to drive it as a `KvStore`; the fault
+/// sweep drives it bare, since its ops may fail with
+/// `QuorumUnavailable`, which the adapter treats as fatal.
+pub fn kv_cluster(config: ClusterConfig, link: Option<LinkConfig>, scale: Scale) -> KvCluster {
+    let transport: Box<dyn Transport> = match link {
+        Some(link) => Box::new(Fabric::new(
+            FabricConfig::new(config.seed, link),
+            config.shards,
+        )),
+        None => Box::new(InProcess),
+    };
+    let device = kv_config_macro();
+    KvCluster::with_transport(config, transport, |_| match scale {
+        Scale::Tiny => KvSsd::new(
             Geometry::small(),
             FlashTiming::pm983_like(),
             KvConfig::small(),
-        )
-    }))
-}
-
-/// An R-way replicated KV-SSD cluster (majority quorums) of scaled
-/// PM983 devices. `r = 1` is [`kv_cluster`] exactly.
-pub fn kv_cluster_replicated(shards: usize, r: usize, seed: u64) -> ClusterStore {
-    let config = kv_config_macro();
-    ClusterStore::new(KvCluster::new(
-        ClusterConfig::new(shards, seed).replication(r),
-        |_| KvSsd::new(geometry(), timing(), config),
-    ))
-}
-
-/// An R-way replicated cluster of unit-test-geometry devices for
-/// Tiny-scale runs.
-pub fn kv_cluster_replicated_small(shards: usize, r: usize, seed: u64) -> ClusterStore {
-    ClusterStore::new(KvCluster::new(
-        ClusterConfig::new(shards, seed).replication(r),
-        |_| {
-            KvSsd::new(
-                Geometry::small(),
-                FlashTiming::pm983_like(),
-                KvConfig::small(),
-            )
-        },
-    ))
-}
-
-/// An R-way replicated cluster (majority quorums) whose replica legs
-/// cross a [`Fabric`] of `link`-shaped links, with lean quorum reads
-/// (optionally hedged at `hedge`). Scaled-PM983 devices; reshape
-/// individual links afterwards through
-/// [`KvCluster::fabric_mut`].
-pub fn kv_cluster_fabric(
-    shards: usize,
-    r: usize,
-    seed: u64,
-    link: LinkConfig,
-    hedge: Option<kvssd_sim::SimDuration>,
-) -> ClusterStore {
-    let config = kv_config_macro();
-    ClusterStore::new(KvCluster::with_transport(
-        ClusterConfig::new(shards, seed)
-            .replication(r)
-            .lean_reads(hedge),
-        Box::new(Fabric::new(FabricConfig::new(seed, link), shards)),
-        |_| KvSsd::new(geometry(), timing(), config),
-    ))
-}
-
-/// The fabric-backed replicated cluster on unit-test-geometry devices
-/// for Tiny-scale runs.
-pub fn kv_cluster_fabric_small(
-    shards: usize,
-    r: usize,
-    seed: u64,
-    link: LinkConfig,
-    hedge: Option<kvssd_sim::SimDuration>,
-) -> ClusterStore {
-    ClusterStore::new(KvCluster::with_transport(
-        ClusterConfig::new(shards, seed)
-            .replication(r)
-            .lean_reads(hedge),
-        Box::new(Fabric::new(FabricConfig::new(seed, link), shards)),
-        |_| {
-            KvSsd::new(
-                Geometry::small(),
-                FlashTiming::pm983_like(),
-                KvConfig::small(),
-            )
-        },
-    ))
-}
-
-/// A fabric-backed replicated cluster returned bare (no `ClusterStore`
-/// adapter): the fault-injection sweep drives it directly because its
-/// ops may legitimately fail with `QuorumUnavailable`, which the
-/// adapter treats as fatal. `deadlines` arms per-leg timeouts/retries
-/// and `write_hedge` arms hedged quorum writes; `small` picks the
-/// unit-test device geometry for Tiny-scale runs.
-pub fn kv_cluster_faulty(
-    shards: usize,
-    r: usize,
-    seed: u64,
-    link: LinkConfig,
-    small: bool,
-    deadlines: Option<(kvssd_sim::SimDuration, u32)>,
-    write_hedge: Option<kvssd_sim::SimDuration>,
-) -> KvCluster {
-    let mut cfg = ClusterConfig::new(shards, seed)
-        .replication(r)
-        .hedged_writes(write_hedge);
-    if let Some((timeout, retries)) = deadlines {
-        cfg = cfg.deadlines(timeout, retries);
-    }
-    let transport = Box::new(Fabric::new(FabricConfig::new(seed, link), shards));
-    if small {
-        KvCluster::with_transport(cfg, transport, |_| {
-            KvSsd::new(
-                Geometry::small(),
-                FlashTiming::pm983_like(),
-                KvConfig::small(),
-            )
-        })
-    } else {
-        let config = kv_config_macro();
-        KvCluster::with_transport(cfg, transport, |_| KvSsd::new(geometry(), timing(), config))
-    }
+        ),
+        _ => KvSsd::new(geometry(), timing(), device),
+    })
 }
 
 /// Aerospike-like store with direct device I/O.

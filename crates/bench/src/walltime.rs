@@ -2,7 +2,7 @@
 //!
 //! Everything the simulator models runs in virtual time ([`kvssd_sim::SimTime`])
 //! so that every figure is a pure function of its seeds — the property the
-//! `determinism`/`harness_determinism` suites and the paper's
+//! `determinism`/`golden_digests` suites and the paper's
 //! "same substrate, two firmwares" comparison depend on. Real clocks are
 //! still needed in exactly one place: reporting how long the *simulator
 //! itself* takes on the host (the per-cell scheduler timings behind
@@ -13,9 +13,6 @@
 //! `kvlint`'s `no-wall-clock` rule forbids `std::time::{Instant, SystemTime}`
 //! everywhere except this file, so any new timing need must either route
 //! through [`Stopwatch`] or argue its case in a `// kvlint: allow` pragma.
-// kvlint's allowlist admits this module wholesale; the clippy mirror of the
-// rule needs the expect below (see clippy.toml `disallowed-types`).
-#![allow(clippy::disallowed_types)]
 
 use std::time::Instant;
 

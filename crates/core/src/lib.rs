@@ -39,6 +39,7 @@
 //! ```
 
 pub mod blob;
+mod blocks;
 pub mod bloom;
 pub mod config;
 pub mod device;
@@ -49,7 +50,7 @@ pub mod inline_vec;
 pub mod keybuf;
 pub mod model;
 pub mod value;
-pub mod victim;
+mod victim;
 mod write_buffer;
 
 pub use config::KvConfig;

@@ -24,9 +24,9 @@
 //! The one behavioral subtlety is *abandonment*: when the device selects
 //! a victim (consuming its heap entry) but later gives the block up
 //! without erasing it, the caller must [`VictimQueue::note`] it again, or
-//! the invariant above breaks. `KvSsd::foreground_gc` is the only such
-//! path, and the re-note carries the block's accounting as the drain
-//! left it.
+//! the invariant above breaks. `BlockTable::abandon_victim` is the only
+//! such path, and the re-note carries the block's accounting as the
+//! drain left it. `BlockTable` owns the queue and all three push points.
 //!
 //! The queue also tracks **zero-valid closed blocks** (the zero-copy
 //! erase sweep): candidates accumulate as valid counts hit zero and are
@@ -56,11 +56,6 @@ pub struct VictimQueue {
 }
 
 impl VictimQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records the current accounting of a *closed* block. Call on every
     /// open→closed transition and on every `valid_bytes` change of a
     /// closed block (including re-noting an abandoned victim).
@@ -150,14 +145,9 @@ impl VictimQueue {
         self.zero_scratch = buf;
     }
 
-    /// Entries currently held (live + stale) — introspection for tests.
+    /// Entries currently held (live + stale).
     pub fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True when no entries are held.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -184,7 +174,7 @@ mod tests {
             blocks: vec![(50, 0, true), (10, 5, true), (10, 2, true), (10, 2, true)],
             full_bytes: 100,
         };
-        let mut q = VictimQueue::new();
+        let mut q = VictimQueue::default();
         for (i, &(v, w, _)) in model.blocks.iter().enumerate() {
             q.note(BlockId(i as u32), v, w);
         }
@@ -198,7 +188,7 @@ mod tests {
             blocks: vec![(40, 0, true), (60, 0, true)],
             full_bytes: 100,
         };
-        let mut q = VictimQueue::new();
+        let mut q = VictimQueue::default();
         q.note(BlockId(0), 40, 0);
         q.note(BlockId(1), 60, 0);
         // Block 0's count drops to 30: re-note (the 40-entry goes stale).
@@ -216,7 +206,7 @@ mod tests {
             blocks: vec![(95, 0, true)],
             full_bytes: 100,
         };
-        let mut q = VictimQueue::new();
+        let mut q = VictimQueue::default();
         q.note(BlockId(0), 95, 0);
         // Gain 5 < min_gain 10: not a victim.
         assert_eq!(q.pop_best(10, |b| model.current(b)), None);
@@ -228,7 +218,7 @@ mod tests {
             blocks: vec![(0, 1, true)],
             full_bytes: 100,
         };
-        let mut q = VictimQueue::new();
+        let mut q = VictimQueue::default();
         q.note(BlockId(0), 0, 1);
         // Erased and re-closed with the same valid count: wear differs.
         model.blocks[0] = (0, 2, true);
@@ -239,7 +229,7 @@ mod tests {
 
     #[test]
     fn zero_valid_drains_sorted_deduped_and_revalidated() {
-        let mut q = VictimQueue::new();
+        let mut q = VictimQueue::default();
         q.note(BlockId(7), 0, 0);
         q.note(BlockId(3), 0, 0);
         q.note(BlockId(7), 0, 1); // duplicate id
@@ -264,7 +254,7 @@ mod tests {
             blocks: (0..BLOCKS).map(|_| (100, 0, true)).collect(),
             full_bytes: 100,
         };
-        let (mut plain, mut swept) = (VictimQueue::new(), VictimQueue::new());
+        let (mut plain, mut swept) = (VictimQueue::default(), VictimQueue::default());
         for b in 0..BLOCKS as u32 {
             plain.note(BlockId(b), 100, 0);
             swept.note(BlockId(b), 100, 0);

@@ -37,10 +37,6 @@
 //!
 //! No external dependencies — the workspace stays offline-green.
 
-// This module IS the sanctioned wrapper: it rebinds std's maps to a
-// fixed hasher, so the disallowed types are allowed here and only here.
-#![allow(clippy::disallowed_types)]
-
 // kvlint: allow(no-random-state-map) — this module IS the sanctioned wrapper: it rebinds std's maps to a fixed hasher
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

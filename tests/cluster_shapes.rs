@@ -4,9 +4,10 @@
 
 use kvssd_study::bench::experiments::{fabric, fabric_faults, replication, scaleout};
 use kvssd_study::bench::{setup, Scale};
-use kvssd_study::cluster::KvCluster;
-use kvssd_study::core::KvConfig;
-use kvssd_study::kvbench::{run_phase, AccessPattern, KvStore, OpMix, ValueSize, WorkloadSpec};
+use kvssd_study::cluster::{ClusterConfig, KvCluster};
+use kvssd_study::kvbench::{
+    run_phase, AccessPattern, ClusterStore, KvStore, OpMix, ValueSize, WorkloadSpec,
+};
 use kvssd_study::sim::SimTime;
 
 /// A two-phase workload signature capturing virtual-time results to the
@@ -34,14 +35,23 @@ fn signature(store: &mut dyn KvStore) -> (u64, u64, u64, u64) {
     )
 }
 
+/// A 1-shard cluster of scaled-PM983 devices placed by `seed`.
+fn one_shard(seed: u64) -> ClusterStore {
+    ClusterStore::new(setup::kv_cluster(
+        ClusterConfig::new(1, seed),
+        None,
+        Scale::Quick,
+    ))
+}
+
 /// The acceptance anchor: a 1-shard cluster (pass-through submission
 /// queue) must reproduce the bare single-device store's virtual-time
 /// results exactly — same seed, same nanoseconds.
 #[test]
 fn one_shard_cluster_equals_bare_device_exactly() {
-    // Same device config on both sides (the bare store's default).
-    let bare = signature(&mut setup::kv_ssd());
-    let clustered = signature(&mut setup::kv_cluster_with(1, 99, KvConfig::pm983_scaled()));
+    // Same device config on both sides.
+    let bare = signature(&mut setup::kv_ssd_with(setup::kv_config_macro()));
+    let clustered = signature(&mut one_shard(99));
     assert_eq!(
         bare, clustered,
         "a 1-shard cluster must be bit-identical to the single device"
@@ -52,12 +62,8 @@ fn one_shard_cluster_equals_bare_device_exactly() {
 /// shard regardless of placement).
 #[test]
 fn one_shard_routing_is_seed_independent() {
-    let a = signature(&mut setup::kv_cluster_with(1, 1, KvConfig::pm983_scaled()));
-    let b = signature(&mut setup::kv_cluster_with(
-        1,
-        2_000,
-        KvConfig::pm983_scaled(),
-    ));
+    let a = signature(&mut one_shard(1));
+    let b = signature(&mut one_shard(2_000));
     assert_eq!(a, b);
 }
 
@@ -68,13 +74,11 @@ fn aggregate_bandwidth_monotone_in_shards() {
     // Size the population for the 1-shard case (the tightest): half of
     // one small device's capacity, so no shard comes near full even
     // with consistent hashing's uneven spread.
-    let cap = setup::kv_cluster_small(1, 42)
-        .cluster()
-        .space()
-        .capacity_bytes;
+    let small = |shards| setup::kv_cluster(ClusterConfig::new(shards, 42), None, Scale::Tiny);
+    let cap = small(1).space().capacity_bytes;
     let n = (cap / 2) / 4160;
     let mbps = |shards: usize| {
-        let mut store = setup::kv_cluster_small(shards, 42);
+        let mut store = ClusterStore::new(small(shards));
         let spec = WorkloadSpec::new("uniform-fill", n, n)
             .mix(OpMix::InsertOnly)
             .pattern(AccessPattern::Uniform)

@@ -56,7 +56,8 @@ fn cluster_runs_are_deterministic_per_seed() {
     // Same seed + shard count → byte-identical report tables, across
     // routing, per-shard queues, device GC, and a live rebalance.
     let run = || {
-        let mut store = setup::kv_cluster_small(4, 42);
+        let config = ClusterConfig::new(4, 42);
+        let mut store = ClusterStore::new(setup::kv_cluster(config, None, Scale::Tiny));
         let spec = WorkloadSpec::new("cluster-sig", 1_000, 1_000)
             .mix(OpMix::Mixed { read_pct: 40 })
             .pattern(AccessPattern::Zipfian { theta: 0.9 })
@@ -88,7 +89,8 @@ fn replication_runs_are_deterministic_per_seed() {
     // fan-out order, quorum selection, and the BTreeSet repair walk are
     // all pure functions of the seed.
     let run = || {
-        let mut store = setup::kv_cluster_replicated_small(4, 3, 42);
+        let config = ClusterConfig::new(4, 42).replication(3);
+        let mut store = ClusterStore::new(setup::kv_cluster(config, None, Scale::Tiny));
         let spec = WorkloadSpec::new("replication-sig", 800, 800)
             .mix(OpMix::Mixed { read_pct: 50 })
             .pattern(AccessPattern::Zipfian { theta: 0.9 })

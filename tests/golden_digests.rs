@@ -9,6 +9,10 @@
 //! the scheduler, a map's iteration order, or the device model — fails
 //! CI with a diffable signal.
 //!
+//! The same pass checks the scheduler's contract: the thread count is
+//! set through `KVSSD_BENCH_THREADS`, the user-facing knob, and every
+//! figure must render at both counts.
+//!
 //! If a change is *supposed* to move these tables (a modeling change,
 //! a new column), re-pin: run with `KVSSD_GOLDEN_PRINT=1` to print the
 //! new digests, and record the move in CHANGES.md.
@@ -42,16 +46,22 @@ const PINS: [(&str, u64); 13] = [
     ("fabric_faults", FABRIC_FAULTS_TINY),
 ];
 
-/// One test (not several) so the process-global thread override cannot
+/// One test (not several) so the process-global thread setting cannot
 /// race between concurrently running test functions.
 #[test]
 fn figures_match_pinned_digests_at_threads_1_and_4() {
     let print = kvssd_study::bench::env_config("KVSSD_GOLDEN_PRINT").is_some();
     for threads in [1usize, 4] {
-        cells::set_thread_override(Some(threads));
+        std::env::set_var("KVSSD_BENCH_THREADS", threads.to_string());
+        assert_eq!(cells::thread_count(), threads);
         for ((name, figure), (pinned, want)) in FIGURES.into_iter().zip(PINS) {
             assert_eq!(name, pinned, "PINS must list FIGURES in order");
             let table = figure(Scale::Tiny);
+            assert_eq!(
+                table.matches("\n=== ").count(),
+                1,
+                "{name} must render its one table at {threads} thread(s)"
+            );
             let got = digest64(table.as_bytes());
             if print {
                 println!("{name}: 0x{got:016x}");
@@ -65,5 +75,5 @@ fn figures_match_pinned_digests_at_threads_1_and_4() {
             );
         }
     }
-    cells::set_thread_override(None);
+    std::env::remove_var("KVSSD_BENCH_THREADS");
 }
