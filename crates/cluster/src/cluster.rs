@@ -605,6 +605,9 @@ impl KvCluster {
     /// they land, so lost legs simply never appear). Returns the
     /// replica count and the key's hash, so the per-leg registry
     /// updates reuse it instead of rehashing the key once per replica.
+    /// Every replica's device is told the key is coming, so the legs'
+    /// index probes overlap their cache misses instead of paying them
+    /// one after another.
     fn begin_replicated_op(&mut self, key: &[u8]) -> Result<(usize, u64), KvError> {
         let h = key_hash(key);
         let mut ids = std::mem::take(&mut self.replica_scratch);
@@ -612,7 +615,12 @@ impl KvCluster {
             .replica_set_into(h, self.config.replication_factor, &mut ids);
         for id in ids.iter_mut() {
             match self.index_of(*id) {
-                Ok(idx) => *id = idx,
+                Ok(idx) => {
+                    if let Some(shard) = self.shards.get(idx) {
+                        shard.device.prefetch_key(key, h);
+                    }
+                    *id = idx;
+                }
                 Err(e) => {
                     // Hand the scratch buffer back before bailing.
                     self.replica_scratch = ids;

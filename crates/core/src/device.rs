@@ -586,6 +586,19 @@ impl KvSsd {
         self.index.get(h, fp).map(|e| e.segs.as_slice())
     }
 
+    /// Hints that a command for `key`, whose [`key_hash`] the caller has
+    /// already computed as `hash`, is coming: starts loading the key's
+    /// index slot into the CPU cache so the command's index probe finds
+    /// it there. Changes no state, no result and no virtual time.
+    pub fn prefetch_key(&self, key: &[u8], hash: u64) {
+        debug_assert_eq!(
+            key_hash(key),
+            hash,
+            "prefetch_key: hash is not key_hash(key)"
+        );
+        self.index.prefetch(hash);
+    }
+
     /// Programs all partially filled open pages (end-of-phase barrier),
     /// again while a failed program's re-placed segments are pending.
     pub fn flush(&mut self, now: SimTime) -> Result<SimTime, KvError> {

@@ -178,10 +178,16 @@ impl GlobalStore {
         None
     }
 
-    /// Doubles the table and re-places every record.
+    /// Doubles the table and re-places every record. The new table is
+    /// advised onto huge pages before its first byte is written, so the
+    /// faults that fill it map 2 MiB pages and a probe walks one level
+    /// less of page table.
     fn grow(&mut self) {
         let slots = (self.slots.len() * 2).max(4);
-        let old = std::mem::replace(&mut self.slots, (0..slots).map(|_| None).collect());
+        let mut table = Vec::with_capacity(slots);
+        advise_huge_pages(&table);
+        table.resize_with(slots, || None);
+        let old = std::mem::replace(&mut self.slots, table);
         for (key, entry) in old.into_iter().flatten() {
             if let Some(slot) = self
                 .probe(key.0, key.1)
@@ -287,6 +293,43 @@ fn prefetch_read<T>(value: &T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (first, last);
+}
+
+// `madvise(2)` and its `MADV_HUGEPAGE` advice, from the kernel's
+// `mman-common.h`.
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+}
+#[cfg(target_os = "linux")]
+const MADV_HUGEPAGE: i32 = 14;
+
+/// Asks the kernel to back the 2 MiB-aligned interior of `table`'s
+/// allocation with transparent huge pages. It must run before the
+/// capacity is first touched: a page already faulted in stays a 4 KiB
+/// page. Tables under 4 MiB are left alone (their interior may hold no
+/// whole huge page), and so is every platform but Linux. A hint only:
+/// the result is ignored and no state depends on it.
+fn advise_huge_pages<T>(table: &Vec<T>) {
+    const HUGE_PAGE: usize = 2 << 20;
+    let bytes = table.capacity() * std::mem::size_of::<T>();
+    if bytes < 2 * HUGE_PAGE {
+        return;
+    }
+    let start = table.as_ptr() as usize;
+    let first = start.next_multiple_of(HUGE_PAGE);
+    let end = (start + bytes) / HUGE_PAGE * HUGE_PAGE;
+    #[cfg(target_os = "linux")]
+    // SAFETY: `[first, end)` lies inside the live allocation `table`
+    // owns (both ends were rounded inwards), and MADV_HUGEPAGE only
+    // changes how the kernel backs those pages: it moves, frees and
+    // rewrites nothing, so no reference into the allocation, or into
+    // any other, is affected.
+    unsafe {
+        madvise(first as *mut std::ffi::c_void, end - first, MADV_HUGEPAGE);
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = (first, end);
 }
 
 /// Counters for the index cost model.
@@ -785,6 +828,15 @@ mod tests {
         assert_eq!(copied, vec![(h, 1), (h, 2)]);
         assert_eq!(g.find_segment(h, 0, in_block(5)), None);
         assert_eq!(g.get(other, 1).map(|e| e.segs[0]), Some(seg(5, 1)));
+    }
+
+    #[test]
+    fn prefetch_on_a_table_with_no_slots_is_a_no_op() {
+        let g = GlobalStore::new();
+        for hash in [0, 1, u64::MAX] {
+            g.prefetch(hash);
+        }
+        assert!(g.slots.is_empty() && g.is_empty());
     }
 
     #[test]

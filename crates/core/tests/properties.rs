@@ -120,6 +120,61 @@ fn global_store_matches_a_btreemap_oracle() {
     check(0..64, index_ops, |_| None, index_matches_btreemap);
 }
 
+/// One long case through the same oracle that grows the table to 2^17
+/// slots (10 MiB), past the 4 MiB from which `grow` advises huge pages
+/// before filling the new table: 80 000 fresh keys with updates, edits
+/// and removals mixed in, and a removal right after every doubling, so
+/// the oracle looks every survivor up in each newly grown table.
+#[test]
+fn global_store_keeps_every_record_past_the_huge_page_threshold() {
+    let mut rng = DeterministicRng::seed_from(0x7AB1E);
+    let mut live: Vec<(u64, u64)> = Vec::new();
+    let mut ops = Vec::new();
+    let mut grown_at = 0;
+    for tag in 0..80_000u32 {
+        // The table doubles on the insert that first finds 3, 7 or
+        // 7 * 2^j records in it.
+        let len = live.len();
+        let grows =
+            len > grown_at && (len == 3 || (len.is_multiple_of(7) && (len / 7).is_power_of_two()));
+        if grows {
+            grown_at = len;
+        }
+        let (h, fp) = (rng.next_u64(), rng.below(3));
+        ops.push(IndexOp::Put(h, fp, tag));
+        live.push((h, fp));
+        let (h, fp) = live[rng.below(live.len() as u64) as usize];
+        match rng.below(16) {
+            _ if grows => {
+                ops.push(IndexOp::Remove(h, fp));
+                live.retain(|&k| k != (h, fp));
+            }
+            0 => ops.push(IndexOp::Put(h, fp, tag)),
+            1 => ops.push(IndexOp::Edit(h, fp, tag)),
+            _ => {}
+        }
+    }
+    assert!(live.len() >= 70_000, "{} live keys", live.len());
+    index_matches_btreemap(&ops).unwrap();
+}
+
+/// The hint a cluster router gives before its replica legs: on a device
+/// that has never stored a key (so an index with no slots) it is a no-op.
+#[test]
+fn prefetching_a_key_on_an_empty_device_changes_nothing() {
+    let mut dev = KvSsd::new(
+        Geometry::small(),
+        FlashTiming::pm983_like(),
+        KvConfig::small(),
+    );
+    for key in [&b"user.0000"[..], b"\xff\xff\xff\xff\xff\xff\xff\xff"] {
+        dev.prefetch_key(key, key_hash(key));
+    }
+    assert!(dev.is_empty());
+    let l = dev.retrieve(SimTime::ZERO, b"user.0000").expect("retrieve");
+    assert_eq!(l.value, None);
+}
+
 /// Bloom filters never produce false negatives, for any insert set and
 /// any bits-per-key setting.
 #[test]
