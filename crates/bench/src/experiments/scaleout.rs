@@ -53,16 +53,6 @@ pub struct ScaleoutPoint {
     pub fg_gc_events: u64,
 }
 
-impl ScaleoutPoint {
-    /// Fraction of dip windows that were synchronized across all shards.
-    pub fn sync_fraction(&self) -> f64 {
-        if self.shard_dip_windows == 0 {
-            return 0.0;
-        }
-        self.synchronized_dip_windows as f64 / self.shard_dip_windows as f64
-    }
-}
-
 /// The full sweep.
 #[derive(Debug, Clone, Default)]
 pub struct ScaleoutResult {

@@ -227,16 +227,6 @@ impl Shard {
         self.sq.stats()
     }
 
-    /// This shard's write-latency histogram.
-    pub fn write_latency(&self) -> &LatencyHistogram {
-        &self.writes
-    }
-
-    /// This shard's read-latency histogram.
-    pub fn read_latency(&self) -> &LatencyHistogram {
-        &self.reads
-    }
-
     /// This shard's bandwidth series (stores + hit retrieves).
     pub fn bandwidth(&self) -> &BandwidthSeries {
         &self.bandwidth
@@ -430,7 +420,8 @@ pub struct KvCluster {
     /// Re-delivered mutations deduped at a replica.
     dup_suppressed: u64,
     next_shard_id: usize,
-    aggregate_bw: BandwidthSeries,
+    /// Bytes moved by stores and hit retrieves, all shards together.
+    agg_bytes: u64,
     rebalanced_keys: u64,
     rebalanced_bytes: u64,
 }
@@ -510,7 +501,7 @@ impl KvCluster {
             hedged_write_spares: 0,
             dup_suppressed: 0,
             next_shard_id: config.shards,
-            aggregate_bw: BandwidthSeries::new(config.bandwidth_window),
+            agg_bytes: 0,
             rebalanced_keys: 0,
             rebalanced_bytes: 0,
             config,
@@ -943,7 +934,7 @@ impl KvCluster {
                 let shard = &mut c.shards[idx];
                 shard.writes.record(timing.latency());
                 shard.bandwidth.record(timing.completed, bytes);
-                c.aggregate_bw.record(timing.completed, bytes);
+                c.agg_bytes += bytes;
                 Ok((timing, existed))
             };
             let (out, _) = c.run_mutation(at, idx, op_id, req_bytes, LegPolicy::CLIENT, apply)?;
@@ -979,7 +970,7 @@ impl KvCluster {
                 if let Some(v) = &found {
                     let vbytes = key.len() as u64 + v.len();
                     shard.bandwidth.record(timing.completed, vbytes);
-                    c.aggregate_bw.record(timing.completed, vbytes);
+                    c.agg_bytes += vbytes;
                     resp_bytes += vbytes;
                 }
                 Ok((timing.completed, resp_bytes, found))
@@ -1414,39 +1405,19 @@ impl KvCluster {
     /// All shards' write-latency histograms merged.
     pub fn merged_write_latency(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
-        self.merged_write_latency_into(&mut h);
-        h
-    }
-
-    /// Merges all shards' write histograms into `out` (cleared first).
-    /// Allocation-free: callers polling latency repeatedly reuse one
-    /// accumulator instead of rebuilding a histogram per call.
-    pub fn merged_write_latency_into(&self, out: &mut LatencyHistogram) {
-        out.clear();
         for s in &self.shards {
-            out.merge_from(&s.writes);
+            h.merge_from(&s.writes);
         }
+        h
     }
 
     /// All shards' read-latency histograms merged.
     pub fn merged_read_latency(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
-        self.merged_read_latency_into(&mut h);
-        h
-    }
-
-    /// Merges all shards' read histograms into `out` (cleared first);
-    /// the allocation-free counterpart of [`Self::merged_read_latency`].
-    pub fn merged_read_latency_into(&self, out: &mut LatencyHistogram) {
-        out.clear();
         for s in &self.shards {
-            out.merge_from(&s.reads);
+            h.merge_from(&s.reads);
         }
-    }
-
-    /// The cluster-wide bandwidth series.
-    pub fn aggregate_bandwidth(&self) -> &BandwidthSeries {
-        &self.aggregate_bw
+        h
     }
 
     /// A byte-stable summary: integer counters only, so two same-seed
@@ -1509,9 +1480,7 @@ impl KvCluster {
         ));
         lines.push(format!(
             "agg_bytes={} rebalanced_keys={} rebalanced_bytes={}",
-            self.aggregate_bw.total_bytes(),
-            self.rebalanced_keys,
-            self.rebalanced_bytes
+            self.agg_bytes, self.rebalanced_keys, self.rebalanced_bytes
         ));
         // Only rendered when the transport actually counted something,
         // so in-process reports stay byte-identical to the pre-fabric

@@ -3,7 +3,7 @@
 
 use kvssd_sim::{mix64, SimTime};
 
-use crate::link::{Channel, ChannelStats, Delivery, LinkConfig};
+use crate::link::{Channel, Delivery, LinkConfig};
 
 /// Fabric-wide parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,11 +91,6 @@ impl Fabric {
         &self.config
     }
 
-    /// Number of attachment points.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Reshapes one link (both directions). Traffic already in flight
     /// keeps its old timing; the fault streams continue unreset, so a
     /// reshape mid-run stays deterministic.
@@ -177,14 +172,6 @@ impl Fabric {
     /// down by one, mirroring the cluster's shard vector.
     pub fn remove_link(&mut self, link: usize) {
         self.links.remove(link);
-    }
-
-    /// One direction's counters for one link.
-    pub fn link_stats(&self, link: usize) -> (&ChannelStats, &ChannelStats) {
-        (
-            self.links[link].request.stats(),
-            self.links[link].response.stats(),
-        )
     }
 
     /// Aggregated counters across all links.

@@ -181,12 +181,6 @@ impl HashStore {
         self.user_bytes
     }
 
-    /// Bytes occupied on the device by live + dead records (space
-    /// amplification numerator, before defrag reclaims).
-    pub fn device_bytes(&self) -> u64 {
-        self.blocks.meta.iter().map(|w| w.used_bytes).sum()
-    }
-
     /// Bytes of live records only (post-defrag steady state — what the
     /// paper's "actual SSD space utilization" converges to).
     pub fn live_device_bytes(&self) -> u64 {

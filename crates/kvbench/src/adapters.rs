@@ -156,34 +156,6 @@ impl KvStore for ClusterStore {
             stored_bytes: s.allocated_bytes,
         }
     }
-
-    /// The cluster's bulk fast path: identical op sequence to the
-    /// default implementation (host charge, then the cluster op), but
-    /// monomorphized against `KvCluster` so the workload loop skips the
-    /// per-op trait dispatch through `insert`/`read`.
-    fn run_ops(
-        &mut self,
-        runner: &mut kvssd_sim::QueueRunner,
-        batch: &crate::OpBatch,
-        rec: &mut crate::PhaseRecorder<'_>,
-    ) {
-        for (op, key) in batch.iter() {
-            let mut found = true;
-            let timing = runner.submit(|issue| {
-                let t = self.host.run(issue, self.api_cost);
-                if op.is_read {
-                    let l = self.cluster.retrieve(t, key).expect("valid key");
-                    found = l.value.is_some();
-                    l.at
-                } else {
-                    self.cluster
-                        .store(t, key, Payload::synthetic(op.value_len, op.tag))
-                        .expect("store within cluster limits")
-                }
-            });
-            rec.record(op, key.len(), timing, found);
-        }
-    }
 }
 
 /// The RocksDB-like store on ext4 over the block-SSD.

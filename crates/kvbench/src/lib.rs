@@ -78,8 +78,8 @@ pub trait KvStore {
     /// Executes a planned batch through `runner`, recording each op's
     /// outcome. Must behave exactly like submitting each planned op in
     /// order via [`insert`](Self::insert)/[`read`](Self::read) — this
-    /// default does precisely that; stores with a cheaper internal path
-    /// (the cluster fan-out) override it to skip per-op dispatch.
+    /// default does precisely that. It is compiled once per implementing
+    /// type, so those calls are static, not dispatched per op.
     fn run_ops(&mut self, runner: &mut QueueRunner, batch: &OpBatch, rec: &mut PhaseRecorder<'_>) {
         for (op, key) in batch.iter() {
             let mut found = true;

@@ -47,13 +47,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of already-owned cells.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len());
-        self.rows.push(cells);
-        self
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

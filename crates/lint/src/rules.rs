@@ -121,9 +121,11 @@ impl Rule {
 pub const BAD_PRAGMA: &str = "bad-pragma";
 
 /// The crates whose panic surface is ratcheted: the ones on the
-/// measured device/cluster/fabric path, where a panic aborts an
-/// experiment mid-figure instead of surfacing a typed error.
+/// measured device/cluster/fabric path (both firmware personalities),
+/// where a panic aborts an experiment mid-figure instead of surfacing a
+/// typed error.
 pub const HOT_PATH_CRATES: &[&str] = &[
+    "crates/block-ftl/src/",
     "crates/core/src/",
     "crates/cluster/src/",
     "crates/fabric/src/",

@@ -166,27 +166,6 @@ impl SubmissionQueue {
         OpTiming { issued, completed }
     }
 
-    /// Submits `ops` commands at host time `now`, returning the timing
-    /// of each via `done` in submission order.
-    ///
-    /// Exactly equivalent to calling [`submit`](Self::submit) once per
-    /// command at the same `now`: the doorbell is still paid only by the
-    /// command that opens each batch (amortized once per `config.batch`
-    /// admissions), full-queue stalls still charge per command, and the
-    /// completion heap sees the same sequence of operations. The batch
-    /// form exists so bulk drivers hand a run of commands over in one
-    /// call instead of paying per-op dispatch.
-    pub fn submit_batch<F, D>(&mut self, now: SimTime, count: usize, mut op: F, mut done: D)
-    where
-        F: FnMut(usize, SimTime) -> SimTime,
-        D: FnMut(usize, OpTiming),
-    {
-        for i in 0..count {
-            let timing = self.submit(now, |issue| op(i, issue));
-            done(i, timing);
-        }
-    }
-
     /// Waits for everything outstanding; returns when the last command
     /// completed. The queue is reusable afterwards.
     pub fn drain(&mut self) -> SimTime {
@@ -264,85 +243,6 @@ mod tests {
         assert_eq!(sq.drain(), SimTime::ZERO + us(30));
         assert_eq!(sq.outstanding(), 0);
         assert_eq!(sq.drain(), SimTime::ZERO + us(30));
-    }
-
-    #[test]
-    fn submit_batch_matches_sequential_submits() {
-        // The batch path must be timing-equivalent to N sequential
-        // submits within a doorbell batch: same per-op issue/complete
-        // times, same doorbell count, same stats.
-        let cfg = SqConfig::batched(4, 4, us(1));
-        let mut server_a = Resource::new();
-        let mut sq_a = SubmissionQueue::new(cfg);
-        let mut seq = Vec::new();
-        for _ in 0..12 {
-            seq.push(sq_a.submit(SimTime::ZERO, |issue| server_a.acquire(issue, us(10)).end));
-        }
-
-        let mut server_b = Resource::new();
-        let mut sq_b = SubmissionQueue::new(cfg);
-        let mut batched = Vec::new();
-        sq_b.submit_batch(
-            SimTime::ZERO,
-            12,
-            |_, issue| server_b.acquire(issue, us(10)).end,
-            |i, t| {
-                assert_eq!(i, batched.len(), "completions in submission order");
-                batched.push(t);
-            },
-        );
-
-        assert_eq!(seq, batched, "per-op timings must match");
-        assert_eq!(sq_a.stats(), sq_b.stats(), "stats must match");
-        assert_eq!(sq_a.drain(), sq_b.drain(), "drain time must match");
-    }
-
-    #[test]
-    fn submit_batch_stall_accounting_at_depth_boundary() {
-        // A batch larger than the queue depth stalls exactly where
-        // sequential submits would: command `depth` waits for the
-        // earliest completion, and every stalled command charges
-        // stall_time individually.
-        let cfg = SqConfig {
-            depth: 2,
-            ..SqConfig::passthrough()
-        };
-        let mut server = Resource::new();
-        let mut sq = SubmissionQueue::new(cfg);
-        let mut timings = Vec::new();
-        sq.submit_batch(
-            SimTime::ZERO,
-            5,
-            |_, issue| server.acquire(issue, us(10)).end,
-            |_, t| timings.push(t),
-        );
-        // Serial 10 us server behind depth 2: commands 0-1 issue at 0,
-        // command i>=2 waits for completion i-2 (at 10(i-1) us).
-        assert_eq!(timings[0].issued, SimTime::ZERO);
-        assert_eq!(timings[1].issued, SimTime::ZERO);
-        assert_eq!(timings[2].issued, SimTime::ZERO + us(10));
-        assert_eq!(timings[3].issued, SimTime::ZERO + us(20));
-        assert_eq!(timings[4].issued, SimTime::ZERO + us(30));
-        assert_eq!(sq.stats().full_stalls, 3);
-        assert_eq!(sq.stats().stall_time, us(10) + us(20) + us(30));
-    }
-
-    #[test]
-    fn submit_batch_interleaves_with_submit() {
-        // batch_fill carries across the two entry points: a batch opened
-        // by `submit` is continued by `submit_batch` without re-ringing.
-        let cfg = SqConfig::batched(8, 4, us(1));
-        let mut server = Resource::new();
-        let mut sq = SubmissionQueue::new(cfg);
-        sq.submit(SimTime::ZERO, |issue| server.acquire(issue, us(10)).end);
-        sq.submit_batch(
-            SimTime::ZERO,
-            3,
-            |_, issue| server.acquire(issue, us(10)).end,
-            |_, _| {},
-        );
-        assert_eq!(sq.stats().doorbells, 1, "one batch, one doorbell");
-        assert_eq!(sq.stats().submitted, 4);
     }
 
     #[test]

@@ -87,14 +87,6 @@ impl DeterministicRng {
         s[3] = s[3].rotate_left(45);
         result
     }
-
-    /// Fills `buf` with random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// SplitMix64 finalizer: a stateless, well-mixed `u64 -> u64` permutation.
@@ -171,11 +163,6 @@ impl ZipfianDistribution {
             eta,
             zeta2,
         }
-    }
-
-    /// Number of items.
-    pub fn item_count(&self) -> u64 {
-        self.n
     }
 
     /// Skew parameter.

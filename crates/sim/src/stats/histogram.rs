@@ -121,9 +121,8 @@ impl LatencyHistogram {
 
     /// Merges `other` into `self` without allocating: both histograms
     /// have the same fixed bucket layout, so this is a pure element-wise
-    /// add. Callers that aggregate many histograms repeatedly (e.g. the
-    /// cluster's per-shard merges) keep one accumulator and `clear` +
-    /// `merge_from` instead of rebuilding.
+    /// add. Callers that aggregate many histograms repeatedly can keep
+    /// one accumulator and `clear` + `merge_from` instead of rebuilding.
     pub fn merge_from(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a = a.saturating_add(*b);

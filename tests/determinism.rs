@@ -139,9 +139,10 @@ fn whole_experiments_are_deterministic() {
     }
 }
 
-/// The per-op `dyn KvStore` driver and the batched `ClusterStore::run_ops`
-/// driver the figures use are both production paths over the same
-/// cluster code; batching is a host-side optimization only. Replays one
+/// The per-op `dyn KvStore` driver and the batched `KvStore::run_ops`
+/// driver the figures use (the trait's default, compiled for
+/// `ClusterStore`) are both production paths over the same cluster
+/// code; batching is a host-side optimization only. Replays one
 /// fixed-seed churn (85 % stores, 15 % reads) through each on identically
 /// filled N=4, R=2 clusters and folds everything either could have
 /// perturbed into one checksum, pinned.
