@@ -22,9 +22,9 @@ use kvssd_cluster::ClusterConfig;
 use kvssd_fabric::LinkConfig;
 use kvssd_kvbench::report::f2;
 use kvssd_kvbench::{run_phase, ClusterStore, OpMix, Table, ValueSize, WorkloadSpec};
-use kvssd_sim::{LatencyHistogram, SimDuration, SimTime};
+use kvssd_sim::{SimDuration, SimTime};
 
-use crate::experiments::cells;
+use crate::experiments::{cells, pctl_us};
 use crate::{setup, Scale};
 
 /// One sweep scenario (a cell builds its own cluster from this).
@@ -207,14 +207,6 @@ pub fn run(scale: Scale) -> FabricResult {
     FabricResult {
         points: cells::run_cells("fabric", work),
     }
-}
-
-/// Histogram percentile in microseconds.
-fn pctl_us(h: &LatencyHistogram, p: f64) -> f64 {
-    if h.is_empty() {
-        return 0.0;
-    }
-    h.percentile(p).as_nanos() as f64 / 1_000.0
 }
 
 /// The sweep table as a string (byte-stable for a given result).

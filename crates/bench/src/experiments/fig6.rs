@@ -13,6 +13,7 @@ use kvssd_kvbench::report::f2;
 use kvssd_kvbench::{run_phase, AccessPattern, OpMix, Table, ValueSize, WorkloadSpec};
 use kvssd_sim::SimTime;
 
+use crate::experiments::downsample;
 use crate::{setup, Scale};
 
 /// One panel's bandwidth trace and summary.
@@ -153,18 +154,6 @@ fn min_max(timeline: &[f64]) -> (f64, f64) {
     let min = body.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = body.iter().cloned().fold(0.0f64, f64::max);
     (if min.is_finite() { min } else { 0.0 }, max)
-}
-
-/// Downsamples a phase's bandwidth series to ~24 points.
-fn downsample(m: &kvssd_kvbench::RunMetrics) -> Vec<f64> {
-    let pts = m.bandwidth.points();
-    if pts.is_empty() {
-        return Vec::new();
-    }
-    let chunk = pts.len().div_ceil(24);
-    pts.chunks(chunk)
-        .map(|c| c.iter().map(|p| p.mbps).sum::<f64>() / c.len() as f64)
-        .collect()
 }
 
 /// The paper-shaped panels as a string (byte-stable for a given result).

@@ -23,7 +23,7 @@ pub mod scaleout;
 use kvssd_kvbench::{
     run_phase, AccessPattern, KvStore, OpMix, RunMetrics, ValueSize, WorkloadSpec,
 };
-use kvssd_sim::SimTime;
+use kvssd_sim::{LatencyHistogram, SimTime};
 
 use crate::Scale;
 
@@ -76,6 +76,26 @@ pub(crate) fn fill(
 /// Settle time inserted between phases so buffered state drains.
 pub(crate) fn settle(t: SimTime) -> SimTime {
     t + kvssd_sim::SimDuration::from_millis(200)
+}
+
+/// Histogram percentile in microseconds (0 for an empty histogram).
+pub(crate) fn pctl_us(h: &LatencyHistogram, p: f64) -> f64 {
+    if h.is_empty() {
+        return 0.0;
+    }
+    h.percentile(p).as_nanos() as f64 / 1_000.0
+}
+
+/// Downsamples a phase's bandwidth series to ~24 points.
+pub(crate) fn downsample(m: &RunMetrics) -> Vec<f64> {
+    let pts = m.bandwidth.points();
+    if pts.is_empty() {
+        return Vec::new();
+    }
+    let chunk = pts.len().div_ceil(24);
+    pts.chunks(chunk)
+        .map(|c| c.iter().map(|p| p.mbps).sum::<f64>() / c.len() as f64)
+        .collect()
 }
 
 #[cfg(test)]

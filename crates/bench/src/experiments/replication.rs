@@ -19,7 +19,7 @@ use kvssd_kvbench::report::f2;
 use kvssd_kvbench::{run_phase, ClusterStore, OpMix, Table, ValueSize, WorkloadSpec};
 use kvssd_sim::{LatencyHistogram, SimTime};
 
-use crate::experiments::cells;
+use crate::experiments::{cells, pctl_us};
 use crate::{setup, Scale};
 
 /// The (shards, replicas) grid the sweep visits, in cell order.
@@ -205,14 +205,6 @@ pub fn run(scale: Scale) -> ReplicationResult {
     ReplicationResult {
         points: cells::run_cells_phase("replication", "measure", measures),
     }
-}
-
-/// Histogram percentile in microseconds.
-fn pctl_us(h: &LatencyHistogram, p: f64) -> f64 {
-    if h.is_empty() {
-        return 0.0;
-    }
-    h.percentile(p).as_nanos() as f64 / 1_000.0
 }
 
 /// The sweep table as a string (byte-stable for a given result).

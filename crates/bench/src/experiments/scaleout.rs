@@ -17,10 +17,10 @@
 
 use kvssd_cluster::ClusterConfig;
 use kvssd_kvbench::report::f2;
-use kvssd_kvbench::{run_phase, ClusterStore, OpMix, RunMetrics, Table, ValueSize, WorkloadSpec};
+use kvssd_kvbench::{run_phase, ClusterStore, OpMix, Table, ValueSize, WorkloadSpec};
 use kvssd_sim::SimTime;
 
-use crate::experiments::cells;
+use crate::experiments::{cells, downsample, pctl_us};
 use crate::{setup, Scale};
 
 /// Shard counts the sweep visits.
@@ -145,9 +145,9 @@ fn measure_point(filled: Filled) -> ScaleoutPoint {
         shards,
         resident_kvps: n_kv,
         agg_mbps: upd.mean_mbps(),
-        p50_us: pctl_us(&upd, 50.0),
-        p99_us: pctl_us(&upd, 99.0),
-        p999_us: pctl_us(&upd, 99.9),
+        p50_us: pctl_us(&upd.writes, 50.0),
+        p99_us: pctl_us(&upd.writes, 99.0),
+        p999_us: pctl_us(&upd.writes, 99.9),
         timeline: downsample(&upd),
         shard_dip_windows: shard_dips,
         synchronized_dip_windows: sync_dips,
@@ -178,14 +178,6 @@ pub fn run(scale: Scale) -> ScaleoutResult {
     ScaleoutResult {
         points: cells::run_cells_phase("scaleout", "measure", measures),
     }
-}
-
-/// Update-phase write percentile in microseconds.
-fn pctl_us(m: &RunMetrics, p: f64) -> f64 {
-    if m.writes.is_empty() {
-        return 0.0;
-    }
-    m.writes.percentile(p).as_nanos() as f64 / 1_000.0
 }
 
 /// Counts update-phase windows with at least one shard below half its
@@ -238,18 +230,6 @@ fn dip_windows(store: &ClusterStore, update_start: SimTime) -> (u64, u64) {
         }
     }
     (any_dip, all_dip)
-}
-
-/// Downsamples a phase's aggregate bandwidth series to ~24 points.
-fn downsample(m: &RunMetrics) -> Vec<f64> {
-    let pts = m.bandwidth.points();
-    if pts.is_empty() {
-        return Vec::new();
-    }
-    let chunk = pts.len().div_ceil(24);
-    pts.chunks(chunk)
-        .map(|c| c.iter().map(|p| p.mbps).sum::<f64>() / c.len() as f64)
-        .collect()
 }
 
 /// The sweep table and timelines as a string (byte-stable for a given

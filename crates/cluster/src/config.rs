@@ -19,8 +19,6 @@ pub struct ClusterConfig {
     /// Per-shard NVMe submission queue shape. The pass-through default
     /// keeps a 1-shard cluster bit-identical to a bare device.
     pub sq: SqConfig,
-    /// Window for the per-shard and aggregate bandwidth series.
-    pub bandwidth_window: SimDuration,
     /// Copies of every key (R), placed on the first R distinct shards
     /// walking the ring from the key's hash. 1 = no replication (the
     /// original single-copy behavior, bit-identical to the seed).
@@ -64,18 +62,6 @@ impl ClusterConfig {
             seed,
             ..Self::default()
         }
-    }
-
-    /// Sets the per-shard submission-queue shape.
-    pub fn sq(mut self, sq: SqConfig) -> Self {
-        self.sq = sq;
-        self
-    }
-
-    /// Sets the bandwidth-series window.
-    pub fn window(mut self, window: SimDuration) -> Self {
-        self.bandwidth_window = window;
-        self
     }
 
     /// Sets R-way replication with majority quorums (`⌊R/2⌋ + 1` for
@@ -141,7 +127,6 @@ impl Default for ClusterConfig {
             vnodes_per_shard: 64,
             seed: 0,
             sq: SqConfig::passthrough(),
-            bandwidth_window: SimDuration::from_millis(10),
             replication_factor: 1,
             read_quorum: 1,
             write_quorum: 1,

@@ -16,7 +16,7 @@
 //! * cluster-level metrics: merged latency histograms plus per-shard and
 //!   aggregate bandwidth series, one [`ClusterStats`] snapshot carrying
 //!   every counter (device sums, transport, retries, hedges, dedupes),
-//!   and a byte-stable [`ClusterReport`] table for determinism checks,
+//!   and a byte-stable [`KvCluster::report`] table for determinism checks,
 //! * R-way replication: [`HashRing::replica_set`] places every key on
 //!   the first R distinct shards past its hash, operations fan out to
 //!   the whole set and acknowledge at configurable read/write quorums,
@@ -41,7 +41,7 @@
 //! use kvssd_core::Payload;
 //! use kvssd_sim::SimTime;
 //!
-//! let mut cluster = KvCluster::for_test(4);
+//! let mut cluster = KvCluster::for_test_replicated(4, 1);
 //! let t = cluster
 //!     .store(SimTime::ZERO, b"user:42", Payload::synthetic(512, 7))
 //!     .unwrap();
@@ -68,7 +68,7 @@ pub mod config;
 pub mod ring;
 pub mod transport;
 
-pub use cluster::{ClusterReport, ClusterStats, KvCluster, RebalanceReport, Shard};
+pub use cluster::{ClusterStats, KvCluster, RebalanceReport, Shard};
 pub use config::ClusterConfig;
 pub use ring::{HashRing, RingDelta};
 pub use transport::{

@@ -92,14 +92,6 @@ impl HashRing {
         ids.len()
     }
 
-    /// Sorted shard ids present on the ring.
-    pub fn shard_ids(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.points.iter().map(|&(_, s)| s).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// The shard owning hash `h`: successor point on the ring, wrapping.
     ///
     /// # Panics
@@ -315,7 +307,8 @@ mod tests {
         let share = ring.share_of(2);
         let d = ring.remove_shard(2);
         assert!((d.moved_fraction - share).abs() < 1e-12);
-        assert_eq!(ring.shard_ids(), vec![0, 1, 3]);
+        assert_eq!(ring.shard_count(), 3);
+        assert!((0..1_000u64).all(|k| ring.shard_for(mix64(k)) != 2));
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn faulty_fabric_report_is_deterministic_across_thread_counts() {
             }
         }
         let _ = c.retrieve(c.quiesce_time(), key(42).as_bytes());
-        c.report().render()
+        c.report()
     };
     let reference = run();
     assert!(
@@ -596,7 +596,7 @@ fn lossy_scenario(seed: u64) -> String {
         st.retry_rescued_ops,
         st.hedged_write_spares,
         st.dup_suppressed,
-        c.report().render()
+        c.report()
     )
 }
 
@@ -756,7 +756,7 @@ fn lossy_repair_scenario(seed: u64, lean: bool) -> String {
         ts.duplicated,
         ts.queue_stalls,
         ts.bytes,
-        c.report().render()
+        c.report()
     ));
     out
 }

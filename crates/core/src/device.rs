@@ -40,7 +40,7 @@ pub struct Lookup {
 }
 
 /// Space accounting snapshot (drives Fig. 7).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpaceReport {
     /// Bytes of user data stored (keys + values of live pairs).
     pub user_bytes: u64,

@@ -598,11 +598,6 @@ impl IterBuckets {
         }
     }
 
-    /// Whether key copies are being retained.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a newly stored key. Re-inserting a key that is already
     /// present moves it to the bucket tail (the device never does this:
     /// it inserts only on the new-key path).

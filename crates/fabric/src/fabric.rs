@@ -100,12 +100,6 @@ impl Fabric {
         *self.links[link].response.config_mut() = config;
     }
 
-    /// Builder-style [`Self::shape_link`].
-    pub fn with_link(mut self, link: usize, config: LinkConfig) -> Self {
-        self.shape_link(link, config);
-        self
-    }
-
     /// Sends a request of `bytes` toward shard `link` at `now`;
     /// returns the arrival instant of the original copy, or `None` if
     /// it was lost. [`Self::request_delivery`] exposes duplicate
@@ -219,7 +213,8 @@ mod tests {
 
     #[test]
     fn per_link_shapes_differ() {
-        let mut f = Fabric::new(FabricConfig::ideal(1), 2).with_link(
+        let mut f = Fabric::new(FabricConfig::ideal(1), 2);
+        f.shape_link(
             1,
             LinkConfig {
                 latency: us(500),

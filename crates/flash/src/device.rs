@@ -382,14 +382,6 @@ impl FlashDevice {
         self.dies.iter().map(Resource::busy_total).sum()
     }
 
-    /// Mean die utilization over `[0, until]`.
-    pub fn die_utilization(&self, until: SimTime) -> f64 {
-        if until == SimTime::ZERO {
-            return 0.0;
-        }
-        self.die_busy_total().as_nanos() as f64 / (until.as_nanos() as f64 * self.dies.len() as f64)
-    }
-
     fn check_addr(&self, addr: PageAddr) -> Result<(), FlashError> {
         if self.geometry.contains(addr) {
             Ok(())
@@ -616,14 +608,5 @@ mod tests {
         assert_eq!(min, 0);
         assert_eq!(max, 2);
         assert!(mean > 0.0 && mean < 1.0);
-    }
-
-    #[test]
-    fn utilization_reflects_busy_dies() {
-        let mut d = dev();
-        let a = p(&d, 0, 0, 0, 0);
-        let r = d.program_page(SimTime::ZERO, a, 32 * 1024).unwrap();
-        let u = d.die_utilization(r.done);
-        assert!(u > 0.0 && u <= 1.0);
     }
 }

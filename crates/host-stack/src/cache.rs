@@ -22,8 +22,6 @@ pub struct LruCache<K: Eq + Hash + Clone> {
     tail: usize, // least recent
     free: Vec<usize>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -50,8 +48,6 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
             tail: NIL,
             free: Vec::new(),
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -70,28 +66,17 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
         self.capacity
     }
 
-    /// (hits, misses) since creation.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Checks (and counts) presence, promoting on hit.
+    /// Checks presence, promoting on hit.
     pub fn touch(&mut self, key: &K) -> bool {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.unlink(idx);
-                self.push_front(idx);
-                self.hits += 1;
-                true
-            }
-            None => {
-                self.misses += 1;
-                false
-            }
-        }
+        let Some(idx) = self.map.get(key).copied() else {
+            return false;
+        };
+        self.unlink(idx);
+        self.push_front(idx);
+        true
     }
 
-    /// Presence check without promotion or counting.
+    /// Presence check without promotion.
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
@@ -216,11 +201,6 @@ impl PageCache {
         self.lru.remove_if(|&(f, _)| f == file);
     }
 
-    /// (hits, misses) since creation.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        self.lru.hit_stats()
-    }
-
     /// Resident pages.
     pub fn len(&self) -> usize {
         self.lru.len()
@@ -242,7 +222,7 @@ mod tests {
         c.insert("a");
         assert!(c.touch(&"a"));
         assert!(!c.touch(&"b"));
-        assert_eq!(c.hit_stats(), (1, 1));
+        assert!(c.touch(&"a"), "a miss on b leaves a resident");
     }
 
     #[test]

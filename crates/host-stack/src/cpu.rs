@@ -32,14 +32,6 @@ impl HostCpu {
         self.cores.acquire(now, work).end
     }
 
-    /// Runs background work (compaction threads etc.): occupies a core
-    /// but the caller does not wait.
-    pub fn run_background(&mut self, now: SimTime, work: SimDuration) {
-        if !work.is_zero() {
-            self.cores.acquire(now, work);
-        }
-    }
-
     /// Total busy time across cores.
     pub fn busy_total(&self) -> SimDuration {
         self.cores.busy_total()
@@ -117,13 +109,6 @@ mod tests {
             .map(|_| cpu.run(SimTime::ZERO, SimDuration::from_micros(10)))
             .collect();
         assert!(ends.iter().all(|&e| e == ends[0]));
-    }
-
-    #[test]
-    fn background_work_accrues_busy_time_without_blocking() {
-        let mut cpu = HostCpu::new(2);
-        cpu.run_background(SimTime::ZERO, SimDuration::from_millis(5));
-        assert_eq!(cpu.busy_total(), SimDuration::from_millis(5));
     }
 
     #[test]

@@ -390,7 +390,7 @@ mod tests {
         let timing = FlashTiming::pm983_like();
         vec![
             Box::new(KvSsdStore::new(KvSsd::new(g, timing, KvConfig::small()))),
-            Box::new(ClusterStore::new(KvCluster::for_test(2))),
+            Box::new(ClusterStore::new(KvCluster::for_test_replicated(2, 1))),
             Box::new(LsmKvStore::new(LsmStore::new(
                 ExtFs::format(BlockSsd::new(g, timing, BlockFtlConfig::pm983_like())),
                 LsmConfig::tiny(),

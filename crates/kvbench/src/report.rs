@@ -58,43 +58,6 @@ impl Table {
     }
 }
 
-impl Table {
-    /// CSV rendering (for piping figure series into plotting tools).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use kvssd_kvbench::Table;
-    /// let mut t = Table::new(&["x", "y"]);
-    /// t.row(&["1", "2.5"]);
-    /// assert_eq!(t.to_csv(), "x,y\n1,2.5\n");
-    /// ```
-    pub fn to_csv(&self) -> String {
-        let esc = |c: &str| {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ncols = self.headers.len();
@@ -176,13 +139,6 @@ mod tests {
         assert_eq!(bytes(2048), "2.00KiB");
         assert_eq!(bytes(3 * 1024 * 1024), "3.00MiB");
         assert_eq!(bytes(5 * 1024 * 1024 * 1024), "5.00GiB");
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(&["x,y", "he said \"hi\""]);
-        assert_eq!(t.to_csv(), "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n");
     }
 
     #[test]

@@ -11,43 +11,9 @@ pub const COMMAND_BYTES: u64 = 64;
 /// Key bytes that fit inline in a single KV command.
 pub const INLINE_KEY_BYTES: usize = 16;
 
-/// Vendor KV opcodes carried over NVMe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KvOpcode {
-    /// Store a key-value pair.
-    Store,
-    /// Retrieve a value by key.
-    Retrieve,
-    /// Delete a key.
-    Delete,
-    /// Existence check (membership query).
-    Exist,
-    /// Open an iterator over a 4-byte key prefix.
-    IterateOpen,
-    /// Fetch the next batch from an open iterator.
-    IterateNext,
-    /// Close an iterator.
-    IterateClose,
-}
-
-/// Standard block opcodes, for the block-firmware personality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BlockOpcode {
-    /// Read a logical range.
-    Read,
-    /// Write a logical range.
-    Write,
-    /// Deallocate (TRIM) a logical range.
-    Deallocate,
-    /// Flush the volatile write cache.
-    Flush,
-}
-
 /// The rules for translating KV operations into NVMe commands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvCommandSet {
-    /// Key bytes that ride inline in the first command.
-    pub inline_key_bytes: usize,
     /// When true, multiple small operations may be consolidated into one
     /// compound command (the HotStorage '19 proposal the paper cites as
     /// `[10]`); used by the ablation benches, off for the paper baseline.
@@ -60,7 +26,6 @@ impl KvCommandSet {
     /// Samsung's shipped command set: 16 B inline keys, no compounds.
     pub fn samsung() -> Self {
         KvCommandSet {
-            inline_key_bytes: INLINE_KEY_BYTES,
             compound_commands: false,
             compound_batch: 1,
         }
@@ -71,7 +36,6 @@ impl KvCommandSet {
     pub fn with_compound(batch: usize) -> Self {
         assert!(batch >= 1, "compound batch must be at least 1");
         KvCommandSet {
-            inline_key_bytes: INLINE_KEY_BYTES,
             compound_commands: true,
             compound_batch: batch,
         }
@@ -80,28 +44,11 @@ impl KvCommandSet {
     /// NVMe commands needed to convey one operation with a key of
     /// `key_len` bytes: 1, plus 1 more if the key does not fit inline.
     pub fn commands_for_key(&self, key_len: usize) -> u64 {
-        if key_len <= self.inline_key_bytes {
+        if key_len <= INLINE_KEY_BYTES {
             1
         } else {
             2
         }
-    }
-
-    /// Commands needed for a *batch* of `ops` same-sized operations.
-    /// Without compound commands this is `ops * commands_for_key`; with
-    /// them, ops are folded `compound_batch` at a time (keys travel in
-    /// the compound payload, so the inline limit no longer multiplies).
-    pub fn commands_for_batch(&self, ops: u64, key_len: usize) -> u64 {
-        if self.compound_commands {
-            ops.div_ceil(self.compound_batch as u64)
-        } else {
-            ops * self.commands_for_key(key_len)
-        }
-    }
-
-    /// Total command-capsule bytes moved over the link for one operation.
-    pub fn capsule_bytes(&self, key_len: usize) -> u64 {
-        self.commands_for_key(key_len) * COMMAND_BYTES
     }
 }
 
@@ -124,27 +71,6 @@ mod tests {
         for len in 17..=255 {
             assert_eq!(cs.commands_for_key(len), 2, "len {len}");
         }
-    }
-
-    #[test]
-    fn capsule_bytes_doubles_past_inline() {
-        let cs = KvCommandSet::samsung();
-        assert_eq!(cs.capsule_bytes(8), 64);
-        assert_eq!(cs.capsule_bytes(64), 128);
-    }
-
-    #[test]
-    fn batch_without_compound_multiplies() {
-        let cs = KvCommandSet::samsung();
-        assert_eq!(cs.commands_for_batch(10, 16), 10);
-        assert_eq!(cs.commands_for_batch(10, 32), 20);
-    }
-
-    #[test]
-    fn compound_folds_ops() {
-        let cs = KvCommandSet::with_compound(8);
-        assert_eq!(cs.commands_for_batch(16, 200), 2);
-        assert_eq!(cs.commands_for_batch(17, 200), 3);
     }
 
     #[test]

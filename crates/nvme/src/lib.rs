@@ -28,6 +28,6 @@ pub mod command;
 pub mod link;
 pub mod queue;
 
-pub use command::{BlockOpcode, KvCommandSet, KvOpcode, COMMAND_BYTES, INLINE_KEY_BYTES};
+pub use command::{KvCommandSet, COMMAND_BYTES, INLINE_KEY_BYTES};
 pub use link::{NvmeConfig, NvmeLink, NvmeStats};
 pub use queue::{SqConfig, SqStats, SubmissionQueue};

@@ -132,11 +132,6 @@ impl NvmeLink {
         self.stats.completions += 1;
         xfer.end + self.config.per_completion
     }
-
-    /// Total front-end busy time (for utilization reporting).
-    pub fn front_end_busy(&self) -> SimDuration {
-        self.front_end.busy_total()
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +201,6 @@ mod tests {
             solo.since(SimTime::ZERO),
             after_completion.since(SimTime::ZERO)
         );
-        assert!(b.front_end_busy() > SimDuration::ZERO);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`rng`] — deterministic RNG and a Zipfian distribution for workloads,
 //! * [`check`] — seeded property checking with shrink-by-deletion (what
 //!   every property and model-oracle suite in the workspace runs on),
-//! * [`stats`] — latency histograms with percentiles, bandwidth time
-//!   series, and helper counters.
+//! * [`stats`] — latency histograms with percentiles and bandwidth time
+//!   series.
 //!
 //! # Example
 //!
@@ -49,5 +49,5 @@ pub use prehash::{PrehashHasher, PrehashedMap, PrehashedSet};
 pub use resource::{Resource, ResourcePool, Window};
 pub use rng::{digest64, mix64, DeterministicRng, ZipfianDistribution};
 pub use runner::{FanIn, OpTiming, QueueRunner};
-pub use stats::{BandwidthSeries, Counter, LatencyHistogram, RatioSummary};
+pub use stats::{BandwidthSeries, LatencyHistogram};
 pub use time::{SimDuration, SimTime};

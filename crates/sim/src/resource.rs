@@ -21,13 +21,6 @@ pub struct Window {
     pub end: SimTime,
 }
 
-impl Window {
-    /// Time spent waiting plus being served, measured from `arrival`.
-    pub fn latency_from(&self, arrival: SimTime) -> SimDuration {
-        self.end.since(arrival)
-    }
-}
-
 /// A single-server FIFO resource timeline.
 #[derive(Debug, Clone, Default)]
 pub struct Resource {
@@ -126,12 +119,6 @@ impl ResourcePool {
         self.servers[idx].acquire(now, service)
     }
 
-    /// Dispatches to a *specific* server (e.g. requests hash-partitioned
-    /// across index managers).
-    pub fn acquire_on(&mut self, idx: usize, now: SimTime, service: SimDuration) -> Window {
-        self.servers[idx].acquire(now, service)
-    }
-
     /// Total busy time across all servers.
     pub fn busy_total(&self) -> SimDuration {
         self.servers.iter().map(Resource::busy_total).sum()
@@ -208,22 +195,6 @@ mod tests {
         assert_eq!(b.start, SimTime::ZERO);
         assert_eq!(c.start, SimTime::ZERO + us(10));
         assert_eq!(p.served(), 3);
-    }
-
-    #[test]
-    fn pool_partitioned_dispatch() {
-        let mut p = ResourcePool::new(2);
-        let a = p.acquire_on(0, SimTime::ZERO, us(10));
-        let b = p.acquire_on(0, SimTime::ZERO, us(10));
-        assert_eq!(b.start, a.end, "same partition must serialize");
-    }
-
-    #[test]
-    fn window_latency_includes_queueing() {
-        let mut r = Resource::new();
-        r.acquire(SimTime::ZERO, us(10));
-        let w = r.acquire(SimTime::ZERO, us(5));
-        assert_eq!(w.latency_from(SimTime::ZERO), us(15));
     }
 
     #[test]

@@ -146,7 +146,6 @@ impl QueueRunner {
 /// f.record(0, SimTime::ZERO + SimDuration::from_micros(10));
 /// f.record(2, SimTime::ZERO + SimDuration::from_micros(25));
 /// assert_eq!(f.barrier(), SimTime::ZERO + SimDuration::from_micros(25));
-/// assert_eq!(f.lane_last(1), SimTime::ZERO);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FanIn {
@@ -260,11 +259,6 @@ impl FanIn {
         self.lanes.remove(lane);
     }
 
-    /// The latest completion recorded on one lane.
-    pub fn lane_last(&self, lane: usize) -> SimTime {
-        self.lanes[lane]
-    }
-
     /// The fan-in instant: the latest completion across all lanes.
     pub fn barrier(&self) -> SimTime {
         self.lanes.iter().copied().fold(SimTime::ZERO, SimTime::max)
@@ -286,7 +280,8 @@ mod tests {
         f.record(0, SimTime::ZERO + us(5));
         f.record(0, SimTime::ZERO + us(3)); // stale completion keeps max
         f.record(1, SimTime::ZERO + us(9));
-        assert_eq!(f.lane_last(0), SimTime::ZERO + us(5));
+        // Lane 0 kept its 5 µs: it is the earliest lane.
+        assert_eq!(f.quorum(1), SimTime::ZERO + us(5));
         assert_eq!(f.barrier(), SimTime::ZERO + us(9));
     }
 

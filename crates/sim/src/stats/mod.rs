@@ -1,100 +1,9 @@
-//! Measurement primitives: latency histograms, bandwidth time series, and
-//! small counters — the simulator's replacements for the paper's
-//! KVbench logs, `dstat`, and `iostat`.
+//! Measurement primitives: latency histograms and bandwidth time series
+//! — the simulator's replacements for the paper's KVbench logs, `dstat`,
+//! and `iostat`.
 
 mod histogram;
 mod series;
 
 pub use histogram::LatencyHistogram;
 pub use series::{BandwidthPoint, BandwidthSeries};
-
-use std::fmt;
-
-/// A named monotonic event counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn bump(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// A compact summary of "ours vs. baseline" used in the experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RatioSummary {
-    /// The subject's measurement (e.g. KV-SSD latency in us).
-    pub subject: f64,
-    /// The baseline's measurement (e.g. block-SSD latency in us).
-    pub baseline: f64,
-}
-
-impl RatioSummary {
-    /// Creates a summary; the baseline must be positive.
-    pub fn new(subject: f64, baseline: f64) -> Self {
-        assert!(baseline > 0.0, "baseline must be positive");
-        RatioSummary { subject, baseline }
-    }
-
-    /// subject / baseline. Values below 1.0 favor the subject for costs
-    /// (latency) and the baseline for throughputs.
-    pub fn ratio(&self) -> f64 {
-        self.subject / self.baseline
-    }
-}
-
-impl fmt::Display for RatioSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:.2} vs {:.2} ({:.2}x)",
-            self.subject,
-            self.baseline,
-            self.ratio()
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.bump();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn ratio_math() {
-        let r = RatioSummary::new(5.0, 2.0);
-        assert!((r.ratio() - 2.5).abs() < 1e-12);
-        assert_eq!(r.to_string(), "5.00 vs 2.00 (2.50x)");
-    }
-
-    #[test]
-    #[should_panic(expected = "baseline")]
-    fn ratio_rejects_zero_baseline() {
-        let _ = RatioSummary::new(1.0, 0.0);
-    }
-}

@@ -27,7 +27,6 @@ pub struct BandwidthSeries {
     bytes: Vec<u64>,
     ops: Vec<u64>,
     total_bytes: u64,
-    total_ops: u64,
     last_at: SimTime,
 }
 
@@ -44,7 +43,6 @@ impl BandwidthSeries {
             bytes: Vec::new(),
             ops: Vec::new(),
             total_bytes: 0,
-            total_ops: 0,
             last_at: SimTime::ZERO,
         }
     }
@@ -59,7 +57,6 @@ impl BandwidthSeries {
         self.bytes[idx] += bytes;
         self.ops[idx] += 1;
         self.total_bytes += bytes;
-        self.total_ops += 1;
         self.last_at = self.last_at.max(at);
     }
 
@@ -71,11 +68,6 @@ impl BandwidthSeries {
     /// Total bytes recorded.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Total operations recorded.
-    pub fn total_ops(&self) -> u64 {
-        self.total_ops
     }
 
     /// Overall mean bandwidth in MB/s from t=0 to the last completion.
@@ -101,20 +93,6 @@ impl BandwidthSeries {
                 mbps: bytes as f64 / 1e6 / wsec,
             })
             .collect()
-    }
-
-    /// Minimum and maximum window bandwidth (MB/s) over the active range,
-    /// ignoring the possibly-partial final window. Returns `None` when
-    /// fewer than two windows are populated.
-    pub fn min_max_mbps(&self) -> Option<(f64, f64)> {
-        if self.bytes.len() < 2 {
-            return None;
-        }
-        let wsec = self.window.as_secs_f64();
-        let complete = &self.bytes[..self.bytes.len() - 1];
-        let min = complete.iter().min().copied()? as f64 / 1e6 / wsec;
-        let max = complete.iter().max().copied()? as f64 / 1e6 / wsec;
-        Some((min, max))
     }
 }
 
@@ -160,21 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn min_max_ignores_partial_tail() {
-        let mut s = BandwidthSeries::new(ms(10));
-        s.record(SimTime::ZERO + ms(1), 1_000);
-        s.record(SimTime::ZERO + ms(11), 5_000);
-        s.record(SimTime::ZERO + ms(21), 50); // partial tail window
-        let (min, max) = s.min_max_mbps().unwrap();
-        assert!((min - 0.1).abs() < 1e-9);
-        assert!((max - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_series_behaves() {
         let s = BandwidthSeries::new(ms(10));
         assert_eq!(s.mean_mbps(), 0.0);
         assert!(s.points().is_empty());
-        assert!(s.min_max_mbps().is_none());
     }
 }

@@ -292,7 +292,7 @@ fn fabric_faults_experiment_shapes() {
 /// moved share tracks the ring delta, and nothing is lost.
 #[test]
 fn rebalance_conserves_data() {
-    let mut cluster = KvCluster::for_test(2);
+    let mut cluster = KvCluster::for_test_replicated(2, 1);
     let mut t = SimTime::ZERO;
     let n = 400u64;
     for i in 0..n {

@@ -71,7 +71,7 @@ fn cluster_runs_are_deterministic_per_seed() {
             .unwrap();
         format!(
             "{}\nmoved={} bytes={} done={}",
-            cluster.report().render(),
+            cluster.report(),
             rep.moved_keys,
             rep.moved_bytes,
             rep.completed.as_nanos()
@@ -104,7 +104,7 @@ fn replication_runs_are_deterministic_per_seed() {
             .unwrap();
         format!(
             "{}\nmoved={} copied={} dropped={} done={}",
-            cluster.report().render(),
+            cluster.report(),
             rep.moved_keys,
             rep.copied_replicas,
             rep.dropped_replicas,

@@ -431,7 +431,7 @@ fn every_adapter_agrees_on_presence() {
         match which {
             0 => Box::new(RawBlockStore::new(block(), 4_096)),
             1 => Box::new(KvSsdStore::new(small_kvssd(None))),
-            2 => Box::new(ClusterStore::new(KvCluster::for_test(2))),
+            2 => Box::new(ClusterStore::new(KvCluster::for_test_replicated(2, 1))),
             3 => {
                 let fs = ExtFs::format(block());
                 Box::new(LsmKvStore::new(LsmStore::new(fs, LsmConfig::tiny())))
