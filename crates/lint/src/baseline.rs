@@ -71,7 +71,7 @@ impl Baseline {
         let mut s = String::from(
             "# kvlint panic-surface baseline — per-file budget of unwrap/expect/panic!/\n\
              # slice-index sites in non-test code of the hot-path crates (block-ftl,\n\
-             # core, cluster, fabric). Ratchet semantics: a count above its budget\n\
+             # core, cluster, fabric, flash). Ratchet semantics: a count above its budget\n\
              # fails the lint gate, and the verify/CI ratchet step also fails on slack\n\
              # (budget above actual), so this file can only shrink. Regenerate with:\n\
              #   cargo run -p kvssd-lint -- --write-baseline\n\n[panic-surface]\n",
