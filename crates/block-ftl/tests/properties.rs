@@ -77,7 +77,7 @@ fn validity_holds(mut dev: BlockSsd, ops: &[BlkOp]) -> Result<(), String> {
         assert_eq!(dev.valid_bytes(), model.len() as u64 * 4096);
     }
     // A final flush must not change logical validity.
-    dev.flush(t);
+    let _done = dev.flush(t);
     assert_eq!(dev.valid_bytes(), model.len() as u64 * 4096);
     Ok(())
 }

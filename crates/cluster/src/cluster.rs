@@ -1484,7 +1484,7 @@ mod tests {
     #[test]
     fn stats_and_space_aggregate() {
         let mut c = KvCluster::for_test_replicated(2, 1);
-        fill(&mut c, 50);
+        let _done = fill(&mut c, 50);
         let st = c.stats();
         assert_eq!(st.devices.stores, 50);
         let sp = c.space();
@@ -1633,7 +1633,7 @@ mod tests {
         // and the late ack still counts once it is the earliest.
         let (mut c, wire) = scripted(deadlines);
         wire.script().responses.push_back(Wire::After(500));
-        c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
+        let _done = c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
         assert_eq!(wire.script().requested.len(), 2, "one retry");
         let st = c.stats();
         assert_eq!((st.leg_retries, st.dup_suppressed), (1, 1));
@@ -1709,7 +1709,7 @@ mod tests {
         let routes = c.replica_routes(KEY).unwrap();
         wire.script().responses.extend([Wire::Lost, Wire::Lost]);
         wire.script().partitioned.push(routes[0]);
-        c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
+        let _done = c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
         let requested = wire.script().requested.clone();
         assert_eq!(requested.len(), 5, "four first-wave legs and one spare");
         assert_eq!(requested[4], (routes[1], SimTime::ZERO + hedge));

@@ -179,7 +179,7 @@ fn r1_replication_is_the_plain_cluster() {
 fn stores_replicate_to_min_r_n_shards() {
     for &(n, r) in &[(2usize, 3usize), (4, 3), (4, 2), (3, 1)] {
         let mut c = KvCluster::for_test_replicated(n, r);
-        fill(&mut c, 100);
+        let _done = fill(&mut c, 100);
         let want = r.min(n);
         for i in 0..100u64 {
             let key = format!("rep{i:08}");

@@ -921,7 +921,7 @@ mod tests {
         // call, ~10 calls.
         for round in 0..20u64 {
             let hs: Vec<u64> = hashes.iter().map(|&h| mix64(h ^ round)).collect();
-            it.merge(SimTime::ZERO, &hs, 1_000_000, &mut flash);
+            let _done = it.merge(SimTime::ZERO, &hs, 1_000_000, &mut flash);
         }
         assert!(it.stats().index_programs > 0);
     }

@@ -460,7 +460,7 @@ mod tests {
         // check the 100 B-value case lands under 2.
         let mut s2 = store();
         for i in 0..1000u64 {
-            s2.put(t, &key(i), Payload::synthetic(150, i));
+            let _done = s2.put(t, &key(i), Payload::synthetic(150, i));
         }
         let amp2 = s2.live_device_bytes() as f64 / s2.user_bytes() as f64;
         assert!(amp2 < 2.0, "amp2 {amp2}");
@@ -494,7 +494,7 @@ mod tests {
         for i in 0..1_000u64 {
             t = s.put(t, &key(i), Payload::synthetic(400, 0));
         }
-        s.flush(t);
+        let _done = s.flush(t);
         // Blocks seal as they fill; records write through at ascending
         // offsets, which the block-SSD sees as a sequential stream.
         assert!(s.stats().blocks_flushed > 0);

@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn utilization_is_fractional() {
         let mut cpu = HostCpu::new(2);
-        cpu.run(SimTime::ZERO, SimDuration::from_micros(50));
+        let _done = cpu.run(SimTime::ZERO, SimDuration::from_micros(50));
         let u = cpu.utilization(SimTime::ZERO + SimDuration::from_micros(100));
         assert!((u - 0.25).abs() < 1e-9, "u = {u}");
     }

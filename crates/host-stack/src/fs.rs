@@ -468,7 +468,7 @@ mod tests {
     fn read_past_eof_rejected() {
         let (mut fs, mut cpu, mut cache) = fixture();
         let (t, f) = fs.create(SimTime::ZERO, &mut cpu);
-        fs.append(t, &mut cpu, &mut cache, f, 100).unwrap();
+        let _done = fs.append(t, &mut cpu, &mut cache, f, 100).unwrap();
         assert!(matches!(
             fs.read(t, &mut cpu, &mut cache, f, 0, 200),
             Err(FsError::ReadPastEof { .. })
@@ -528,7 +528,7 @@ mod tests {
     fn journal_writes_accumulate() {
         let (mut fs, mut cpu, _c) = fixture();
         let (t, f) = fs.create(SimTime::ZERO, &mut cpu);
-        fs.fsync(t, &mut cpu, f).unwrap();
+        let _done = fs.fsync(t, &mut cpu, f).unwrap();
         assert!(fs.stats().journal_writes >= 2);
     }
 }

@@ -195,7 +195,7 @@ mod tests {
         let mut a = link();
         let solo = a.submit(SimTime::ZERO, 1, 0);
         let mut b = link();
-        b.complete(SimTime::ZERO + SimDuration::from_millis(5), 0);
+        let _done = b.complete(SimTime::ZERO + SimDuration::from_millis(5), 0);
         let after_completion = b.submit(SimTime::ZERO, 1, 0);
         assert_eq!(
             solo.since(SimTime::ZERO),

@@ -256,7 +256,9 @@ impl FanIn {
 
     /// Removes a lane; later indices shift down by one.
     pub fn remove_lane(&mut self, lane: usize) {
-        self.lanes.remove(lane);
+        // The lane's last completion leaves with it: work still in
+        // flight there delays no later `barrier` or quorum.
+        let _lane_end = self.lanes.remove(lane);
     }
 
     /// The fan-in instant: the latest completion across all lanes.

@@ -11,6 +11,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An instant on the virtual clock, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[must_use = "an instant some work completes at: use it, or bind it and say who pays for it"]
 pub struct SimTime(u64);
 
 /// A span of virtual time, in nanoseconds.

@@ -76,7 +76,8 @@ fn main() {
         scanned += keys.len();
         batches += 1;
     }
-    dev.iter_close(t, handle).expect("close");
+    // Nothing follows the close: the scan's time ends at its last batch.
+    let _closed = dev.iter_close(t, handle).expect("close");
     println!(
         "Workload E analog: scanned {scanned} keys in {batches} iterator \
          batches over {} of virtual time ({:.1} us per 100-key batch).",

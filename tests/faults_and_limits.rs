@@ -61,7 +61,7 @@ fn block_ssd_survives_program_faults() {
     for off in (0..cap / 4).step_by(4096) {
         t = dev.write(t, off, 4096).unwrap();
     }
-    dev.flush(t);
+    let _flushed = dev.flush(t);
     assert!(dev.flash().stats().program_failures > 0);
     assert!(dev.stats().replaced_after_failure > 0);
     // Mapping accounting stayed exact: one 4 KiB cluster per write.
@@ -85,7 +85,8 @@ fn kvp_limit_reports_index_full() {
     // Updates and deletes still work at the limit.
     let (t, existed) = dev.delete(t, &key(0)).unwrap();
     assert!(existed);
-    dev.store(t, &key(100), Payload::synthetic(32, 0))
+    let _stored = dev
+        .store(t, &key(100), Payload::synthetic(32, 0))
         .expect("a slot freed by delete is reusable");
 }
 
@@ -127,7 +128,8 @@ fn key_and_value_limits_are_exact() {
         .unwrap();
     let long = vec![b'k'; 255];
     let t = dev.store(t, &long, Payload::synthetic(1, 0)).unwrap();
-    dev.store(t, b"maxval", Payload::synthetic(2 * 1024 * 1024, 0))
+    let _stored = dev
+        .store(t, b"maxval", Payload::synthetic(2 * 1024 * 1024, 0))
         .unwrap();
     assert!(matches!(
         dev.store(t, b"abc", Payload::synthetic(1, 0)),

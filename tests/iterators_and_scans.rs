@@ -46,7 +46,7 @@ fn device_iterators_cover_prefix_buckets_exactly() {
                 assert!(seen.insert(k), "duplicate key in iteration");
             }
         }
-        dev.iter_close(t2, h).unwrap();
+        let _done = dev.iter_close(t2, h).unwrap();
         assert_eq!(seen.len(), expect, "bucket {:?}", prefix);
     }
 }
@@ -71,7 +71,7 @@ fn iteration_reflects_deletes_and_iterators_take_time() {
     let (t4, keys) = dev.iter_next(t3, h, 100).unwrap();
     assert_eq!(keys.len(), 19);
     assert!(t4 > t3, "iteration consumes virtual time");
-    dev.iter_close(t4, h).unwrap();
+    let _done = dev.iter_close(t4, h).unwrap();
 }
 
 #[test]
