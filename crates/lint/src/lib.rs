@@ -44,7 +44,6 @@ pub mod lexer;
 pub mod manifest;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

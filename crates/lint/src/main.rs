@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! kvssd-lint [workspace-root] [--rule NAME]... [--list-rules]
-//!            [--sarif PATH] [--write-baseline] [--strict]
+//!            [--write-baseline] [--strict]
 //! ```
 //!
 //! Without a root argument the workspace root is found by walking up
@@ -15,8 +15,6 @@
 //! * `--rule NAME` (repeatable) restricts reporting and the exit code
 //!   to the named rules — for drilling into one rule's findings.
 //! * `--list-rules` prints the rule table and exits 0.
-//! * `--sarif PATH` additionally writes a SARIF 2.1.0 log for CI
-//!   annotation.
 //! * `--write-baseline` rewrites `kvlint-baseline.toml` from the
 //!   current post-suppression panic-surface counts.
 //! * `--strict` also fails on baseline *slack* (budget above actual):
@@ -48,7 +46,6 @@ struct Opts {
     root: Option<PathBuf>,
     rules: Vec<String>,
     list_rules: bool,
-    sarif: Option<PathBuf>,
     write_baseline: bool,
     strict: bool,
 }
@@ -58,7 +55,6 @@ fn parse_args() -> Result<Opts, String> {
         root: None,
         rules: Vec::new(),
         list_rules: false,
-        sarif: None,
         write_baseline: false,
         strict: false,
     };
@@ -75,9 +71,6 @@ fn parse_args() -> Result<Opts, String> {
                 opts.rules.push(name);
             }
             "--list-rules" => opts.list_rules = true,
-            "--sarif" => {
-                opts.sarif = Some(PathBuf::from(args.next().ok_or("--sarif needs a path")?))
-            }
             "--write-baseline" => opts.write_baseline = true,
             "--strict" => opts.strict = true,
             _ if a.starts_with("--") => return Err(format!("unknown flag `{a}`")),
@@ -137,13 +130,6 @@ fn main() -> ExitCode {
             report.panic_surface.len(),
             report.panic_surface_total()
         );
-    }
-
-    if let Some(path) = &opts.sarif {
-        if let Err(e) = std::fs::write(path, kvssd_lint::sarif::render(&report)) {
-            eprintln!("kvssd-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
     }
 
     let selected = |rule: &str| opts.rules.is_empty() || opts.rules.iter().any(|r| r == rule);

@@ -30,16 +30,15 @@ tree_before=$(tree_state)
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== kvlint --strict + SARIF (invariants; panic-surface baseline must be tight; timed) =="
+echo "== kvlint --strict (invariants; panic-surface baseline must be tight; timed) =="
 # Per-rule summary + machine-readable kvlint-summary JSON line; exits
 # non-zero on any unsuppressed violation with file:line diagnostics.
 # --strict fails on baseline slack too (budget above actual), so the
-# committed kvlint-baseline.toml can only shrink; the SARIF 2.1.0 log
-# is what CI uploads for code-scanning annotation. Built first, so the
+# committed kvlint-baseline.toml can only shrink. Built first, so the
 # timed step is the analyzer's own run.
 mkdir -p target
 cargo build "${CARGO_FLAGS[@]}" -q -p kvssd-lint
-time cargo run "${CARGO_FLAGS[@]}" -q -p kvssd-lint -- --strict --sarif target/kvlint.sarif
+time cargo run "${CARGO_FLAGS[@]}" -q -p kvssd-lint -- --strict
 
 echo "== cargo build --release =="
 cargo build "${CARGO_FLAGS[@]}" --release --workspace
