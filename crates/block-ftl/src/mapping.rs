@@ -1,8 +1,9 @@
-//! Cluster-granularity mapping table with validity accounting.
+//! Cluster-granularity mapping table.
 //!
 //! Maps logical cluster numbers (LCN, 4 KiB units) to physical slots
-//! (block, page, slot-within-page) and keeps the per-block valid-cluster
-//! counts plus reverse maps that garbage collection needs. The whole
+//! (block, page, slot-within-page) and keeps the reverse maps garbage
+//! collection needs. Valid-data counts are the shared block pool's: every
+//! change of a cluster's location returns the slot it left. The whole
 //! structure models the FTL's DRAM-resident tables; its *timing* cost is
 //! charged by the device (`BlockFtlConfig::map_op`), its *behavior* is
 //! exact.
@@ -20,13 +21,12 @@ pub struct PhysLoc {
     pub slot: u32,
 }
 
-/// Logical-to-physical mapping plus GC bookkeeping (see module docs).
+/// Logical-to-physical mapping plus GC reverse maps (see module docs).
 #[derive(Debug)]
 pub struct MappingTable {
     forward: Vec<Option<PhysLoc>>,
     /// For each block: reverse map slot-index -> LCN (None = invalid/pad).
     reverse: Vec<Vec<Option<u32>>>,
-    valid: Vec<u32>,
     /// For each block: no slot below this index is live. GC drains a
     /// victim lowest slot first, so the scan in [`Self::first_live`]
     /// resumes here instead of at slot 0.
@@ -42,14 +42,8 @@ impl MappingTable {
             clusters_per_page,
             forward: vec![None; logical_clusters as usize],
             reverse: vec![vec![None; slots_per_block as usize]; geometry.total_blocks() as usize],
-            valid: vec![0; geometry.total_blocks() as usize],
             live_floor: vec![0; geometry.total_blocks() as usize],
         }
-    }
-
-    /// Number of logical clusters.
-    pub fn logical_clusters(&self) -> u64 {
-        self.forward.len() as u64
     }
 
     /// Current physical location of `lcn`, if mapped.
@@ -57,32 +51,27 @@ impl MappingTable {
         self.forward[lcn as usize]
     }
 
-    /// Points `lcn` at a new location, invalidating the old one.
-    pub fn update(&mut self, lcn: u32, loc: PhysLoc) {
-        self.invalidate(lcn);
+    /// Points `lcn` at a new location, invalidating the old one, which
+    /// it returns.
+    pub fn update(&mut self, lcn: u32, loc: PhysLoc) -> Option<PhysLoc> {
+        let old = self.invalidate(lcn);
         self.forward[lcn as usize] = Some(loc);
         let slot = self.slot_index(loc);
         let rev = &mut self.reverse[loc.block.0 as usize];
         debug_assert!(rev[slot].is_none(), "slot written twice without erase");
         rev[slot] = Some(lcn);
-        self.valid[loc.block.0 as usize] += 1;
         let floor = &mut self.live_floor[loc.block.0 as usize];
         *floor = (*floor).min(slot as u32);
+        old
     }
 
-    /// Unmaps `lcn` (overwrite or TRIM), decrementing its old block's
-    /// valid count. Idempotent.
-    pub fn invalidate(&mut self, lcn: u32) {
-        if let Some(old) = self.forward[lcn as usize].take() {
-            let slot = self.slot_index(old);
-            self.reverse[old.block.0 as usize][slot] = None;
-            self.valid[old.block.0 as usize] -= 1;
-        }
-    }
-
-    /// Valid clusters currently living in `block`.
-    pub fn valid_in(&self, block: BlockId) -> u32 {
-        self.valid[block.0 as usize]
+    /// Unmaps `lcn` (overwrite or TRIM), returning where it was.
+    /// Idempotent.
+    pub fn invalidate(&mut self, lcn: u32) -> Option<PhysLoc> {
+        let old = self.forward[lcn as usize].take()?;
+        let slot = self.slot_index(old);
+        self.reverse[old.block.0 as usize][slot] = None;
+        Some(old)
     }
 
     /// The valid cluster in the lowest slot of `block` (GC's next copy),
@@ -104,27 +93,13 @@ impl MappingTable {
         Some((lcn, loc))
     }
 
-    /// Clears all reverse-map entries of `block` after its erase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block still holds valid clusters — erasing it would
-    /// lose data, i.e. a GC bug.
+    /// Clears all reverse-map entries of `block` at its erase (the pool
+    /// checks it holds no valid data).
     pub fn on_erase(&mut self, block: BlockId) {
-        assert_eq!(
-            self.valid[block.0 as usize], 0,
-            "erasing block b{} with valid data",
-            block.0
-        );
         for s in &mut self.reverse[block.0 as usize] {
             *s = None;
         }
         self.live_floor[block.0 as usize] = 0;
-    }
-
-    /// Total valid clusters across the device.
-    pub fn total_valid(&self) -> u64 {
-        self.valid.iter().map(|&v| v as u64).sum()
     }
 
     fn slot_index(&self, loc: PhysLoc) -> usize {
@@ -153,18 +128,16 @@ mod tests {
     #[test]
     fn update_then_lookup() {
         let mut t = table();
-        t.update(7, loc(1, 2, 3));
+        assert_eq!(t.update(7, loc(1, 2, 3)), None);
         assert_eq!(t.lookup(7), Some(loc(1, 2, 3)));
-        assert_eq!(t.valid_in(BlockId(1)), 1);
     }
 
     #[test]
     fn overwrite_invalidates_old_location() {
         let mut t = table();
         t.update(7, loc(1, 0, 0));
-        t.update(7, loc(2, 0, 0));
-        assert_eq!(t.valid_in(BlockId(1)), 0);
-        assert_eq!(t.valid_in(BlockId(2)), 1);
+        assert_eq!(t.update(7, loc(2, 0, 0)), Some(loc(1, 0, 0)));
+        assert_eq!(t.first_live(BlockId(1)), None);
         assert_eq!(t.lookup(7), Some(loc(2, 0, 0)));
     }
 
@@ -172,10 +145,9 @@ mod tests {
     fn invalidate_is_idempotent() {
         let mut t = table();
         t.update(3, loc(0, 0, 0));
-        t.invalidate(3);
-        t.invalidate(3);
+        assert_eq!(t.invalidate(3), Some(loc(0, 0, 0)));
+        assert_eq!(t.invalidate(3), None);
         assert_eq!(t.lookup(3), None);
-        assert_eq!(t.valid_in(BlockId(0)), 0);
     }
 
     #[test]
@@ -211,7 +183,9 @@ mod tests {
                         }
                         t.on_erase(BlockId(b));
                     }
-                    1..=6 => t.invalidate(rng.below(1024) as u32),
+                    1..=6 => {
+                        t.invalidate(rng.below(1024) as u32);
+                    }
                     // Map an LCN to a random slot, below the floor too.
                     _ => {
                         let i = rng.below(slots as u64) as u32;
@@ -229,30 +203,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn erase_requires_empty_block() {
-        let mut t = table();
-        t.update(1, loc(0, 0, 0));
-        t.invalidate(1);
-        t.on_erase(BlockId(0)); // fine: no valid data
-        assert_eq!(t.total_valid(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "valid data")]
-    fn erase_with_valid_data_panics() {
-        let mut t = table();
-        t.update(1, loc(0, 0, 0));
-        t.on_erase(BlockId(0));
-    }
-
-    #[test]
-    fn total_valid_tracks_all_blocks() {
-        let mut t = table();
-        t.update(1, loc(0, 0, 0));
-        t.update(2, loc(5, 0, 0));
-        assert_eq!(t.total_valid(), 2);
     }
 }

@@ -1,11 +1,11 @@
 //! Program-failure handling: a failed program retires its block, and
 //! every live segment of the failed page is placed again.
 
-use kvssd_flash::BlockId;
+use kvssd_flash::{BlockId, BlockState};
 use kvssd_sim::{PrehashedSet, SimTime};
 
 use super::KvSsd;
-use crate::blocks::{BState, BlobRef};
+use crate::blocks::BlobRef;
 use crate::error::KvError;
 use crate::index::SegLoc;
 use crate::write_buffer::KeyId;
@@ -29,7 +29,7 @@ impl KvSsd {
             else {
                 return Ok(None);
             };
-            if self.blocks.state(loc.block) != Some(BState::Dead) {
+            if self.blocks.pool.state(loc.block) != Some(BlockState::Dead) {
                 return Ok(Some((loc, done)));
             }
             // The copy on the dead block is garbage now; it was counted
@@ -50,7 +50,7 @@ impl KvSsd {
         block: BlockId,
         page: u32,
     ) -> Result<(), KvError> {
-        self.blocks.retire(block)?;
+        self.blocks.pool.retire(block);
         for s in &mut self.streams {
             s.active.retain(|&b| b != block);
             if s.open.as_ref().is_some_and(|p| p.block == block) {

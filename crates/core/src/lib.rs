@@ -50,7 +50,6 @@ pub mod inline_vec;
 pub mod keybuf;
 pub mod model;
 pub mod value;
-mod victim;
 mod write_buffer;
 
 pub use config::KvConfig;
