@@ -86,12 +86,53 @@ pub struct BlockSsdStats {
     pub replaced_after_failure: u64,
 }
 
+/// The block(s) of one unit: a sibling-plane pair, one block, or none.
+/// Fixed-size, so opening, parking and stealing a unit allocate nothing.
+#[derive(Debug, Clone, Copy)]
+struct Unit {
+    blocks: [BlockId; 2],
+    len: usize,
+}
+
+impl Unit {
+    fn pair(a: BlockId, b: BlockId) -> Self {
+        Unit {
+            blocks: [a, b],
+            len: 2,
+        }
+    }
+
+    fn one(b: BlockId) -> Self {
+        Unit {
+            blocks: [b, b],
+            len: 1,
+        }
+    }
+}
+
+impl Default for Unit {
+    fn default() -> Self {
+        Unit {
+            blocks: [BlockId(0); 2],
+            len: 0,
+        }
+    }
+}
+
+impl std::ops::Deref for Unit {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        self.blocks.get(..self.len).unwrap_or_default()
+    }
+}
+
 #[derive(Debug, Default)]
 struct Stream {
     /// Block(s) of the unit currently being filled. Sequential streams
     /// hold sibling-plane pairs for multi-plane stripes; random/GC
     /// streams hold one block per unit.
-    blocks: Vec<BlockId>,
+    blocks: Unit,
     next_page: u32,
     /// Clusters waiting for the current page(s): (lcn, arrival).
     pending: Vec<(u32, SimTime)>,
@@ -100,14 +141,13 @@ struct Stream {
     /// each page programs, the stream moves to the next unit so
     /// consecutive pages land on different dies (the parallelism real
     /// FTL superblocks provide).
-    parked: VecDeque<(Vec<BlockId>, u32)>,
+    parked: VecDeque<(Unit, u32)>,
 }
 
 /// Buffers one page program works in, kept across programs so the
 /// command path does not allocate per page.
 #[derive(Debug, Default)]
 struct ProgramScratch {
-    blocks: Vec<BlockId>,
     addrs: Vec<PageAddr>,
     results: Vec<ProgramResult>,
 }
@@ -522,7 +562,7 @@ impl BlockSsd {
         }
         // Close out a fully written unit.
         if s.next_page >= g.pages_per_block {
-            for &b in &s.blocks {
+            for &b in s.blocks.iter() {
                 self.pool.close(b, &self.flash);
             }
         }
@@ -555,10 +595,10 @@ impl BlockSsd {
     /// Opens a fresh unit — a sibling-plane pair when `want_pair` and
     /// one is free, else a single block. Returns it with its next page
     /// (0).
-    fn open_fresh_unit(&mut self, now: SimTime, want_pair: bool) -> Option<(Vec<BlockId>, u32)> {
+    fn open_fresh_unit(&mut self, now: SimTime, want_pair: bool) -> Option<(Unit, u32)> {
         let unit = match want_pair.then(|| self.alloc_pair(now)).flatten() {
-            Some((a, b)) => vec![a, b],
-            None => vec![self.alloc_block(now)?],
+            Some((a, b)) => Unit::pair(a, b),
+            None => Unit::one(self.alloc_block(now)?),
         };
         Some((unit, 0))
     }
@@ -569,7 +609,7 @@ impl BlockSsd {
     /// streams' partial pages are pushed out first so their units become
     /// reclaimable; parked units go before idle current units (no
     /// pending data).
-    fn steal_unit(&mut self, now: SimTime, which: WhichStream) -> (Vec<BlockId>, u32) {
+    fn steal_unit(&mut self, now: SimTime, which: WhichStream) -> (Unit, u32) {
         let mut others = WhichStream::ALL.into_iter().filter(move |&w| w != which);
         for w in others.clone() {
             if !self.streams[w as usize].pending.is_empty() {
@@ -592,7 +632,7 @@ impl BlockSsd {
                 let units = self
                     .streams
                     .each_ref()
-                    .map(|s| (&s.blocks, s.next_page, s.pending.len(), s.parked.len()));
+                    .map(|s| (&*s.blocks, s.next_page, s.pending.len(), s.parked.len()));
                 panic!(
                     "no block for {which:?} stream: free={}, (unit, next page, pending, \
                      parked) per stream {units:?}",
@@ -631,15 +671,10 @@ impl BlockSsd {
         // Taken, not borrowed: the failure handling below calls
         // `&mut self` methods while it reads these.
         let mut scratch = std::mem::take(&mut self.program_scratch);
-        let ProgramScratch {
-            blocks,
-            addrs,
-            results,
-        } = &mut scratch;
-        blocks.clear();
+        let ProgramScratch { addrs, results } = &mut scratch;
         addrs.clear();
         results.clear();
-        blocks.extend_from_slice(&s.blocks);
+        let blocks = s.blocks;
         let next_page = s.next_page;
         s.next_page += 1;
         let start = match which {
@@ -654,11 +689,9 @@ impl BlockSsd {
                 page: next_page,
             }));
             self.stats.stripe_programs += 1;
-            results.extend(
-                self.flash
-                    .program_multiplane(start, addrs, page_bytes)
-                    .expect("stripe program on open pair"),
-            );
+            self.flash
+                .program_multiplane(start, addrs, page_bytes, results)
+                .expect("stripe program on open pair");
             // Pair blocks advance in lockstep; program any skipped block
             // too so next_page stays aligned.
             for &b in blocks.iter().skip(addrs.len()) {
@@ -732,7 +765,7 @@ impl BlockSsd {
                 s.parked.push_back((unit, std::mem::take(&mut s.next_page)));
             } else {
                 s.next_page = 0;
-                for &b in &unit {
+                for &b in unit.iter() {
                     self.pool.close(b, &self.flash);
                 }
             }
@@ -759,10 +792,10 @@ impl BlockSsd {
             if s.blocks.contains(&b) {
                 // The torn-down unit closes with fewer pages written than
                 // were assigned: the pool's gain saturates for it.
-                for &u in &s.blocks {
+                for &u in s.blocks.iter() {
                     self.pool.close(u, &self.flash);
                 }
-                s.blocks.clear();
+                s.blocks = Unit::default();
                 s.next_page = 0;
                 self.buffer_unassigned -= s.pending.len() as u32;
                 lost.extend(s.pending.drain(..).map(|(lcn, _)| lcn));

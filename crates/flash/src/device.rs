@@ -268,16 +268,20 @@ impl FlashDevice {
     /// sequential writes — one of the firmware advantages sequential
     /// workloads enjoy on block-SSDs.
     ///
-    /// Returns one [`ProgramResult`] per address, in order.
+    /// Appends one [`ProgramResult`] per address, in order, to `results`
+    /// (a buffer the caller keeps, so a program allocates nothing); on
+    /// an error it appends none.
     pub fn program_multiplane(
         &mut self,
         now: SimTime,
         addrs: &[PageAddr],
         bytes_each: u64,
-    ) -> Result<Vec<ProgramResult>, FlashError> {
+        results: &mut Vec<ProgramResult>,
+    ) -> Result<(), FlashError> {
         assert!(!addrs.is_empty(), "multiplane program of zero pages");
         let die0 = self.geometry.die_of(addrs[0].block);
-        let mut planes = kvssd_sim::PrehashedSet::default();
+        // One bit per plane of the die.
+        let mut planes = 0u64;
         for &a in addrs {
             self.check_addr(a)?;
             assert_eq!(
@@ -285,10 +289,16 @@ impl FlashDevice {
                 die0,
                 "multiplane pages must share a die"
             );
+            let plane = self.geometry.plane_of(a.block);
             assert!(
-                planes.insert(self.geometry.plane_of(a.block)),
+                plane < u64::BITS,
+                "multiplane programs span at most 64 planes"
+            );
+            assert!(
+                planes & 1 << plane == 0,
                 "multiplane pages must be on distinct planes"
             );
+            planes |= 1 << plane;
             let st = &self.blocks[a.block.0 as usize];
             if st.bad {
                 return Err(FlashError::BadBlock(a.block));
@@ -311,7 +321,6 @@ impl FlashDevice {
         );
         self.stats.programs += addrs.len() as u64;
         self.stats.bytes_written += total;
-        let mut out = Vec::with_capacity(addrs.len());
         for &a in addrs {
             let erase_count = self.blocks[a.block.0 as usize].erase_count;
             let failed = self.fault.program_fails(a.block, a.page, erase_count);
@@ -321,12 +330,12 @@ impl FlashDevice {
                 st.bad = true;
                 self.stats.program_failures += 1;
             }
-            out.push(ProgramResult {
+            results.push(ProgramResult {
                 done: prog.end,
                 failed,
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Erases a block, making all its pages programmable again. A failed
@@ -510,10 +519,15 @@ mod tests {
         let mut d = dev();
         let a = p(&d, 0, 0, 0, 0);
         let b = p(&d, 0, 1, 0, 0);
-        let rs = d
-            .program_multiplane(SimTime::ZERO, &[a, b], 32 * 1024)
+        let mut rs = vec![ProgramResult {
+            done: SimTime::ZERO,
+            failed: true,
+        }];
+        d.program_multiplane(SimTime::ZERO, &[a, b], 32 * 1024, &mut rs)
             .unwrap();
-        assert_eq!(rs.len(), 2);
+        // Appended after what the buffer held.
+        assert_eq!(rs.len(), 3);
+        rs.remove(0);
         assert_eq!(rs[0].done, rs[1].done);
         // Compare against two sequential single-plane programs.
         let mut d2 = dev();
@@ -534,7 +548,7 @@ mod tests {
         let mut d = dev();
         let a = p(&d, 0, 0, 0, 0);
         let b = p(&d, 0, 0, 1, 0);
-        let _ = d.program_multiplane(SimTime::ZERO, &[a, b], 1024);
+        let _ = d.program_multiplane(SimTime::ZERO, &[a, b], 1024, &mut Vec::new());
     }
 
     #[test]
