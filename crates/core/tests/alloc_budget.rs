@@ -3,21 +3,38 @@
 //! The repo benchmark's `allocs_per_kop` is the number a claim is held
 //! to, but it lives in a frozen workspace of its own; this is the same
 //! count inside the crate, so a regression fails `cargo test` next to the
-//! code that caused it. One test function on purpose: the counter is
+//! code that caused it. One test function on purpose: the counters are
 //! process-wide, and libtest runs separate tests on parallel threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use kvssd_core::index::{GlobalStore, IndexEntry, SegList, SEGMENT_SLOTS};
 use kvssd_core::inline_vec::InlineVec;
 use kvssd_core::{KvConfig, KvSsd, Payload};
 use kvssd_flash::{FlashTiming, Geometry};
+use kvssd_sim::rng::mix64;
 use kvssd_sim::{DeterministicRng, SimDuration, SimTime, ZipfianDistribution};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// High-water mark of `LIVE` since it was last reset.
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// Notes `bytes` more live bytes and raises the high-water mark to match.
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 /// The system allocator plus a count of every allocation request
-/// (`benchmark/benches/alloc.rs` is the same wrapper).
+/// (`benchmark/benches/alloc.rs` is the same wrapper) and of live bytes.
 struct CountingAlloc;
 
 // SAFETY: every method defers to `System` with the caller's arguments
@@ -25,13 +42,15 @@ struct CountingAlloc;
 // counter is a side effect that touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // Relaxed: the counter publishes no other data.
+        // Relaxed: the counters publish no other data.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         // SAFETY: the caller upholds `alloc`'s contract (non-zero size).
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         // SAFETY: `ptr` came from this allocator with this `layout`, as
         // `dealloc`'s contract requires.
         unsafe { System.dealloc(ptr, layout) }
@@ -39,12 +58,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         // SAFETY: the caller upholds `alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // Counted as the new block arriving before the old one leaves,
+        // which is what a realloc that moves the block holds.
+        grew(new_size);
+        shrank(layout.size());
         // SAFETY: `ptr`/`layout` describe a live block of this allocator
         // and `new_size` is non-zero, per `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -59,6 +83,16 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// The live bytes `f` adds, and the most it held above the start at
+/// any moment while it ran.
+fn live_and_peak_during(f: impl FnOnce()) -> (u64, u64) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    f();
+    let (live, peak) = (LIVE.load(Ordering::Relaxed), PEAK.load(Ordering::Relaxed));
+    (live.saturating_sub(before), peak - before)
 }
 
 /// 16 B keys written into a caller-owned buffer (no allocation).
@@ -89,6 +123,35 @@ fn inline_vec_spill_costs_one_allocation_per_growth_step() {
     let mut copy = None;
     assert_eq!(allocs_during(|| copy = Some(v.clone())), 1);
     assert_eq!(copy, Some(v));
+}
+
+/// The global index grows one segment at a time and never holds two
+/// copies of itself. Its first segment doubles up to 10 MiB; from there
+/// a full segment splits in place, into itself and one new segment. So
+/// at no moment while 300 000 keys go in (four segments, 40 MiB) does
+/// the heap hold more than the finished index plus one segment. A table
+/// that grows by doubling whole peaks at 1.5 times its final size
+/// instead: the old table beside the new one, twice its size.
+fn global_index_never_holds_two_copies_of_itself() {
+    let segment = (SEGMENT_SLOTS * size_of::<((u64, u64), IndexEntry)>()) as u64;
+    let mut index = GlobalStore::new();
+    let (live, peak) = live_and_peak_during(|| {
+        for i in 0..300_000u64 {
+            let entry = IndexEntry {
+                key_len: 16,
+                value_len: 4096,
+                payload: Payload::synthetic(4096, i),
+                segs: SegList::new(),
+            };
+            index.insert(mix64(i), i, entry);
+        }
+    });
+    assert_eq!(index.len(), 300_000);
+    assert!(live >= 4 * segment, "{live} B live: four segments");
+    assert!(
+        peak <= live + segment,
+        "peak {peak} B > {live} B live + one {segment} B segment"
+    );
 }
 
 /// One 4 KiB Zipfian update.
@@ -165,6 +228,7 @@ fn ref_buffers_are_recycled_not_reallocated() {
 fn kv_ftl_hot_paths_stay_off_the_heap() {
     inline_vec_spill_costs_one_allocation_per_growth_step();
     ref_buffers_are_recycled_not_reallocated();
+    global_index_never_holds_two_copies_of_itself();
 
     // The paper's device at 1/8 of the scaled block count (448 data
     // blocks; same pages, watermarks and firmware constants), filled to
