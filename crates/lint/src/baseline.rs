@@ -2,24 +2,21 @@
 //! **ratchet semantics** — new violations fail, the baseline may only
 //! shrink.
 //!
-//! Format (a TOML subset, hand-parsed like the manifest scanner):
+//! Format (a TOML subset, hand-parsed):
 //!
 //! ```toml
 //! [panic-surface]
 //! "crates/core/src/device.rs" = 13
 //! ```
 //!
-//! Two comparison modes:
-//!
-//! * **gate** ([`Baseline::exceeded`]): any file over its budget (or any
-//!   un-listed file with sites) is a violation. Runs on every lint pass.
-//! * **tight** ([`Baseline::slack`]): any budget above the actual count
-//!   is *slack* — headroom a future regression could hide in. The
-//!   verify/CI ratchet step fails on slack too, which is what forces
-//!   the committed baseline to shrink in the same PR that removes the
-//!   panic sites (and, transitively, forbids it from ever growing:
-//!   CI re-derives the counts and diffs them against the committed
-//!   copy on every push).
+//! Every lint pass fails a file over its budget (an un-listed file has
+//! budget 0); the waiver lives in [`crate::lint_files`]. Slack — a
+//! budget above the actual count, headroom a future regression could
+//! hide in — fails the tier-1 test
+//! `tests/kvlint_gate.rs::panic_surface_baseline_is_tight`, which
+//! demands the committed budgets equal the re-derived counts. That
+//! forces the baseline to shrink in the same change that removes the
+//! panic sites, and forbids it from ever growing.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -83,32 +80,6 @@ impl Baseline {
         }
         s
     }
-
-    /// Gate check: files whose actual count exceeds their budget
-    /// (un-listed files have budget 0). Returns `(path, actual,
-    /// budget)` triples.
-    pub fn exceeded(&self, actual: &BTreeMap<String, usize>) -> Vec<(String, usize, usize)> {
-        actual
-            .iter()
-            .filter_map(|(path, &n)| {
-                let budget = self.counts.get(path).copied().unwrap_or(0);
-                (n > budget).then(|| (path.clone(), n, budget))
-            })
-            .collect()
-    }
-
-    /// Tightness check: budgets above the actual count (including
-    /// entries for files with no sites at all). Returns `(path,
-    /// actual, budget)` triples.
-    pub fn slack(&self, actual: &BTreeMap<String, usize>) -> Vec<(String, usize, usize)> {
-        self.counts
-            .iter()
-            .filter_map(|(path, &budget)| {
-                let n = actual.get(path).copied().unwrap_or(0);
-                (budget > n).then(|| (path.clone(), n, budget))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -135,31 +106,6 @@ mod tests {
         let rendered = Baseline::render(&counts(&[("a.rs", 0), ("b.rs", 2)]));
         assert!(!rendered.contains("a.rs"));
         assert!(rendered.contains("\"b.rs\" = 2"));
-    }
-
-    #[test]
-    fn exceeded_flags_growth_and_new_files() {
-        let b = Baseline::parse("[panic-surface]\n\"a.rs\" = 2\n").unwrap();
-        assert!(b.exceeded(&counts(&[("a.rs", 2)])).is_empty());
-        assert_eq!(
-            b.exceeded(&counts(&[("a.rs", 3)])),
-            [("a.rs".to_string(), 3, 2)]
-        );
-        assert_eq!(
-            b.exceeded(&counts(&[("new.rs", 1)])),
-            [("new.rs".to_string(), 1, 0)]
-        );
-    }
-
-    #[test]
-    fn slack_flags_stale_budgets() {
-        let b = Baseline::parse("[panic-surface]\n\"a.rs\" = 2\n\"gone.rs\" = 1\n").unwrap();
-        let s = b.slack(&counts(&[("a.rs", 1)]));
-        assert_eq!(
-            s,
-            [("a.rs".to_string(), 1, 2), ("gone.rs".to_string(), 0, 1)]
-        );
-        assert!(b.slack(&counts(&[("a.rs", 2), ("gone.rs", 1)])).is_empty());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! literals correctly so rule needles only ever match real code tokens.
 //!
 //! Full `syn`-style parsing is deliberately out of scope — a parser
-//! dependency would break the offline-green invariant this crate exists
-//! to defend. The lexer handles the lexical constructs that defeat
-//! grep-based linting:
+//! dependency would break the offline build. The lexer handles the
+//! lexical constructs that defeat grep-based linting:
 //!
 //! * line comments (`//`, `///`, `//!`) and **nested** block comments;
 //! * string literals with escapes, byte strings, and raw strings with
@@ -24,7 +23,8 @@ pub enum TokKind {
     /// One punctuation glyph (`::` is fused into a single token).
     Punct,
     /// A numeric literal (`42`, `0x52_4554_5259`, `1.5e3`, `100u64`) —
-    /// kept as a token so graph rules can read domain constants.
+    /// kept as a token so `rng-domain-separation` can read domain
+    /// constants.
     Lit,
 }
 
@@ -87,7 +87,7 @@ pub struct Pragma {
 }
 
 /// Lexer output: the token stream plus extracted pragmas and the
-/// comment geometry graph rules need.
+/// comment geometry `unsafe-requires-safety` needs.
 #[derive(Debug, Default)]
 pub struct Lexed<'a> {
     /// Identifier/punctuation/literal tokens in source order.
@@ -112,19 +112,18 @@ impl Lexed<'_> {
     }
 }
 
-/// Scans one comment's text for `kvlint:` pragmas (used for Rust
-/// comments here and reused by the manifest scanner for `#` comments).
-/// `line` is the line the comment text starts on; embedded newlines (in
-/// block comments) advance the recorded pragma line.
+/// Scans one comment's text for `kvlint:` pragmas. `line` is the line
+/// the comment text starts on; embedded newlines (in block comments)
+/// advance the recorded pragma line.
 ///
 /// Recognition is anchored: the pragma must start the comment line
-/// (after comment decoration `/ * ! #` and whitespace). A `kvlint:`
+/// (after comment decoration `/ * !` and whitespace). A `kvlint:`
 /// mentioned mid-sentence in prose is documentation, not a pragma —
 /// and a mis-anchored pragma still fails loudly, because the violation
 /// it meant to excuse stays unsuppressed.
-pub fn scan_comment_for_pragmas(text: &str, line: u32, out: &mut Vec<Pragma>) {
+fn scan_comment_for_pragmas(text: &str, line: u32, out: &mut Vec<Pragma>) {
     for (off, chunk) in text.split('\n').enumerate() {
-        let anchored = chunk.trim_start_matches(['/', '*', '!', '#', ' ', '\t']);
+        let anchored = chunk.trim_start_matches(['/', '*', '!', ' ', '\t']);
         let Some(rest) = anchored.strip_prefix("kvlint:") else {
             continue;
         };

@@ -2,16 +2,12 @@
 //!
 //! The reproduction's scientific claims rest on invariants that used to
 //! be true only by convention: figure tables byte-identical at any
-//! thread count, every run reproducible from a seed in pure virtual
-//! time, and tier-1 building with zero registry dependencies. kvlint
-//! machine-checks them. It tokenizes every workspace `.rs` file (a small
-//! lexer — no `syn`, to stay offline-green) and every `Cargo.toml`, and
-//! enforces ten rules (see [`rules::Rule`]) with file:line diagnostics.
+//! thread count and every run reproducible from a seed in pure virtual
+//! time. kvlint machine-checks them. It tokenizes every workspace `.rs`
+//! file (a small lexer — no `syn`, to stay offline-green) and enforces
+//! eight rules (see [`rules::Rule`]) with file:line diagnostics.
 //!
-//! v2 grew the per-file token scanner into a workspace analyzer: a
-//! lightweight item parser ([`parser`]) feeds an approximate cross-crate
-//! call graph ([`graph`]) so `transitive-taint` can catch sink access
-//! laundered through wrapper functions, `rng-domain-separation` checks
+//! Most rules look at one file's tokens. `rng-domain-separation` checks
 //! seeding-domain constants for uniqueness across the whole workspace,
 //! and `panic-surface` ratchets the hot-path crates' panic sites against
 //! a committed baseline ([`baseline`]) that may only shrink.
@@ -33,27 +29,21 @@
 //! allowed surface. And a pragma that suppresses nothing is an error too
 //! (`dead-pragma`) — stale grants get deleted, not inherited.
 //!
-//! Three entry points make violations impossible to miss: the
-//! `cargo run -p kvssd-lint` binary, a tier-1 test that lints the whole
-//! workspace (`cargo test` fails on any violation), and named
-//! `scripts/verify.sh` / CI steps.
+//! Two entry points make violations impossible to miss: the
+//! `cargo run -p kvssd-lint` binary (a timed step of
+//! `scripts/verify.sh`), and the tier-1 tests that lint the whole
+//! workspace and hold the baseline tight (`cargo test` fails on any
+//! violation or any baseline drift).
 
 pub mod baseline;
-pub mod graph;
 pub mod lexer;
-pub mod manifest;
-pub mod parser;
 pub mod rules;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use baseline::Baseline;
-use graph::{SinkKind, SymbolGraph};
-use lexer::TokKind;
-use parser::FileSyms;
 use rules::{RawDiag, Rule};
 
 /// What kind of file a path is, for rule applicability.
@@ -121,7 +111,7 @@ impl std::fmt::Display for Diagnostic {
 /// The result of a workspace pass.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Files scanned (`.rs` + `Cargo.toml`).
+    /// `.rs` files scanned.
     pub files_scanned: usize,
     /// Unsuppressed findings, in path/line order.
     pub diagnostics: Vec<Diagnostic>,
@@ -162,28 +152,6 @@ impl Report {
         self.panic_surface.values().sum()
     }
 
-    /// The machine-readable one-line summary (stable key order).
-    pub fn summary_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(s, "{{\"files\": {}, \"violations\": {{", self.files_scanned);
-        for (i, (rule, n)) in self.violations.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(s, "{sep}\"{rule}\": {n}");
-        }
-        let _ = write!(s, "}}, \"suppressed\": {{");
-        for (i, (rule, n)) in self.suppressed.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(s, "{sep}\"{rule}\": {n}");
-        }
-        let _ = write!(
-            s,
-            "}}, \"panic_sites\": {}, \"clean\": {}}}",
-            self.panic_surface_total(),
-            self.is_clean()
-        );
-        s
-    }
-
     fn absorb(&mut self, path: &str, kept: Vec<RawDiag>, suppressed: Vec<(&'static str, usize)>) {
         for (rule, n) in suppressed {
             *self.suppressed.entry(rule).or_insert(0) += n;
@@ -201,120 +169,51 @@ impl Report {
 }
 
 /// Per-file state carried between the per-file scan and the workspace
-/// passes.
+/// pass.
 struct FileWork {
     rel: String,
     /// Unsuppressed findings accumulated so far.
     diags: Vec<RawDiag>,
     /// Validated suppression pragmas.
     allows: Vec<(Rule, u32)>,
-    /// `mix64(<lit>)` seeding-domain constants (library `.rs` only).
+    /// `mix64(<lit>)` seeding-domain constants (library code only).
     domains: Vec<rules::DomainConst>,
 }
 
-/// Lints a set of `(workspace-relative path, source)` files as one
-/// workspace: per-file token rules, the cross-file symbol-graph rules,
-/// and — when `baseline` is given — the panic-surface ratchet. This is
-/// THE engine: the binary, the tier-1 gate, and the fixture tests all go
-/// through it.
+/// Lints a set of `(workspace-relative path, source)` Rust files as one
+/// workspace: per-file token rules, the workspace-wide
+/// `rng-domain-separation` check, and — when `baseline` is given — the
+/// panic-surface ratchet. This is THE engine: the binary, the tier-1
+/// gate, and the fixture tests all go through it.
 pub fn lint_files(files: &[(String, String)], baseline: Option<&Baseline>) -> Report {
     let mut report = Report::new();
     let mut work: Vec<FileWork> = Vec::with_capacity(files.len());
-    // The graph is built over the `.rs` files only; `syms`/`sinks` run
-    // parallel to `graph_files`, which maps back into `work` via
-    // `work_idx`.
-    let mut graph_files: Vec<(String, FileSyms)> = Vec::new();
-    let mut fn_sinks: Vec<Vec<Vec<SinkKind>>> = Vec::new();
-    let mut graph_to_work: Vec<usize> = Vec::new();
 
     for (rel, src) in files {
         report.files_scanned += 1;
-        let mut w = FileWork {
+        let class = classify(rel);
+        let lexed = lexer::lex(src);
+        let test_regions = rules::cfg_test_regions(&lexed.toks);
+        let mut diags = rules::check_tokens(
+            &lexed,
+            &test_regions,
+            class,
+            WALL_CLOCK_ALLOWLIST.contains(&rel.as_str()),
+            ENV_READ_ALLOWLIST.contains(&rel.as_str()),
+        );
+        diags.extend(rules::check_unsafe_safety(&lexed));
+        diags.extend(rules::check_panic_surface(
+            &lexed,
+            &test_regions,
+            rel,
+            class,
+        ));
+        let allows = rules::validate_pragmas(&lexed.pragmas, &mut diags);
+        work.push(FileWork {
             rel: rel.clone(),
-            diags: Vec::new(),
-            allows: Vec::new(),
-            domains: Vec::new(),
-        };
-        if rel.ends_with(".rs") {
-            let class = classify(rel);
-            let lexed = lexer::lex(src);
-            w.diags = rules::check_tokens(
-                &lexed,
-                class,
-                WALL_CLOCK_ALLOWLIST.contains(&rel.as_str()),
-                ENV_READ_ALLOWLIST.contains(&rel.as_str()),
-            );
-            w.diags.extend(rules::check_unsafe_safety(&lexed));
-            w.diags
-                .extend(rules::check_panic_surface(&lexed, rel, class));
-            w.allows = rules::validate_pragmas(&lexed.pragmas, &mut w.diags);
-            w.domains = rules::collect_rng_domains(&lexed, class);
-            let syms = parser::parse_items(&lexed);
-            fn_sinks.push(
-                syms.fns
-                    .iter()
-                    .map(|f| body_sinks(&lexed.toks, f.body.clone()))
-                    .collect(),
-            );
-            graph_to_work.push(work.len());
-            graph_files.push((rel.clone(), syms));
-        } else {
-            let (mut diags, pragmas) = manifest::check_manifest(src);
-            w.allows = rules::validate_pragmas(&pragmas, &mut diags);
-            w.diags = diags;
-        }
-        work.push(w);
-    }
-
-    // --- transitive-taint: build the graph, seed it, walk it. ---
-    let sym_graph = SymbolGraph::build(&graph_files);
-    let mut seeds: Vec<(usize, SinkKind)> = Vec::new();
-    let mut def_idx = 0usize;
-    for (gi, (rel, syms)) in graph_files.iter().enumerate() {
-        let wall_sanctioned = WALL_CLOCK_ALLOWLIST.contains(&rel.as_str());
-        let env_sanctioned = ENV_READ_ALLOWLIST.contains(&rel.as_str());
-        for (fj, f) in syms.fns.iter().enumerate() {
-            for &k in &fn_sinks[gi][fj] {
-                seeds.push((def_idx, k));
-            }
-            // Every fn in the sanctioned timing module is a wall-clock
-            // source even when its own body has no `Instant` token
-            // (`elapsed_secs` just subtracts) — wrappers in the
-            // sanctioned file are exactly the laundering vector.
-            if wall_sanctioned {
-                seeds.push((def_idx, SinkKind::WallClock));
-            }
-            if env_sanctioned && f.name == "env_config" {
-                seeds.push((def_idx, SinkKind::EnvRead));
-            }
-            def_idx += 1;
-        }
-    }
-    let taint_allowed = |file: usize, kind: SinkKind| -> bool {
-        let rel = graph_files[file].0.as_str();
-        match kind {
-            // Bench code (and non-library code: tests, examples, bench
-            // targets) may time itself and read its config; library
-            // crates may not, not even through wrappers.
-            SinkKind::WallClock | SinkKind::EnvRead => {
-                classify(rel) != FileClass::LibrarySrc || rel.starts_with("crates/bench/")
-            }
-            // No sanctioned window for OS entropy, anywhere.
-            SinkKind::Entropy => false,
-        }
-    };
-    for finding in sym_graph.taint(&seeds, taint_allowed) {
-        let w = graph_to_work[finding.file];
-        work[w].diags.push(RawDiag {
-            line: finding.line,
-            rule: Rule::TransitiveTaint.name(),
-            message: format!(
-                "call path reaches the {} sink in `{}` through wrappers, with no allowlisted \
-                 hop: {}",
-                finding.kind.describe(),
-                finding.source_path,
-                finding.chain.join(" -> ")
-            ),
+            diags,
+            allows,
+            domains: rules::collect_rng_domains(&lexed, &test_regions, class),
         });
     }
 
@@ -374,49 +273,12 @@ pub fn lint_files(files: &[(String, String)], baseline: Option<&Baseline>) -> Re
     report
 }
 
-/// Sink kinds whose raw tokens appear inside one fn body (token index
-/// range) — taint seeds for the symbol graph.
-fn body_sinks(toks: &[lexer::Tok], body: std::ops::Range<usize>) -> Vec<SinkKind> {
-    let mut out: Vec<SinkKind> = Vec::new();
-    let push = |k: SinkKind, out: &mut Vec<SinkKind>| {
-        if !out.contains(&k) {
-            out.push(k);
-        }
-    };
-    for i in body {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        match t.s {
-            "Instant" | "SystemTime" => push(SinkKind::WallClock, &mut out),
-            "env"
-                if toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                    && toks.get(i + 2).is_some_and(|n| {
-                        n.kind == TokKind::Ident && rules::ENV_READ_FNS.contains(&n.s)
-                    }) =>
-            {
-                push(SinkKind::EnvRead, &mut out)
-            }
-            s if rules::ENTROPY_IDENTS.contains(&s) => push(SinkKind::Entropy, &mut out),
-            _ => {}
-        }
-    }
-    out
-}
-
 /// Lints one Rust source string as `rel_path` would be linted in the
-/// workspace pass (including the graph rules, over the one-file
-/// "workspace"). Public so fixtures and tests hit the exact production
-/// path.
+/// workspace pass (including the workspace-wide rules, over the
+/// one-file "workspace"). Public so fixtures and tests hit the exact
+/// production path.
 pub fn lint_rust_str(rel_path: &str, src: &str) -> (Vec<RawDiag>, Vec<(&'static str, usize)>) {
     let files = [(rel_path.to_string(), src.to_string())];
-    flatten(lint_files(&files, None))
-}
-
-/// Lints one `Cargo.toml` source string.
-pub fn lint_manifest_str(src: &str) -> (Vec<RawDiag>, Vec<(&'static str, usize)>) {
-    let files = [("Cargo.toml".to_string(), src.to_string())];
     flatten(lint_files(&files, None))
 }
 
@@ -446,8 +308,8 @@ fn skip_dir(rel: &str) -> bool {
         || rel.ends_with("/.git")
 }
 
-/// Walks the workspace rooted at `root` and lints every `.rs` and
-/// `Cargo.toml`, applying the committed panic-surface baseline
+/// Walks the workspace rooted at `root` and lints every `.rs` file,
+/// applying the committed panic-surface baseline
 /// (`kvlint-baseline.toml`) when present. Deterministic: files are
 /// visited in sorted path order.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
@@ -504,7 +366,7 @@ fn collect_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Res
             if !skip_dir(&rel) {
                 collect_files(root, &path, out)?;
             }
-        } else if rel.ends_with(".rs") || rel.ends_with("/Cargo.toml") || rel == "Cargo.toml" {
+        } else if rel.ends_with(".rs") {
             out.push(rel);
         }
     }
@@ -554,43 +416,6 @@ mod tests {
             "fn f() { std::env::var(\"X\").ok(); }\n",
         );
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn summary_json_contains_every_rule() {
-        let r = Report::new();
-        let json = r.summary_json();
-        for rule in Rule::ALL {
-            assert!(json.contains(rule.name()), "{json}");
-        }
-        assert!(json.contains("bad-pragma"));
-        assert!(json.contains("\"panic_sites\": 0"));
-        assert!(json.contains("\"clean\": true"));
-    }
-
-    #[test]
-    fn taint_crosses_files_in_a_workspace_pass() {
-        let files = [
-            (
-                "crates/bench/src/walltime.rs".to_string(),
-                "pub struct Stopwatch(u64);\nimpl Stopwatch {\n  pub fn start() -> Self { Stopwatch(0) }\n}\n"
-                    .to_string(),
-            ),
-            (
-                "crates/core/src/device.rs".to_string(),
-                "fn smuggle() -> f64 { let sw = Stopwatch::start(); 0.0 }\n".to_string(),
-            ),
-        ];
-        let report = lint_files(&files, None);
-        assert_eq!(
-            report.violations["transitive-taint"], 1,
-            "{:?}",
-            report.diagnostics
-        );
-        let d = &report.diagnostics[0];
-        assert_eq!(d.path, "crates/core/src/device.rs");
-        assert_eq!(d.line, 1);
-        assert!(d.message.contains("smuggle"), "{}", d.message);
     }
 
     #[test]

@@ -2,30 +2,26 @@
 //! any unsuppressed violation.
 //!
 //! ```text
-//! kvssd-lint [workspace-root] [--rule NAME]... [--list-rules]
-//!            [--write-baseline] [--strict]
+//! kvssd-lint [workspace-root] [--write-baseline]
 //! ```
 //!
 //! Without a root argument the workspace root is found by walking up
 //! from the current directory to the first `Cargo.toml` that declares
-//! `[workspace]`. The bare invocation (the tier-1 gate path) keeps its
-//! v1 contract: print diagnostics, per-rule table, summary JSON; exit 0
-//! iff clean.
+//! `[workspace]`. The bare invocation prints diagnostics and the
+//! per-rule table; it exits 0 iff clean.
 //!
-//! * `--rule NAME` (repeatable) restricts reporting and the exit code
-//!   to the named rules — for drilling into one rule's findings.
-//! * `--list-rules` prints the rule table and exits 0.
 //! * `--write-baseline` rewrites `kvlint-baseline.toml` from the
 //!   current post-suppression panic-surface counts.
-//! * `--strict` also fails on baseline *slack* (budget above actual):
-//!   the ratchet step of verify.sh/CI, which forces the baseline to
-//!   shrink in the same change that removes the sites.
+//!
+//! Baseline slack (a budget above the actual count) is the tier-1
+//! test `tests/kvlint_gate.rs::panic_surface_baseline_is_tight`'s
+//! business, not this binary's.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use kvssd_lint::baseline::{Baseline, BASELINE_FILE};
-use kvssd_lint::rules::Rule;
+use kvssd_lint::rules::{Rule, BAD_PRAGMA};
 
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
@@ -44,35 +40,17 @@ fn find_workspace_root() -> Option<PathBuf> {
 
 struct Opts {
     root: Option<PathBuf>,
-    rules: Vec<String>,
-    list_rules: bool,
     write_baseline: bool,
-    strict: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         root: None,
-        rules: Vec::new(),
-        list_rules: false,
         write_baseline: false,
-        strict: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--rule" => {
-                let name = args.next().ok_or("--rule needs a rule name")?;
-                if Rule::from_name(&name).is_none() && name != kvssd_lint::rules::BAD_PRAGMA {
-                    return Err(format!(
-                        "unknown rule `{name}` (try --list-rules for the full table)"
-                    ));
-                }
-                opts.rules.push(name);
-            }
-            "--list-rules" => opts.list_rules = true,
             "--write-baseline" => opts.write_baseline = true,
-            "--strict" => opts.strict = true,
             _ if a.starts_with("--") => return Err(format!("unknown flag `{a}`")),
             _ if opts.root.is_none() => opts.root = Some(PathBuf::from(a)),
             _ => return Err(format!("unexpected argument `{a}`")),
@@ -90,18 +68,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.list_rules {
-        for rule in Rule::ALL {
-            println!("{:<24} {}", rule.name(), rule.summary());
-        }
-        println!(
-            "{:<24} a malformed `kvlint: allow` pragma (not allowable)",
-            kvssd_lint::rules::BAD_PRAGMA
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let root = match opts.root.clone().or_else(find_workspace_root) {
+    let root = match opts.root.or_else(find_workspace_root) {
         Some(r) => r,
         None => {
             eprintln!("kvssd-lint: no workspace root found above the current directory");
@@ -132,80 +99,30 @@ fn main() -> ExitCode {
         );
     }
 
-    let selected = |rule: &str| opts.rules.is_empty() || opts.rules.iter().any(|r| r == rule);
-    let mut shown = 0usize;
     for d in &report.diagnostics {
-        if selected(d.rule) {
-            println!("{d}");
-            shown += 1;
-        }
+        println!("{d}");
     }
     println!(
-        "kvlint: {} files scanned, {} violation(s){}",
+        "kvlint: {} files scanned, {} violation(s)",
         report.files_scanned,
-        shown,
-        if opts.rules.is_empty() {
-            String::new()
-        } else {
-            format!(" (rules: {})", opts.rules.join(", "))
-        }
+        report.total_violations()
     );
     for rule in Rule::ALL {
-        if !selected(rule.name()) {
-            continue;
-        }
         println!(
             "kvlint-rule {:<22} {} violation(s), {} suppressed",
             rule.name(),
-            report.violations.get(rule.name()).copied().unwrap_or(0),
-            report.suppressed.get(rule.name()).copied().unwrap_or(0),
+            report.violations[rule.name()],
+            report.suppressed[rule.name()],
         );
     }
-    if selected(kvssd_lint::rules::BAD_PRAGMA) {
-        println!(
-            "kvlint-rule {:<22} {} violation(s)",
-            kvssd_lint::rules::BAD_PRAGMA,
-            report
-                .violations
-                .get(kvssd_lint::rules::BAD_PRAGMA)
-                .copied()
-                .unwrap_or(0),
-        );
-    }
-    println!("kvlint-summary: {}", report.summary_json());
+    println!(
+        "kvlint-rule {:<22} {} violation(s)",
+        BAD_PRAGMA, report.violations[BAD_PRAGMA],
+    );
 
-    let mut failed = shown > 0;
-
-    if opts.strict {
-        match kvssd_lint::load_baseline(&root) {
-            Ok(Some(b)) => {
-                for (path, actual, budget) in b.slack(&report.panic_surface) {
-                    println!(
-                        "kvlint-ratchet: {path}: budget {budget} but only {actual} site(s) — \
-                         shrink the baseline (cargo run -p kvssd-lint -- --write-baseline)"
-                    );
-                    failed = true;
-                }
-            }
-            Ok(None) => {
-                if !report.panic_surface.is_empty() {
-                    println!(
-                        "kvlint-ratchet: no {BASELINE_FILE} but {} panic-surface site(s) exist",
-                        report.panic_surface_total()
-                    );
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("kvssd-lint: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if report.is_clean() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

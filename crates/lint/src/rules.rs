@@ -7,24 +7,25 @@
 //! | `no-wall-clock` | experiments run in pure virtual time |
 //! | `no-random-state-map` | figure tables are byte-identical run to run |
 //! | `no-env-read` | a run is a pure function of its seeds, not ambient host state |
-//! | `no-offline-break` | tier-1 builds with zero registry dependencies |
 //! | `no-unseeded-entropy` | every random stream is derived from an explicit seed |
-//! | `transitive-taint` | the sanctioned sink modules cannot be laundered through wrappers |
 //! | `rng-domain-separation` | every derived RNG stream has a unique seeding domain |
 //! | `unsafe-requires-safety` | every `unsafe` block/impl argues its soundness in place |
 //! | `panic-surface` | the hot-path crates' panic surface only ever shrinks |
 //! | `dead-pragma` | the suppression surface carries no stale grants |
 //!
-//! The first five are token rules over one file. The second five are the
-//! v2 graph/structure rules: `transitive-taint` and
-//! `rng-domain-separation` need the whole workspace (see
-//! [`crate::graph`] and the orchestration in [`crate::lint_files`]),
-//! `panic-surface` ratchets against a committed baseline
-//! ([`crate::baseline`]), and `dead-pragma` runs after suppression,
-//! judging the pragmas themselves.
+//! The first four and `unsafe-requires-safety` are token rules over one
+//! file. `rng-domain-separation` needs the whole workspace (the
+//! orchestration in [`crate::lint_files`]), `panic-surface` ratchets
+//! against a committed baseline ([`crate::baseline`]), and `dead-pragma`
+//! runs after suppression, judging the pragmas themselves.
+//!
+//! Two invariants need no rule here. A registry dependency fails the
+//! offline build and the lockfile test in `tests/kvlint_gate.rs`. A
+//! library crate cannot call the sanctioned bench modules, because Cargo
+//! rejects the dependency cycle; the same test catches any other crate
+//! linking the bench crate.
 
 use crate::lexer::{Lexed, Pragma, Tok, TokKind};
-use crate::parser::KEYWORDS;
 use crate::FileClass;
 
 /// The rules kvlint enforces.
@@ -39,14 +40,8 @@ pub enum Rule {
     /// `std::env::var`-family reads outside the bench config module
     /// (`crates/bench/src/lib.rs`).
     NoEnvRead,
-    /// A non-`path`, non-feature-gated dependency in any `Cargo.toml`.
-    NoOfflineBreak,
     /// OS-entropy RNG constructors (`thread_rng`, `from_entropy`, ...).
     NoUnseededEntropy,
-    /// A library-code call path that reaches a wall-clock / env /
-    /// entropy sink through wrapper functions, with no raw sink token of
-    /// its own (the laundering vector the token rules cannot see).
-    TransitiveTaint,
     /// The same `mix64(0x...)` seeding domain constant used at two
     /// sites: two "independent" RNG streams would be correlated.
     RngDomainSeparation,
@@ -62,13 +57,11 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 8] = [
         Rule::NoWallClock,
         Rule::NoRandomStateMap,
         Rule::NoEnvRead,
-        Rule::NoOfflineBreak,
         Rule::NoUnseededEntropy,
-        Rule::TransitiveTaint,
         Rule::RngDomainSeparation,
         Rule::UnsafeRequiresSafety,
         Rule::PanicSurface,
@@ -81,31 +74,11 @@ impl Rule {
             Rule::NoWallClock => "no-wall-clock",
             Rule::NoRandomStateMap => "no-random-state-map",
             Rule::NoEnvRead => "no-env-read",
-            Rule::NoOfflineBreak => "no-offline-break",
             Rule::NoUnseededEntropy => "no-unseeded-entropy",
-            Rule::TransitiveTaint => "transitive-taint",
             Rule::RngDomainSeparation => "rng-domain-separation",
             Rule::UnsafeRequiresSafety => "unsafe-requires-safety",
             Rule::PanicSurface => "panic-surface",
             Rule::DeadPragma => "dead-pragma",
-        }
-    }
-
-    /// One-line description (for `--list-rules`).
-    pub fn summary(self) -> &'static str {
-        match self {
-            Rule::NoWallClock => "wall-clock types outside the sanctioned timing module",
-            Rule::NoRandomStateMap => "randomized-iteration std maps/sets in library code",
-            Rule::NoEnvRead => "environment reads outside the sanctioned config module",
-            Rule::NoOfflineBreak => "registry dependencies that break offline tier-1 builds",
-            Rule::NoUnseededEntropy => "OS-entropy RNG constructors anywhere",
-            Rule::TransitiveTaint => {
-                "library call paths reaching a determinism sink through wrappers"
-            }
-            Rule::RngDomainSeparation => "duplicate mix64 seeding-domain constants",
-            Rule::UnsafeRequiresSafety => "unsafe block/impl without an adjacent SAFETY: comment",
-            Rule::PanicSurface => "panic-capable sites in hot-path crates over the baseline",
-            Rule::DeadPragma => "kvlint: allow pragmas that suppress nothing",
         }
     }
 
@@ -131,9 +104,8 @@ pub const HOT_PATH_CRATES: &[&str] = &[
     "crates/flash/src/",
 ];
 
-/// Identifiers that construct OS-entropy RNG state (shared by the token
-/// rule and taint seeding).
-pub const ENTROPY_IDENTS: &[&str] = &[
+/// Identifiers that construct OS-entropy RNG state.
+const ENTROPY_IDENTS: &[&str] = &[
     "thread_rng",
     "ThreadRng",
     "from_entropy",
@@ -142,8 +114,8 @@ pub const ENTROPY_IDENTS: &[&str] = &[
     "getrandom",
 ];
 
-/// `std::env` reader names (shared by the token rule and taint seeding).
-pub const ENV_READ_FNS: &[&str] = &["var", "var_os", "vars", "vars_os"];
+/// `std::env` reader names.
+const ENV_READ_FNS: &[&str] = &["var", "var_os", "vars", "vars_os"];
 
 /// One finding, before path attachment.
 #[derive(Debug, Clone)]
@@ -274,7 +246,9 @@ pub fn dead_pragma_pass(allows: &[(Rule, u32)], hits: &mut [bool]) -> (Vec<RawDi
 }
 
 /// Line ranges (inclusive) covered by `#[cfg(test)]` items. Used to
-/// exempt in-file test modules from the rules that exempt tests.
+/// exempt in-file test modules from the rules that exempt tests; the
+/// workspace pass computes them once per file and hands them to each
+/// such rule.
 pub fn cfg_test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -361,21 +335,28 @@ fn in_regions(line: u32, regions: &[(u32, u32)]) -> bool {
     regions.iter().any(|&(a, b)| a <= line && line <= b)
 }
 
-fn is_keyword(s: &str) -> bool {
-    KEYWORDS.contains(&s)
-}
+/// Keywords that can directly precede `[` without being an indexable
+/// expression — used to reject `let [a, b] = ...` patterns as index
+/// sites.
+const KEYWORDS: &[&str] = &[
+    "as", "box", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "fn",
+    "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
+    "return", "self", "static", "struct", "super", "trait", "type", "unsafe", "use", "where",
+    "while", "yield",
+];
 
 /// Runs every token rule over one lexed Rust file. `class` decides which
-/// rules apply; `wall_clock_allowed` / `env_read_allowed` are the
-/// per-file path-allowlist decisions made by the caller.
+/// rules apply; `test_regions` are the file's [`cfg_test_regions`];
+/// `wall_clock_allowed` / `env_read_allowed` are the per-file
+/// path-allowlist decisions made by the caller.
 pub fn check_tokens(
     lexed: &Lexed,
+    test_regions: &[(u32, u32)],
     class: FileClass,
     wall_clock_allowed: bool,
     env_read_allowed: bool,
 ) -> Vec<RawDiag> {
     let mut diags = Vec::new();
-    let test_regions = cfg_test_regions(&lexed.toks);
     let toks = &lexed.toks;
 
     for (i, t) in toks.iter().enumerate() {
@@ -395,7 +376,7 @@ pub fn check_tokens(
                 });
             }
             "HashMap" | "HashSet" | "RandomState"
-                if class == FileClass::LibrarySrc && !in_regions(t.line, &test_regions) =>
+                if class == FileClass::LibrarySrc && !in_regions(t.line, test_regions) =>
             {
                 diags.push(RawDiag {
                     line: t.line,
@@ -495,15 +476,19 @@ pub fn check_unsafe_safety(lexed: &Lexed) -> Vec<RawDiag> {
 /// / slice-indexing sites in non-test code of the hot-path crates
 /// ([`HOT_PATH_CRATES`]). Counting (and the baseline ratchet) happens in
 /// the orchestration layer; this returns one site per line.
-pub fn check_panic_surface(lexed: &Lexed, rel: &str, class: FileClass) -> Vec<RawDiag> {
+pub fn check_panic_surface(
+    lexed: &Lexed,
+    test_regions: &[(u32, u32)],
+    rel: &str,
+    class: FileClass,
+) -> Vec<RawDiag> {
     if class != FileClass::LibrarySrc || !HOT_PATH_CRATES.iter().any(|p| rel.starts_with(p)) {
         return Vec::new();
     }
-    let test_regions = cfg_test_regions(&lexed.toks);
     let toks = &lexed.toks;
     let mut diags: Vec<RawDiag> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if in_regions(t.line, &test_regions) {
+        if in_regions(t.line, test_regions) {
             continue;
         }
         let what = match t.kind {
@@ -526,7 +511,8 @@ pub fn check_panic_surface(lexed: &Lexed, rel: &str, class: FileClass) -> Vec<Ra
             TokKind::Punct
                 if t.s == "["
                     && i > 0
-                    && ((toks[i - 1].kind == TokKind::Ident && !is_keyword(toks[i - 1].s))
+                    && ((toks[i - 1].kind == TokKind::Ident
+                        && !KEYWORDS.contains(&toks[i - 1].s))
                         || toks[i - 1].is_punct(")")
                         || toks[i - 1].is_punct("]")) =>
             {
@@ -564,11 +550,14 @@ pub struct DomainConst {
 /// (non-`cfg(test)`) code. Both the pure form `mix64(0xD0)` and the
 /// mixed form `mix64(0xD0 ^ data)` carry a domain constant; the
 /// workspace pass flags any value used at more than one site.
-pub fn collect_rng_domains(lexed: &Lexed, class: FileClass) -> Vec<DomainConst> {
+pub fn collect_rng_domains(
+    lexed: &Lexed,
+    test_regions: &[(u32, u32)],
+    class: FileClass,
+) -> Vec<DomainConst> {
     if class != FileClass::LibrarySrc {
         return Vec::new();
     }
-    let test_regions = cfg_test_regions(&lexed.toks);
     let toks = &lexed.toks;
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -582,7 +571,7 @@ pub fn collect_rng_domains(lexed: &Lexed, class: FileClass) -> Vec<DomainConst> 
         let Some(value) = lit.int_value() else {
             continue;
         };
-        if in_regions(lit.line, &test_regions) {
+        if in_regions(lit.line, test_regions) {
             continue;
         }
         out.push(DomainConst {
@@ -720,15 +709,32 @@ mod tests {
 }
 ";
         let l = lex(src);
-        let hot = check_panic_surface(&l, "crates/core/src/device.rs", FileClass::LibrarySrc);
+        let hot = check_panic_surface(
+            &l,
+            &cfg_test_regions(&l.toks),
+            "crates/core/src/device.rs",
+            FileClass::LibrarySrc,
+        );
         let lines: Vec<u32> = hot.iter().map(|d| d.line).collect();
         assert_eq!(lines, [2, 3, 4, 5], "{hot:?}");
         assert!(
-            check_panic_surface(&l, "crates/sim/src/rng.rs", FileClass::LibrarySrc).is_empty(),
+            check_panic_surface(
+                &l,
+                &cfg_test_regions(&l.toks),
+                "crates/sim/src/rng.rs",
+                FileClass::LibrarySrc
+            )
+            .is_empty(),
             "sim is not a hot-path crate"
         );
         assert!(
-            check_panic_surface(&l, "crates/core/tests/x.rs", FileClass::Tests).is_empty(),
+            check_panic_surface(
+                &l,
+                &cfg_test_regions(&l.toks),
+                "crates/core/tests/x.rs",
+                FileClass::Tests
+            )
+            .is_empty(),
             "tests are exempt"
         );
     }
@@ -746,7 +752,12 @@ fn f(s: &S, i: usize) -> u8 {
 }
 ";
         let l = lex(src);
-        let d = check_panic_surface(&l, "crates/core/src/device.rs", FileClass::LibrarySrc);
+        let d = check_panic_surface(
+            &l,
+            &cfg_test_regions(&l.toks),
+            "crates/core/src/device.rs",
+            FileClass::LibrarySrc,
+        );
         let lines: Vec<u32> = d.iter().map(|x| x.line).collect();
         assert_eq!(lines, [7], "{d:?}");
     }
@@ -765,9 +776,9 @@ mod tests {
 }
 ";
         let l = lex(src);
-        let d = collect_rng_domains(&l, FileClass::LibrarySrc);
+        let d = collect_rng_domains(&l, &cfg_test_regions(&l.toks), FileClass::LibrarySrc);
         let got: Vec<(u32, u64)> = d.iter().map(|c| (c.line, c.value)).collect();
         assert_eq!(got, [(2, 0x52_4554_5259), (3, 0x5EED)], "{d:?}");
-        assert!(collect_rng_domains(&l, FileClass::Tests).is_empty());
+        assert!(collect_rng_domains(&l, &cfg_test_regions(&l.toks), FileClass::Tests).is_empty());
     }
 }

@@ -5,11 +5,11 @@
 //!
 //! Fixtures live under `crates/lint/fixtures/` (excluded from the
 //! workspace pass — they exist to violate the rules) and are linted
-//! here through the exact production path (`lint_rust_str` /
-//! `lint_manifest_str`) under a library-crate pseudo-path.
+//! here through the exact production path (`lint_rust_str`) under a
+//! library-crate pseudo-path.
 
+use kvssd_lint::lint_rust_str;
 use kvssd_lint::rules::{RawDiag, BAD_PRAGMA};
-use kvssd_lint::{lint_files, lint_manifest_str, lint_rust_str};
 
 /// Lints a Rust fixture as if it were library-crate source.
 fn lint_lib(src: &str) -> (Vec<RawDiag>, Vec<(&'static str, usize)>) {
@@ -149,29 +149,6 @@ fn unseeded_entropy_clean_is_clean() {
     assert!(sup.is_empty());
 }
 
-// ----- no-offline-break ------------------------------------------------
-
-#[test]
-fn offline_break_triggers_on_registry_and_git_deps() {
-    let (d, _) = lint_manifest_str(include_str!("../fixtures/offline_break_trigger.toml"));
-    assert_eq!(rule_lines(&d, "no-offline-break"), vec![9, 10, 13]);
-    assert_eq!(d.len(), 3, "path/workspace/optional must pass: {d:?}");
-}
-
-#[test]
-fn offline_break_allow_pragma_suppresses() {
-    let (d, sup) = lint_manifest_str(include_str!("../fixtures/offline_break_allowed.toml"));
-    assert!(d.is_empty(), "{d:?}");
-    assert_eq!(suppressed_count(&sup, "no-offline-break"), 1);
-}
-
-#[test]
-fn offline_break_clean_is_clean() {
-    let (d, sup) = lint_manifest_str(include_str!("../fixtures/offline_break_clean.toml"));
-    assert!(d.is_empty(), "{d:?}");
-    assert!(sup.is_empty());
-}
-
 // ----- pragma hygiene --------------------------------------------------
 
 #[test]
@@ -197,46 +174,6 @@ fn bad_pragma_itself_cannot_be_allowed() {
     // bad pragma, so the escape hatch cannot disable pragma hygiene.
     let (d, _) = lint_lib("// kvlint: allow(bad-pragma) — nice try, not a rule name\n");
     assert_eq!(rule_lines(&d, BAD_PRAGMA), vec![1]);
-}
-
-// ----- transitive-taint ------------------------------------------------
-
-/// Lints a two-file pseudo-workspace: the sanctioned timing module plus
-/// one library file, through the production workspace pass.
-fn lint_with_taint_source(lib_src: &str) -> kvssd_lint::Report {
-    let files = [
-        (
-            "crates/bench/src/walltime.rs".to_string(),
-            include_str!("../fixtures/taint_source.rs").to_string(),
-        ),
-        ("crates/fixture/src/lib.rs".to_string(), lib_src.to_string()),
-    ];
-    lint_files(&files, None)
-}
-
-#[test]
-fn transitive_taint_triggers_at_the_laundering_call() {
-    let r = lint_with_taint_source(include_str!("../fixtures/taint_trigger.rs"));
-    assert_eq!(r.violations["transitive-taint"], 1, "{:?}", r.diagnostics);
-    assert_eq!(r.total_violations(), 1);
-    let d = &r.diagnostics[0];
-    assert_eq!((d.path.as_str(), d.line), ("crates/fixture/src/lib.rs", 3));
-    assert!(d.message.contains("checkpoint"), "{}", d.message);
-    assert!(d.message.contains("wall-clock"), "{}", d.message);
-}
-
-#[test]
-fn transitive_taint_allow_pragma_suppresses() {
-    let r = lint_with_taint_source(include_str!("../fixtures/taint_allowed.rs"));
-    assert!(r.is_clean(), "{:?}", r.diagnostics);
-    assert_eq!(r.suppressed["transitive-taint"], 1);
-}
-
-#[test]
-fn transitive_taint_clean_is_clean() {
-    let r = lint_with_taint_source(include_str!("../fixtures/taint_clean.rs"));
-    assert!(r.is_clean(), "{:?}", r.diagnostics);
-    assert_eq!(r.suppressed["transitive-taint"], 0);
 }
 
 // ----- rng-domain-separation -------------------------------------------

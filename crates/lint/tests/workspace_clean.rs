@@ -1,40 +1,10 @@
-//! The repo gates itself: a full `lint_workspace` pass over this
-//! workspace must come back clean. Seeding any forbidden pattern in a
-//! library crate fails this test with a file:line diagnostic naming
-//! the rule — see the `seeded_violation_is_caught` test for proof that
-//! the detection path works end to end.
-
-use std::path::{Path, PathBuf};
+//! The detection path end to end: full `lint_workspace` passes over
+//! seeded throwaway workspaces report a planted violation at file:line
+//! and ratchet planted panic sites against a planted baseline. The
+//! pass over this repository itself is the root package's tier-1 test
+//! `tests/kvlint_gate.rs::kvlint_workspace_is_clean`.
 
 use kvssd_lint::{lint_workspace, load_baseline};
-
-fn workspace_root() -> PathBuf {
-    // crates/lint/ -> crates/ -> workspace root
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/lint has a workspace root two levels up")
-        .to_path_buf()
-}
-
-#[test]
-fn workspace_has_no_unsuppressed_violations() {
-    let report = lint_workspace(&workspace_root()).expect("workspace walk succeeds");
-    assert!(
-        report.files_scanned > 50,
-        "suspiciously few files scanned ({}) — walker is likely broken",
-        report.files_scanned
-    );
-    if !report.is_clean() {
-        for d in &report.diagnostics {
-            eprintln!("{d}");
-        }
-        panic!(
-            "kvlint found {} unsuppressed violation(s); see diagnostics above",
-            report.total_violations()
-        );
-    }
-}
 
 #[test]
 fn seeded_violation_is_caught() {
@@ -43,16 +13,6 @@ fn seeded_violation_is_caught() {
     let dir = std::env::temp_dir().join(format!("kvlint-seeded-{}", std::process::id()));
     let src = dir.join("crates/demo/src");
     std::fs::create_dir_all(&src).expect("create temp workspace");
-    std::fs::write(
-        dir.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"crates/demo\"]\n",
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("crates/demo/Cargo.toml"),
-        "[package]\nname = \"demo\"\n\n[dependencies]\nserde = \"1\"\n",
-    )
-    .unwrap();
     std::fs::write(
         src.join("lib.rs"),
         "use std::time::Instant;\npub fn now() -> Instant { Instant::now() }\n",
@@ -64,7 +24,6 @@ fn seeded_violation_is_caught() {
 
     assert!(!report.is_clean());
     assert_eq!(report.violations.get("no-wall-clock"), Some(&2));
-    assert_eq!(report.violations.get("no-offline-break"), Some(&1));
     let wall = report
         .diagnostics
         .iter()
@@ -72,7 +31,7 @@ fn seeded_violation_is_caught() {
         .expect("wall-clock diagnostic present");
     assert_eq!(wall.path, "crates/demo/src/lib.rs");
     assert_eq!(wall.line, 1);
-    // The rendered form is the file:line diagnostic the ISSUE demands.
+    // The rendered form is the file:line diagnostic.
     assert!(wall
         .to_string()
         .starts_with("crates/demo/src/lib.rs:1: no-wall-clock:"));
@@ -82,21 +41,12 @@ fn seeded_violation_is_caught() {
 fn seeded_panic_sites_ratchet_against_the_baseline() {
     // End-to-end over a throwaway mini-workspace: the full directory
     // pass counts hot-path panic sites, the committed baseline waives
-    // exactly its budget, slack is detectable for the strict ratchet,
-    // and an over-budget regression turns back into violations.
+    // exactly its budget, slack shows as baseline != counts (what the
+    // tier-1 tightness test compares), and an over-budget regression
+    // turns back into violations.
     let dir = std::env::temp_dir().join(format!("kvlint-ratchet-{}", std::process::id()));
     let src = dir.join("crates/core/src");
     std::fs::create_dir_all(&src).expect("create temp workspace");
-    std::fs::write(
-        dir.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"crates/core\"]\n",
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("crates/core/Cargo.toml"),
-        "[package]\nname = \"core\"\n",
-    )
-    .unwrap();
     let two_sites = "pub fn f(o: Option<u8>) -> u8 {\n    o.unwrap()\n}\n\
                      pub fn g(v: &[u8]) -> u8 {\n    v[0]\n}\n";
     std::fs::write(src.join("device.rs"), two_sites).unwrap();
@@ -116,17 +66,16 @@ fn seeded_panic_sites_ratchet_against_the_baseline() {
     assert!(r.is_clean(), "{:?}", r.diagnostics);
     assert_eq!(r.panic_surface_total(), 2);
 
-    // Fixing one site leaves slack the strict ratchet step reports.
+    // Fixing one site leaves slack: the baseline no longer equals the
+    // counts, though the plain gate stays clean.
     let one_site = "pub fn f(o: Option<u8>) -> Option<u8> {\n    o\n}\n\
                     pub fn g(v: &[u8]) -> u8 {\n    v[0]\n}\n";
     std::fs::write(src.join("device.rs"), one_site).unwrap();
     let r = lint_workspace(&dir).unwrap();
     assert!(r.is_clean(), "within budget: {:?}", r.diagnostics);
     let b = load_baseline(&dir).unwrap().expect("baseline present");
-    assert_eq!(
-        b.slack(&r.panic_surface),
-        vec![("crates/core/src/device.rs".to_string(), 1, 2)]
-    );
+    assert_eq!(r.panic_surface["crates/core/src/device.rs"], 1);
+    assert_ne!(b.counts, r.panic_surface);
 
     // A regression past a (tightened) budget fails the plain gate, and
     // every site in the over-budget file surfaces with file:line.

@@ -30,15 +30,15 @@ tree_before=$(tree_state)
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== kvlint --strict (invariants; panic-surface baseline must be tight; timed) =="
-# Per-rule summary + machine-readable kvlint-summary JSON line; exits
-# non-zero on any unsuppressed violation with file:line diagnostics.
-# --strict fails on baseline slack too (budget above actual), so the
-# committed kvlint-baseline.toml can only shrink. Built first, so the
-# timed step is the analyzer's own run.
+echo "== kvlint (determinism invariants; timed) =="
+# Per-rule summary; exits non-zero on any unsuppressed violation with
+# file:line diagnostics. Baseline slack (budget above actual) fails the
+# tier-1 test kvlint_gate::panic_surface_baseline_is_tight below, so
+# the committed kvlint-baseline.toml can only shrink. Built first, so
+# the timed step is the analyzer's own run.
 mkdir -p target
 cargo build "${CARGO_FLAGS[@]}" -q -p kvssd-lint
-time cargo run "${CARGO_FLAGS[@]}" -q -p kvssd-lint -- --strict
+time cargo run "${CARGO_FLAGS[@]}" -q -p kvssd-lint
 
 echo "== cargo build --release =="
 cargo build "${CARGO_FLAGS[@]}" --release --workspace
