@@ -192,7 +192,9 @@ impl KvSsd {
 mod tests {
     use super::super::tests::{dev, key};
     use super::*;
+    use crate::config::KvConfig;
     use crate::value::Payload;
+    use kvssd_flash::{FaultPlan, FlashDevice, FlashTiming, Geometry};
 
     /// `gc_workload_digest`'s behavior digest: final virtual time, GC
     /// erases, GC-copied segments, foreground-GC events, live pairs and
@@ -260,6 +262,116 @@ mod tests {
             (SimTime::from_nanos(1_705_425_405), 296, 10_522, 116, 613, 3),
         ),
     ];
+
+    /// `near_full_digest`'s behavior digest: final virtual time, GC
+    /// erases, GC-copied segments, failed stores, live pairs, free
+    /// blocks and a fold of every store's outcome. It leaves out the
+    /// foreground-GC episode count and the stall time: both are
+    /// bookkeeping over the same history.
+    type NearFullDigest = (SimTime, u64, u64, u64, u64, u32, u64);
+
+    /// Fills `Geometry::small()` to 90 % with 4 KiB values, then
+    /// overwrites random keys with values of 1 B to 8 KiB on flash with
+    /// `faults`. Victims packed this tightly gain little, so foreground
+    /// GC ends on its futile-round limit; with failing erases the pool
+    /// shrinks until the collector has nowhere to copy a victim's data
+    /// and abandons it.
+    fn near_full_digest(seed: u64, faults: FaultPlan) -> NearFullDigest {
+        use kvssd_sim::rng::mix64;
+        use kvssd_sim::DeterministicRng;
+        let flash = FlashDevice::with_faults(Geometry::small(), FlashTiming::pm983_like(), faults);
+        let mut d = KvSsd::over(flash, KvConfig::small());
+        let mut rng = DeterministicRng::seed_from(seed);
+        let n = d.space().capacity_bytes * 9 / 10 / (4096 + 64);
+        let (mut t, mut failed, mut fold) = (SimTime::ZERO, 0, 0);
+        let stores = (0..n)
+            .map(|i| (i, 4096))
+            .chain((0..1_000).map(|_| (rng.below(n), 1 + rng.below(8192))));
+        for (i, len) in stores {
+            let outcome = match d.store(t, &key(i), Payload::synthetic(len as u32, i)) {
+                Ok(done) => {
+                    t = done;
+                    done.as_nanos()
+                }
+                Err(e) => {
+                    failed += 1;
+                    assert_eq!(e, KvError::DeviceFull);
+                    u64::MAX
+                }
+            };
+            fold = mix64(fold ^ outcome);
+        }
+        let s = d.stats();
+        (
+            t,
+            s.gc_erases,
+            s.gc_copied_segments,
+            failed,
+            d.len(),
+            d.free_blocks(),
+            fold,
+        )
+    }
+
+    /// `near_full_digest` per seed and fault plan, computed on the two
+    /// firmwares' own foreground-GC loops before they became one, and
+    /// never re-pinned since.
+    const NEAR_FULL_REFERENCE_HISTORY: [(u64, Option<u64>, NearFullDigest); 3] = [
+        (
+            1,
+            None,
+            (
+                SimTime::from_nanos(1_924_636_162),
+                305,
+                11_710,
+                203,
+                854,
+                2,
+                0x181B_A321_8F24_F87B,
+            ),
+        ),
+        (
+            3,
+            None,
+            (
+                SimTime::from_nanos(1_959_534_097),
+                314,
+                12_072,
+                200,
+                857,
+                2,
+                0x9181_FFBF_F3E9_5483,
+            ),
+        ),
+        (
+            1,
+            Some(20),
+            (
+                SimTime::from_nanos(636_082_204),
+                130,
+                5_204,
+                726,
+                484,
+                0,
+                0x3CA9_E8C3_F101_1E41,
+            ),
+        ),
+    ];
+
+    #[test]
+    fn near_full_gc_matches_pinned_reference_history() {
+        for (seed, erase_fail_one_in, want) in NEAR_FULL_REFERENCE_HISTORY {
+            let faults = FaultPlan {
+                program_fail_one_in: None,
+                erase_fail_one_in,
+            };
+            assert_eq!(
+                near_full_digest(seed, faults),
+                want,
+                "near-full GC history diverged at seed {seed}, erase faults {erase_fail_one_in:?}"
+            );
+        }
+    }
 
     #[test]
     fn gc_workload_matches_pinned_reference_history() {
