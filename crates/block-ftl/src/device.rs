@@ -9,7 +9,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use kvssd_flash::{
-    BlockId, BlockPool, FlashDevice, FlashTiming, Geometry, PageAddr, ProgramResult,
+    foreground_reclaim, BlockId, BlockPool, FlashDevice, FlashTiming, Geometry, PageAddr, Picked,
+    ProgramResult, Reclaim, Undrainable,
 };
 use kvssd_nvme::NvmeLink;
 use kvssd_sim::{PrehashedMap, SimDuration, SimTime};
@@ -865,36 +866,17 @@ impl BlockSsd {
         }
     }
 
-    /// Synchronous GC until the hard watermark clears, or until two
-    /// victim cycles make no progress (nothing reclaimable — e.g. blocks
-    /// retired by faults shrank the pool). Returns when the reclaim
-    /// finished.
+    /// Synchronous GC until free blocks clear the hard watermark by two,
+    /// or three rounds in a row free none (nothing reclaimable, e.g.
+    /// blocks retired by faults shrank the pool). Returns when the
+    /// reclaim finished.
     fn foreground_gc(&mut self, now: SimTime) -> SimTime {
         self.stats.foreground_gc_events += 1;
         self.in_gc = true;
-        let mut t = now;
-        let mut futile = 0u32;
-        // Reclaim with hysteresis so back-to-back writes do not re-enter
-        // foreground GC immediately.
-        let target = self.config.gc_hard_free_blocks + 2;
-        while self.free_blocks() <= target && futile < 3 {
-            let before = self.free_blocks();
-            let Some(v) = self.pool.victim().or_else(|| self.select_victim(t, 1)) else {
-                break;
-            };
-            let mut guard = 0u32;
-            while self.pool.valid(v) > 0 && self.gc_copy_one(t, 1) {
-                guard += 1;
-                assert!(guard < 1_000_000, "GC failed to drain block b{}", v.0);
-            }
-            t = self.finish_victim(t);
-            if self.free_blocks() > before {
-                futile = 0;
-            } else {
-                futile += 1;
-            }
-        }
+        let target = self.config.gc_hard_free_blocks as u64 + 2;
+        let reclaimed = foreground_reclaim(self, now, target, 3);
         self.in_gc = false;
+        let (t, _ran) = reclaimed.unwrap_or_else(gc_bug);
         // The host write that triggered us resumes after the reclaim.
         if t > now {
             self.stats.stall_time += t.since(now);
@@ -946,7 +928,7 @@ impl BlockSsd {
         let erased = self
             .pool
             .erase_victim(now, &mut self.flash, |v| map.on_erase(v));
-        let Some(done) = erased.expect("erase closed victim") else {
+        let Some(done) = erased.unwrap_or_else(gc_bug) else {
             return now;
         };
         self.stats.gc_erases += 1;
@@ -970,6 +952,40 @@ impl BlockSsd {
         }
         picked
     }
+}
+
+/// Foreground GC's steps: any victim that gains a cluster.
+impl Reclaim for BlockSsd {
+    type Error = Undrainable;
+
+    fn free_space(&self) -> u64 {
+        self.free_blocks() as u64
+    }
+
+    fn pool(&mut self) -> (&mut BlockPool, &FlashDevice) {
+        (&mut self.pool, &self.flash)
+    }
+
+    fn pick_victim(&mut self, now: SimTime, _target: u64) -> Result<Picked, Undrainable> {
+        Ok((
+            now,
+            self.pool.victim().or_else(|| self.select_victim(now, 1)),
+        ))
+    }
+
+    fn copy_live(&mut self, now: SimTime) -> Result<bool, Undrainable> {
+        Ok(self.gc_copy_one(now, 1))
+    }
+
+    fn erase_drained(&mut self, now: SimTime) -> Result<SimTime, Undrainable> {
+        Ok(self.finish_victim(now))
+    }
+}
+
+/// Stops the simulation on a broken GC invariant: the block firmware's
+/// host interface has no error for one.
+fn gc_bug<T>(e: impl std::fmt::Debug) -> T {
+    panic!("block FTL GC: {e:?}")
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,7 +4,7 @@
 //! accounting change that follows, is [`crate::blocks::BlockTable`]'s
 //! and the shared [`kvssd_flash::BlockPool`]'s under it.
 
-use kvssd_flash::{BlockId, PageAddr};
+use kvssd_flash::{foreground_reclaim, BlockId, BlockPool, FlashDevice, PageAddr, Picked, Reclaim};
 use kvssd_sim::SimTime;
 
 use super::KvSsd;
@@ -15,71 +15,23 @@ use crate::error::KvError;
 const GC_PREFETCH_REFS: usize = 16;
 
 impl KvSsd {
-    /// Synchronous GC: reclaim until the hard watermark clears, or until
-    /// two victim cycles produce no *net* free-page gain (fully valid,
-    /// tightly packed victims cannot be compacted — the write will then
-    /// consume the remaining free blocks or fail as device-full).
-    /// Returns when the reclamation finished; the caller stalls until
-    /// then.
+    /// Synchronous GC: reclaim until free pages clear the hard watermark
+    /// by two blocks' worth, or until two rounds in a row produce no
+    /// *net* free-page gain (fully valid, tightly packed victims cannot be
+    /// compacted — the write will then consume the remaining free blocks
+    /// or fail as device-full). Returns when the reclamation finished.
     pub(super) fn foreground_gc(&mut self, now: SimTime) -> Result<SimTime, KvError> {
         self.stats.foreground_gc_events += 1;
         self.in_gc = true;
+        let ppb = self.flash.geometry().pages_per_block as u64;
+        let target = self.hard_watermark_pages() + 2 * ppb;
         // The GC flag must come back down even if the collector trips an
         // internal-invariant error on the way out.
-        let reclaimed = self.foreground_gc_inner(now);
+        let reclaimed = foreground_reclaim(self, now, target, 2);
         self.in_gc = false;
-        let t = reclaimed?;
+        let (t, _ran) = reclaimed?;
         if t > now {
             self.stats.stall_time += t.since(now);
-        }
-        Ok(t)
-    }
-
-    fn foreground_gc_inner(&mut self, now: SimTime) -> Result<SimTime, KvError> {
-        let mut t = now;
-        let mut futile = 0u32;
-        // Hysteresis: reclaim past the trigger so back-to-back writes do
-        // not re-enter foreground GC immediately.
-        let target = self.hard_watermark_pages() + 2 * self.flash.geometry().pages_per_block as u64;
-        while self.free_pages() <= target && futile < 2 {
-            // Zero-copy wins first: erase fully dead closed blocks. The
-            // sweep also drops a victim handle that went stale.
-            let (done, erased) = self.blocks.erase_zero_valid(t, &mut self.flash)?;
-            self.stats.gc_erases += erased;
-            t = done;
-            if self.free_pages() > target {
-                break;
-            }
-            let Some(v) = self.blocks.pool.victim().or_else(|| self.select_victim()) else {
-                break;
-            };
-            let before = self.free_pages();
-            // Drain the victim completely, then erase it.
-            let mut guard = 0u32;
-            while self.blocks.pool.valid(v) > 0 {
-                if !self.gc_copy_one(t)? {
-                    break;
-                }
-                guard += 1;
-                if guard > 1_000_000 {
-                    return Err(KvError::Internal {
-                        what: "GC failed to drain its victim block",
-                    });
-                }
-            }
-            if self.blocks.pool.valid(v) > 0 {
-                // Copy path exhausted (no space to move data into):
-                // abandon this victim so cheaper wins can be retried.
-                self.blocks.pool.abandon_victim(&self.flash);
-                futile += 1;
-                continue;
-            }
-            t = self.erase_victim(t)?;
-            if self.free_pages() > before {
-                futile = 0;
-            } else {
-                futile += 1;
-            }
         }
         Ok(t)
     }
@@ -131,7 +83,7 @@ impl KvSsd {
                 });
             }
             // The die pays: later work there queues behind the erase.
-            let _erase_end = self.erase_victim(now)?;
+            let _erase_end = self.erase_drained(now)?;
             return Ok(false);
         };
         // The die pays for the read; the re-append starts at `now`.
@@ -179,9 +131,41 @@ impl KvSsd {
         self.stats.gc_copied_segments += 1;
         Ok(true)
     }
+}
+
+/// Foreground GC's steps, in free pages (open-block tails count).
+impl Reclaim for KvSsd {
+    type Error = KvError;
+
+    fn free_space(&self) -> u64 {
+        self.free_pages()
+    }
+
+    fn pool(&mut self) -> (&mut BlockPool, &FlashDevice) {
+        (&mut self.blocks.pool, &self.flash)
+    }
+
+    /// Zero-copy wins first: erases fully dead closed blocks (the sweep
+    /// also drops a victim handle that went stale), and stops if that
+    /// cleared `target`.
+    fn pick_victim(&mut self, now: SimTime, target: u64) -> Result<Picked, KvError> {
+        let (done, erased) = self.blocks.erase_zero_valid(now, &mut self.flash)?;
+        self.stats.gc_erases += erased;
+        if self.free_pages() > target {
+            return Ok((done, None));
+        }
+        Ok((
+            done,
+            self.blocks.pool.victim().or_else(|| self.select_victim()),
+        ))
+    }
+
+    fn copy_live(&mut self, now: SimTime) -> Result<bool, KvError> {
+        self.gc_copy_one(now)
+    }
 
     /// Erases the held victim, if it is still closed.
-    fn erase_victim(&mut self, now: SimTime) -> Result<SimTime, KvError> {
+    fn erase_drained(&mut self, now: SimTime) -> Result<SimTime, KvError> {
         let done = self.blocks.erase_victim(now, &mut self.flash)?;
         self.stats.gc_erases += done.is_some() as u64;
         Ok(done.unwrap_or(now))
@@ -273,7 +257,7 @@ mod tests {
     /// Fills `Geometry::small()` to 90 % with 4 KiB values, then
     /// overwrites random keys with values of 1 B to 8 KiB on flash with
     /// `faults`. Victims packed this tightly gain little, so foreground
-    /// GC ends on its futile-round limit; with failing erases the pool
+    /// GC ends after two rounds that free nothing; with failing erases the pool
     /// shrinks until the collector has nowhere to copy a victim's data
     /// and abandons it.
     fn near_full_digest(seed: u64, faults: FaultPlan) -> NearFullDigest {

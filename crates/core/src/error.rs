@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use kvssd_flash::Undrainable;
+
 /// Errors returned by the KV device API.
 ///
 /// These are *usage* errors (limit violations, device exhaustion).
@@ -117,6 +119,14 @@ impl fmt::Display for KvError {
 }
 
 impl std::error::Error for KvError {}
+
+impl From<Undrainable> for KvError {
+    fn from(_: Undrainable) -> Self {
+        KvError::Internal {
+            what: "GC failed to drain its victim block",
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

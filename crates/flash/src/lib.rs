@@ -13,8 +13,9 @@
 //! The block layer under both firmwares lives here too, so they differ
 //! only in policy: [`BlockPool`] owns every block's state and valid
 //! bytes, the per-die-plane free queues, greedy GC victim selection,
-//! erase-and-free and retirement. Allocation order, what a block holds
-//! and when to collect stay in each firmware.
+//! erase-and-free and retirement, and [`foreground_reclaim`] is the one
+//! foreground-GC loop over it. Allocation order, what a block holds and
+//! when to collect stay in each firmware.
 //!
 //! # Example
 //!
@@ -41,5 +42,5 @@ pub mod timing;
 pub use device::{EraseResult, FlashDevice, FlashError, FlashStats, ProgramResult};
 pub use fault::FaultPlan;
 pub use geometry::{BlockId, Geometry, PageAddr};
-pub use pool::{BlockPool, BlockState};
+pub use pool::{foreground_reclaim, BlockPool, BlockState, Picked, Reclaim, Undrainable};
 pub use timing::FlashTiming;

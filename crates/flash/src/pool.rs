@@ -2,8 +2,10 @@
 //!
 //! [`BlockPool`] is mechanism: every block's state and valid bytes, the
 //! per-die-plane free queues, greedy GC victim selection, erase-and-free
-//! and retirement. Policy stays in each firmware: which queue to allocate
-//! from, what a block holds, and when and how hard to collect.
+//! and retirement. [`foreground_reclaim`] is the one foreground-GC loop
+//! over it. Policy stays in each firmware: which queue to allocate from,
+//! what a block holds, when to collect, and what it hands the loop (a
+//! free-space measure, a target, a futile-round limit and three steps).
 //!
 //! Valid space is counted in bytes. Each written page counts
 //! `page_payload` bytes, so a closed block's reclaimable gain is its
@@ -343,6 +345,76 @@ impl BlockPool {
             Some((v, flash.erase_count(b), written.saturating_sub(v)))
         }
     }
+}
+
+/// A victim still holding valid data after a million copies off it: a
+/// GC accounting bug, not a full device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Undrainable(pub BlockId);
+
+/// The three steps of a [`foreground_reclaim`] round, and the firmware's
+/// own measure of free space.
+pub trait Reclaim {
+    /// The steps' error; the loop adds only [`Undrainable`].
+    type Error: From<Undrainable>;
+    /// Free space, in the firmware's own unit.
+    fn free_space(&self) -> u64;
+    /// The pool whose victims the loop drains, and the flash under it.
+    fn pool(&mut self) -> (&mut BlockPool, &FlashDevice);
+    /// The round's victim, the held one first, or `None` to stop; and
+    /// when the pick finished (it may erase on the way).
+    fn pick_victim(&mut self, now: SimTime, target: u64) -> Result<Picked, Self::Error>;
+    /// Copies one live unit off the victim; false when none moved.
+    fn copy_live(&mut self, now: SimTime) -> Result<bool, Self::Error>;
+    /// Erases the drained victim and counts it; returns when it finished.
+    fn erase_drained(&mut self, now: SimTime) -> Result<SimTime, Self::Error>;
+}
+
+/// What [`Reclaim::pick_victim`] returns.
+pub type Picked = (SimTime, Option<BlockId>);
+
+/// Foreground GC: rounds of pick, drain and erase while free space is at
+/// or below `target`, until `futile_rounds` rounds in a row free nothing
+/// (victims too tightly packed to compact, or blocks lost to faults). A
+/// victim with nowhere to copy its data to is given up, so cheaper wins
+/// can be retried. Returns when the reclaim finished and whether any
+/// round ran; books no statistics.
+pub fn foreground_reclaim<R: Reclaim>(
+    r: &mut R,
+    now: SimTime,
+    target: u64,
+    futile_rounds: u32,
+) -> Result<(SimTime, bool), R::Error> {
+    let (mut t, mut futile, mut ran) = (now, 0, false);
+    while r.free_space() <= target && futile < futile_rounds {
+        ran = true;
+        let (picked, victim) = r.pick_victim(t, target)?;
+        t = picked;
+        let Some(v) = victim else {
+            break;
+        };
+        let before = r.free_space();
+        let mut copies = 0u32;
+        while r.pool().0.valid(v) > 0 && r.copy_live(t)? {
+            copies += 1;
+            if copies >= 1_000_000 {
+                return Err(Undrainable(v).into());
+            }
+        }
+        let (pool, flash) = r.pool();
+        if pool.valid(v) > 0 {
+            pool.abandon_victim(flash);
+            futile += 1;
+            continue;
+        }
+        t = r.erase_drained(t)?;
+        futile = if r.free_space() > before {
+            0
+        } else {
+            futile + 1
+        };
+    }
+    Ok((t, ran))
 }
 
 /// One pushed accounting snapshot: (valid bytes, erase count, block id),
