@@ -871,12 +871,12 @@ impl BlockSsd {
     /// blocks retired by faults shrank the pool). Returns when the
     /// reclaim finished.
     fn foreground_gc(&mut self, now: SimTime) -> SimTime {
-        self.stats.foreground_gc_events += 1;
         self.in_gc = true;
         let target = self.config.gc_hard_free_blocks as u64 + 2;
         let reclaimed = foreground_reclaim(self, now, target, 3);
         self.in_gc = false;
-        let (t, _ran) = reclaimed.unwrap_or_else(gc_bug);
+        let (t, ran) = reclaimed.unwrap_or_else(gc_bug);
+        self.stats.foreground_gc_events += ran as u64;
         // The host write that triggered us resumes after the reclaim.
         if t > now {
             self.stats.stall_time += t.since(now);

@@ -21,7 +21,7 @@ use kvssd_study::bench::experiments::{cells, FIGURES};
 use kvssd_study::bench::Scale;
 use kvssd_study::sim::digest64;
 
-const SCALEOUT_TINY: u64 = 0xabe13033e5996bbd;
+const SCALEOUT_TINY: u64 = 0xf8b406eaa6af49df;
 const REPLICATION_TINY: u64 = 0x1d1051945373459c;
 const FABRIC_TINY: u64 = 0x4dfc10f50a108b79;
 const FIG2_TINY: u64 = 0x4ef34a875caea89c;
@@ -35,7 +35,7 @@ const PINS: [(&str, u64); 13] = [
     ("fig3", 0xa705df6c39472e8a),
     ("fig4", FIG4_TINY),
     ("fig5", 0x05ed6143b0f087c7),
-    ("fig6", 0x35b4b772ed346ac1),
+    ("fig6", 0x85747a52d7299203),
     ("fig7", 0xba3f7c9ebbe4e962),
     ("fig8", 0x3fcd0bd7c45a4f51),
     ("headline", 0x733eee8ad50843ee),
