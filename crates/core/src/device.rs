@@ -87,9 +87,10 @@ pub struct KvSsdStats {
     pub gc_copied_segments: u64,
     /// Blocks erased by GC.
     pub gc_erases: u64,
-    /// Foreground GC episodes writes waited on.
+    /// Foreground GC episodes that ran at least one reclaim round.
     pub foreground_gc_events: u64,
-    /// Total time writes spent stalled (buffer pressure + foreground GC).
+    /// Total time writes spent stalled: on buffer space, and on the
+    /// foreground GC a store runs at the hard watermark.
     pub stall_time: SimDuration,
     /// Reads served from the volatile write buffer.
     pub write_buffer_hits: u64,
@@ -356,8 +357,11 @@ impl KvSsd {
         }
 
         // 3.5 Hard watermark: reclaim space synchronously before placing.
+        // The one reclaim a store waits for, so the one booked as a stall.
         if self.at_hard_watermark() {
-            t = self.foreground_gc(t)?;
+            let reclaimed = self.foreground_gc(t)?;
+            self.stats.stall_time += reclaimed.saturating_since(t);
+            t = reclaimed;
         }
 
         // 4. Invalidate any previous version and commit a skeleton index

@@ -30,9 +30,6 @@ impl KvSsd {
         self.in_gc = false;
         let (t, ran) = reclaimed?;
         self.stats.foreground_gc_events += ran as u64;
-        if t > now {
-            self.stats.stall_time += t.since(now);
-        }
         Ok(t)
     }
 
