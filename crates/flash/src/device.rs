@@ -226,40 +226,12 @@ impl FlashDevice {
         addr: PageAddr,
         bytes: u64,
     ) -> Result<ProgramResult, FlashError> {
-        self.check_addr(addr)?;
-        self.check_transfer(bytes)?;
-        let st = &self.blocks[addr.block.0 as usize];
-        if st.bad {
-            return Err(FlashError::BadBlock(addr.block));
-        }
-        if addr.page != st.next_page {
-            return Err(FlashError::OutOfOrderProgram {
-                addr,
-                expected: st.next_page,
-            });
-        }
-        let die = self.geometry.die_of(addr.block) as usize;
-        let ch = self.geometry.channel_of(addr.block) as usize;
-        let xfer = self.channels[ch].acquire(now, self.timing.write_pipeline_time(bytes));
-        let prog = self.dies[die].acquire_after(
-            now,
-            xfer.end,
-            self.timing.t_cmd_overhead + self.timing.t_program,
-        );
-        self.stats.programs += 1;
-        self.stats.bytes_written += bytes;
-        let erase_count = self.blocks[addr.block.0 as usize].erase_count;
-        let failed = self.fault.program_fails(addr.block, addr.page, erase_count);
-        let st = &mut self.blocks[addr.block.0 as usize];
-        st.next_page += 1;
-        if failed {
-            st.bad = true;
-            self.stats.program_failures += 1;
-        }
-        Ok(ProgramResult {
-            done: prog.end,
-            failed,
-        })
+        let mut programmed = ProgramResult {
+            done: now,
+            failed: false,
+        };
+        self.program(now, &[addr], bytes, |r| programmed = r)?;
+        Ok(programmed)
     }
 
     /// Programs one page on each of several blocks that live on *distinct
@@ -277,6 +249,18 @@ impl FlashDevice {
         addrs: &[PageAddr],
         bytes_each: u64,
         results: &mut Vec<ProgramResult>,
+    ) -> Result<(), FlashError> {
+        self.program(now, addrs, bytes_each, |r| results.push(r))
+    }
+
+    /// [`FlashDevice::program_multiplane`], handing each address's result
+    /// to `each`, in order, once every check passed.
+    fn program(
+        &mut self,
+        now: SimTime,
+        addrs: &[PageAddr],
+        bytes_each: u64,
+        mut each: impl FnMut(ProgramResult),
     ) -> Result<(), FlashError> {
         assert!(!addrs.is_empty(), "multiplane program of zero pages");
         let die0 = self.geometry.die_of(addrs[0].block);
@@ -330,7 +314,7 @@ impl FlashDevice {
                 st.bad = true;
                 self.stats.program_failures += 1;
             }
-            results.push(ProgramResult {
+            each(ProgramResult {
                 done: prog.end,
                 failed,
             });
