@@ -9,7 +9,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use kvssd_flash::{
-    foreground_reclaim, BlockId, BlockPool, FlashDevice, FlashTiming, Geometry, PageAddr, Picked,
+    foreground_reclaim, BlockId, BlockPool, FlashDevice, FlashTiming, Geometry, PageAddr,
     ProgramResult, Reclaim, Undrainable,
 };
 use kvssd_nvme::NvmeLink;
@@ -816,14 +816,10 @@ impl BlockSsd {
     /// reserve for the collector — handing GC's working space to a data
     /// stream would deadlock relocation the moment the device fills.
     fn alloc_block(&mut self, now: SimTime) -> Option<BlockId> {
-        self.gc_at_hard_watermark(now);
-        let reserve = if self.in_gc { 0 } else { 1 };
-        if self.free_blocks() <= reserve && !self.in_gc {
-            // One more synchronous attempt before giving up; the die
-            // pays for it, as in `gc_at_hard_watermark`.
-            let _reclaim_end = self.foreground_gc(now);
-        }
-        if self.free_blocks() <= reserve {
+        self.foreground_gc(now, self.config.gc_hard_free_blocks);
+        // One more synchronous attempt before a host stream gives up.
+        self.foreground_gc(now, 1);
+        if self.free_blocks() <= u32::from(!self.in_gc) {
             return None;
         }
         // Round-robin over die-planes for parallelism.
@@ -834,7 +830,7 @@ impl BlockSsd {
     }
 
     fn alloc_pair(&mut self, now: SimTime) -> Option<(BlockId, BlockId)> {
-        self.gc_at_hard_watermark(now);
+        self.foreground_gc(now, self.config.gc_hard_free_blocks);
         let g = *self.flash.geometry();
         let planes = g.planes_per_die as usize;
         let dies = g.dies() as usize;
@@ -858,27 +854,27 @@ impl BlockSsd {
         None
     }
 
-    /// Runs foreground GC, outside GC, once free blocks are down to the
-    /// hard watermark. The die pays for the reclaim: the allocated
-    /// block's first program queues behind it.
-    fn gc_at_hard_watermark(&mut self, now: SimTime) {
-        if !self.in_gc && self.free_blocks() <= self.config.gc_hard_free_blocks {
-            let _reclaim_end = self.foreground_gc(now);
+    /// Foreground GC, outside GC, once free blocks are down to `at`: until
+    /// they clear the hard watermark by two, or three rounds in a row free
+    /// none (e.g. faults shrank the pool). The die pays for the reclaim.
+    fn foreground_gc(&mut self, now: SimTime, at: u32) {
+        if self.in_gc || self.free_blocks() > at {
+            return;
         }
-    }
-
-    /// Synchronous GC until free blocks clear the hard watermark by two,
-    /// or three rounds in a row free none (nothing reclaimable, e.g.
-    /// blocks retired by faults shrank the pool). Returns when the
-    /// reclaim finished.
-    fn foreground_gc(&mut self, now: SimTime) -> SimTime {
+        let steps: Reclaim<Self, Undrainable> = Reclaim {
+            target: self.config.gc_hard_free_blocks as u64 + 2,
+            futile_rounds: 3,
+            free_space: |d| d.free_blocks() as u64,
+            pool: |d| (&mut d.pool, &d.flash),
+            pick_victim: |d, t, _| Ok((t, d.pool.victim().or_else(|| d.select_victim(t, 1)))),
+            copy_live: |d, t| Ok(d.gc_copy_one(t, 1)),
+            erase_drained: |d, t| Ok(d.finish_victim(t)),
+        };
         self.in_gc = true;
-        let target = self.config.gc_hard_free_blocks as u64 + 2;
-        let reclaimed = foreground_reclaim(self, now, target, 3);
+        let reclaimed = foreground_reclaim(self, now, &steps);
         self.in_gc = false;
-        let (t, ran) = reclaimed.unwrap_or_else(gc_bug);
+        let (_reclaim_end, ran) = reclaimed.unwrap_or_else(gc_bug);
         self.stats.foreground_gc_events += ran as u64;
-        t
     }
 
     /// Copies one live cluster off the current victim, first selecting
@@ -925,11 +921,9 @@ impl BlockSsd {
         let erased = self
             .pool
             .erase_victim(now, &mut self.flash, |v| map.on_erase(v));
-        let Some(done) = erased.unwrap_or_else(gc_bug) else {
-            return now;
-        };
-        self.stats.gc_erases += 1;
-        done
+        let done = erased.unwrap_or_else(gc_bug);
+        self.stats.gc_erases += done.is_some() as u64;
+        done.unwrap_or(now)
     }
 
     /// Greedy victim selection (see [`BlockPool::select_victim`]): only
@@ -951,36 +945,7 @@ impl BlockSsd {
     }
 }
 
-/// Foreground GC's steps: any victim that gains a cluster.
-impl Reclaim for BlockSsd {
-    type Error = Undrainable;
-
-    fn free_space(&self) -> u64 {
-        self.free_blocks() as u64
-    }
-
-    fn pool(&mut self) -> (&mut BlockPool, &FlashDevice) {
-        (&mut self.pool, &self.flash)
-    }
-
-    fn pick_victim(&mut self, now: SimTime, _target: u64) -> Result<Picked, Undrainable> {
-        Ok((
-            now,
-            self.pool.victim().or_else(|| self.select_victim(now, 1)),
-        ))
-    }
-
-    fn copy_live(&mut self, now: SimTime) -> Result<bool, Undrainable> {
-        Ok(self.gc_copy_one(now, 1))
-    }
-
-    fn erase_drained(&mut self, now: SimTime) -> Result<SimTime, Undrainable> {
-        Ok(self.finish_victim(now))
-    }
-}
-
-/// Stops the simulation on a broken GC invariant: the block firmware's
-/// host interface has no error for one.
+/// Stops the simulation on a broken GC invariant (no host error fits).
 fn gc_bug<T>(e: impl std::fmt::Debug) -> T {
     panic!("block FTL GC: {e:?}")
 }

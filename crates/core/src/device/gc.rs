@@ -4,7 +4,7 @@
 //! accounting change that follows, is [`crate::blocks::BlockTable`]'s
 //! and the shared [`kvssd_flash::BlockPool`]'s under it.
 
-use kvssd_flash::{foreground_reclaim, BlockId, BlockPool, FlashDevice, PageAddr, Picked, Reclaim};
+use kvssd_flash::{foreground_reclaim, BlockId, PageAddr, Picked, Reclaim};
 use kvssd_sim::SimTime;
 
 use super::KvSsd;
@@ -15,22 +15,40 @@ use crate::error::KvError;
 const GC_PREFETCH_REFS: usize = 16;
 
 impl KvSsd {
-    /// Synchronous GC: reclaim until free pages clear the hard watermark
-    /// by two blocks' worth, or until two rounds in a row produce no
-    /// *net* free-page gain (fully valid, tightly packed victims cannot be
-    /// compacted — the write will then consume the remaining free blocks
-    /// or fail as device-full). Returns when the reclamation finished.
+    /// Synchronous GC in free pages: reclaims two blocks' worth past the
+    /// hard watermark; two rounds in a row with no net gain (tightly
+    /// packed victims) end it. Returns when the reclamation finished.
     pub(super) fn foreground_gc(&mut self, now: SimTime) -> Result<SimTime, KvError> {
+        let steps = Reclaim {
+            target: self.hard_watermark_pages() + 2 * self.flash.geometry().pages_per_block as u64,
+            futile_rounds: 2,
+            free_space: Self::free_pages,
+            pool: |d| (&mut d.blocks.pool, &d.flash),
+            pick_victim: Self::pick_victim,
+            copy_live: Self::gc_copy_one,
+            erase_drained: Self::erase_victim,
+        };
         self.in_gc = true;
-        let ppb = self.flash.geometry().pages_per_block as u64;
-        let target = self.hard_watermark_pages() + 2 * ppb;
         // The GC flag must come back down even if the collector trips an
         // internal-invariant error on the way out.
-        let reclaimed = foreground_reclaim(self, now, target, 2);
+        let reclaimed = foreground_reclaim(self, now, &steps);
         self.in_gc = false;
         let (t, ran) = reclaimed?;
         self.stats.foreground_gc_events += ran as u64;
         Ok(t)
+    }
+
+    /// Foreground GC's pick. Zero-copy wins first: erases fully dead
+    /// closed blocks (the sweep also drops a victim handle that went
+    /// stale), and stops if that cleared `target`.
+    fn pick_victim(&mut self, now: SimTime, target: u64) -> Result<Picked, KvError> {
+        let (done, erased) = self.blocks.erase_zero_valid(now, &mut self.flash)?;
+        self.stats.gc_erases += erased;
+        if self.free_pages() > target {
+            return Ok((done, None));
+        }
+        let victim = self.blocks.pool.victim().or_else(|| self.select_victim());
+        Ok((done, victim))
     }
 
     /// Picks a victim (one whose erase gains at least a page's payload,
@@ -80,7 +98,7 @@ impl KvSsd {
                 });
             }
             // The die pays: later work there queues behind the erase.
-            let _erase_end = self.erase_drained(now)?;
+            let _erase_end = self.erase_victim(now)?;
             return Ok(false);
         };
         // The die pays for the read; the re-append starts at `now`.
@@ -128,41 +146,9 @@ impl KvSsd {
         self.stats.gc_copied_segments += 1;
         Ok(true)
     }
-}
-
-/// Foreground GC's steps, in free pages (open-block tails count).
-impl Reclaim for KvSsd {
-    type Error = KvError;
-
-    fn free_space(&self) -> u64 {
-        self.free_pages()
-    }
-
-    fn pool(&mut self) -> (&mut BlockPool, &FlashDevice) {
-        (&mut self.blocks.pool, &self.flash)
-    }
-
-    /// Zero-copy wins first: erases fully dead closed blocks (the sweep
-    /// also drops a victim handle that went stale), and stops if that
-    /// cleared `target`.
-    fn pick_victim(&mut self, now: SimTime, target: u64) -> Result<Picked, KvError> {
-        let (done, erased) = self.blocks.erase_zero_valid(now, &mut self.flash)?;
-        self.stats.gc_erases += erased;
-        if self.free_pages() > target {
-            return Ok((done, None));
-        }
-        Ok((
-            done,
-            self.blocks.pool.victim().or_else(|| self.select_victim()),
-        ))
-    }
-
-    fn copy_live(&mut self, now: SimTime) -> Result<bool, KvError> {
-        self.gc_copy_one(now)
-    }
 
     /// Erases the held victim, if it is still closed.
-    fn erase_drained(&mut self, now: SimTime) -> Result<SimTime, KvError> {
+    fn erase_victim(&mut self, now: SimTime) -> Result<SimTime, KvError> {
         let done = self.blocks.erase_victim(now, &mut self.flash)?;
         self.stats.gc_erases += done.is_some() as u64;
         Ok(done.unwrap_or(now))

@@ -73,7 +73,7 @@ impl std::fmt::Display for FlashError {
 impl std::error::Error for FlashError {}
 
 /// Outcome of a program operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProgramResult {
     /// When the die finished the program.
     pub done: SimTime,
@@ -226,10 +226,7 @@ impl FlashDevice {
         addr: PageAddr,
         bytes: u64,
     ) -> Result<ProgramResult, FlashError> {
-        let mut programmed = ProgramResult {
-            done: now,
-            failed: false,
-        };
+        let mut programmed = ProgramResult::default();
         self.program(now, &[addr], bytes, |r| programmed = r)?;
         Ok(programmed)
     }

@@ -228,15 +228,6 @@ impl BlockPool {
         best.map(|(_, _, b)| b)
     }
 
-    /// Gives up the held victim without erasing it. Its queue entry was
-    /// consumed at selection, so it is noted again with the accounting
-    /// the drain left.
-    pub fn abandon_victim(&mut self, flash: &FlashDevice) {
-        if let Some(v) = self.victim.take() {
-            self.victims.note(v, self.valid(v), flash.erase_count(v));
-        }
-    }
-
     /// Erases the held victim if it is still closed, `on_erase` seeing it
     /// first; returns when the erase finished.
     pub fn erase_victim(
@@ -352,67 +343,60 @@ impl BlockPool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Undrainable(pub BlockId);
 
-/// The three steps of a [`foreground_reclaim`] round, and the firmware's
-/// own measure of free space.
-pub trait Reclaim {
-    /// The steps' error; the loop adds only [`Undrainable`].
-    type Error: From<Undrainable>;
-    /// Free space, in the firmware's own unit.
-    fn free_space(&self) -> u64;
-    /// The pool whose victims the loop drains, and the flash under it.
-    fn pool(&mut self) -> (&mut BlockPool, &FlashDevice);
-    /// The round's victim, the held one first, or `None` to stop; and
-    /// when the pick finished (it may erase on the way).
-    fn pick_victim(&mut self, now: SimTime, target: u64) -> Result<Picked, Self::Error>;
-    /// Copies one live unit off the victim; false when none moved.
-    fn copy_live(&mut self, now: SimTime) -> Result<bool, Self::Error>;
-    /// Erases the drained victim and counts it; returns when it finished.
-    fn erase_drained(&mut self, now: SimTime) -> Result<SimTime, Self::Error>;
-}
-
-/// What [`Reclaim::pick_victim`] returns.
+/// A pick's end instant and victim (see [`Reclaim::pick_victim`]).
 pub type Picked = (SimTime, Option<BlockId>);
 
+/// What a firmware hands [`foreground_reclaim`] for its device `D`.
+pub struct Reclaim<D, E> {
+    /// The free space to reclaim past.
+    pub target: u64,
+    /// Rounds in a row that may free nothing before the loop stops.
+    pub futile_rounds: u32,
+    /// Free space, in the firmware's own unit.
+    pub free_space: fn(&D) -> u64,
+    /// The pool whose victims the loop drains, and the flash under it.
+    pub pool: fn(&mut D) -> (&mut BlockPool, &FlashDevice),
+    /// The round's victim, the held one first, or `None` to stop; and
+    /// when the pick finished (it may erase on the way).
+    pub pick_victim: fn(&mut D, SimTime, u64) -> Result<Picked, E>,
+    /// Copies one live unit off the victim; false when none moved.
+    pub copy_live: fn(&mut D, SimTime) -> Result<bool, E>,
+    /// Erases the drained victim and counts it; returns when it finished.
+    pub erase_drained: fn(&mut D, SimTime) -> Result<SimTime, E>,
+}
+
 /// Foreground GC: rounds of pick, drain and erase while free space is at
-/// or below `target`, until `futile_rounds` rounds in a row free nothing
-/// (victims too tightly packed to compact, or blocks lost to faults). A
-/// victim with nowhere to copy its data to is given up, so cheaper wins
-/// can be retried. Returns when the reclaim finished and whether any
-/// round ran; books no statistics.
-pub fn foreground_reclaim<R: Reclaim>(
-    r: &mut R,
+/// or below the target, until `futile_rounds` rounds in a row free none.
+/// A victim with nowhere to copy its data to is abandoned. Returns when
+/// the reclaim finished and whether any round ran; books no statistics.
+pub fn foreground_reclaim<D, E: From<Undrainable>>(
+    d: &mut D,
     now: SimTime,
-    target: u64,
-    futile_rounds: u32,
-) -> Result<(SimTime, bool), R::Error> {
+    r: &Reclaim<D, E>,
+) -> Result<(SimTime, bool), E> {
     let (mut t, mut futile, mut ran) = (now, 0, false);
-    while r.free_space() <= target && futile < futile_rounds {
+    while (r.free_space)(d) <= r.target && futile < r.futile_rounds {
         ran = true;
-        let (picked, victim) = r.pick_victim(t, target)?;
+        let (picked, victim) = (r.pick_victim)(d, t, r.target)?;
         t = picked;
-        let Some(v) = victim else {
-            break;
-        };
-        let before = r.free_space();
-        let mut copies = 0u32;
-        while r.pool().0.valid(v) > 0 && r.copy_live(t)? {
-            copies += 1;
-            if copies >= 1_000_000 {
-                return Err(Undrainable(v).into());
-            }
+        let Some(v) = victim else { break };
+        let before = (r.free_space)(d);
+        let mut budget = 0..1_000_000;
+        while (r.pool)(d).0.valid(v) > 0 && (r.copy_live)(d, t)? {
+            budget.next().ok_or(Undrainable(v))?;
         }
-        let (pool, flash) = r.pool();
+        let (pool, flash) = (r.pool)(d);
         if pool.valid(v) > 0 {
-            pool.abandon_victim(flash);
+            // Abandoned: selection consumed its queue entry, so note it
+            // again with the accounting the drain left.
+            pool.victim = None;
+            pool.victims.note(v, pool.valid(v), flash.erase_count(v));
             futile += 1;
             continue;
         }
-        t = r.erase_drained(t)?;
-        futile = if r.free_space() > before {
-            0
-        } else {
-            futile + 1
-        };
+        t = (r.erase_drained)(d, t)?;
+        let freed = (r.free_space)(d) > before;
+        futile = if freed { 0 } else { futile + 1 };
     }
     Ok((t, ran))
 }
@@ -430,7 +414,7 @@ type Entry = (u64, u32, u32);
 /// is discarded unless its block is still closed with the same
 /// `(valid_bytes, erase_count)`. The smallest survivor is therefore
 /// exactly the block the greedy scan would choose. A victim given up
-/// without an erase must be noted again ([`BlockPool::abandon_victim`]).
+/// without an erase must be noted again (see [`foreground_reclaim`]).
 ///
 /// Snapshots with no valid bytes sort first, so the zero-copy sweep
 /// drains them off the top.
