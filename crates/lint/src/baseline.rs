@@ -69,8 +69,9 @@ impl Baseline {
             "# kvlint panic-surface baseline — per-file budget of unwrap/expect/panic!/\n\
              # slice-index sites in non-test code of the hot-path crates (block-ftl,\n\
              # core, cluster, fabric, flash). Ratchet semantics: a count above its budget\n\
-             # fails the lint gate, and the verify/CI ratchet step also fails on slack\n\
-             # (budget above actual), so this file can only shrink. Regenerate with:\n\
+             # fails the lint gate, and the tier-1 test panic_surface_baseline_is_tight\n\
+             # fails on slack (budget above actual), so this file can only shrink.\n\
+             # Regenerate with:\n\
              #   cargo run -p kvssd-lint -- --write-baseline\n\n[panic-surface]\n",
         );
         for (path, n) in actual {
