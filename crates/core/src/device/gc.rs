@@ -242,9 +242,9 @@ mod tests {
     /// Fills `Geometry::small()` to 90 % with 4 KiB values, then
     /// overwrites random keys with values of 1 B to 8 KiB on flash with
     /// `faults`. Victims packed this tightly gain little, so foreground
-    /// GC ends after two rounds that free nothing; with failing erases the pool
-    /// shrinks until the collector has nowhere to copy a victim's data
-    /// and abandons it.
+    /// GC ends after two rounds that free nothing; with failing erases
+    /// the pool shrinks until the collector has nowhere to copy a
+    /// victim's data and abandons it.
     fn near_full_digest(seed: u64, faults: FaultPlan) -> NearFullDigest {
         use kvssd_sim::rng::mix64;
         use kvssd_sim::DeterministicRng;

@@ -348,7 +348,8 @@ pub type Picked = (SimTime, Option<BlockId>);
 
 /// What a firmware hands [`foreground_reclaim`] for its device `D`.
 pub struct Reclaim<D, E> {
-    /// The free space to reclaim past.
+    /// The free space to reclaim past: above the trigger, so the next
+    /// writes do not re-enter foreground GC at once.
     pub target: u64,
     /// Rounds in a row that may free nothing before the loop stops.
     pub futile_rounds: u32,
