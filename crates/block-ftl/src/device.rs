@@ -863,7 +863,7 @@ impl BlockSsd {
         }
         let steps: Reclaim<Self, Undrainable> = Reclaim {
             target: self.config.gc_hard_free_blocks as u64 + 2,
-            futile_rounds: 3,
+            fruitless_rounds: 3,
             free_space: |d| d.free_blocks() as u64,
             pool: |d| (&mut d.pool, &d.flash),
             pick_victim: |d, t, _| Ok((t, d.pool.victim().or_else(|| d.select_victim(t, 1)))),

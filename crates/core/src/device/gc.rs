@@ -21,7 +21,7 @@ impl KvSsd {
     pub(super) fn foreground_gc(&mut self, now: SimTime) -> Result<SimTime, KvError> {
         let steps = Reclaim {
             target: self.hard_watermark_pages() + 2 * self.flash.geometry().pages_per_block as u64,
-            futile_rounds: 2,
+            fruitless_rounds: 2,
             free_space: Self::free_pages,
             pool: |d| (&mut d.blocks.pool, &d.flash),
             pick_victim: Self::pick_victim,

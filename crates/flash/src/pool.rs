@@ -352,7 +352,7 @@ pub struct Reclaim<D, E> {
     /// writes do not re-enter foreground GC at once.
     pub target: u64,
     /// Rounds in a row that may free nothing before the loop stops.
-    pub futile_rounds: u32,
+    pub fruitless_rounds: u32,
     /// Free space, in the firmware's own unit.
     pub free_space: fn(&D) -> u64,
     /// The pool whose victims the loop drains, and the flash under it.
@@ -367,7 +367,7 @@ pub struct Reclaim<D, E> {
 }
 
 /// Foreground GC: rounds of pick, drain and erase while free space is at
-/// or below the target, until `futile_rounds` rounds in a row free none.
+/// or below the target, until `fruitless_rounds` rounds in a row free none.
 /// A victim with nowhere to copy its data to is abandoned. Returns when
 /// the reclaim finished and whether any round ran; books no statistics.
 pub fn foreground_reclaim<D, E: From<Undrainable>>(
@@ -376,7 +376,7 @@ pub fn foreground_reclaim<D, E: From<Undrainable>>(
     r: &Reclaim<D, E>,
 ) -> Result<(SimTime, bool), E> {
     let (mut t, mut futile, mut ran) = (now, 0, false);
-    while (r.free_space)(d) <= r.target && futile < r.futile_rounds {
+    while (r.free_space)(d) <= r.target && futile < r.fruitless_rounds {
         ran = true;
         let (picked, victim) = (r.pick_victim)(d, t, r.target)?;
         t = picked;
