@@ -1445,6 +1445,74 @@ mod tests {
         }
     }
 
+    /// Eight hot LCNs written in 2 KiB halves (each paying or skipping a
+    /// read-modify-write by buffer residency) and read, with cold 4 KiB
+    /// writes keeping a 6-cluster write buffer full, every op issued a
+    /// few microseconds after the last so they overlap in flight. Stalls
+    /// pop departures of hot clusters that were overwritten since, with
+    /// the newer copy pending or programmed later. Folds every completion
+    /// and the buffer counters.
+    fn hot_buffer_digest(seed: u64, faults: FaultPlan, ops: u32) -> u64 {
+        use kvssd_sim::rng::mix64;
+        use kvssd_sim::DeterministicRng;
+        let flash = FlashDevice::with_faults(Geometry::small(), FlashTiming::pm983_like(), faults);
+        let config = BlockFtlConfig {
+            write_buffer_clusters: 6,
+            ..BlockFtlConfig::pm983_like()
+        };
+        let mut d = BlockSsd::over(flash, config);
+        let mut rng = DeterministicRng::seed_from(seed);
+        let cb = 4096u64;
+        let mut t = SimTime::ZERO;
+        let mut fold = 0u64;
+        for c in 0..8 {
+            t = d.write(t, c * cb, cb).unwrap();
+        }
+        for _ in 0..ops {
+            let hot = rng.below(8) * cb;
+            let done = match rng.below(8) {
+                0..=2 => d.write(t, hot + 2048 * rng.below(2), 2048),
+                3 | 4 => d.read(t, hot, cb),
+                5 => d.read(t, hot, 2 * cb),
+                _ => d.write(t, (8 + rng.below(248)) * cb, cb),
+            };
+            fold = mix64(fold ^ done.unwrap().as_nanos());
+            t += SimDuration::from_micros(rng.below(30));
+        }
+        let s = d.stats();
+        let counters = [
+            s.write_buffer_hits,
+            s.read_buffer_hits,
+            s.rmw_reads,
+            s.stall_time.as_nanos(),
+        ];
+        assert!(counters.iter().all(|&c| c > 0), "{counters:?}");
+        counters.into_iter().fold(fold, |h, v| mix64(h ^ v))
+    }
+
+    /// `hot_buffer_digest` at seeds 5 and 77, fault-free and with one
+    /// program in 25 failing. Pinned on the block FTL's own buffer (a
+    /// per-cluster departure heap whose stall pop ended the popped
+    /// cluster's residency unconditionally); never re-pinned.
+    const HOT_BUFFER_HISTORY: [(u64, [u64; 2]); 2] = [
+        (5, [0xEF93_98DE_A202_6A89, 0x8EF2_A927_3639_13FD]),
+        (77, [0xD1E5_1B29_76C1_19DD, 0xFCA6_A041_640B_B601]),
+    ];
+
+    #[test]
+    fn hot_buffer_matches_pinned_history() {
+        let plans = [None, Some(25)].map(|fail| FaultPlan {
+            program_fail_one_in: fail,
+            erase_fail_one_in: None,
+        });
+        for (seed, want) in HOT_BUFFER_HISTORY {
+            for (faults, want) in plans.into_iter().zip(want) {
+                let got = hot_buffer_digest(seed, faults, 3_000);
+                assert_eq!(got, want, "seed {seed}, {faults:?}: {got:#X}");
+            }
+        }
+    }
+
     /// A program failure re-placed while a unit is being opened re-enters
     /// `ensure_stream_open` for the same stream (the open's allocation
     /// runs foreground GC, whose copy program fails and re-admits to

@@ -1510,6 +1510,55 @@ mod tests {
         }
         panic!("no store failed mid-placement");
     }
+
+    /// Eight hot keys updated and read among stores of 200 cold ones,
+    /// through a 24 KiB write buffer, every command issued a few
+    /// microseconds after the last so several are in flight (QD > 1).
+    /// Stores stall on buffer space, and reads find a hot key's new
+    /// version pending in an open page while its old version's program
+    /// has not left the buffer. Folds every completion, the write-buffer
+    /// hits and the stall time.
+    fn hot_buffer_digest(seed: u64, ops: u32) -> u64 {
+        use kvssd_sim::rng::mix64;
+        use kvssd_sim::DeterministicRng;
+        let cfg = KvConfig {
+            write_buffer_bytes: 24 * 1024,
+            ..KvConfig::small()
+        };
+        let mut d = KvSsd::new(Geometry::small(), FlashTiming::pm983_like(), cfg);
+        let mut rng = DeterministicRng::seed_from(seed);
+        let mut t = SimTime::ZERO;
+        let mut fold = 0u64;
+        for op in 0..u64::from(ops) {
+            let hot = key(rng.below(8));
+            let value = Payload::synthetic(rng.between(512, 6 * 1024) as u32, op);
+            let done = match rng.below(8) {
+                0..=2 => d.store(t, &hot, value).unwrap(),
+                3 | 4 => d.retrieve(t, &hot).unwrap().at,
+                _ => d.store(t, &key(8 + rng.below(200)), value).unwrap(),
+            };
+            fold = mix64(fold ^ done.as_nanos());
+            t += SimDuration::from_micros(rng.below(30));
+        }
+        let s = d.stats();
+        let counters = [s.write_buffer_hits, s.stall_time.as_nanos()];
+        assert!(counters.iter().all(|&c| c > 0), "{counters:?}");
+        counters.into_iter().fold(fold, |h, v| mix64(h ^ v))
+    }
+
+    /// `hot_buffer_digest` per seed, pinned on the KV-FTL's buffer as it
+    /// stood when a store marked its key resident after placement, and
+    /// only if no program had already; never re-pinned.
+    const HOT_BUFFER_HISTORY: [(u64, u64); 2] =
+        [(5, 0x5161_4A13_35BA_65D8), (77, 0x241A_3032_C0C0_8D80)];
+
+    #[test]
+    fn hot_buffer_matches_pinned_history() {
+        for (seed, want) in HOT_BUFFER_HISTORY {
+            let got = hot_buffer_digest(seed, 3_000);
+            assert_eq!(got, want, "seed {seed}: {got:#X}");
+        }
+    }
 }
 
 #[cfg(test)]
