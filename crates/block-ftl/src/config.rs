@@ -41,9 +41,6 @@ pub struct BlockFtlConfig {
     /// Idle time after which a partially filled buffer page is flushed
     /// with padding.
     pub partial_flush_timeout: SimDuration,
-    /// Device read-buffer capacity in physical pages (sequential reads
-    /// hit pages fetched by their neighbors).
-    pub read_buffer_pages: u32,
     /// NVMe link parameters.
     pub nvme: NvmeConfig,
 }
@@ -63,7 +60,6 @@ impl BlockFtlConfig {
             write_buffer_clusters: 1024,
             coalesce_hold: SimDuration::from_micros(300),
             partial_flush_timeout: SimDuration::from_millis(1),
-            read_buffer_pages: 8,
             nvme: NvmeConfig::pm983_like(),
         }
     }

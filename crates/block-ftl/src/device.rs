@@ -5,15 +5,14 @@
 //! validity state (via the shared [`BlockPool`]), while timing falls out
 //! of the shared flash, link, and buffer resources.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use kvssd_flash::{
     foreground_reclaim, BlockId, BlockPool, FlashDevice, FlashTiming, Geometry, PageAddr,
-    ProgramResult, Reclaim, Undrainable,
+    ProgramResult, ReadCache, Reclaim, Undrainable, WriteBuffer,
 };
 use kvssd_nvme::NvmeLink;
-use kvssd_sim::{PrehashedMap, SimDuration, SimTime};
+use kvssd_sim::{SimDuration, SimTime};
 
 use crate::config::BlockFtlConfig;
 use crate::mapping::{MappingTable, PhysLoc};
@@ -166,15 +165,9 @@ pub struct BlockSsd {
     program_scratch: ProgramScratch,
     /// The write streams, indexed by [`WhichStream`].
     streams: [Stream; 3],
-    /// Known departure times of buffered clusters.
-    buffer_leaves: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// Buffered clusters whose page has not been programmed yet.
-    buffer_unassigned: u32,
-    /// lcn -> time its data leaves the volatile buffer. LCNs are
-    /// low-entropy integers; the pre-hashed map's multiply spreads them.
-    buffer_resident: PrehashedMap<u32, SimTime>,
-    /// Recently fetched physical pages (FIFO read buffer).
-    read_buffer: VecDeque<(BlockId, u32)>,
+    buffer: WriteBuffer<u32>,
+    /// Sequential reads hit pages fetched by their neighbors.
+    read_cache: ReadCache,
     /// End byte offset of the last host write (sequential detection).
     last_written_end: Option<u64>,
     in_gc: bool,
@@ -216,10 +209,8 @@ impl BlockSsd {
             pool: BlockPool::new(&g, cpp as u64 * cluster, cluster, 0),
             program_scratch: ProgramScratch::default(),
             streams: Default::default(),
-            buffer_leaves: BinaryHeap::new(),
-            buffer_unassigned: 0,
-            buffer_resident: PrehashedMap::default(),
-            read_buffer: VecDeque::new(),
+            buffer: WriteBuffer::with_capacity(0),
+            read_cache: ReadCache::default(),
             last_written_end: None,
             in_gc: false,
             pair_cursor: 0,
@@ -403,9 +394,9 @@ impl BlockSsd {
 
     fn read_cluster(&mut self, t: SimTime, lcn: u32) -> SimTime {
         let t = t + self.config.map_op;
-        self.drain_buffer(t);
+        self.buffer.drain(t);
         // Volatile write-buffer hit: data not yet drained to flash.
-        if self.buffer_resident.contains_key(&lcn) {
+        if self.buffer.is_resident(lcn) {
             self.stats.write_buffer_hits += 1;
             return t + SimDuration::from_micros(1);
         }
@@ -420,43 +411,39 @@ impl BlockSsd {
             self.stats.write_buffer_hits += 1;
             return t + SimDuration::from_micros(1);
         }
-        let page = (loc.block, loc.page);
-        if self.read_buffer.contains(&page) {
-            self.stats.read_buffer_hits += 1;
-            return t + SimDuration::from_micros(1);
-        }
         let addr = PageAddr {
             block: loc.block,
             page: loc.page,
         };
-        let done = self
-            .flash
-            .read_page(t, addr, self.config.cluster_bytes as u64)
+        let read = self
+            .read_cache
+            .read(&mut self.flash, t, addr, self.config.cluster_bytes as u64)
             .expect("FTL mapped cluster must be readable");
-        self.read_buffer.push_back(page);
-        if self.read_buffer.len() > self.config.read_buffer_pages as usize {
-            self.read_buffer.pop_front();
-        }
-        done
+        read.unwrap_or_else(|| {
+            self.stats.read_buffer_hits += 1;
+            t + SimDuration::from_micros(1)
+        })
     }
 
     fn write_cluster(&mut self, t: SimTime, lcn: u32, bytes: u64, sequential: bool) -> SimTime {
         let mut t = t + self.config.map_op;
         // Sub-cluster writes of mapped data pay a read-modify-write.
-        if bytes < self.config.cluster_bytes as u64 && self.map.lookup(lcn).is_some() {
-            let in_buffer = self.buffer_resident.contains_key(&lcn);
-            if !in_buffer {
-                self.stats.rmw_reads += 1;
-                t = self.read_cluster(t, lcn);
-            }
+        if bytes < self.config.cluster_bytes as u64
+            && self.map.lookup(lcn).is_some()
+            && !self.buffer.is_resident(lcn)
+        {
+            self.stats.rmw_reads += 1;
+            t = self.read_cluster(t, lcn);
         }
-        // Buffer admission: wait for a slot when the buffer is full.
-        self.drain_buffer(t);
-        let capacity = self.config.write_buffer_clusters;
-        if self.occupancy() >= capacity {
-            let stall_until = match self.buffer_leaves.pop() {
-                Some(Reverse((leave, gone))) => {
-                    self.buffer_resident.remove(&gone);
+        // Buffer admission, one unit per cluster: wait for a slot when the
+        // buffer is full.
+        self.buffer.drain(t);
+        if self.buffer.used() >= u64::from(self.config.write_buffer_clusters) {
+            let stall_until = match self.buffer.pop() {
+                // The popped cluster stops being buffered even when a
+                // newer copy of it still is.
+                Some((leave, gone)) => {
+                    self.buffer.evict(gone);
                     leave
                 }
                 None => {
@@ -480,23 +467,6 @@ impl BlockSsd {
         self.admit(t, lcn, which);
         // DRAM copy of the cluster into the buffer.
         t + SimDuration::from_micros(1)
-    }
-
-    fn occupancy(&self) -> u32 {
-        self.buffer_leaves.len() as u32 + self.buffer_unassigned
-    }
-
-    fn drain_buffer(&mut self, now: SimTime) {
-        while let Some(&Reverse((leave, lcn))) = self.buffer_leaves.peek() {
-            if leave <= now {
-                self.buffer_leaves.pop();
-                if self.buffer_resident.get(&lcn) == Some(&leave) {
-                    self.buffer_resident.remove(&lcn);
-                }
-            } else {
-                break;
-            }
-        }
     }
 
     fn admit(&mut self, now: SimTime, lcn: u32, which: WhichStream) {
@@ -527,9 +497,8 @@ impl BlockSsd {
             self.pool.dec_valid(old.block, cluster, &self.flash);
         }
         self.pool.add_valid(block, cluster);
-        self.buffer_unassigned += 1;
-        self.buffer_resident
-            .insert(lcn, SimTime::from_nanos(u64::MAX));
+        self.buffer.admit(1);
+        self.buffer.hold(lcn);
         let full = stream.pending.len() >= target_pending;
         let first = stream.first_arrival;
         let timed_out = now.saturating_since(first) >= self.config.partial_flush_timeout;
@@ -729,24 +698,23 @@ impl BlockSsd {
         }
         // `results` is block-aligned, and every program ends after `start`.
         let done = results.iter().fold(start, |t, r| t.max(r.done));
-        // Settle buffer accounting and handle injected failures.
+        // Settle buffer accounting and handle injected failures: a
+        // programmed cluster leaves the buffer when its program completes;
+        // a failed page's clusters are handed back, and those still mapped
+        // there re-placed.
+        let failed = |i: usize| results.get(i / cpp).is_some_and(|r| r.failed);
+        let pending = s.pending.iter().map(|&(lcn, _)| lcn).enumerate();
+        let programmed = pending.clone().filter(|&(i, _)| !failed(i));
+        self.buffer
+            .program(done, programmed.map(|(_, lcn)| (1, lcn)));
         let mut lost: Vec<u32> = Vec::new();
-        for (i, &(lcn, _)) in s.pending.iter().enumerate() {
-            let (block, failed) = (blocks[i / cpp], results[i / cpp].failed);
-            self.buffer_unassigned -= 1;
-            if failed {
-                // Data still in buffer; it must be re-placed.
-                let here = |cur: PhysLoc| cur.block == block && cur.page == next_page;
-                if self.map.lookup(lcn).is_some_and(here) {
-                    lost.push(lcn);
-                }
-                continue;
+        for (i, lcn) in pending.filter(|&(i, _)| failed(i)) {
+            self.buffer.release(1);
+            let here =
+                |cur: PhysLoc| blocks.get(i / cpp) == Some(&cur.block) && cur.page == next_page;
+            if self.map.lookup(lcn).is_some_and(here) {
+                lost.push(lcn);
             }
-            // Leaves the buffer when the program completes (only if the
-            // mapping still points here — it may have been overwritten
-            // while pending).
-            self.buffer_leaves.push(Reverse((done, lcn)));
-            self.buffer_resident.insert(lcn, done);
         }
         s.pending.clear();
         for (r, &b) in results.iter().zip(blocks.iter()) {
@@ -799,7 +767,7 @@ impl BlockSsd {
                 }
                 s.blocks = Unit::default();
                 s.next_page = 0;
-                self.buffer_unassigned -= s.pending.len() as u32;
+                self.buffer.release(s.pending.len() as u64);
                 lost.extend(s.pending.drain(..).map(|(lcn, _)| lcn));
             } else {
                 // Parked units never hold pending clusters; drop the
@@ -1064,7 +1032,7 @@ mod tests {
         let w = d.write(SimTime::ZERO, 0, 4096).unwrap();
         let f = d.flush(w);
         let far = f + SimDuration::from_secs(1);
-        d.drain_buffer(far);
+        d.buffer.drain(far);
         let before = d.stats().rmw_reads;
         let _done = d.write(far, 0, 512).unwrap();
         assert_eq!(d.stats().rmw_reads, before + 1);
@@ -1091,8 +1059,7 @@ mod tests {
             t = d.write(t, i * 4096, 4096).unwrap();
         }
         t = d.flush(t) + SimDuration::from_secs(1);
-        d.drain_buffer(t);
-        d.buffer_resident.clear();
+        d.buffer.clear();
         let hits_at_start = d.stats().read_buffer_hits;
         for i in 0..n {
             t = d.read(t, i * 4096, 4096).unwrap();

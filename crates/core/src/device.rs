@@ -10,7 +10,9 @@
 
 use std::collections::VecDeque;
 
-use kvssd_flash::{BlockId, BlockState, FlashDevice, FlashTiming, Geometry, PageAddr};
+use kvssd_flash::{
+    BlockId, BlockState, FlashDevice, FlashTiming, Geometry, PageAddr, ReadCache, WriteBuffer,
+};
 use kvssd_nvme::NvmeLink;
 use kvssd_sim::{Resource, SimDuration, SimTime};
 
@@ -22,10 +24,12 @@ use crate::error::KvError;
 use crate::hash::{key_fingerprint, key_hash};
 use crate::index::{GlobalStore, IndexEntry, IndexTiming, IterBuckets, SegList, SegLoc};
 use crate::value::Payload;
-use crate::write_buffer::{KeyId, WriteBuffer};
 
 mod failure;
 mod gc;
+
+/// A key identity inside the device: (hash, fingerprint).
+pub(crate) type KeyId = (u64, u64);
 
 /// Keys returned by one iterator batch.
 pub type IterBatch = Vec<Box<[u8]>>;
@@ -157,11 +161,10 @@ pub struct KvSsd {
     blocks: BlockTable,
     /// Indexed by [`StreamKind`].
     streams: [AppendStream; 2],
-    buffer: WriteBuffer,
-    /// Recently fetched physical pages (controller read cache): repeated
-    /// reads of co-packed blobs skip tR, which is what keeps sequential
-    /// reads of co-located KVPs from hammering one die.
-    read_cache: VecDeque<(BlockId, u32)>,
+    buffer: WriteBuffer<KeyId>,
+    /// Repeated reads of co-packed blobs skip tR, which is what keeps
+    /// sequential reads of co-located KVPs from hammering one die.
+    read_cache: ReadCache,
     /// How far down the GC victim's refs their index slots have been
     /// prefetched (reset to the list's length at selection).
     gc_prefetched: usize,
@@ -216,7 +219,7 @@ impl KvSsd {
             buffer: WriteBuffer::with_capacity(
                 2 * (config.write_buffer_bytes / config.page_payload_bytes as u64) as usize,
             ),
-            read_cache: VecDeque::new(),
+            read_cache: ReadCache::default(),
             gc_prefetched: 0,
             last_store_was_update: false,
             in_gc: false,
@@ -385,10 +388,14 @@ impl KvSsd {
             self.iters.insert(key);
         }
 
-        // 5. Place segments. On failure, roll back the segments already
+        // 5. Place segments, the key resident in the buffer until their
+        // programs leave it. On failure, roll back the segments already
         // placed and fail the store. The previous version is already
         // gone, as it would be on a real device that invalidates before
         // overwriting.
+        if !write_through {
+            self.buffer.hold(k.id);
+        }
         let last_program = match self.place_segments(t, k.id, &layout) {
             Ok(done) => done,
             Err(e) => {
@@ -416,9 +423,6 @@ impl KvSsd {
         // `k` scattered cache lines to set nothing — skip it.
         if !was_update {
             self.blooms[k.m].insert(h);
-        }
-        if !write_through {
-            self.buffer.hold(k.id);
         }
 
         // 7. Local-index batch; merge into the global index when full.
@@ -753,7 +757,7 @@ impl KvSsd {
         self.buffer.drain(t);
         while self.buffer.used() + bytes > self.config.write_buffer_bytes {
             match self.buffer.pop() {
-                Some(leave) => {
+                Some((leave, _)) => {
                     if leave > t {
                         self.stats.stall_time += leave.since(t);
                         t = leave;
@@ -1064,31 +1068,19 @@ impl KvSsd {
         Ok(finish)
     }
 
-    /// Reads one segment through the controller's small page cache.
+    /// Reads one segment through the controller's read cache.
     fn read_cached(&mut self, t: SimTime, seg: SegLoc) -> Result<SimTime, KvError> {
-        const READ_CACHE_PAGES: usize = 8;
-        let page = (seg.block, seg.page);
-        if self.read_cache.contains(&page) {
-            return Ok(t + SimDuration::from_micros(2));
-        }
-        let done = self
-            .flash
-            .read_page(
-                t,
-                PageAddr {
-                    block: seg.block,
-                    page: seg.page,
-                },
-                seg.raw as u64,
-            )
+        let page = PageAddr {
+            block: seg.block,
+            page: seg.page,
+        };
+        let read = self
+            .read_cache
+            .read(&mut self.flash, t, page, seg.raw as u64)
             .map_err(|_| KvError::Internal {
                 what: "read rejected on an indexed live segment",
             })?;
-        self.read_cache.push_back(page);
-        if self.read_cache.len() > READ_CACHE_PAGES {
-            self.read_cache.pop_front();
-        }
-        Ok(done)
+        Ok(read.unwrap_or(t + SimDuration::from_micros(2)))
     }
 }
 

@@ -4,11 +4,10 @@
 use kvssd_flash::{BlockId, BlockState};
 use kvssd_sim::{PrehashedSet, SimTime};
 
-use super::KvSsd;
+use super::{KeyId, KvSsd};
 use crate::blocks::BlobRef;
 use crate::error::KvError;
 use crate::index::SegLoc;
-use crate::write_buffer::KeyId;
 
 impl KvSsd {
     /// [`Self::append_segment`] with retry: if the placement landed on a

@@ -50,7 +50,6 @@ pub mod inline_vec;
 pub mod keybuf;
 pub mod model;
 pub mod value;
-mod write_buffer;
 
 pub use config::KvConfig;
 pub use device::{KvSsd, KvSsdStats, Lookup, SpaceReport};

@@ -15,7 +15,9 @@
 //! bytes, the per-die-plane free queues, greedy GC victim selection,
 //! erase-and-free and retirement, and [`foreground_reclaim`] is the one
 //! foreground-GC loop over it. Allocation order, what a block holds and
-//! when to collect stay in each firmware.
+//! when to collect stay in each firmware. The controller DRAM both use
+//! lives here as well: [`WriteBuffer`] (units held, departures,
+//! residency) and [`ReadCache`] (the last eight pages read).
 //!
 //! # Example
 //!
@@ -33,12 +35,14 @@
 //! assert!(read_done > programmed.done);
 //! ```
 
+pub mod buffer;
 pub mod device;
 pub mod fault;
 pub mod geometry;
 pub mod pool;
 pub mod timing;
 
+pub use buffer::{BufferKey, ReadCache, WriteBuffer};
 pub use device::{EraseResult, FlashDevice, FlashError, FlashStats, ProgramResult};
 pub use fault::FaultPlan;
 pub use geometry::{BlockId, Geometry, PageAddr};
