@@ -30,11 +30,6 @@ use kvssd_sim::{PrehashedMap, SimTime};
 use crate::device::{FlashDevice, FlashError};
 use crate::geometry::PageAddr;
 
-/// What the buffer can key residency by: any small copyable id.
-pub trait BufferKey: Copy + Ord + Hash + Default {}
-
-impl<K: Copy + Ord + Hash + Default> BufferKey for K {}
-
 /// Segments one group holds. A program with more spreads over several
 /// groups with the same `leave`, which the heap orders as one.
 const GROUP_SEGS: usize = 16;
@@ -51,7 +46,7 @@ struct Group<K> {
     segs: [(u64, K); GROUP_SEGS],
 }
 
-impl<K: BufferKey> Group<K> {
+impl<K> Group<K> {
     fn live(&self) -> &[(u64, K)] {
         self.segs.get(..self.len).unwrap_or_default()
     }
@@ -67,7 +62,7 @@ struct Departures<K> {
     idle: Vec<u32>,
 }
 
-impl<K: BufferKey> Departures<K> {
+impl<K: Copy + Ord + Hash + Default> Departures<K> {
     /// An empty queue with room for `groups` groups before it reallocates.
     fn with_capacity(groups: usize) -> Self {
         Departures {
@@ -155,7 +150,7 @@ pub struct WriteBuffer<K> {
     resident: PrehashedMap<K, SimTime>,
 }
 
-impl<K: BufferKey> WriteBuffer<K> {
+impl<K: Copy + Ord + Hash + Default> WriteBuffer<K> {
     /// An empty buffer whose departure queue holds `programs` programs of
     /// up to 16 segments before it reallocates.
     pub fn with_capacity(programs: usize) -> Self {
@@ -249,7 +244,7 @@ pub struct ReadCache {
 
 impl ReadCache {
     /// Pages the cache holds.
-    pub const PAGES: usize = 8;
+    const PAGES: usize = 8;
 
     /// Reads `bytes` of `addr` from flash at `t` unless the page is
     /// cached: `Ok(None)` on a hit (the firmware charges its own hit
@@ -441,7 +436,7 @@ mod tests {
 
     /// Replays `ops` on a `WriteBuffer<K>` and the model; `used`, every
     /// key's residency and every pop must agree after each op.
-    fn matches_the_model<K: BufferKey + std::fmt::Debug>(
+    fn matches_the_model<K: Copy + Ord + Hash + Default + std::fmt::Debug>(
         ops: &[BufOp],
         key: impl Fn(u64) -> K,
     ) -> Result<(), String> {

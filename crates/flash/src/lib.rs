@@ -42,7 +42,7 @@ pub mod geometry;
 pub mod pool;
 pub mod timing;
 
-pub use buffer::{BufferKey, ReadCache, WriteBuffer};
+pub use buffer::{ReadCache, WriteBuffer};
 pub use device::{EraseResult, FlashDevice, FlashError, FlashStats, ProgramResult};
 pub use fault::FaultPlan;
 pub use geometry::{BlockId, Geometry, PageAddr};
