@@ -1168,22 +1168,40 @@ impl KvCluster {
         let mut st = self.counters.clone();
         let d = &mut st.devices;
         for s in &self.shards {
-            let t = s.device.stats();
-            d.stores += t.stores;
-            d.retrieves += t.retrieves;
-            d.deletes += t.deletes;
-            d.exists += t.exists;
-            d.not_found += t.not_found;
-            d.bloom_negatives += t.bloom_negatives;
-            d.split_stores += t.split_stores;
-            d.write_through += t.write_through;
-            d.gc_copied_segments += t.gc_copied_segments;
-            d.gc_erases += t.gc_erases;
-            d.foreground_gc_events += t.foreground_gc_events;
-            d.stall_time += t.stall_time;
-            d.write_buffer_hits += t.write_buffer_hits;
-            d.replaced_after_failure += t.replaced_after_failure;
-            d.merges += t.merges;
+            // Destructured whole: a counter added to the device does not
+            // compile until it is summed here.
+            let &KvSsdStats {
+                stores,
+                retrieves,
+                deletes,
+                exists,
+                not_found,
+                bloom_negatives,
+                split_stores,
+                write_through,
+                gc_copied_segments,
+                gc_erases,
+                foreground_gc_events,
+                stall_time,
+                write_buffer_hits,
+                replaced_after_failure,
+                merges,
+            } = s.device.stats();
+            d.stores += stores;
+            d.retrieves += retrieves;
+            d.deletes += deletes;
+            d.exists += exists;
+            d.not_found += not_found;
+            d.bloom_negatives += bloom_negatives;
+            d.split_stores += split_stores;
+            d.write_through += write_through;
+            d.gc_copied_segments += gc_copied_segments;
+            d.gc_erases += gc_erases;
+            d.foreground_gc_events += foreground_gc_events;
+            d.stall_time += stall_time;
+            d.write_buffer_hits += write_buffer_hits;
+            d.replaced_after_failure += replaced_after_failure;
+            d.merges += merges;
             st.sq_full_stalls += s.sq.stats().full_stalls;
             st.sq_stall_time += s.sq.stats().stall_time;
         }
