@@ -95,7 +95,7 @@ impl BlobLayout {
     }
 
     /// The allocation rule: minimum 1 KiB unit, fine alignment beyond it.
-    fn align(config: &KvConfig, raw: u32) -> u32 {
+    pub(crate) fn align(config: &KvConfig, raw: u32) -> u32 {
         if raw <= config.alloc_unit {
             config.alloc_unit
         } else {

@@ -188,15 +188,33 @@ pub struct KvSsd {
 
 impl KvSsd {
     /// Creates a KV-SSD over fresh flash.
+    ///
+    /// # Panics
+    ///
+    /// If `config` does not validate, or if a segment's location would
+    /// not fit its 16-bit fields: more than `u16::MAX` pages per block,
+    /// or a page payload whose largest allocation passes `u16::MAX`
+    /// bytes (a `page_payload_bytes` above `u16::MAX` always does).
     pub fn new(geometry: Geometry, timing: FlashTiming, config: KvConfig) -> Self {
         Self::over(FlashDevice::new(geometry, timing), config)
     }
 
     /// Creates a KV-SSD over an existing flash substrate (e.g. with a
-    /// fault plan installed).
+    /// fault plan installed). Panics as [`Self::new`] does.
     pub fn over(mut flash: FlashDevice, config: KvConfig) -> Self {
         config.validate();
         let g = *flash.geometry();
+        // A segment lies inside one page, and none is allocated more than
+        // a whole page payload rounded by the allocation rule: `SegLoc`
+        // keeps page, offset and sizes in 16 bits when both fit.
+        assert!(
+            g.pages_per_block <= u16::MAX as u32,
+            "pages per block must fit a 16-bit page number"
+        );
+        assert!(
+            BlobLayout::align(&config, config.page_payload_bytes) <= u16::MAX as u32,
+            "a page payload's allocation must fit 16 bits"
+        );
         let (blocks, reserved) = BlockTable::new(&mut flash, &config);
         let data_blocks = g.total_blocks() as u64 - reserved.len() as u64;
         let raw_data = data_blocks * g.pages_per_block as u64 * config.page_payload_bytes as u64;
@@ -375,7 +393,6 @@ impl KvSsd {
             fp,
             IndexEntry {
                 key_len: key.len() as u8,
-                value_len: vlen as u32,
                 payload: value,
                 segs: SegList::new(),
             },
@@ -458,13 +475,13 @@ impl KvSsd {
         segs.clear();
         let entry = self.index.get(k.id.0, k.id.1).map(|e| {
             segs.extend_from_slice(e.segs.as_slice());
-            (e.payload.clone(), e.value_len as u64)
+            e.payload.clone()
         });
         let walked = self.walk_index(t, &k, entry.is_some());
         let read = match (walked, entry) {
-            (Some(t), Some((value, vlen))) => self
+            (Some(t), Some(value)) => self
                 .read_segments(t, k.id, &segs)
-                .map(|t| (t, vlen, Some(value))),
+                .map(|t| (t, value.len(), Some(value))),
             (walked, _) => {
                 self.stats.not_found += 1;
                 Ok((walked.unwrap_or(t), 0, None))
@@ -820,12 +837,13 @@ impl KvSsd {
                 used: alloc,
                 first_arrival: now,
             };
+            // Lossless: `over` bounds pages per block and allocations.
             let loc = SegLoc {
                 block,
-                page: page.page,
+                page: page.page as u16,
                 offset: 0,
-                alloc,
-                raw,
+                alloc: alloc as u16,
+                raw: raw as u16,
             };
             self.blocks.append(block, key.0, seg_no, alloc)?;
             self.buffer.admit(alloc as u64);
@@ -877,12 +895,14 @@ impl KvSsd {
         let open = stream.open.as_mut().ok_or(KvError::Internal {
             what: "stream open page installed before the append",
         })?;
+        // Lossless: `over` bounds pages per block and allocations, and
+        // the segment ends inside the page payload.
         let loc = SegLoc {
             block: open.block,
-            page: open.page,
-            offset: open.used,
-            alloc,
-            raw,
+            page: open.page as u16,
+            offset: open.used as u16,
+            alloc: alloc as u16,
+            raw: raw as u16,
         };
         open.used += alloc;
         stream.pending.push(PendingSeg { key, alloc });
@@ -1050,7 +1070,7 @@ impl KvSsd {
         // reached flash yet (pending in an open page).
         let unprogrammed = segs
             .iter()
-            .any(|s| self.flash.written_pages(s.block) <= s.page);
+            .any(|s| self.flash.written_pages(s.block) <= s.page.into());
         if unprogrammed || self.buffer.is_resident(key) {
             self.stats.write_buffer_hits += 1;
             return Ok(t + SimDuration::from_micros(1));
@@ -1072,7 +1092,7 @@ impl KvSsd {
     fn read_cached(&mut self, t: SimTime, seg: SegLoc) -> Result<SimTime, KvError> {
         let page = PageAddr {
             block: seg.block,
-            page: seg.page,
+            page: seg.page.into(),
         };
         let read = self
             .read_cache
@@ -1275,6 +1295,30 @@ mod tests {
         ));
         // Overwrites are still allowed at the limit.
         let _done = d.store(t, &key(0), Payload::synthetic(10, 0)).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit page number")]
+    fn new_refuses_a_block_of_more_than_u16_max_pages() {
+        let geometry = Geometry {
+            pages_per_block: u16::MAX as u32 + 1,
+            ..Geometry::small()
+        };
+        KvSsd::new(geometry, FlashTiming::pm983_like(), KvConfig::small());
+    }
+
+    #[test]
+    #[should_panic(expected = "allocation must fit 16 bits")]
+    fn new_refuses_a_page_payload_past_u16_max() {
+        let geometry = Geometry {
+            page_bytes: 128 * 1024,
+            ..Geometry::small()
+        };
+        let config = KvConfig {
+            page_payload_bytes: u16::MAX as u32 + 1,
+            ..KvConfig::small()
+        };
+        KvSsd::new(geometry, FlashTiming::pm983_like(), config);
     }
 
     #[test]
@@ -1836,7 +1880,7 @@ mod spill_boundary_tests {
                 let segs = self.d.segments_of(&key(i)).expect("live key");
                 assert_eq!(segs.len(), layout.segments(), "{stage}: key {i}");
                 for (s, &a) in segs.iter().zip(&layout.segment_alloc) {
-                    assert_eq!(s.alloc, a, "{stage}: key {i} segment allocation");
+                    assert_eq!(u32::from(s.alloc), a, "{stage}: key {i} segment allocation");
                 }
                 user += layout.user_bytes;
                 alloc += layout.allocated_bytes();
@@ -1908,7 +1952,7 @@ mod spill_boundary_tests {
                 let Some(&cont) = segs.get(1) else { continue };
                 h.t = h.d.flush(h.t).unwrap();
                 let replaced = h.d.stats().replaced_after_failure;
-                h.d.handle_program_failure(h.t, cont.block, cont.page)
+                h.d.handle_program_failure(h.t, cont.block, cont.page.into())
                     .unwrap();
                 assert!(h.d.stats().replaced_after_failure > replaced);
                 let moved = h.segs(j)[1];
@@ -1960,5 +2004,81 @@ mod spill_boundary_tests {
         let d = run(flash, 45, false);
         assert!(d.flash().stats().program_failures > 0);
         assert!(d.stats().replaced_after_failure > 0);
+    }
+
+    /// At the largest page payload a `SegLoc` describes, segments that
+    /// end on the payload's last byte — alone on a page, at a nonzero
+    /// offset, and as a split blob's head — keep their bytes and their
+    /// sizes through store, GC relocation and retrieve.
+    #[test]
+    fn segments_ending_on_a_16_bit_payload_survive_gc() {
+        let end = u16::MAX as u32;
+        let geometry = Geometry {
+            page_bytes: 64 * 1024,
+            ..geometry()
+        };
+        let config = KvConfig {
+            page_payload_bytes: end,
+            fine_align: 1,
+            ..KvConfig::small()
+        };
+        let mut d = KvSsd::new(geometry, FlashTiming::pm983_like(), config);
+        let head = d.config().meta_bytes + 16;
+        let bytes = |len: u32, seed: u8| -> Payload {
+            Payload::from_bytes((0..len).map(|i| i as u8 ^ seed).collect::<Vec<_>>())
+        };
+        // Key 0 fills a page payload; key 1 takes 1 KiB of the next page
+        // and key 2 the rest of it; key 3 splits, its head a whole payload.
+        let blobs = [
+            bytes(end - head, 1),
+            bytes(1024 - head, 2),
+            bytes(end - 1024 - head, 3),
+            bytes(100_000, 4),
+        ];
+        let mut t = SimTime::ZERO;
+        for (i, value) in (0..).zip(&blobs) {
+            t = d.store(t, &key(i), value.clone()).unwrap();
+        }
+        let segs = |d: &KvSsd, i| d.segments_of(&key(i)).unwrap().to_vec();
+        let ends = |s: &SegLoc| u32::from(s.offset) + u32::from(s.alloc);
+        assert_eq!((segs(&d, 0)[0].offset, ends(&segs(&d, 0)[0])), (0, end));
+        assert_eq!((segs(&d, 2)[0].offset, ends(&segs(&d, 2)[0])), (1024, end));
+        assert_eq!((segs(&d, 3).len(), segs(&d, 3)[0].alloc), (2, u16::MAX));
+        let read_back = |d: &mut KvSsd, t: &mut SimTime, stage: &str| {
+            for (i, value) in (0..).zip(&blobs) {
+                let got = d.retrieve(*t, &key(i)).unwrap();
+                *t = got.at;
+                assert_eq!(got.value.as_ref(), Some(value), "{stage}: key {i}");
+            }
+        };
+        read_back(&mut d, &mut t, "after store");
+
+        // Churn 4 KiB filler until GC has moved every segment of keys 0,
+        // 2 and 3.
+        let before: Vec<Vec<SegLoc>> = (0..4).map(|i| segs(&d, i)).collect();
+        let cap = d.space().capacity_bytes;
+        let fillers = cap * 70 / 100 / (FILLER_BYTES as u64 + 64);
+        let moved = |d: &KvSsd| {
+            [0, 2, 3].iter().all(|&i| {
+                let now = segs(d, i);
+                now.iter().zip(&before[i as usize]).all(|(a, b)| a != b)
+            })
+        };
+        let mut rounds = 0;
+        while !moved(&d) {
+            rounds += 1;
+            assert!(rounds <= 40, "GC never relocated some segment");
+            for f in 4..4 + fillers {
+                let value = Payload::synthetic(FILLER_BYTES, f);
+                t = d.store(t, &key(f), value).unwrap();
+            }
+        }
+        for (i, was) in (0..).zip(&before) {
+            let sizes = |s: &[SegLoc]| s.iter().map(|s| (s.alloc, s.raw)).collect::<Vec<_>>();
+            assert_eq!(sizes(&segs(&d, i)), sizes(was), "key {i}");
+            assert!(segs(&d, i).iter().all(|s| ends(s) <= end), "key {i}");
+        }
+        assert_eq!(ends(&segs(&d, 0)[0]), end);
+        read_back(&mut d, &mut t, "after GC relocation");
     }
 }

@@ -61,7 +61,7 @@ impl KvSsd {
         // times (stale refs from overwrites that landed in the same
         // page); each live segment must be re-placed exactly once.
         let mut seen = PrehashedSet::default();
-        let on_page = |s: &SegLoc| s.block == block && s.page == page;
+        let on_page = |s: &SegLoc| s.block == block && u32::from(s.page) == page;
         let live = |r: &BlobRef| {
             Some((
                 self.index.find_segment(r.hash, r.seg_no, on_page)?.0,
@@ -82,8 +82,9 @@ impl KvSsd {
             };
             self.blocks.dec_valid(block, seg.alloc as u64, &self.flash);
             self.stats.replaced_after_failure += 1;
+            let (alloc, raw) = (seg.alloc.into(), seg.raw.into());
             let (new_loc, _) = self
-                .append_segment(now, key, seg_no, seg.alloc, seg.raw, false)?
+                .append_segment(now, key, seg_no, alloc, raw, false)?
                 .ok_or(KvError::Internal {
                     what: "no space to re-place data after a program failure",
                 })?;

@@ -108,7 +108,7 @@ impl KvSsd {
                 now,
                 PageAddr {
                     block: seg.block,
-                    page: seg.page,
+                    page: seg.page.into(),
                 },
                 seg.raw as u64,
             )
@@ -117,7 +117,8 @@ impl KvSsd {
             })?;
         let was_gc = self.in_gc;
         self.in_gc = true; // route the re-append to the GC stream
-        let appended = self.append_segment_retry(now, key, r.seg_no, seg.alloc, seg.raw, false);
+        let (alloc, raw) = (seg.alloc.into(), seg.raw.into());
+        let appended = self.append_segment_retry(now, key, r.seg_no, alloc, raw, false);
         self.in_gc = was_gc;
         let Some((new_loc, _)) = appended? else {
             // Nowhere to move the data: put the ref back and give up.

@@ -28,18 +28,23 @@ use crate::value::Payload;
 pub type SegList = InlineVec<SegLoc, 1>;
 
 /// Location of one blob segment on flash.
+///
+/// A segment lies inside one page, so its page number, offset and sizes
+/// all fit 16 bits: [`crate::KvSsd::new`] refuses a geometry with more
+/// pages per block, or a page payload whose largest allocation is larger.
+/// That keeps the location at 12 B and the index slot on one cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegLoc {
     /// The erase block.
     pub block: BlockId,
     /// Page within the block.
-    pub page: u32,
+    pub page: u16,
     /// Byte offset of the segment within the page payload.
-    pub offset: u32,
+    pub offset: u16,
     /// Allocated bytes of the segment.
-    pub alloc: u32,
+    pub alloc: u16,
     /// Raw (useful) bytes of the segment.
-    pub raw: u32,
+    pub raw: u16,
 }
 
 impl Default for SegLoc {
@@ -61,18 +66,12 @@ impl Default for SegLoc {
 pub struct IndexEntry {
     /// Key length in bytes.
     pub key_len: u8,
-    /// Value length in bytes.
-    pub value_len: u32,
-    /// The stored value (the simulator's stand-in for flash contents).
+    /// The stored value (the simulator's stand-in for flash contents); its
+    /// length is the value length.
     pub payload: Payload,
     /// Segment locations, in order (inline for unsplit blobs).
     pub segs: SegList,
 }
-
-// One per live KVP on the host: with the 16 B key, 64 B makes an 80 B
-// index slot, and growing it grows every index probe's cache footprint and
-// the simulator's RSS. (Unrelated to the *modelled* `index_entry_bytes`.)
-const _: () = assert!(std::mem::size_of::<IndexEntry>() <= 64);
 
 impl IndexEntry {
     /// Total allocated bytes across segments.
@@ -82,18 +81,33 @@ impl IndexEntry {
 
     /// User bytes (key + value).
     pub fn user_bytes(&self) -> u64 {
-        self.key_len as u64 + self.value_len as u64
+        self.key_len as u64 + self.payload.len()
     }
 }
 
 /// One slot of the global index: a `((hash, fingerprint), entry)` record
-/// or empty. `IndexEntry` has a niche, so the `Option` costs no bytes.
-type IndexSlot = Option<((u64, u64), IndexEntry)>;
+/// or empty. `IndexEntry` has a niche, so the `Option` costs no bytes: the
+/// 16 B key and the 48 B entry fill exactly one 64 B cache line, and the
+/// alignment puts every slot on a line of its own, so a probe touches one
+/// line per slot it reads.
+#[derive(Debug)]
+#[repr(align(64))]
+struct IndexSlot(Option<((u64, u64), IndexEntry)>);
 
-const _: () = assert!(std::mem::size_of::<IndexSlot>() <= 80);
+// One slot per table position on the host (not the *modelled*
+// `index_entry_bytes`): growing any of these grows every index probe's
+// cache footprint and the simulator's RSS.
+const _: () = {
+    use std::mem::{align_of, size_of};
+    assert!(size_of::<IndexSlot>() == 64 && align_of::<IndexSlot>() == 64);
+    assert!(size_of::<IndexEntry>() == 48);
+    assert!(size_of::<Payload>() == 16);
+    assert!(size_of::<SegLoc>() == 12);
+    assert!(size_of::<SegList>() == 24);
+};
 
-/// Slots in one full segment of the global index: 2^17 slots of 80 B, or
-/// 10 MiB. A full segment takes 114 688 records before it splits.
+/// Slots in one full segment of the global index: 2^17 slots of 64 B, or
+/// 8 MiB. A full segment takes 114 688 records before it splits.
 pub const SEGMENT_SLOTS: usize = 1 << 17;
 
 /// The most top hash bits a segment splits on. A full segment that
@@ -170,7 +184,7 @@ fn capacity(slots: usize) -> usize {
 fn table(slots: usize) -> Vec<IndexSlot> {
     let mut table = Vec::with_capacity(slots);
     advise_huge_pages(&table);
-    table.resize_with(slots, || None);
+    table.resize_with(slots, || IndexSlot(None));
     table
 }
 
@@ -223,12 +237,12 @@ impl<const SEG: usize> GlobalStore<SEG> {
             let seg = self.segments.get_mut(s)?;
             let at = seg.probe(hash, fp);
             if let Ok(i) = at {
-                let old = seg.slots.get_mut(i).and_then(Option::as_mut)?;
+                let old = seg.slots.get_mut(i).and_then(|s| s.0.as_mut())?;
                 return Some(std::mem::replace(&mut old.1, entry));
             }
             if seg.len < capacity(seg.slots.len()) {
                 if let Some(slot) = at.err().and_then(|i| seg.slots.get_mut(i)) {
-                    *slot = Some(((hash, fp), entry));
+                    slot.0 = Some(((hash, fp), entry));
                     seg.len += 1;
                     self.len += 1;
                 }
@@ -274,7 +288,7 @@ impl<const SEG: usize> GlobalStore<SEG> {
         // advances past a record that stays.
         let mut i = 0;
         while let Some(slot) = seg.slots.get(i) {
-            match slot {
+            match &slot.0 {
                 Some(((h, _), _)) if h & bit != 0 => {
                     if let Some((key, entry)) = seg.take(i) {
                         fresh.place(key, entry);
@@ -299,7 +313,7 @@ impl<const SEG: usize> GlobalStore<SEG> {
     pub fn get(&self, hash: u64, fp: u64) -> Option<&IndexEntry> {
         let seg = self.segment(hash)?;
         let i = seg.probe(hash, fp).ok()?;
-        seg.slots.get(i)?.as_ref().map(|(_, e)| e)
+        seg.slots.get(i)?.0.as_ref().map(|(_, e)| e)
     }
 
     /// Mutable lookup (GC relocates segments through this).
@@ -307,7 +321,7 @@ impl<const SEG: usize> GlobalStore<SEG> {
         let s = self.seg_of(hash)?;
         let seg = self.segments.get_mut(s)?;
         let i = seg.probe(hash, fp).ok()?;
-        seg.slots.get_mut(i)?.as_mut().map(|(_, e)| e)
+        seg.slots.get_mut(i)?.0.as_mut().map(|(_, e)| e)
     }
 
     /// Removes and returns an entry, shifting the rest of its run back
@@ -337,7 +351,7 @@ impl<const SEG: usize> GlobalStore<SEG> {
         let seg = self.segment(hash)?;
         let mask = seg.mask();
         let mut i = hash as usize & mask;
-        while let Some(Some((key, entry))) = seg.slots.get(i) {
+        while let Some(IndexSlot(Some((key, entry)))) = seg.slots.get(i) {
             if key.0 == hash {
                 if let Some(loc) = entry.segs.get(seg_no as usize).filter(|s| here(s)) {
                     return Some((*key, *loc));
@@ -376,8 +390,8 @@ impl Segment {
         let mut i = hash as usize & mask;
         loop {
             match self.slots.get(i) {
-                Some(Some((key, _))) if *key == (hash, fp) => return Ok(i),
-                Some(Some(_)) => i = (i + 1) & mask,
+                Some(IndexSlot(Some((key, _)))) if *key == (hash, fp) => return Ok(i),
+                Some(IndexSlot(Some(_))) => i = (i + 1) & mask,
                 _ => return Err(i),
             }
         }
@@ -390,7 +404,7 @@ impl Segment {
             .err()
             .and_then(|i| self.slots.get_mut(i))
         {
-            *slot = Some((key, entry));
+            slot.0 = Some((key, entry));
             self.len += 1;
         }
     }
@@ -398,22 +412,22 @@ impl Segment {
     /// Takes the record out of slot `hole`, shifting the rest of its run
     /// back so every remaining key stays reachable from its home slot.
     fn take(&mut self, mut hole: usize) -> Option<((u64, u64), IndexEntry)> {
-        let removed = self.slots.get_mut(hole)?.take()?;
+        let removed = self.slots.get_mut(hole)?.0.take()?;
         self.len -= 1;
         let mask = self.mask();
         let mut i = hole;
         loop {
             i = (i + 1) & mask;
-            let Some(Some(((h, _), _))) = self.slots.get(i) else {
+            let Some(IndexSlot(Some(((h, _), _)))) = self.slots.get(i) else {
                 return Some(removed);
             };
             // A record may fill the hole unless its home lies cyclically
             // after the hole (in `(hole, i]`): it would become unreachable.
             let home = *h as usize & mask;
             if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
-                let moved = self.slots.get_mut(i).and_then(Option::take);
+                let moved = self.slots.get_mut(i).and_then(|s| s.0.take());
                 if let Some(slot) = self.slots.get_mut(hole) {
-                    *slot = moved;
+                    slot.0 = moved;
                 }
                 hole = i;
             }
@@ -425,31 +439,28 @@ impl Segment {
         let slots = (self.slots.len() * 2).max(4);
         let old = std::mem::replace(&mut self.slots, table(slots));
         self.len = 0;
-        for (key, entry) in old.into_iter().flatten() {
+        for (key, entry) in old.into_iter().filter_map(|s| s.0) {
             self.place(key, entry);
         }
     }
 }
 
-/// Prefetches the cache lines holding the first and the last byte of
-/// `*value` into every cache level: the whole of an 80 B [`IndexSlot`],
-/// which spans exactly two 64 B lines wherever it sits.
+/// Prefetches the cache line holding `*slot` into every cache level: an
+/// [`IndexSlot`] is one aligned 64 B line, so one hint loads all of it.
 #[inline(always)]
-fn prefetch_read<T>(value: &T) {
-    let first = (value as *const T).cast::<i8>();
-    let last = first.wrapping_add(std::mem::size_of::<T>().saturating_sub(1));
+fn prefetch_read(slot: &IndexSlot) {
+    let line = (slot as *const IndexSlot).cast::<i8>();
     #[cfg(target_arch = "x86_64")]
     // SAFETY: a prefetch is a hint that never faults and reads nothing
-    // into the program, and both addresses lie inside the live `*value`
+    // into the program, and the address is that of the live `*slot`
     // anyway; SSE is part of the x86_64 baseline, so the instruction
     // exists.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(first);
-        _mm_prefetch::<_MM_HINT_T0>(last);
+        _mm_prefetch::<_MM_HINT_T0>(line);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (first, last);
+    let _ = line;
 }
 
 // `madvise(2)` and its `MADV_HUGEPAGE` advice, from the kernel's
@@ -851,11 +862,10 @@ mod tests {
     use super::*;
     use kvssd_flash::{FlashTiming, Geometry};
 
-    /// An entry whose `value_len` (and payload) identify it.
+    /// An entry whose payload length identifies it.
     fn entry(value_len: u32) -> IndexEntry {
         IndexEntry {
             key_len: 4,
-            value_len,
             payload: Payload::synthetic(value_len, 0),
             segs: vec![SegLoc {
                 block: BlockId(0),
@@ -874,8 +884,8 @@ mod tests {
         g.insert(42, 1, entry(1));
         g.insert(42, 2, entry(2));
         assert_eq!(g.len(), 2);
-        assert_eq!(g.get(42, 1).unwrap().value_len, 1);
-        assert_eq!(g.get(42, 2).unwrap().value_len, 2);
+        assert_eq!(g.get(42, 1).unwrap().payload.len(), 1);
+        assert_eq!(g.get(42, 2).unwrap().payload.len(), 2);
         assert!(g.remove(42, 1).is_some());
         assert!(g.get(42, 1).is_none());
         assert_eq!(g.len(), 1);
@@ -886,26 +896,25 @@ mod tests {
         let mut g = GlobalStore::new();
         assert!(g.insert(7, 7, entry(7)).is_none());
         let old = g.insert(7, 7, entry(8)).unwrap();
-        assert_eq!(old.value_len, 7);
-        assert_eq!(g.get(7, 7).unwrap().value_len, 8);
+        assert_eq!(old.payload.len(), 7);
+        assert_eq!(g.get(7, 7).unwrap().payload.len(), 8);
         assert_eq!(g.len(), 1);
     }
 
     #[test]
-    fn index_bucket_is_eighty_bytes() {
-        // The compile-time assertions cap the entry and the slot; this
-        // names the parts when the slot (key + entry, empty state in the
-        // entry's niche) outgrows its budget.
-        use std::mem::size_of;
-        assert!(
-            size_of::<IndexSlot>() <= 80,
-            "slot {} B: IndexEntry {} B = SegList {} B (SegLoc {} B) + Payload {} B + lengths",
-            size_of::<IndexSlot>(),
-            size_of::<IndexEntry>(),
-            size_of::<SegList>(),
-            size_of::<SegLoc>(),
-            size_of::<Payload>()
-        );
+    fn every_segment_starts_on_a_cache_line() {
+        // 64-slot segments: 20 000 uniform records split the first one
+        // hundreds of times. Each segment's table, the doubled first one
+        // included, must start on a 64 B boundary, or every slot in it
+        // straddles two lines.
+        let mut g = GlobalStore::<64>::default();
+        for i in 0..20_000u64 {
+            g.insert(mix64(i), i, entry(1));
+        }
+        assert!(g.segments.len() >= 300, "{} segments", g.segments.len());
+        for (s, seg) in g.segments.iter().enumerate() {
+            assert!(seg.slots.as_ptr().addr().is_multiple_of(64), "segment {s}");
+        }
     }
 
     /// Checks the extendible-hashing layout of `g`: a directory of
@@ -928,11 +937,11 @@ mod tests {
             if g.segments.len() > 1 {
                 assert!(seg.slots.len() >= SEG, "segment {s}");
             }
-            let held = seg.slots.iter().flatten().count();
+            let held = seg.slots.iter().filter(|s| s.0.is_some()).count();
             assert_eq!(held, seg.len, "segment {s}");
             assert!(held <= capacity(seg.slots.len()), "segment {s}");
             total += held;
-            for ((h, fp), e) in seg.slots.iter().flatten() {
+            for ((h, fp), e) in seg.slots.iter().filter_map(|s| s.0.as_ref()) {
                 assert_eq!(g.seg_of(*h), Some(s), "record ({h:#x}, {fp}) misfiled");
                 assert_eq!(g.get(*h, *fp), Some(e));
             }
@@ -989,7 +998,7 @@ mod tests {
         assert!((7..=10).contains(&g.depth), "depth {}", g.depth);
         assert!(g.segments.iter().all(|s| s.slots.len() == 64));
         for i in 0..5_000u64 {
-            assert_eq!(g.get(mix64(i), i).map(|e| e.value_len), Some(i as u32));
+            assert_eq!(g.get(mix64(i), i).map(|e| e.payload.len()), Some(i));
         }
     }
 
@@ -1085,13 +1094,13 @@ mod tests {
         }
         let slots = &g.segments[0].slots;
         assert_eq!(slots.len(), 8);
-        assert!(slots[7].is_some() && slots[0].is_some() && slots[3].is_some());
-        assert_eq!(g.remove(u64::MAX, 0).map(|e| e.value_len), Some(0));
+        assert!(slots[7].0.is_some() && slots[0].0.is_some() && slots[3].0.is_some());
+        assert_eq!(g.remove(u64::MAX, 0).map(|e| e.payload.len()), Some(0));
         for fp in 1..5 {
-            assert_eq!(g.get(u64::MAX, fp).map(|e| e.value_len), Some(fp as u32));
+            assert_eq!(g.get(u64::MAX, fp).map(|e| e.payload.len()), Some(fp));
         }
         assert!(
-            g.segments[0].slots[3].is_none(),
+            g.segments[0].slots[3].0.is_none(),
             "the run shifted back by one"
         );
     }
@@ -1115,13 +1124,13 @@ mod tests {
         assert_eq!((g.segments.len(), g.depth), (2, 1));
         assert_layout(&g);
         let moved = &g.segments[1].slots;
-        assert!(moved[7].is_some() && moved[0].is_some() && moved[2].is_some());
-        assert_eq!(g.remove(high, 0).map(|e| e.value_len), Some(0));
+        assert!(moved[7].0.is_some() && moved[0].0.is_some() && moved[2].0.is_some());
+        assert_eq!(g.remove(high, 0).map(|e| e.payload.len()), Some(0));
         for fp in 1..4 {
-            assert_eq!(g.get(high, fp).map(|e| e.value_len), Some(fp as u32));
+            assert_eq!(g.get(high, fp).map(|e| e.payload.len()), Some(fp));
         }
         assert!(
-            g.segments[1].slots[2].is_none(),
+            g.segments[1].slots[2].0.is_none(),
             "the run shifted back by one"
         );
         assert_layout(&g);

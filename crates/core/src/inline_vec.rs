@@ -13,8 +13,8 @@
 use std::ops::{Deref, DerefMut};
 
 /// Inline with a `u32` length, or spilled. The two states share their
-/// bytes, which is what keeps `InlineVec<SegLoc, 1>` at 32 B (pinned
-/// through `IndexEntry`'s size assertion in `index.rs`).
+/// bytes, which is what keeps `InlineVec<SegLoc, 1>` at 24 B (pinned by
+/// the layout assertions in `index.rs`).
 #[derive(Clone)]
 enum Repr<T, const N: usize> {
     Inline { len: u32, buf: [T; N] },

@@ -7,8 +7,11 @@
 //! tests verify data integrity end to end). The device treats both
 //! identically for timing and space accounting.
 //!
-//! Real bytes live behind an `Arc<[u8]>` so cloning a payload — which
+//! Real bytes live behind an `Arc<Vec<u8>>` so cloning a payload — which
 //! retrieve does once per hit — is a refcount bump, not a value copy.
+//! The `Arc` of a `Vec` is one thin pointer where an `Arc<[u8]>` is a
+//! fat one, so a payload is 16 B: it sits inside every index slot, and
+//! the slot must stay one 64 B cache line (see `index.rs`).
 
 use std::sync::Arc;
 
@@ -16,7 +19,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// Real bytes, returned verbatim on retrieve (shared, not copied).
-    Bytes(Arc<[u8]>),
+    Bytes(Arc<Vec<u8>>),
     /// A sized placeholder: `len` bytes of notional data identified by
     /// `tag` (so tests can check the right payload came back).
     Synthetic {
@@ -28,9 +31,9 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Wraps real bytes.
+    /// Wraps real bytes (a `Vec` is adopted, not copied).
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
-        Payload::Bytes(bytes.into().into())
+        Payload::Bytes(Arc::new(bytes.into()))
     }
 
     /// A synthetic payload of `len` bytes tagged `tag`.
@@ -107,6 +110,14 @@ mod tests {
             q.as_bytes().unwrap().as_ptr(),
             "cloning a byte payload must share storage, not copy it"
         );
+    }
+
+    #[test]
+    fn from_bytes_adopts_the_vec() {
+        let v = vec![5u8; 64];
+        let at = v.as_ptr();
+        let p = Payload::from_bytes(v);
+        assert_eq!(p.as_bytes().unwrap().as_ptr(), at);
     }
 
     #[test]

@@ -126,9 +126,9 @@ fn inline_vec_spill_costs_one_allocation_per_growth_step() {
 }
 
 /// The global index grows one segment at a time and never holds two
-/// copies of itself. Its first segment doubles up to 10 MiB; from there
+/// copies of itself. Its first segment doubles up to 8 MiB; from there
 /// a full segment splits in place, into itself and one new segment. So
-/// at no moment while 300 000 keys go in (four segments, 40 MiB) does
+/// at no moment while 300 000 keys go in (four segments, 32 MiB) does
 /// the heap hold more than the finished index plus one segment. A table
 /// that grows by doubling whole peaks at 1.5 times its final size
 /// instead: the old table beside the new one, twice its size.
@@ -139,7 +139,6 @@ fn global_index_never_holds_two_copies_of_itself() {
         for i in 0..300_000u64 {
             let entry = IndexEntry {
                 key_len: 16,
-                value_len: 4096,
                 payload: Payload::synthetic(4096, i),
                 segs: SegList::new(),
             };

@@ -23,10 +23,10 @@ fn key_steps(max: u64) -> impl Fn(&mut DeterministicRng) -> Vec<(u8, bool)> {
     }
 }
 
+/// An entry whose payload length identifies it.
 fn entry(tag: u64, value_len: u32) -> IndexEntry {
     IndexEntry {
         key_len: 8,
-        value_len,
         payload: Payload::synthetic(value_len, tag),
         segs: SegList::new(),
     }
@@ -80,6 +80,7 @@ fn index_matches_btreemap<const SEG: usize>(ops: &[IndexOp]) -> Result<(), Strin
     let mut store = GlobalStore::<SEG>::default();
     let mut model: BTreeMap<(u64, u64), u32> = BTreeMap::new();
     let tagged = |tag: u32| entry(tag as u64, tag);
+    let tag_of = |e: IndexEntry| e.payload.len() as u32;
     let survivors_found = |store: &GlobalStore<SEG>, model: &BTreeMap<(u64, u64), u32>| {
         model
             .iter()
@@ -88,18 +89,18 @@ fn index_matches_btreemap<const SEG: usize>(ops: &[IndexOp]) -> Result<(), Strin
     for (step, op) in ops.iter().enumerate() {
         match *op {
             IndexOp::Put(h, fp, tag) => {
-                let old = store.insert(h, fp, tagged(tag)).map(|e| e.value_len);
+                let old = store.insert(h, fp, tagged(tag)).map(tag_of);
                 assert_eq!(old, model.insert((h, fp), tag), "step {step}: {op:?}");
             }
             IndexOp::Edit(h, fp, tag) => {
                 let old = store
                     .get_mut(h, fp)
-                    .map(|e| std::mem::replace(e, tagged(tag)).value_len);
+                    .map(|e| tag_of(std::mem::replace(e, tagged(tag))));
                 let want = model.get_mut(&(h, fp)).map(|v| std::mem::replace(v, tag));
                 assert_eq!(old, want, "step {step}: {op:?}");
             }
             IndexOp::Remove(h, fp) => {
-                let old = store.remove(h, fp).map(|e| e.value_len);
+                let old = store.remove(h, fp).map(tag_of);
                 assert_eq!(old, model.remove(&(h, fp)), "step {step}: {op:?}");
                 assert!(survivors_found(&store, &model), "step {step}: {op:?}");
             }
@@ -163,7 +164,7 @@ fn global_store_keeps_every_record_through_hundreds_of_splits() {
 }
 
 /// One long case through the same oracle at the devices' segment size.
-/// It grows the first segment to 2^17 slots (10 MiB), past the 4 MiB
+/// It grows the first segment to 2^17 slots (8 MiB), past the 4 MiB
 /// from which a new table is advised onto huge pages before it is
 /// filled, and on to the first split, at 114 688 records: 160 000 fresh
 /// keys with updates, edits and removals mixed in, and a removal right
@@ -274,14 +275,14 @@ fn pages_respect_their_budget(sizes: &[u32]) -> Result<(), String> {
         let value = Payload::synthetic(v, i as u64);
         t = dev.store(t, &key(i), value).expect("store");
     }
-    let mut pages: PrehashedMap<(BlockId, u32), Vec<(u32, u32)>> = PrehashedMap::default();
+    let mut pages: PrehashedMap<(BlockId, u16), Vec<(u32, u32)>> = PrehashedMap::default();
     for (i, &v) in sizes.iter().enumerate() {
         let l = dev.retrieve(t, &key(i)).expect("retrieve");
         assert_eq!(l.value, Some(Payload::synthetic(v, i as u64)));
         t = l.at;
         for s in dev.segments_of(&key(i)).expect("live key") {
             let page = pages.entry((s.block, s.page)).or_default();
-            page.push((s.offset, s.alloc));
+            page.push((s.offset.into(), s.alloc.into()));
         }
     }
     for (page, mut segs) in pages {

@@ -1,4 +1,4 @@
-//! Round-trip guarantees for the `Arc<[u8]>` payload representation:
+//! Round-trip guarantees for the `Arc<Vec<u8>>` payload representation:
 //! retrieve must return exactly what was stored (including zero-length
 //! and blob-split cases) while sharing storage with the index instead
 //! of copying value bytes per lookup.
