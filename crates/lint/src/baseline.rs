@@ -68,9 +68,10 @@ impl Baseline {
         let mut s = String::from(
             "# kvlint panic-surface baseline — per-file budget of unwrap/expect/panic!/\n\
              # slice-index sites in non-test code of the hot-path crates (block-ftl,\n\
-             # core, cluster, fabric, flash). Ratchet semantics: a count above its budget\n\
-             # fails the lint gate, and the tier-1 test panic_surface_baseline_is_tight\n\
-             # fails on slack (budget above actual), so this file can only shrink.\n\
+             # core, cluster, fabric, flash, host-stack, lsm-store). Ratchet semantics:\n\
+             # a count above its budget fails the lint gate, and the tier-1 test\n\
+             # panic_surface_baseline_is_tight fails on slack (budget above actual), so\n\
+             # this file can only shrink.\n\
              # Regenerate with:\n\
              #   cargo run -p kvssd-lint -- --write-baseline\n\n[panic-surface]\n",
         );

@@ -94,7 +94,8 @@ pub const BAD_PRAGMA: &str = "bad-pragma";
 
 /// The crates whose panic surface is ratcheted: the ones on the
 /// measured device/cluster/fabric path (both firmware personalities and
-/// the flash substrate under them), where a panic aborts an experiment
+/// the flash substrate under them) and the paper's RocksDB baseline with
+/// the host stack under it, where a panic aborts an experiment
 /// mid-figure instead of surfacing a typed error.
 pub const HOT_PATH_CRATES: &[&str] = &[
     "crates/block-ftl/src/",
@@ -102,6 +103,8 @@ pub const HOT_PATH_CRATES: &[&str] = &[
     "crates/cluster/src/",
     "crates/fabric/src/",
     "crates/flash/src/",
+    "crates/host-stack/src/",
+    "crates/lsm-store/src/",
 ];
 
 /// Identifiers that construct OS-entropy RNG state.
