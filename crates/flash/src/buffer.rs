@@ -93,7 +93,15 @@ impl<K: Copy + Ord + Hash + Default> Departures<K> {
                 .map(|(slot, seg)| *slot = seg)
                 .count();
             let live = group.segs.get_mut(..group.len).unwrap_or_default();
-            live.sort_unstable_by(|a, b| b.cmp(a));
+            // Descending, so the next to leave is last. Programs usually
+            // queue their segments ascending (the block FTL's LCNs), the
+            // worst case of the small-slice insertion sort; reversing
+            // gives the same order.
+            if live.is_sorted() {
+                live.reverse();
+            } else {
+                live.sort_unstable_by(|a, b| b.cmp(a));
+            }
             if let Some(&(units, key)) = live.last() {
                 self.heap.push(Reverse((leave, units, key, g)));
             }

@@ -38,6 +38,7 @@
 //! ```
 
 pub mod config;
+mod memtable;
 pub mod sst;
 pub mod store;
 

@@ -5,6 +5,14 @@
 //! timing); the functional content lives here so reads are exact.
 //! Keys are inline [`KeyBuf`]s, so a table is one contiguous array that
 //! binary searches and merges walk without chasing a pointer per key.
+//!
+//! A point lookup searches a parallel array of 8-byte *windows*: the
+//! bytes of each key just past the prefix every key of the table
+//! shares, big-endian and zero-padded. Key order implies window order
+//! (a zero pad sorts like the end of a key), so the search compares one
+//! `u64` per step and reads a whole key only where windows tie.
+
+use std::cmp::Ordering;
 
 use kvssd_core::bloom::BloomFilter;
 use kvssd_core::hash::key_hash;
@@ -18,13 +26,41 @@ pub type Entry = (KeyBuf, Option<Payload>);
 #[derive(Debug, Clone)]
 pub struct SstData {
     entries: Vec<Entry>,
+    /// Length of the prefix every key shares.
+    prefix_len: usize,
+    /// Each key's window: its 8 bytes after the prefix.
+    windows: Vec<u64>,
+}
+
+/// The first 8 bytes of `rest`, big-endian, zero-padded.
+fn window(rest: &[u8]) -> u64 {
+    let mut bytes = [0u8; 8];
+    for (b, &k) in bytes.iter_mut().zip(rest) {
+        *b = k;
+    }
+    u64::from_be_bytes(bytes)
 }
 
 impl SstData {
     /// Builds from entries that must already be sorted and unique.
     pub fn from_sorted(entries: Vec<Entry>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "unsorted SST");
-        SstData { entries }
+        // Sorted, so the first and last keys share the shortest prefix.
+        let prefix_len = match (entries.first(), entries.last()) {
+            (Some((lo, _)), Some((hi, _))) => {
+                lo.iter().zip(hi.iter()).take_while(|(a, b)| a == b).count()
+            }
+            _ => 0,
+        };
+        let windows = entries
+            .iter()
+            .map(|(k, _)| window(k.get(prefix_len..).unwrap_or_default()))
+            .collect();
+        SstData {
+            entries,
+            prefix_len,
+            windows,
+        }
     }
 
     /// Number of entries.
@@ -37,11 +73,28 @@ impl SstData {
         self.entries.is_empty()
     }
 
-    /// Binary-searches for a key; `Some(index)` on hit.
+    /// Binary-searches for a key by window, comparing whole keys only
+    /// where windows tie; `Some(index)` on hit. A key without the
+    /// table's shared prefix is in no entry, so it is answered without
+    /// a search.
     pub fn find(&self, key: &[u8]) -> Option<usize> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
+        let (first, _) = self.entries.first()?;
+        let rest = key.strip_prefix(first.get(..self.prefix_len)?)?;
+        let want = window(rest);
+        let (mut lo, mut hi) = (0, self.entries.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let order = match self.windows.get(mid)?.cmp(&want) {
+                Ordering::Equal => self.entries.get(mid)?.0.as_slice().cmp(key),
+                order => order,
+            };
+            match order {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     /// Entry at `idx`.
@@ -166,6 +219,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kvssd_sim::check::check;
+    use kvssd_sim::DeterministicRng;
 
     fn kv(k: &str, v: Option<&str>) -> Entry {
         (
@@ -256,6 +311,74 @@ mod tests {
         let (k, v) = s.entry(1);
         assert_eq!(k, b"c");
         assert_eq!(v.unwrap().as_bytes().unwrap(), b"3");
+    }
+
+    /// Keys for `find_agrees_with_binary_search`: one of four shared
+    /// prefixes (none, short, inline-length, past the 22 B inline limit)
+    /// then a short tail over an alphabet with `0x00` and `0xFF`; some
+    /// keys extend an earlier one, so keys are prefixes of others.
+    fn table_keys(rng: &mut DeterministicRng) -> Vec<Vec<u8>> {
+        const PREFIXES: [&[u8]; 4] = [
+            b"",
+            b"usr.",
+            b"user00000000000000",
+            b"a-key-prefix-past-the-inline-limit/",
+        ];
+        const ALPHABET: [u8; 5] = [0x00, 0x01, b'a', b'b', 0xFF];
+        let prefix = PREFIXES[rng.below(4) as usize];
+        let n = if rng.chance(0.2) {
+            1
+        } else {
+            rng.between(2, 60)
+        };
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..n {
+            let mut k = match keys.len() {
+                len if len > 0 && rng.chance(0.3) => keys[rng.below(len as u64) as usize].clone(),
+                _ => prefix.to_vec(),
+            };
+            for _ in 0..rng.below(13) {
+                k.push(ALPHABET[rng.below(5) as usize]);
+            }
+            keys.push(k);
+        }
+        keys
+    }
+
+    /// Windowed `find` against a plain binary search over the same
+    /// entries, for every key, its neighbours and probes outside
+    /// `[min, max]`.
+    #[test]
+    fn find_agrees_with_binary_search() {
+        let shorter = |k: &Vec<u8>| (!k.is_empty()).then(|| k[..k.len() - 1].to_vec());
+        check(0..500, table_keys, shorter, |keys| {
+            let mut sorted = keys.to_vec();
+            sorted.sort();
+            sorted.dedup();
+            let entries: Vec<Entry> = sorted.iter().map(|k| (KeyBuf::new(k), None)).collect();
+            let table = SstData::from_sorted(entries.clone());
+            let mut probes = vec![Vec::new(), vec![0xFF; 40], vec![0x00]];
+            for k in &sorted {
+                probes.push(k.clone());
+                probes.push([k.as_slice(), &[0x00]].concat());
+                probes.push([k.as_slice(), &[0xFF]].concat());
+                if let Some((&last, head)) = k.split_last() {
+                    probes.push(head.to_vec());
+                    probes.push([head, &[last.wrapping_add(1)]].concat());
+                    probes.push([head, &[last.wrapping_sub(1)]].concat());
+                }
+            }
+            for probe in &probes {
+                let want = entries
+                    .binary_search_by(|(k, _)| k.as_slice().cmp(probe))
+                    .ok();
+                let got = table.find(probe);
+                if got != want {
+                    return Err(format!("find({probe:?}) = {got:?}, want {want:?}"));
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The LSM store: write path, read path, flush, and leveled compaction.
 
-use std::collections::BTreeMap;
-use std::ops::{Bound, Range};
+use std::ops::Range;
 
 use kvssd_core::hash::key_hash;
-use kvssd_core::{KeyBuf, Payload};
+use kvssd_core::Payload;
 use kvssd_host_stack::{ExtFs, FileId, HostCpu, LruCache, PageCache};
 use kvssd_sim::{PrehashedMap, SimDuration, SimTime};
 
 use crate::config::LsmConfig;
+use crate::memtable::Memtable;
 use crate::sst::{merge_runs, Entry, SstData, SstMeta};
 
 /// One live entry returned by [`LsmStore::scan`]: owned key + payload.
@@ -50,8 +50,8 @@ pub struct LsmStore {
     bg_cpu: HostCpu,
     fs: ExtFs,
     page_cache: PageCache,
-    block_cache: LruCache<(u64, u64)>,
-    memtable: BTreeMap<KeyBuf, Option<Payload>>,
+    block_cache: LruCache,
+    memtable: Memtable,
     memtable_bytes: u64,
     wal: FileId,
     levels: Vec<Vec<SstMeta>>,
@@ -79,7 +79,7 @@ impl LsmStore {
             block_cache: LruCache::new(
                 (config.block_cache_bytes / config.block_bytes).max(1) as usize
             ),
-            memtable: BTreeMap::new(),
+            memtable: Memtable::default(),
             memtable_bytes: 0,
             levels: vec![Vec::new()],
             tables: PrehashedMap::default(),
@@ -154,12 +154,12 @@ impl LsmStore {
         self.stats.gets += 1;
         let depth = (self.memtable.len().max(2) as f64).log2() as u64;
         let mut t = self.cpu.run(now, self.config.cost_lookup * depth.max(1));
-        if let Some(v) = self.memtable.get(key) {
+        let hash = key_hash(key);
+        if let Some(v) = self.memtable.get(hash, key) {
             self.stats.gets_from_memtable += 1;
             return (t, v.clone());
         }
         // L0 newest-first, then the one candidate of each deeper level.
-        let hash = key_hash(key);
         for lvl in 0..self.levels.len() {
             for i in self.candidates(lvl, key).rev() {
                 let meta = &self.levels[lvl][i];
@@ -195,7 +195,7 @@ impl LsmStore {
             .collect();
         for file in visited {
             let size = self.fs.size_of(file).expect("live SST");
-            t = self.read_block(t, file, u64::MAX, size);
+            t = self.read_block(t, file, self.index_block(size), size);
         }
         // One run per source, newest first: the memtable, each L0 table
         // from the youngest back, then each deeper level's disjoint,
@@ -204,11 +204,8 @@ impl LsmStore {
         let tables = &self.tables;
         let tail = move |m: &SstMeta| tables[&m.file].entries_from(from).iter().cloned();
         let (l0, deeper) = self.levels.split_first().expect("L0 always exists");
-        let mut runs: Vec<Box<dyn Iterator<Item = Entry> + '_>> = vec![Box::new(
-            self.memtable
-                .range::<[u8], _>((Bound::Included(from), Bound::Unbounded))
-                .map(|(k, v)| (k.clone(), v.clone())),
-        )];
+        let mut runs: Vec<Box<dyn Iterator<Item = Entry> + '_>> =
+            vec![Box::new(self.memtable.sorted_from(from).into_iter())];
         runs.extend(l0.iter().rev().map(|m| Box::new(tail(m)) as _));
         runs.extend(
             deeper
@@ -261,23 +258,29 @@ impl LsmStore {
             t,
             self.config.cost_memtable_insert + self.config.cost_lookup * depth,
         );
-        // Live-data accounting needs the previous version's size.
-        let old_len = self.peek(key).map(Payload::len);
-        match (old_len, &value) {
-            (None, Some(v)) => {
+        let live = value.is_some();
+        let hash = key_hash(key);
+        let prev = self.memtable.insert(hash, key, value);
+        // Live-data accounting needs the previous version's size: the
+        // memtable's own, else the newest on disk.
+        let old_len = match &prev {
+            Some(p) => p.as_ref().map(Payload::len),
+            None => self.peek_levels(key, hash).map(Payload::len),
+        };
+        match (old_len, live) {
+            (None, true) => {
                 self.live_keys += 1;
-                self.live_user_bytes += key.len() as u64 + v.len();
+                self.live_user_bytes += key.len() as u64 + vlen;
             }
-            (Some(ov), Some(nv)) => {
-                self.live_user_bytes = self.live_user_bytes - ov + nv.len();
+            (Some(ov), true) => {
+                self.live_user_bytes = self.live_user_bytes - ov + vlen;
             }
-            (Some(ov), None) => {
+            (Some(ov), false) => {
                 self.live_keys -= 1;
                 self.live_user_bytes -= key.len() as u64 + ov;
             }
-            (None, None) => {}
+            (None, false) => {}
         }
-        let prev = self.memtable.insert(KeyBuf::new(key), value);
         let prev_bytes = prev
             .map(|p| key.len() as u64 + p.map_or(0, |v| v.len()) + self.config.entry_overhead_bytes)
             .unwrap_or(0);
@@ -301,12 +304,10 @@ impl LsmStore {
         t
     }
 
-    /// Functional lookup (no timing) — used for live-data accounting.
-    fn peek(&self, key: &[u8]) -> Option<&Payload> {
-        if let Some(v) = self.memtable.get(key) {
-            return v.as_ref();
-        }
-        let hash = key_hash(key);
+    /// Functional lookup of the newest on-disk version of `key` (which
+    /// hashes to `hash`), without timing — live-data accounting on a
+    /// memtable miss.
+    fn peek_levels(&self, key: &[u8], hash: u64) -> Option<&Payload> {
         for lvl in 0..self.levels.len() {
             for i in self.candidates(lvl, key).rev() {
                 let meta = &self.levels[lvl][i];
@@ -353,9 +354,8 @@ impl LsmStore {
         let idx = data.find(key);
         let size = self.fs.size_of(file).expect("SST exists");
         let entries = data.len() as u64;
-        // Index block: cached as block u64::MAX.
         let mut t = now;
-        t = self.read_block(t, file, u64::MAX, size);
+        t = self.read_block(t, file, self.index_block(size), size);
         let Some(idx) = idx else {
             // Bloom false positive: the index probe already told us no.
             return (t, None);
@@ -368,6 +368,12 @@ impl LsmStore {
         (t, Some(v.cloned()))
     }
 
+    /// The block number a table of `size` bytes caches its index block
+    /// under: one past its last data block, so the two never share a key.
+    fn index_block(&self, size: u64) -> u64 {
+        size.div_ceil(self.config.block_bytes)
+    }
+
     /// One block through block cache -> page cache -> device.
     fn read_block(&mut self, now: SimTime, file: FileId, block_no: u64, size: u64) -> SimTime {
         if self.block_cache.touch(&(file.0, block_no)) {
@@ -375,7 +381,7 @@ impl LsmStore {
             return self.cpu.run(now, self.config.cost_lookup);
         }
         self.stats.block_cache_misses += 1;
-        let offset = if block_no == u64::MAX {
+        let offset = if block_no == self.index_block(size) {
             // Index block lives at the tail.
             (size / self.config.block_bytes).saturating_sub(1) * self.config.block_bytes
         } else {
@@ -400,9 +406,8 @@ impl LsmStore {
             return;
         }
         self.stats.flushes += 1;
-        let entries: Vec<Entry> = std::mem::take(&mut self.memtable).into_iter().collect();
+        let data = SstData::from_sorted(self.memtable.take_sorted());
         self.memtable_bytes = 0;
-        let data = SstData::from_sorted(entries);
         let start = self.bg_done.max(now);
         let t = self.write_sst_chain(start, vec![data], 0, true);
         // WAL writeback + recycle.
@@ -580,7 +585,7 @@ impl LsmStore {
                 .fs
                 .delete(t, &mut self.bg_cpu, &mut self.page_cache, m.file)
                 .expect("compaction input delete");
-            self.block_cache.remove_if(|&(f, _)| f == m.file.0);
+            self.block_cache.invalidate_file(m.file.0);
         }
         self.bg_done = t;
     }
@@ -790,8 +795,8 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut next = 0u64;
         // Grows L2 to `files` files, then returns the worst number of
-        // candidate tables below L0 that one `get` or one `peek` (run by
-        // every put) was handed, over present and absent keys, with the
+        // candidate tables below L0 that one `get` or one `peek_levels`
+        // (run by every put that misses the memtable) was handed, over present and absent keys, with the
         // level count. Candidates bound the tables binary-searched.
         let mut deeper_candidates_when_l2_has = |files: usize| {
             while s.levels.get(2).map_or(0, Vec::len) < files {
@@ -808,7 +813,11 @@ mod tests {
                 let (done, got) = s.get(t, &key(i));
                 t = done;
                 let c1 = s.candidates_probed.get();
-                let peeked = s.peek(&key(i)).cloned();
+                let (k, hash) = (key(i), key_hash(&key(i)));
+                let peeked = match s.memtable.get(hash, &k) {
+                    Some(v) => v.clone(),
+                    None => s.peek_levels(&k, hash).cloned(),
+                };
                 let c2 = s.candidates_probed.get();
                 assert_eq!(peeked, got, "key {i}");
                 worst = worst.max(c1 - c0).max(c2 - c1);

@@ -49,8 +49,10 @@ echo "== cargo test --workspace =="
 # map oracle over every store on clean and faulty flash) and each
 # crate's unit/property tests — cluster replication and fabric fault
 # regressions, the fabric transport's contracts, the core alloc budget
-# and lookup history. A test binary that compiles to nothing is a
-# failure: a suite gated off whole looks exactly like that.
+# and lookup history, the LSM store's alloc budget
+# (crates/lsm-store/tests/alloc_budget.rs) and pinned history. A test
+# binary that compiles to nothing is a failure: a suite gated off whole
+# looks exactly like that.
 cargo test "${CARGO_FLAGS[@]}" -q --workspace 2>&1 | tee target/verify-test.log
 if grep -q '^running 0 tests' target/verify-test.log; then
     echo "a test binary ran 0 tests; find it with:" >&2
