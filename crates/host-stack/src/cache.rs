@@ -10,20 +10,20 @@
 //! # Layout
 //!
 //! The recency list is an intrusive doubly linked list over a slab of
-//! nodes. A key is found without hashing the page: the file is looked up
-//! once in a small map, and each file with a resident page owns a dense
-//! vector from page number to node (`NIL` where the page is absent).
+//! nodes. Nothing is hashed: a vector indexed by file id names the entry
+//! of each file with a resident page, and that entry holds a dense vector
+//! from page number to node (`NIL` where the page is absent).
 //! Dropping a whole file walks only that file's vector, and a vector is
 //! cleared and kept for the next file once its last page leaves, so a
 //! cache in steady state allocates nothing.
 //!
-//! Memory: `capacity` nodes, plus one vector per file with a resident
-//! page (at most `capacity` of them, and the recycled ones), each as
-//! long as that file's largest resident page number plus one. Page
-//! numbers are therefore meant to be dense within a file — a byte
-//! offset divided by a block size — not arbitrary 64-bit tags.
-
-use kvssd_sim::PrehashedMap;
+//! Memory: `capacity` nodes; 4 B per file id up to the largest that ever
+//! held a page; and one page vector per file with a resident page (at
+//! most `capacity` of them, and the recycled ones), each as long as that
+//! file's largest resident page number plus one. File ids and page
+//! numbers are therefore meant to be dense — ids handed out in sequence
+//! as `ExtFs` does, pages a byte offset over a block size — not
+//! arbitrary 64-bit tags.
 
 /// A cache key: `(file, page)`.
 pub type PageKey = (u64, u64);
@@ -37,8 +37,9 @@ const NIL: u32 = u32::MAX;
 /// resident page number).
 #[derive(Debug)]
 pub struct LruCache {
-    /// File -> its entry in `files`.
-    index: PrehashedMap<u64, u32>,
+    /// By file id: the file's entry in `files`, `NIL` without a resident
+    /// page.
+    owners: Vec<u32>,
     files: Vec<FilePages>,
     /// Entries of `files` no file owns, each with an empty `nodes`.
     idle_files: Vec<u32>,
@@ -80,7 +81,7 @@ impl LruCache {
         assert!(capacity > 0, "cache capacity must be positive");
         assert!(capacity < NIL as usize, "cache capacity must fit u32");
         LruCache {
-            index: PrehashedMap::default(),
+            owners: Vec::new(),
             files: Vec::new(),
             idle_files: Vec::new(),
             nodes: Vec::new(),
@@ -125,7 +126,7 @@ impl LruCache {
     /// Returns the evicted key, if any.
     pub fn insert(&mut self, key: PageKey) -> Option<PageKey> {
         let (file, page) = key;
-        let mut owner = self.index.get(&file).copied();
+        let mut owner = self.owner_of(file);
         if let Some(idx) = owner.and_then(|f| self.page_node(f, page)) {
             self.promote(idx);
             return None;
@@ -173,7 +174,7 @@ impl LruCache {
 
     /// Drops every page of `file`, walking only that file's pages.
     pub fn invalidate_file(&mut self, file: u64) {
-        let Some(owner) = self.index.remove(&file) else {
+        let Some(owner) = self.close_file(file) else {
             return;
         };
         let Some(pages) = self.files.get_mut(owner as usize) else {
@@ -194,7 +195,13 @@ impl LruCache {
 
     /// The node holding `key`, if resident.
     fn node_of(&self, &(file, page): &PageKey) -> Option<u32> {
-        self.page_node(*self.index.get(&file)?, page)
+        self.page_node(self.owner_of(file)?, page)
+    }
+
+    /// `file`'s entry in `files`, if it has a resident page.
+    fn owner_of(&self, file: u64) -> Option<u32> {
+        let owner = *self.owners.get(usize::try_from(file).ok()?)?;
+        (owner != NIL).then_some(owner)
     }
 
     /// The node holding `page` of the file at entry `owner`.
@@ -210,8 +217,22 @@ impl LruCache {
             self.files.push(FilePages::default());
             self.files.len() as u32 - 1
         });
-        self.index.insert(file, owner);
+        if let Ok(at) = usize::try_from(file) {
+            if self.owners.len() <= at {
+                self.owners.resize(at + 1, NIL);
+            }
+            if let Some(slot) = self.owners.get_mut(at) {
+                *slot = owner;
+            }
+        }
         owner
+    }
+
+    /// Takes `file`'s entry away from it; returns the entry it had.
+    fn close_file(&mut self, file: u64) -> Option<u32> {
+        let slot = self.owners.get_mut(usize::try_from(file).ok()?)?;
+        let owner = std::mem::replace(slot, NIL);
+        (owner != NIL).then_some(owner)
     }
 
     /// Unlinks and frees node `idx`; returns true when that emptied its
@@ -239,7 +260,7 @@ impl LruCache {
             return false;
         }
         pages.nodes.clear();
-        self.index.remove(&file);
+        self.close_file(file);
         self.idle_files.push(owner);
         true
     }

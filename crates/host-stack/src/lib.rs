@@ -11,7 +11,10 @@
 //!   `dstat` CPU-utilization comparison measures (KV-SSD's headline
 //!   "13x less host CPU than RocksDB").
 //! * [`PageCache`] / [`LruCache`] — an OS page cache (and the same LRU
-//!   structure reused for RocksDB's 10 MB block cache).
+//!   structure reused for RocksDB's 10 MB block cache): a strict LRU
+//!   over `(file, page)` keys that finds a page through its file's dense
+//!   page vector, drops a whole file in that file's pages only, and
+//!   allocates nothing once warm.
 //! * [`ExtFs`] — an extent-based filesystem with journaling, buffered
 //!   and direct reads/writes, fsync, and whole-file TRIM on delete (the
 //!   mechanism that keeps block-SSD GC invisible under RocksDB in

@@ -19,6 +19,15 @@
 //! Functional state (which key maps to which value) is exact; I/O and
 //! CPU time flow through `kvssd-host-stack` onto the shared block-SSD.
 //!
+//! The host side is built so an op does little work and, outside
+//! flushes and compactions, allocates nothing: the memtable is a
+//! hash-indexed arrival-order vector that a flush sorts once, a put
+//! learns the version it replaces from its one memtable probe (and
+//! walks the levels only on a miss, to keep live-byte accounting exact),
+//! and a table lookup binary-searches 8-byte key windows past the
+//! table's common prefix. None of it moves a virtual nanosecond; DESIGN.md,
+//! "Host structures of the LSM baseline", has the details.
+//!
 //! # Example
 //!
 //! ```

@@ -62,6 +62,7 @@ impl Memtable {
         key: &[u8],
         value: Option<Payload>,
     ) -> Option<Option<Payload>> {
+        assert!(self.entries.len() < NIL as usize, "entries are u32-indexed");
         let new = self.entries.len() as u32;
         match self.heads.entry(hash) {
             Slot::Occupied(mut head) => {
