@@ -93,15 +93,12 @@ impl<K: Copy + Ord + Hash + Default> Departures<K> {
                 .map(|(slot, seg)| *slot = seg)
                 .count();
             let live = group.segs.get_mut(..group.len).unwrap_or_default();
-            // Descending, so the next to leave is last. Programs usually
-            // queue their segments ascending (the block FTL's LCNs), the
-            // worst case of the small-slice insertion sort; reversing
-            // gives the same order.
-            if live.is_sorted() {
-                live.reverse();
-            } else {
-                live.sort_unstable_by(|a, b| b.cmp(a));
-            }
+            // Descending, so the next to leave is last. Sorted ascending
+            // first: programs usually queue their segments so (the block
+            // FTL's LCNs), which the small-slice insertion sort passes
+            // with one comparison a segment and no move.
+            live.sort_unstable();
+            live.reverse();
             if let Some(&(units, key)) = live.last() {
                 self.heap.push(Reverse((leave, units, key, g)));
             }
