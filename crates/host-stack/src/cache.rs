@@ -21,15 +21,25 @@
 //! held a page; and one page vector per file with a resident page (at
 //! most `capacity` of them, and the recycled ones), each as long as that
 //! file's largest resident page number plus one. File ids and page
-//! numbers are therefore meant to be dense — ids handed out in sequence
-//! as `ExtFs` does, pages a byte offset over a block size — not
-//! arbitrary 64-bit tags.
+//! numbers must therefore be dense — ids handed out in sequence as
+//! `ExtFs` does, pages a byte offset over a block size — not arbitrary
+//! 64-bit tags; [`LruCache::insert`] rejects either at `u32::MAX` or
+//! above.
 
 /// A cache key: `(file, page)`.
 pub type PageKey = (u64, u64);
 
 /// "No node": the end of a list, or an absent page.
 const NIL: u32 = u32::MAX;
+
+/// The slot at `at` of an id-indexed vector, growing it with `NIL`s to
+/// hold `at`.
+fn grown_slot(slots: &mut Vec<u32>, at: usize) -> Option<&mut u32> {
+    if slots.len() <= at {
+        slots.resize(at.checked_add(1)?, NIL);
+    }
+    slots.get_mut(at)
+}
 
 /// A strict-LRU presence cache over `(file, page)` keys.
 ///
@@ -124,24 +134,32 @@ impl LruCache {
 
     /// Inserts a key as most-recent, evicting the LRU entry if full.
     /// Returns the evicted key, if any.
+    ///
+    /// The key must be dense (see the module docs): the cache grows a
+    /// vector indexed by `file` and one indexed by `page`, 4 B a slot,
+    /// to hold it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `file` or `page` is `u32::MAX` or above, before the
+    /// cache changes.
     pub fn insert(&mut self, key: PageKey) -> Option<PageKey> {
         let (file, page) = key;
-        let mut owner = self.owner_of(file);
-        if let Some(idx) = owner.and_then(|f| self.page_node(f, page)) {
+        assert!(
+            file < u64::from(NIL) && page < u64::from(NIL),
+            "cache key {key:?} is not a dense (file, page) pair"
+        );
+        if let Some(idx) = self.node_of(&key) {
             self.promote(idx);
             return None;
         }
-        let mut evicted = None;
-        if self.len >= self.capacity {
-            let lru = self.tail;
-            let node = *self.nodes.get(lru as usize)?;
-            // Evicting the file's last page hands its entry back.
-            if self.release(lru) && owner == Some(node.owner) {
-                owner = None;
-            }
-            evicted = Some((node.file, node.page));
-        }
-        let owner = owner.unwrap_or_else(|| self.open_file(file));
+        let evicted = if self.len >= self.capacity {
+            self.release(self.tail)
+        } else {
+            None
+        };
+        // Looked up after the eviction, which may have emptied the file.
+        let owner = self.owner_of(file).unwrap_or_else(|| self.open_file(file));
         let idx = self.alloc_node(Node {
             file,
             page,
@@ -149,13 +167,12 @@ impl LruCache {
             prev: NIL,
             next: NIL,
         });
-        let pages = self.files.get_mut(owner as usize)?;
-        let at = usize::try_from(page).ok()?;
-        if pages.nodes.len() <= at {
-            pages.nodes.resize(at + 1, NIL);
+        if let Some(pages) = self.files.get_mut(owner as usize) {
+            if let Some(slot) = grown_slot(&mut pages.nodes, page as usize) {
+                *slot = idx;
+                pages.resident += 1;
+            }
         }
-        *pages.nodes.get_mut(at)? = idx;
-        pages.resident += 1;
         self.len += 1;
         self.push_front(idx);
         evicted
@@ -163,13 +180,8 @@ impl LruCache {
 
     /// Removes a key if present.
     pub fn remove(&mut self, key: &PageKey) -> bool {
-        match self.node_of(key) {
-            Some(idx) => {
-                self.release(idx);
-                true
-            }
-            None => false,
-        }
+        self.node_of(key)
+            .is_some_and(|idx| self.release(idx).is_some())
     }
 
     /// Drops every page of `file`, walking only that file's pages.
@@ -217,13 +229,8 @@ impl LruCache {
             self.files.push(FilePages::default());
             self.files.len() as u32 - 1
         });
-        if let Ok(at) = usize::try_from(file) {
-            if self.owners.len() <= at {
-                self.owners.resize(at + 1, NIL);
-            }
-            if let Some(slot) = self.owners.get_mut(at) {
-                *slot = owner;
-            }
+        if let Some(slot) = grown_slot(&mut self.owners, file as usize) {
+            *slot = owner;
         }
         owner
     }
@@ -235,34 +242,26 @@ impl LruCache {
         (owner != NIL).then_some(owner)
     }
 
-    /// Unlinks and frees node `idx`; returns true when that emptied its
-    /// file, whose entry then goes back to the idle list.
-    fn release(&mut self, idx: u32) -> bool {
-        let Some(&Node {
+    /// Unlinks and frees node `idx`; returns its key. A file emptied so
+    /// hands its entry back to the idle list.
+    fn release(&mut self, idx: u32) -> Option<PageKey> {
+        let &Node {
             file, page, owner, ..
-        }) = self.nodes.get(idx as usize)
-        else {
-            return false;
-        };
+        } = self.nodes.get(idx as usize)?;
         self.unlink(idx);
         self.free_node(idx);
-        let Some(pages) = self.files.get_mut(owner as usize) else {
-            return false;
-        };
-        if let Some(slot) = usize::try_from(page)
-            .ok()
-            .and_then(|at| pages.nodes.get_mut(at))
-        {
-            *slot = NIL;
+        if let Some(pages) = self.files.get_mut(owner as usize) {
+            if let Some(slot) = pages.nodes.get_mut(page as usize) {
+                *slot = NIL;
+            }
+            pages.resident -= 1;
+            if pages.resident == 0 {
+                pages.nodes.clear();
+                self.close_file(file);
+                self.idle_files.push(owner);
+            }
         }
-        pages.resident -= 1;
-        if pages.resident > 0 {
-            return false;
-        }
-        pages.nodes.clear();
-        self.close_file(file);
-        self.idle_files.push(owner);
-        true
+        Some((file, page))
     }
 
     fn alloc_node(&mut self, node: Node) -> u32 {
@@ -491,6 +490,34 @@ mod tests {
         pc.invalidate_file(1);
         pc.invalidate_file(9);
         assert_eq!(pc.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a dense")]
+    fn sparse_page_rejected() {
+        let mut c = LruCache::new(2);
+        c.insert((0, u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a dense")]
+    fn sparse_file_rejected() {
+        let mut c = LruCache::new(2);
+        c.insert((u64::from(u32::MAX), 0));
+    }
+
+    #[test]
+    fn sparse_keys_miss_without_growing() {
+        let mut c = LruCache::new(2);
+        c.insert((1, 1));
+        for key in [(1, u64::MAX), (u64::MAX, 1)] {
+            assert!(!c.touch(&key));
+            assert!(!c.contains(&key));
+            assert!(!c.remove(&key));
+        }
+        c.invalidate_file(u64::MAX);
+        assert!(c.owners.len() <= 2 && c.files.iter().all(|f| f.nodes.len() <= 2));
+        assert!(c.touch(&(1, 1)));
     }
 
     #[test]
