@@ -1480,6 +1480,71 @@ mod tests {
         }
     }
 
+    /// A sequential fill to 85 % of `Geometry::small()`, then seeded
+    /// 4 KiB overwrites, 16 KiB runs and 1–8-cluster TRIMs that keep GC
+    /// copying and erasing, then a flush. Folds the final instant, every
+    /// LCN's `lookup` and every block's `first_live`.
+    fn mapping_digest(seed: u64, faults: FaultPlan, ops: u32) -> u64 {
+        use kvssd_sim::rng::mix64;
+        use kvssd_sim::DeterministicRng;
+        let flash = FlashDevice::with_faults(Geometry::small(), FlashTiming::pm983_like(), faults);
+        let mut d = BlockSsd::over(flash, BlockFtlConfig::pm983_like());
+        let mut rng = DeterministicRng::seed_from(seed);
+        let cb = 4096u64;
+        let clusters = d.capacity_bytes() / cb;
+        let mut t = SimTime::ZERO;
+        for c in (0..clusters * 85 / 100).step_by(8) {
+            t = d.write(t, c * cb, 8 * cb).unwrap();
+        }
+        for _ in 0..ops {
+            let c = rng.below(clusters - 8);
+            t = match rng.below(8) {
+                0..=4 => d.write(t, c * cb, cb),
+                5 => d.write(t, c * cb, 4 * cb),
+                _ => d.trim(t, c * cb, cb * (1 + rng.below(8))),
+            }
+            .unwrap();
+        }
+        t = d.flush(t);
+        let s = d.stats();
+        assert!(s.gc_copied_clusters > 0 && s.gc_erases > 0, "{s:?}");
+        let pack = |l: PhysLoc| (l.block.0 as u64) << 40 | (l.page as u64) << 20 | l.slot as u64;
+        let mut fold = mix64(t.as_nanos());
+        for lcn in 0..clusters as u32 {
+            fold = mix64(fold ^ d.map.lookup(lcn).map_or(u64::MAX, pack));
+        }
+        for b in (0..d.flash.geometry().total_blocks()).map(BlockId) {
+            let live = d.map.first_live(b);
+            fold = mix64(fold ^ live.map_or(u64::MAX, |(lcn, l)| (lcn as u64) << 48 ^ pack(l)));
+        }
+        fold
+    }
+
+    /// `mapping_digest` at seeds 21 and 0x3A9, fault-free (6 000 ops) and
+    /// with one program in 50 failing (400 ops). Pinned on the mapping
+    /// table's `Option`-per-entry layout; never re-pinned.
+    const MAPPING_HISTORY: [(u64, [u64; 2]); 2] = [
+        (21, [0xA471_100B_C9F3_2AA5, 0x3D93_45D3_2C9E_04A2]),
+        (0x3A9, [0xFA35_9A42_33D5_9868, 0xBB01_09DE_1FD0_6B37]),
+    ];
+
+    #[test]
+    fn mapping_matches_pinned_history() {
+        let plans = [(None, 6_000), (Some(50), 400)].map(|(fail, ops)| {
+            let faults = FaultPlan {
+                program_fail_one_in: fail,
+                erase_fail_one_in: None,
+            };
+            (faults, ops)
+        });
+        for (seed, want) in MAPPING_HISTORY {
+            for ((faults, ops), want) in plans.into_iter().zip(want) {
+                let got = mapping_digest(seed, faults, ops);
+                assert_eq!(got, want, "seed {seed}, {faults:?}: {got:#X}");
+            }
+        }
+    }
+
     /// A program failure re-placed while a unit is being opened re-enters
     /// `ensure_stream_open` for the same stream (the open's allocation
     /// runs foreground GC, whose copy program fails and re-admits to
