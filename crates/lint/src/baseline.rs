@@ -67,8 +67,9 @@ impl Baseline {
     pub fn render(actual: &BTreeMap<String, usize>) -> String {
         let mut s = String::from(
             "# kvlint panic-surface baseline — per-file budget of unwrap/expect/panic!/\n\
-             # slice-index sites in non-test code of the hot-path crates (block-ftl,\n\
-             # core, cluster, fabric, flash, host-stack, lsm-store). Ratchet semantics:\n\
+             # slice-index sites in non-test code of the ratcheted crates (block-ftl,\n\
+             # core, cluster, fabric, flash, hash-store, host-stack, lsm-store, nvme,\n\
+             # sim). Ratchet semantics:\n\
              # a count above its budget fails the lint gate, and the tier-1 test\n\
              # panic_surface_baseline_is_tight fails on slack (budget above actual), so\n\
              # this file can only shrink.\n\

@@ -93,18 +93,22 @@ impl Rule {
 pub const BAD_PRAGMA: &str = "bad-pragma";
 
 /// The crates whose panic surface is ratcheted: the ones on the
-/// measured device/cluster/fabric path (both firmware personalities and
-/// the flash substrate under them) and the paper's RocksDB baseline with
-/// the host stack under it, where a panic aborts an experiment
-/// mid-figure instead of surfacing a typed error.
+/// measured device/cluster/fabric path (both firmware personalities, the
+/// flash substrate and NVMe link under them, and the simulation kernel
+/// under everything) and the paper's RocksDB and Aerospike baselines
+/// with the host stack, where a panic aborts an experiment mid-figure
+/// instead of surfacing a typed error.
 pub const HOT_PATH_CRATES: &[&str] = &[
     "crates/block-ftl/src/",
     "crates/core/src/",
     "crates/cluster/src/",
     "crates/fabric/src/",
     "crates/flash/src/",
+    "crates/hash-store/src/",
     "crates/host-stack/src/",
     "crates/lsm-store/src/",
+    "crates/nvme/src/",
+    "crates/sim/src/",
 ];
 
 /// Identifiers that construct OS-entropy RNG state.
@@ -724,11 +728,11 @@ mod tests {
             check_panic_surface(
                 &l,
                 &cfg_test_regions(&l.toks),
-                "crates/sim/src/rng.rs",
+                "crates/kvbench/src/keys.rs",
                 FileClass::LibrarySrc
             )
             .is_empty(),
-            "sim is not a hot-path crate"
+            "kvbench is not a hot-path crate"
         );
         assert!(
             check_panic_surface(
