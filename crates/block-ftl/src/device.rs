@@ -368,7 +368,9 @@ impl BlockSsd {
         Ok(())
     }
 
-    /// Yields (lcn, offset-within-cluster, bytes) for a byte range.
+    /// Yields (lcn, offset-within-cluster, bytes) for a byte range. The
+    /// `u32` cast is exact: `MappingTable::new` refuses a device with
+    /// more logical clusters than a `u32` holds.
     fn clusters_of(&self, offset: u64, len: u64) -> impl Iterator<Item = (u32, u64, u64)> {
         let cb = self.config.cluster_bytes as u64;
         let first = offset / cb;
