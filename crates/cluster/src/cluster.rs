@@ -52,10 +52,9 @@
 //! (send → execute the delivered copies → acknowledge → deadline →
 //! seeded backoff → retry), which is the only code that touches the
 //! [`Transport`]; what a leg executes and accounts is passed in as
-//! closures, and the two things the attempt loop itself does
-//! differently per kind are the two bits of `LegPolicy` (does every
-//! delivered copy execute, and does any acknowledgement — however late
-//! — end the leg). Device commands go through one `submit_on`,
+//! closures, and the attempt loop runs one rule for every kind: every
+//! delivered copy executes, and a leg stops only at an acknowledgement
+//! that arrives inside its attempt's deadline. Device commands go through one `submit_on`,
 //! mutations through one op-id dedupe (`run_mutation`), and store,
 //! retrieve and delete share one first-wave → hedge → spare → quorum
 //! driver (`quorum_op`).
@@ -219,44 +218,6 @@ pub struct RebalanceReport {
     pub started: SimTime,
     /// Fan-in instant: when the last surviving-shard leg landed.
     pub completed: SimTime,
-}
-
-/// What distinguishes one kind of leg from another inside
-/// [`KvCluster::run_leg`]'s attempt loop — everything else a leg does
-/// differently lives in its closures.
-#[derive(Debug, Clone, Copy)]
-struct LegPolicy {
-    /// `true`: every delivered copy of the request (the original and a
-    /// wire duplicate) executes on the replica — mutations dedupe the
-    /// second copy by op id, client reads simply run twice. `false`:
-    /// one device pass per delivered attempt (repair reads: a
-    /// duplicate of an idempotent read just re-acks).
-    every_copy_executes: bool,
-    /// `true`: the leg stops at the first attempt that produced any
-    /// acknowledgement, however late (repair copies and drops: the
-    /// router only needs to know the mutation landed). `false`: it
-    /// stops once an acknowledgement arrived inside the current
-    /// attempt's deadline, and otherwise retries — a late ack still
-    /// counts when it finally arrives (client legs, repair reads).
-    stop_at_any_ack: bool,
-}
-
-impl LegPolicy {
-    /// Client store / retrieve / delete legs.
-    const CLIENT: Self = LegPolicy {
-        every_copy_executes: true,
-        stop_at_any_ack: false,
-    };
-    /// Repair read legs.
-    const REPAIR_READ: Self = LegPolicy {
-        every_copy_executes: false,
-        stop_at_any_ack: false,
-    };
-    /// Repair copy and demotion legs.
-    const REPAIR_WRITE: Self = LegPolicy {
-        every_copy_executes: true,
-        stop_at_any_ack: true,
-    };
 }
 
 /// What one leg achieved (see [`KvCluster::run_leg`]).
@@ -593,17 +554,19 @@ impl KvCluster {
     /// copies — `exec` returns the completion to acknowledge, the
     /// response's wire bytes, and a reply — and crosses back; `on_ack`
     /// receives the reply of every response that reached the router.
-    /// An attempt that does not satisfy the policy's stop rule by
+    /// Every delivered copy executes (the original and a wire
+    /// duplicate): mutations dedupe the second by op id, reads simply
+    /// run again. An attempt with no acknowledgement by
     /// `send + op_timeout` is re-issued with seeded backoff, up to
-    /// `max_retries` times; with no deadline armed a lost leg stays
-    /// lost after its single attempt. Client and repair legs differ
-    /// only in `policy` and in what their closures account.
+    /// `max_retries` times — a late ack still counts when it finally
+    /// arrives; with no deadline armed a lost leg stays lost after its
+    /// single attempt. Client and repair legs differ only in what their
+    /// closures account.
     fn run_leg<T>(
         &mut self,
         issue_at: SimTime,
         idx: usize,
         req_bytes: u64,
-        policy: LegPolicy,
         mut exec: impl FnMut(&mut Self, SimTime) -> Result<(SimTime, u64, T), KvError>,
         mut on_ack: impl FnMut(T),
     ) -> Result<LegOutcome, KvError> {
@@ -621,12 +584,7 @@ impl KvCluster {
                 self.counters.leg_retries += 1;
             }
             let d = self.transport.request(send_at, idx, req_bytes);
-            let copies = if policy.every_copy_executes {
-                [d.delivered, d.duplicate]
-            } else {
-                [d.first_arrival(), None]
-            };
-            for arrival in copies.into_iter().flatten() {
+            for arrival in [d.delivered, d.duplicate].into_iter().flatten() {
                 let (completed, resp_bytes, reply) = exec(self, arrival)?;
                 out.executed = Some(out.executed.map_or(completed, |e| e.max(completed)));
                 let acked = self.transport.response(completed, idx, resp_bytes);
@@ -641,10 +599,7 @@ impl KvCluster {
             let Some(timeout) = self.config.op_timeout else {
                 break; // no deadline armed: a lost leg stays lost
             };
-            if out
-                .ack
-                .is_some_and(|(a, _)| policy.stop_at_any_ack || a <= send_at + timeout)
-            {
+            if out.ack.is_some_and(|(a, _)| a <= send_at + timeout) {
                 break;
             }
             if attempt + 1 < attempts {
@@ -670,7 +625,6 @@ impl KvCluster {
         idx: usize,
         op_id: u64,
         req_bytes: u64,
-        policy: LegPolicy,
         mut apply: impl FnMut(&mut Self, SimTime) -> Result<(OpTiming, bool), KvError>,
     ) -> Result<(LegOutcome, bool), KvError> {
         let mut existed_any = false;
@@ -690,7 +644,7 @@ impl KvCluster {
             existed_any |= existed;
             Ok((completed, RESPONSE_CAPSULE_BYTES, ()))
         };
-        let out = self.run_leg(issue_at, idx, req_bytes, policy, exec, |()| ())?;
+        let out = self.run_leg(issue_at, idx, req_bytes, exec, |()| ())?;
         Ok((out, existed_any))
     }
 
@@ -804,7 +758,7 @@ impl KvCluster {
                 c.agg_bytes += bytes;
                 Ok((timing, existed))
             };
-            let (out, _) = c.run_mutation(at, idx, op_id, req_bytes, LegPolicy::CLIENT, apply)?;
+            let (out, _) = c.run_mutation(at, idx, op_id, req_bytes, apply)?;
             Ok(out)
         })
     }
@@ -850,7 +804,7 @@ impl KvCluster {
                 }
             };
             let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
-            c.run_leg(at, idx, req_bytes, LegPolicy::CLIENT, exec, on_ack)
+            c.run_leg(at, idx, req_bytes, exec, on_ack)
         })?;
         Ok(Lookup { at, value })
     }
@@ -867,8 +821,7 @@ impl KvCluster {
         let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
         let at = self.quorum_op(now, k, wq, self.config.write_hedge, true, |c, at, idx| {
             let apply = |c: &mut Self, arrival| c.exec_delete(idx, arrival, h, key);
-            let (out, existed) =
-                c.run_mutation(at, idx, op_id, req_bytes, LegPolicy::CLIENT, apply)?;
+            let (out, existed) = c.run_mutation(at, idx, op_id, req_bytes, apply)?;
             existed_any |= existed;
             Ok(out)
         })?;
@@ -965,7 +918,7 @@ impl KvCluster {
         // reply carries the same payload.
         let on_ack = |found| payload = Some(found);
         let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
-        let out = self.run_leg(now, src, req_bytes, LegPolicy::REPAIR_READ, exec, on_ack)?;
+        let out = self.run_leg(now, src, req_bytes, exec, on_ack)?;
         Ok(payload.zip(out.ack.map(|(at, _)| at)))
     }
 
@@ -983,8 +936,7 @@ impl KvCluster {
         apply: impl FnMut(&mut Self, SimTime) -> Result<(OpTiming, bool), KvError>,
     ) -> Result<Option<SimTime>, KvError> {
         let op_id = self.next_op_id();
-        let policy = LegPolicy::REPAIR_WRITE;
-        let (out, _) = self.run_mutation(send_from, idx, op_id, req_bytes, policy, apply)?;
+        let (out, _) = self.run_mutation(send_from, idx, op_id, req_bytes, apply)?;
         Ok(out.durable())
     }
 
@@ -1643,39 +1595,38 @@ mod tests {
     const KEY: &[u8] = b"engine-key";
 
     #[test]
-    fn late_ack_retries_a_client_store_but_stops_a_repair_copy() {
+    fn late_ack_retries_a_repair_copy_as_it_retries_a_client_store() {
         let timeout = SimDuration::from_micros(100);
         let deadlines = ClusterConfig::new(1, 42).deadlines(timeout, 2);
-        // Client store: the first ack arrives, but 400 µs past its
-        // deadline — the leg re-issues, the replica dedupes the retry,
-        // and the late ack still counts once it is the earliest.
-        let (mut c, wire) = scripted(deadlines);
-        wire.script().responses.push_back(Wire::After(500));
-        let _done = c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
-        assert_eq!(wire.script().requested.len(), 2, "one retry");
-        let st = c.stats();
-        assert_eq!((st.leg_retries, st.dup_suppressed), (1, 1));
-        assert_eq!(st.devices.stores, 1);
-        // Repair copy: the same late ack ends the leg — the router only
-        // needs to hear the copy landed, however late.
-        let (mut c, wire) = scripted(deadlines);
-        wire.script().responses.push_back(Wire::After(500));
         let v = payload(512, 1);
         let req_bytes = REQUEST_CAPSULE_BYTES + KEY.len() as u64 + v.len();
-        let store = |c: &mut KvCluster, at| c.exec_store(0, at, key_hash(KEY), KEY, &v);
-        let done = c
-            .repair_write_leg(SimTime::ZERO, 0, req_bytes, store)
-            .unwrap()
-            .expect("the copy executed");
-        assert_eq!(wire.script().requested.len(), 1, "no retry");
-        assert_eq!(c.stats().leg_retries, 0);
-        let executed = wire.script().responded[0].1;
-        assert_eq!(done, executed + SimDuration::from_micros(500));
-        assert!(c.shards()[0].holds(KEY), "registry mirrors the copy");
+        // The first ack arrives, but 400 µs past its deadline: either
+        // leg re-issues, the replica dedupes the retry, and the device
+        // stores the pair once.
+        for repair in [false, true] {
+            let (mut c, wire) = scripted(deadlines);
+            wire.script().responses.push_back(Wire::After(500));
+            if repair {
+                let store = |c: &mut KvCluster, at| c.exec_store(0, at, key_hash(KEY), KEY, &v);
+                let durable = c.repair_write_leg(SimTime::ZERO, 0, req_bytes, store);
+                assert!(durable.unwrap().is_some(), "the copy executed");
+            } else {
+                let _done = c.store(SimTime::ZERO, KEY, v.clone()).unwrap();
+            }
+            assert_eq!(
+                wire.script().requested.len(),
+                2,
+                "one retry (repair: {repair})"
+            );
+            let st = c.stats();
+            let counts = (st.leg_retries, st.dup_suppressed, st.devices.stores);
+            assert_eq!(counts, (1, 1, 1), "repair: {repair}");
+            assert!(c.shards()[0].holds(KEY), "registry mirrors the store");
+        }
     }
 
     #[test]
-    fn duplicated_request_runs_a_client_read_twice_and_a_repair_read_once() {
+    fn duplicated_request_runs_a_repair_read_twice_as_it_runs_a_client_read() {
         let (mut c, wire) = scripted(ClusterConfig::new(1, 42));
         let t = c.store(SimTime::ZERO, KEY, payload(512, 1)).unwrap();
         wire.script().requests.push_back(Wire::Twice);
@@ -1684,7 +1635,7 @@ mod tests {
         wire.script().requests.push_back(Wire::Twice);
         let (got, _) = c.repair_read_leg(t, 0, KEY).unwrap().expect("acked");
         assert_eq!(got, payload(512, 1));
-        assert_eq!(c.stats().devices.retrieves, 3, "one pass per attempt");
+        assert_eq!(c.stats().devices.retrieves, 4, "every copy executes");
     }
 
     #[test]

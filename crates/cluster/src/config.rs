@@ -16,8 +16,10 @@ pub struct ClusterConfig {
     /// Seed for ring point placement (deterministic from the workload
     /// seed so runs are reproducible end to end).
     pub seed: u64,
-    /// Per-shard NVMe submission queue shape. The pass-through default
-    /// keeps a 1-shard cluster bit-identical to a bare device.
+    /// Per-shard NVMe submission queue depth: a command submitted to a
+    /// full queue waits for the shard's earliest outstanding completion.
+    /// The pass-through default (depth 256) keeps a 1-shard cluster
+    /// bit-identical to a bare device.
     pub sq: SqConfig,
     /// Copies of every key (R), placed on the first R distinct shards
     /// walking the ring from the key's hash. 1 = no replication (the

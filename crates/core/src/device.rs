@@ -349,12 +349,12 @@ impl KvSsd {
         }
 
         // 1. NVMe ingestion: capsule(s) + payload over the link. With
-        // compound commands enabled, only every batch-th store carries a
-        // capsule; the rest ride inside it.
-        let set = &self.config.command_set;
-        if set.compound_commands {
+        // compound commands (a batch above 1), only every batch-th store
+        // carries a capsule; the rest ride inside it.
+        let batch = self.config.command_set.compound_batch as u64;
+        if batch > 1 {
             self.compound_seq += 1;
-            if set.compound_batch > 1 && self.compound_seq % set.compound_batch as u64 != 1 {
+            if self.compound_seq % batch != 1 {
                 k.cmds = 0;
             }
         }

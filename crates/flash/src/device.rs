@@ -136,7 +136,23 @@ impl FlashDevice {
     }
 
     /// Creates a device with the given fault-injection plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before allocating anything, if the geometry's die count
+    /// or block count does not fit a `u32` (counted in `u64`, since
+    /// [`Geometry::dies`] and [`Geometry::total_blocks`] would wrap).
     pub fn with_faults(geometry: Geometry, timing: FlashTiming, fault: FaultPlan) -> Self {
+        let g = &geometry;
+        let dies = u64::from(g.channels) * u64::from(g.dies_per_channel);
+        let blocks = [g.planes_per_die, g.blocks_per_plane]
+            .into_iter()
+            .try_fold(dies, |n, f| n.checked_mul(u64::from(f)));
+        let fits = |n: u64| n <= u64::from(u32::MAX);
+        assert!(
+            fits(dies) && blocks.is_some_and(fits),
+            "flash geometry {g:?}: the die count and the block count must fit a u32"
+        );
         FlashDevice {
             dies: vec![Resource::new(); geometry.dies() as usize],
             channels: vec![Resource::new(); geometry.channels as usize],
@@ -584,6 +600,19 @@ mod tests {
         let _done = d.read_page(r.done, a, 5_000).unwrap();
         assert_eq!(d.stats().bytes_written, 10_000);
         assert_eq!(d.stats().bytes_read, 5_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit a u32")]
+    fn block_count_past_u32_rejected() {
+        // 2^32 dies: `Geometry::total_blocks` would wrap (to 0 blocks in
+        // a release build) and size the device by the wrapped count.
+        let g = Geometry {
+            channels: 1 << 16,
+            dies_per_channel: 1 << 16,
+            ..Geometry::small()
+        };
+        let _ = FlashDevice::new(g, FlashTiming::pm983_like());
     }
 
     #[test]

@@ -13,8 +13,6 @@ pub struct LsmConfig {
     pub memtable_bytes: u64,
     /// L0 file count that triggers compaction into L1.
     pub l0_compaction_trigger: usize,
-    /// L0 file count at which writes stall behind compaction.
-    pub l0_stall_trigger: usize,
     /// Target size of L1; each deeper level is `level_multiplier` larger.
     pub level_base_bytes: u64,
     /// Growth factor between levels.
@@ -30,8 +28,6 @@ pub struct LsmConfig {
     pub page_cache_bytes: u64,
     /// Bloom filter bits per key per SST.
     pub bloom_bits_per_key: u32,
-    /// fsync the WAL on every write (RocksDB default is no).
-    pub wal_fsync: bool,
     /// Writes stall when the background flush/compaction worker's
     /// completion horizon lags the foreground by more than this
     /// (RocksDB's pending-compaction-bytes stall, expressed in time).
@@ -60,7 +56,6 @@ impl LsmConfig {
         LsmConfig {
             memtable_bytes: 8 * 1024 * 1024,
             l0_compaction_trigger: 4,
-            l0_stall_trigger: 12,
             level_base_bytes: 32 * 1024 * 1024,
             level_multiplier: 10,
             sst_target_bytes: 8 * 1024 * 1024,
@@ -68,7 +63,6 @@ impl LsmConfig {
             block_cache_bytes: 10 * 1024 * 1024,
             page_cache_bytes: 192 * 1024 * 1024,
             bloom_bits_per_key: 10,
-            wal_fsync: false,
             stall_lag: SimDuration::from_millis(20),
             host_cores: 8,
             bg_threads: 2,
@@ -111,7 +105,6 @@ impl LsmConfig {
     /// Panics on contradictory settings.
     pub fn validate(&self) {
         assert!(self.l0_compaction_trigger >= 1);
-        assert!(self.l0_stall_trigger > self.l0_compaction_trigger);
         assert!(self.level_multiplier >= 2);
         assert!(self.sst_target_bytes >= self.block_bytes);
         assert!(self.host_cores >= 1);
@@ -142,13 +135,5 @@ mod tests {
             LsmConfig::rocksdb_like().block_cache_bytes,
             10 * 1024 * 1024
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn stall_below_trigger_rejected() {
-        let mut c = LsmConfig::rocksdb_like();
-        c.l0_stall_trigger = c.l0_compaction_trigger;
-        c.validate();
     }
 }

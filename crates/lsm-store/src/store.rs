@@ -241,17 +241,12 @@ impl LsmStore {
         self.stats.puts += 1;
         let vlen = value.as_ref().map_or(0, Payload::len);
         let rec = key.len() as u64 + vlen + self.config.entry_overhead_bytes;
-        // WAL append (buffered; fsync per write only if configured).
+        // WAL append (buffered, never fsynced per write: RocksDB's
+        // default).
         let mut t = self
             .fs
             .append(now, &mut self.cpu, &mut self.page_cache, self.wal, rec)
             .expect("WAL append");
-        if self.config.wal_fsync {
-            t = self
-                .fs
-                .fsync(t, &mut self.cpu, self.wal)
-                .expect("WAL fsync");
-        }
         // Memtable insert.
         let depth = (self.memtable.len().max(2) as f64).log2() as u64;
         t = self.cpu.run(
@@ -287,11 +282,10 @@ impl LsmStore {
         self.memtable_bytes = self.memtable_bytes - prev_bytes + rec;
 
         if self.memtable_bytes >= self.config.memtable_bytes {
-            // Stall when the background worker is too far behind (the
-            // L0-depth and pending-compaction-bytes stalls of RocksDB,
-            // expressed as a completion-horizon lag) .
-            let lagged = self.bg_done.saturating_since(t) > self.config.stall_lag;
-            if lagged || self.levels[0].len() >= self.config.l0_stall_trigger {
+            // Stall when the background worker is too far behind
+            // (RocksDB's pending-compaction-bytes stall, expressed as a
+            // completion-horizon lag).
+            if self.bg_done.saturating_since(t) > self.config.stall_lag {
                 self.stats.stalls += 1;
                 if self.bg_done > t {
                     self.stats.stall_time += self.bg_done.since(t);

@@ -14,21 +14,17 @@ pub const INLINE_KEY_BYTES: usize = 16;
 /// The rules for translating KV operations into NVMe commands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvCommandSet {
-    /// When true, multiple small operations may be consolidated into one
-    /// compound command (the HotStorage '19 proposal the paper cites as
-    /// `[10]`); used by the ablation benches, off for the paper baseline.
-    pub compound_commands: bool,
-    /// Max operations folded into one compound command when enabled.
+    /// Max operations folded into one compound command (the HotStorage
+    /// '19 proposal the paper cites as `[10]`); above 1 only in the
+    /// ablation benches, 1 (every operation its own command) for the
+    /// paper baseline.
     pub compound_batch: usize,
 }
 
 impl KvCommandSet {
     /// Samsung's shipped command set: 16 B inline keys, no compounds.
     pub fn samsung() -> Self {
-        KvCommandSet {
-            compound_commands: false,
-            compound_batch: 1,
-        }
+        KvCommandSet { compound_batch: 1 }
     }
 
     /// The compound-command what-if: consolidate up to `batch` small
@@ -36,7 +32,6 @@ impl KvCommandSet {
     pub fn with_compound(batch: usize) -> Self {
         assert!(batch >= 1, "compound batch must be at least 1");
         KvCommandSet {
-            compound_commands: true,
             compound_batch: batch,
         }
     }

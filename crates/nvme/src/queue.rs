@@ -1,14 +1,12 @@
-//! Per-shard NVMe submission queues with doorbell batching.
+//! Per-shard NVMe submission queues.
 //!
 //! A cluster front-end keeps one submission queue (SQ) per device shard.
 //! The SQ bounds how many commands that shard may have outstanding
-//! (`depth`, the per-shard queue depth), and models **doorbell
-//! batching**: instead of one MMIO doorbell write per command, the host
-//! rings once per `batch` admitted commands, so only the command that
-//! opens a batch pays the doorbell cost. With the defaults
-//! (`doorbell = 0`, `batch = 1`, a deep queue) the SQ is an exact
-//! pass-through and a 1-shard cluster reproduces the single-device
-//! timings bit for bit.
+//! (`depth`, the per-shard queue depth): a command submitted to a full
+//! queue waits for the earliest outstanding completion. Every command
+//! rings the doorbell once, at no modelled cost. With the default deep
+//! queue the SQ is an exact pass-through and a 1-shard cluster
+//! reproduces the single-device timings bit for bit.
 //!
 //! # Example
 //!
@@ -17,7 +15,7 @@
 //! use kvssd_sim::{Resource, SimDuration, SimTime};
 //!
 //! let mut server = Resource::new();
-//! let mut sq = SubmissionQueue::new(SqConfig { depth: 2, ..SqConfig::default() });
+//! let mut sq = SubmissionQueue::new(SqConfig { depth: 2 });
 //! for _ in 0..4 {
 //!     sq.submit(SimTime::ZERO, |issue| {
 //!         server.acquire(issue, SimDuration::from_micros(10)).end
@@ -33,36 +31,18 @@ use std::collections::BinaryHeap;
 use kvssd_sim::runner::OpTiming;
 use kvssd_sim::{SimDuration, SimTime};
 
-/// Submission-queue shape and doorbell cost.
+/// Submission-queue shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SqConfig {
     /// Maximum commands outstanding on this queue.
     pub depth: usize,
-    /// Commands admitted per doorbell ring (1 = ring every command).
-    pub batch: usize,
-    /// Host cost of one doorbell MMIO write.
-    pub doorbell: SimDuration,
 }
 
 impl SqConfig {
-    /// Pass-through defaults: deep queue, no batching, free doorbell.
-    /// A cluster built on these adds zero latency over a bare device.
+    /// Pass-through default: a deep queue. A cluster built on it adds
+    /// zero latency over a bare device.
     pub fn passthrough() -> Self {
-        SqConfig {
-            depth: 256,
-            batch: 1,
-            doorbell: SimDuration::ZERO,
-        }
-    }
-
-    /// A batching configuration: ring the doorbell once per `batch`
-    /// commands, paying `doorbell` only at batch boundaries.
-    pub fn batched(depth: usize, batch: usize, doorbell: SimDuration) -> Self {
-        SqConfig {
-            depth,
-            batch,
-            doorbell,
-        }
+        SqConfig { depth: 256 }
     }
 }
 
@@ -77,7 +57,7 @@ impl Default for SqConfig {
 pub struct SqStats {
     /// Commands submitted through this queue.
     pub submitted: u64,
-    /// Doorbell rings (≤ submitted when batching).
+    /// Doorbell rings (one per command).
     pub doorbells: u64,
     /// Submissions that found the queue full and had to wait.
     pub full_stalls: u64,
@@ -90,7 +70,6 @@ pub struct SqStats {
 pub struct SubmissionQueue {
     config: SqConfig,
     inflight: BinaryHeap<Reverse<SimTime>>,
-    batch_fill: usize,
     stats: SqStats,
     last_completion: SimTime,
 }
@@ -100,22 +79,15 @@ impl SubmissionQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` or `batch` is zero.
+    /// Panics if `depth` is zero.
     pub fn new(config: SqConfig) -> Self {
         assert!(config.depth > 0, "SQ depth must be at least 1");
-        assert!(config.batch > 0, "doorbell batch must be at least 1");
         SubmissionQueue {
             config,
             inflight: BinaryHeap::new(),
-            batch_fill: 0,
             stats: SqStats::default(),
             last_completion: SimTime::ZERO,
         }
-    }
-
-    /// The queue configuration.
-    pub fn config(&self) -> &SqConfig {
-        &self.config
     }
 
     /// Queue counters.
@@ -131,30 +103,24 @@ impl SubmissionQueue {
     /// Submits one command at host time `now`.
     ///
     /// If the queue is full, the host first waits (in virtual time) for
-    /// the earliest outstanding completion on *this* queue. The command
-    /// that opens a doorbell batch additionally pays the doorbell cost
-    /// before issue. `op` receives the issue time and returns the
-    /// completion time.
+    /// the earliest outstanding completion on *this* queue. `op`
+    /// receives the issue time and returns the completion time.
     pub fn submit<F>(&mut self, now: SimTime, op: F) -> OpTiming
     where
         F: FnOnce(SimTime) -> SimTime,
     {
-        let mut ready = now;
+        let mut issued = now;
         if self.inflight.len() >= self.config.depth {
-            let Reverse(earliest) = self.inflight.pop().expect("inflight nonempty");
-            if earliest > ready {
-                self.stats.full_stalls += 1;
-                self.stats.stall_time += earliest.since(ready);
-                ready = earliest;
+            // The guard makes the pop infallible; the binding keeps the
+            // stall accounting off the panic surface.
+            if let Some(Reverse(earliest)) = self.inflight.pop() {
+                if earliest > issued {
+                    self.stats.full_stalls += 1;
+                    self.stats.stall_time += earliest.since(issued);
+                    issued = earliest;
+                }
             }
         }
-        if self.batch_fill == 0 {
-            // Opening a new batch: ring the doorbell.
-            self.stats.doorbells += 1;
-            ready += self.config.doorbell;
-        }
-        self.batch_fill = (self.batch_fill + 1) % self.config.batch;
-        let issued = ready;
         let completed = op(issued);
         assert!(
             completed >= issued,
@@ -162,6 +128,7 @@ impl SubmissionQueue {
         );
         self.inflight.push(Reverse(completed));
         self.stats.submitted += 1;
+        self.stats.doorbells += 1;
         self.last_completion = self.last_completion.max(completed);
         OpTiming { issued, completed }
     }
@@ -170,7 +137,6 @@ impl SubmissionQueue {
     /// completed. The queue is reusable afterwards.
     pub fn drain(&mut self) -> SimTime {
         self.inflight.clear();
-        self.batch_fill = 0;
         self.last_completion
     }
 }
@@ -196,10 +162,7 @@ mod tests {
     #[test]
     fn depth_bounds_outstanding() {
         let mut server = Resource::new();
-        let mut sq = SubmissionQueue::new(SqConfig {
-            depth: 2,
-            ..SqConfig::passthrough()
-        });
+        let mut sq = SubmissionQueue::new(SqConfig { depth: 2 });
         let mut last = OpTiming {
             issued: SimTime::ZERO,
             completed: SimTime::ZERO,
@@ -214,26 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn doorbell_paid_once_per_batch() {
-        let mut server = Resource::new();
-        let cfg = SqConfig::batched(8, 4, us(1));
-        let mut sq = SubmissionQueue::new(cfg);
-        let mut issues = Vec::new();
-        for _ in 0..8 {
-            issues.push(
-                sq.submit(SimTime::ZERO, |issue| server.acquire(issue, us(10)).end)
-                    .issued,
-            );
-        }
-        // Commands 0 and 4 open batches and pay the doorbell; the rest
-        // issue at the caller's time.
-        assert_eq!(sq.stats().doorbells, 2);
-        assert_eq!(issues[0], SimTime::ZERO + us(1));
-        assert_eq!(issues[1], SimTime::ZERO);
-        assert_eq!(issues[4], SimTime::ZERO + us(1));
-    }
-
-    #[test]
     fn drain_reports_last_completion_and_resets() {
         let mut server = Resource::new();
         let mut sq = SubmissionQueue::new(SqConfig::passthrough());
@@ -242,24 +185,13 @@ mod tests {
         }
         assert_eq!(sq.drain(), SimTime::ZERO + us(30));
         assert_eq!(sq.outstanding(), 0);
+        assert_eq!(sq.stats().doorbells, 3, "one ring per command");
         assert_eq!(sq.drain(), SimTime::ZERO + us(30));
     }
 
     #[test]
     #[should_panic(expected = "depth")]
     fn zero_depth_rejected() {
-        let _ = SubmissionQueue::new(SqConfig {
-            depth: 0,
-            ..SqConfig::passthrough()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "batch")]
-    fn zero_batch_rejected() {
-        let _ = SubmissionQueue::new(SqConfig {
-            batch: 0,
-            ..SqConfig::passthrough()
-        });
+        let _ = SubmissionQueue::new(SqConfig { depth: 0 });
     }
 }

@@ -102,8 +102,11 @@ impl QueueRunner {
         F: FnOnce(SimTime) -> SimTime,
     {
         if self.inflight.len() >= self.queue_depth {
-            let Reverse(earliest) = self.inflight.pop().expect("inflight nonempty");
-            self.now = self.now.max(earliest);
+            // The guard makes the pop infallible; the binding keeps the
+            // wait off the panic surface.
+            if let Some(Reverse(earliest)) = self.inflight.pop() {
+                self.now = self.now.max(earliest);
+            }
         }
         let issued = self.now;
         let completed = op(issued);
