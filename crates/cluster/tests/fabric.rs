@@ -763,8 +763,10 @@ fn lossy_repair_scenario(seed: u64, lean: bool) -> String {
 
 #[test]
 fn lossy_scenarios_match_their_pinned_digests() {
-    // Computed on the six-leg-function code before the leg engine
-    // replaced it (see CHANGES.md, PR 15); never re-pinned since.
+    // The client pins were computed on the six-leg-function code before
+    // the leg engine replaced it (see CHANGES.md, PR 15) and were never
+    // re-pinned. The repair pins were re-pinned once, when repair legs
+    // took the client legs' contract (CHANGES.md, PR 42).
     for (seed, want) in [
         (1u64, 0xe25a03ade0311c5cu64),
         (7, 0x56e5f1c95b51998d),
@@ -773,12 +775,12 @@ fn lossy_scenarios_match_their_pinned_digests() {
         check_pin("lossy_scenario", &lossy_scenario(seed), want);
     }
     for (seed, lean, want) in [
-        (1u64, false, 0xcd649e467b057206u64),
-        (1, true, 0xa4a0e0bcd4c452af),
-        (7, false, 0x3f42d9d1d3c0a8cd),
-        (7, true, 0xcf215607d6b140d5),
-        (13, false, 0x67430ad06d4c9698),
-        (13, true, 0xeab99b1fed7c749b),
+        (1u64, false, 0x252c248c7bd8b98cu64),
+        (1, true, 0x7891e544f57684c9),
+        (7, false, 0xc9cfcaacfb768a6b),
+        (7, true, 0x0a17a87a6701811e),
+        (13, false, 0x362c9fd35e262916),
+        (13, true, 0xb951084853f848de),
     ] {
         let rendered = lossy_repair_scenario(seed, lean);
         assert!(
