@@ -54,10 +54,10 @@
 //! [`Transport`]; what a leg executes and accounts is passed in as
 //! closures, and the attempt loop runs one rule for every kind: every
 //! delivered copy executes, and a leg stops only at an acknowledgement
-//! that arrives inside its attempt's deadline. Device commands go through one `submit_on`,
-//! mutations through one op-id dedupe (`run_mutation`), and store,
-//! retrieve and delete share one first-wave → hedge → spare → quorum
-//! driver (`quorum_op`).
+//! that arrives inside its attempt's deadline. Device commands go
+//! through one `submit_on`, mutations through one op-id dedupe
+//! (`run_mutation`), and store, retrieve and delete share one
+//! first-wave → hedge → spare → quorum driver (`quorum_op`).
 
 use kvssd_core::hash::{key_fingerprint, key_hash};
 use kvssd_core::KeyBuf;
