@@ -75,6 +75,11 @@ impl BloomFilter {
         self.mask + 1
     }
 
+    /// The filter's bit array, 64 bits per word.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     fn probes(hash: u64) -> (u64, u64) {
         let h2 = mix64(hash) | 1; // odd step
         (hash, h2)

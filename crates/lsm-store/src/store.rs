@@ -64,6 +64,10 @@ pub struct LsmStore {
     /// Test probe: candidate tables handed to point lookups.
     #[cfg(test)]
     candidates_probed: std::cell::Cell<u64>,
+    /// Test probe: the table layout after every flush and compaction,
+    /// folded (see `fold_layout`).
+    #[cfg(test)]
+    layout_fold: u64,
 }
 
 impl LsmStore {
@@ -89,6 +93,8 @@ impl LsmStore {
             stats: LsmStats::default(),
             #[cfg(test)]
             candidates_probed: std::cell::Cell::new(0),
+            #[cfg(test)]
+            layout_fold: 0,
             wal,
             cpu,
             bg_cpu,
@@ -416,6 +422,29 @@ impl LsmStore {
         let (t, wal) = self.fs.create(t, &mut self.bg_cpu);
         self.wal = wal;
         self.bg_done = t;
+        #[cfg(test)]
+        self.fold_layout();
+    }
+
+    /// Folds every level's table list into `layout_fold`: per table its
+    /// entry count, size, key range and Bloom words.
+    #[cfg(test)]
+    fn fold_layout(&mut self) {
+        use kvssd_sim::{digest64, mix64};
+        let mut fold = self.layout_fold;
+        let mut mix = |v: u64| fold = mix64(fold ^ v);
+        for (level, metas) in self.levels.iter().enumerate() {
+            mix(level as u64);
+            mix(metas.len() as u64);
+            for m in metas {
+                mix(m.entries);
+                mix(m.size_bytes);
+                mix(digest64(&m.min_key));
+                mix(digest64(&m.max_key));
+                m.bloom.words().iter().for_each(|&w| mix(w));
+            }
+        }
+        self.layout_fold = fold;
     }
 
     /// Writes SST runs to `level`, returning the completion time.
@@ -480,6 +509,8 @@ impl LsmStore {
             if self.levels[0].len() >= self.config.l0_compaction_trigger {
                 self.compact_l0();
                 self.stats.compactions += 1;
+                #[cfg(test)]
+                self.fold_layout();
                 continue;
             }
             let over = (1..self.levels.len()).find(|&l| {
@@ -490,6 +521,8 @@ impl LsmStore {
                 Some(l) if !self.levels[l].is_empty() => {
                     self.compact_level(l);
                     self.stats.compactions += 1;
+                    #[cfg(test)]
+                    self.fold_layout();
                 }
                 _ => break,
             }
@@ -596,11 +629,15 @@ mod tests {
     }
 
     fn store_with(config: LsmConfig) -> LsmStore {
+        store_with_blocks(16, config)
+    }
+
+    fn store_with_blocks(blocks_per_plane: u32, config: LsmConfig) -> LsmStore {
         let g = Geometry {
             channels: 2,
             dies_per_channel: 2,
             planes_per_die: 2,
-            blocks_per_plane: 16,
+            blocks_per_plane,
             pages_per_block: 16,
             page_bytes: 32 * 1024,
         };
@@ -828,6 +865,69 @@ mod tests {
             many <= few + (depth_many - depth_few) as u64,
             "candidates grew with the file count: {few} -> {many}"
         );
+    }
+
+    /// Zipfian puts and deletes on `LsmConfig::tiny()` (values from 0 B
+    /// to 3 KB; keys with a shared prefix, some past the inline limit,
+    /// some with zero bytes), then `flush_all`. Returns the layout fold
+    /// of every flush and compaction, the flush and compaction counts
+    /// and the deepest level reached.
+    fn table_layout_history(seed: u64) -> (u64, u64, u64, usize) {
+        use kvssd_sim::{mix64, DeterministicRng, ZipfianDistribution};
+        let mut s = store_with_blocks(32, LsmConfig::tiny());
+        let zipf = ZipfianDistribution::new(3_000, 0.8);
+        let mut rng = DeterministicRng::seed_from(seed);
+        let mut t = SimTime::ZERO;
+        for op in 0..12_000u64 {
+            let i = zipf.sample(&mut rng);
+            let mut k = format!("user{:07}", mix64(i) % 10_000_000).into_bytes();
+            if i.is_multiple_of(3) {
+                k.extend_from_slice(b"-spilled-past-inline");
+            }
+            if i.is_multiple_of(7) {
+                k.truncate(5);
+                k.extend_from_slice(&i.to_be_bytes());
+            }
+            t = if rng.below(10) == 0 {
+                s.delete(t, &k)
+            } else {
+                let len = [0, 24, 300, 1_000, 3_000][rng.below(5) as usize];
+                s.put(t, &k, Payload::synthetic(len, op))
+            };
+        }
+        let _ = s.flush_all(t);
+        let stats = s.stats();
+        (
+            s.layout_fold,
+            stats.flushes,
+            stats.compactions,
+            s.levels.len(),
+        )
+    }
+
+    /// `table_layout_history` per seed, computed before compaction was
+    /// rebuilt to build each output table in one pass: the split points,
+    /// sizes, key ranges and Bloom bits of every table after every flush
+    /// and compaction must not move.
+    const TABLE_LAYOUT_HISTORY: [(u64, u64); 3] = [
+        (3, 0x0745_0754_AF87_05ED),
+        (11, 0x1E23_3EAC_3C4B_10AF),
+        (0x2A7, 0xD156_9F94_D16A_7031),
+    ];
+
+    #[test]
+    fn table_layout_matches_pinned_history() {
+        for (seed, want) in TABLE_LAYOUT_HISTORY {
+            let (got, flushes, compactions, levels) = table_layout_history(seed);
+            assert!(
+                flushes > 100 && compactions > 100 && levels >= 3,
+                "seed {seed}: {flushes} flushes, {compactions} compactions, {levels} levels"
+            );
+            assert_eq!(
+                got, want,
+                "table layout diverged at seed {seed}: {got:#018X}"
+            );
+        }
     }
 
     #[test]
