@@ -135,8 +135,9 @@ impl HashRing {
             Err(i) if i < n => i,
             Err(_) => 0,
         };
-        for step in 0..n {
-            let (_, shard) = self.points[(start + step) % n];
+        // Clockwise from `start`, wrapping once: no division per step.
+        let (tail, head) = self.points.split_at(start);
+        for &(_, shard) in head.iter().chain(tail) {
             if !out.contains(&shard) {
                 out.push(shard);
                 if out.len() == r {

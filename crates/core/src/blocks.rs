@@ -39,6 +39,12 @@ pub(crate) struct BlockTable {
     /// reached zero, for blocks that open without one. Reserved at
     /// construction and never over-filled, so it never reallocates.
     spare_refs: Vec<Vec<BlobRef>>,
+    /// What a block opening without a buffer reserves, in one
+    /// allocation: the most refs a block has held when it closed. A block
+    /// closing with under half that resets it to its own count, so a
+    /// workload whose blocks take fewer refs than the fill's did stops
+    /// reserving for the fill.
+    longest_refs: usize,
     waste: Waste,
     alloc_cursor: usize,
     soft_free: u32,
@@ -71,6 +77,7 @@ impl BlockTable {
             pool,
             refs: vec![Vec::new(); g.total_blocks() as usize],
             spare_refs: Vec::with_capacity(SPARE_REF_BUFFERS),
+            longest_refs: 0,
             waste: Waste {
                 per_block: vec![0; g.total_blocks() as usize],
                 total: 0,
@@ -95,13 +102,16 @@ impl BlockTable {
     }
 
     /// Opens the next free block, round-robin across die-planes, giving
-    /// it a spare ref buffer if it has none of its own.
+    /// it a spare ref buffer if it has none of its own, else a new one
+    /// sized to the longest ref list a closed block has held (see
+    /// `longest_refs`).
     pub(crate) fn open_free(&mut self) -> Option<BlockId> {
         let (next, b) = self.pool.pop_free_from(self.alloc_cursor)?;
         self.alloc_cursor = next;
         let refs = self.refs.get_mut(b.0 as usize)?;
         if refs.capacity() == 0 {
-            *refs = self.spare_refs.pop().unwrap_or_default();
+            let longest = self.longest_refs;
+            *refs = (self.spare_refs.pop()).unwrap_or_else(|| Vec::with_capacity(longest));
         }
         Some(b)
     }
@@ -137,6 +147,10 @@ impl BlockTable {
     pub(crate) fn close_if_full(&mut self, b: BlockId, flash: &FlashDevice) -> bool {
         if flash.written_pages(b) < flash.geometry().pages_per_block {
             return false;
+        }
+        let held = self.refs(b).len();
+        if held > self.longest_refs || held * 2 < self.longest_refs {
+            self.longest_refs = held;
         }
         if self.pool.close(b, flash) {
             self.retire_refs(b);

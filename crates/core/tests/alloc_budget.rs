@@ -223,9 +223,67 @@ fn ref_buffers_are_recycled_not_reallocated() {
     assert_eq!(allocs, 0, "allocations in six erase cycles at steady GC");
 }
 
+/// A block that opens with no ref buffer to take over (on a device being
+/// filled nothing has died yet, so the spare list stays empty) reserves
+/// one in one allocation, sized to the longest ref list a closed block
+/// has held, and never grows it as it fills. Grown by doubling instead,
+/// a block's buffer cost nine reallocations.
+fn a_block_opening_without_a_buffer_allocates_once() {
+    let geometry = Geometry {
+        blocks_per_plane: 16,
+        pages_per_block: 16,
+        ..Geometry::small()
+    };
+    let config = KvConfig {
+        iterator_buckets: false,
+        partial_flush_timeout: SimDuration::from_secs(3_600),
+        ..KvConfig::pm983_scaled()
+    };
+    let mut d = KvSsd::new(geometry, FlashTiming::pm983_like(), config);
+    let data_blocks = d.free_blocks();
+    let (mut t, mut kb) = (SimTime::ZERO, [0u8; 16]);
+    let (mut opened, mut opening_allocs, mut other_allocs) = (0u32, 0u64, 0u64);
+    for i in 0u64.. {
+        // Stop short of the soft watermark, where GC starts.
+        let free = d.free_blocks();
+        if free <= 24 {
+            break;
+        }
+        let allocs = allocs_during(|| {
+            t = d
+                .store(t, key(&mut kb, i), Payload::synthetic(1024, i))
+                .unwrap();
+        });
+        // Skip the first two stripes of blocks: none of them opens after
+        // a block has closed, and the index grows fastest meanwhile.
+        if data_blocks - free < 16 {
+            continue;
+        }
+        match free - d.free_blocks() {
+            0 => other_allocs += allocs,
+            n => {
+                opened += n;
+                opening_allocs += allocs;
+            }
+        }
+    }
+    assert!(opened > 50, "{opened} blocks opened");
+    assert!(
+        opening_allocs <= u64::from(opened),
+        "{opening_allocs} allocations in the stores that opened {opened} blocks"
+    );
+    // Measured: 8, the other structures' growth steps; with the ref
+    // buffers grown by doubling, 628.
+    assert!(
+        other_allocs <= 8,
+        "{other_allocs} allocations in stores that opened no block"
+    );
+}
+
 #[test]
 fn kv_ftl_hot_paths_stay_off_the_heap() {
     inline_vec_spill_costs_one_allocation_per_growth_step();
+    a_block_opening_without_a_buffer_allocates_once();
     ref_buffers_are_recycled_not_reallocated();
     global_index_never_holds_two_copies_of_itself();
 

@@ -98,6 +98,8 @@ pub struct ExtFs {
     /// Simple wilderness allocator plus a free list of holes.
     next_free: u64,
     holes: Vec<Extent>,
+    /// Cleared extent lists of deleted files, for files created later.
+    spare_extents: Vec<Vec<Extent>>,
     journal_head: u64,
     journal_region: u64,
     stats: FsStats,
@@ -105,6 +107,9 @@ pub struct ExtFs {
 
 /// Bytes reserved at the start of the volume for the journal.
 const JOURNAL_BYTES: u64 = 4 * 1024 * 1024;
+
+/// Extent lists [`ExtFs`] keeps for reuse at most.
+const SPARE_EXTENT_LISTS: usize = 64;
 
 impl ExtFs {
     /// Formats a filesystem over `device`.
@@ -115,6 +120,7 @@ impl ExtFs {
             next_id: 1,
             next_free: JOURNAL_BYTES,
             holes: Vec::new(),
+            spare_extents: Vec::with_capacity(SPARE_EXTENT_LISTS),
             journal_head: 0,
             journal_region: JOURNAL_BYTES,
             stats: FsStats::default(),
@@ -151,7 +157,11 @@ impl ExtFs {
     pub fn create(&mut self, now: SimTime, cpu: &mut HostCpu) -> (SimTime, FileId) {
         let id = FileId(self.next_id);
         self.next_id += 1;
-        self.files.insert(id, FileMeta::default());
+        let meta = FileMeta {
+            extents: self.spare_extents.pop().unwrap_or_default(),
+            ..FileMeta::default()
+        };
+        self.files.insert(id, meta);
         self.stats.creates += 1;
         let t = cpu.run(now, self.costs.syscall);
         let t = self.journal_write(t);
@@ -287,15 +297,18 @@ impl ExtFs {
         cache: &mut PageCache,
         file: FileId,
     ) -> Result<SimTime, FsError> {
-        let meta = self.files.remove(&file).ok_or(FsError::NoSuchFile(file))?;
+        let mut meta = self.files.remove(&file).ok_or(FsError::NoSuchFile(file))?;
         let mut t = cpu.run(now, self.costs.syscall);
-        for e in &meta.extents {
+        for e in meta.extents.drain(..) {
             let aligned = e.len.div_ceil(512) * 512;
             t = self
                 .device
                 .trim(t, e.dev_offset, aligned)
                 .expect("trim of owned extent");
-            self.holes.push(*e);
+            self.holes.push(e);
+        }
+        if meta.extents.capacity() > 0 && self.spare_extents.len() < SPARE_EXTENT_LISTS {
+            self.spare_extents.push(meta.extents);
         }
         cache.invalidate_file(file.0);
         self.stats.deletes += 1;
@@ -486,6 +499,19 @@ mod tests {
         assert!(fs.device().valid_bytes() < valid_before);
         assert!(matches!(fs.size_of(f), Err(FsError::NoSuchFile(_))));
         let _ = t;
+    }
+
+    #[test]
+    fn a_deleted_files_extent_list_goes_to_the_next_file() {
+        let (mut fs, mut cpu, mut cache) = fixture();
+        let (t, f) = fs.create(SimTime::ZERO, &mut cpu);
+        let t = fs.append(t, &mut cpu, &mut cache, f, 64 * 1024).unwrap();
+        let t = fs.fsync(t, &mut cpu, f).unwrap();
+        let list = fs.files[&f].extents.as_ptr();
+        let t = fs.delete(t, &mut cpu, &mut cache, f).unwrap();
+        let (_, g) = fs.create(t, &mut cpu);
+        assert!(fs.files[&g].extents.is_empty());
+        assert_eq!(fs.files[&g].extents.as_ptr(), list, "the list is reused");
     }
 
     #[test]

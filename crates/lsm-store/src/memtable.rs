@@ -84,10 +84,15 @@ impl Memtable {
         None
     }
 
+    /// Entries the memtable holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Empties the memtable and returns its entries in key order. The
-    /// next generation starts with this one's capacity.
-    pub fn take_sorted(&mut self) -> Vec<Entry> {
-        let next = Vec::with_capacity(self.entries.capacity());
+    /// next generation fills `next`, which must be empty.
+    pub fn take_sorted(&mut self, next: Vec<Entry>) -> Vec<Entry> {
+        debug_assert!(next.is_empty(), "the next generation starts empty");
         let mut entries = std::mem::replace(&mut self.entries, next);
         self.chain.clear();
         self.heads.clear();
@@ -183,7 +188,7 @@ mod tests {
                         .into_iter()
                         .map(|(k, v)| (KeyBuf::new(&k), v))
                         .collect();
-                    table.take_sorted() != want || !table.is_empty()
+                    table.take_sorted(Vec::new()) != want || !table.is_empty()
                 }
             };
             if diverged || table.len() != model.len() {

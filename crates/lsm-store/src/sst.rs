@@ -1,4 +1,5 @@
-//! Sorted string tables: in-memory functional form plus merge logic.
+//! Sorted string tables: in-memory functional form, the merge and the
+//! table builder.
 //!
 //! An SST is a sorted run of `(key, value-or-tombstone)` entries. The
 //! bytes live "on disk" via the filesystem (which tracks extents and
@@ -10,9 +11,17 @@
 //! bytes of each key just past the prefix every key of the table
 //! shares, big-endian and zero-padded. Key order implies window order
 //! (a zero pad sorts like the end of a key), so the search compares one
-//! `u64` per step and reads a whole key only where windows tie.
+//! `u64` per step and reads a whole key only where windows tie. The
+//! merge orders run heads the same way, by their first 16 key bytes.
+//!
+//! Flushes and compactions build every table through one
+//! [`TableBuilder`]: it sums the table's size and hashes each key as the
+//! entry arrives, and fills the windows and the Bloom filter once, when
+//! the table is finished. Its buffers are those of the tables compaction
+//! consumed, so a store at steady state allocates none.
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 use kvssd_core::bloom::BloomFilter;
 use kvssd_core::hash::key_hash;
@@ -42,27 +51,6 @@ fn window(rest: &[u8]) -> u64 {
 }
 
 impl SstData {
-    /// Builds from entries that must already be sorted and unique.
-    pub fn from_sorted(entries: Vec<Entry>) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "unsorted SST");
-        // Sorted, so the first and last keys share the shortest prefix.
-        let prefix_len = match (entries.first(), entries.last()) {
-            (Some((lo, _)), Some((hi, _))) => {
-                lo.iter().zip(hi.iter()).take_while(|(a, b)| a == b).count()
-            }
-            _ => 0,
-        };
-        let windows = entries
-            .iter()
-            .map(|(k, _)| window(k.get(prefix_len..).unwrap_or_default()))
-            .collect();
-        SstData {
-            entries,
-            prefix_len,
-            windows,
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -113,40 +101,15 @@ impl SstData {
         let start = self.entries.partition_point(|(k, _)| k.as_slice() < from);
         &self.entries[start..]
     }
-
-    /// Gives the entries up (compaction consumes its inputs).
-    pub fn into_entries(self) -> Vec<Entry> {
-        self.entries
-    }
-
-    /// Smallest key.
-    pub fn min_key(&self) -> &KeyBuf {
-        &self.entries.first().expect("nonempty SST").0
-    }
-
-    /// Largest key.
-    pub fn max_key(&self) -> &KeyBuf {
-        &self.entries.last().expect("nonempty SST").0
-    }
-
-    /// Total user bytes (keys + live values).
-    pub fn user_bytes(&self, overhead: u64) -> u64 {
-        self.entries
-            .iter()
-            .map(|(k, v)| k.len() as u64 + v.as_ref().map_or(0, Payload::len) + overhead)
-            .sum()
-    }
 }
 
-/// Host-memory metadata of one on-disk SST.
-#[derive(Debug)]
+/// One on-disk SST: its host-memory metadata and its entries.
+#[derive(Debug, Clone)]
 pub struct SstMeta {
     /// Backing file.
     pub file: FileId,
     /// Encoded size in bytes.
     pub size_bytes: u64,
-    /// Entry count.
-    pub entries: u64,
     /// Smallest key.
     pub min_key: KeyBuf,
     /// Largest key.
@@ -154,25 +117,11 @@ pub struct SstMeta {
     /// Per-table Bloom filter (filter block, kept cached as RocksDB
     /// pins filter blocks).
     pub bloom: BloomFilter,
+    /// The table's entries.
+    pub data: SstData,
 }
 
 impl SstMeta {
-    /// Builds metadata for `data` backed by `file`.
-    pub fn describe(file: FileId, data: &SstData, size_bytes: u64, bloom_bits: u32) -> Self {
-        let mut bloom = BloomFilter::new(data.len() as u64, bloom_bits);
-        for (k, _) in data.entries() {
-            bloom.insert(key_hash(k));
-        }
-        SstMeta {
-            file,
-            size_bytes,
-            entries: data.len() as u64,
-            min_key: data.min_key().clone(),
-            max_key: data.max_key().clone(),
-            bloom,
-        }
-    }
-
     /// True when `key` falls inside this table's key range.
     pub fn covers(&self, key: &[u8]) -> bool {
         self.min_key.as_slice() <= key && key <= self.max_key.as_slice()
@@ -184,36 +133,387 @@ impl SstMeta {
     }
 }
 
+/// Spare buffers each of [`TableBuilder`]'s lists keeps at most.
+const SPARE_BUFFERS: usize = 8;
+
+/// Takes the smallest spare buffer that holds `want` elements, unless
+/// it is more than twice that: a small table keeps no large buffer.
+/// Otherwise allocates one of exactly `want`.
+fn take_spare<T>(spares: &mut Vec<Vec<T>>, want: usize) -> Vec<T> {
+    let fits = spares
+        .iter()
+        .enumerate()
+        .filter(|(_, buf)| buf.capacity() >= want);
+    match fits.min_by_key(|(_, buf)| buf.capacity()) {
+        Some((i, buf)) if buf.capacity() <= want.saturating_mul(2) => spares.swap_remove(i),
+        _ => Vec::with_capacity(want),
+    }
+}
+
+/// Keeps `buf`, cleared, for a later [`take_spare`]. A full list keeps
+/// its larger buffers.
+fn put_spare<T>(spares: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
+    buf.clear();
+    if buf.capacity() == 0 {
+        return;
+    }
+    if spares.len() < SPARE_BUFFERS {
+        spares.push(buf);
+    } else if let Some(smallest) = spares.iter_mut().min_by_key(|b| b.capacity()) {
+        if smallest.capacity() < buf.capacity() {
+            *smallest = buf;
+        }
+    }
+}
+
+/// An entry's encoded size: key, live value and `overhead`.
+fn encoded_bytes((key, value): &Entry, overhead: u64) -> u64 {
+    key.len() as u64 + value.as_ref().map_or(0, Payload::len) + overhead
+}
+
+/// Builds tables one at a time, from recycled buffers (see module docs).
+/// Entries arrive in key order through [`Self::push`] or, for a flushed
+/// memtable, all at once through [`Self::adopt`]; [`Self::finish`] turns
+/// them into a table. Compaction hands the buffers of every table it
+/// consumed back through [`Self::recycle`].
+#[derive(Debug)]
+pub struct TableBuilder {
+    overhead: u64,
+    bloom_bits: u32,
+    /// The table being built.
+    entries: Vec<Entry>,
+    /// Each entry's key hash, for the Bloom filter.
+    hashes: Vec<u64>,
+    /// Encoded size of `entries`.
+    size_bytes: u64,
+    /// Entries of the largest table built so far.
+    largest: usize,
+    spare_entries: Vec<Vec<Entry>>,
+    spare_windows: Vec<Vec<u64>>,
+    spare_blooms: Vec<Vec<u64>>,
+    spare_lists: Vec<Vec<SstMeta>>,
+}
+
+impl TableBuilder {
+    /// A builder charging `overhead` encoded bytes per entry, whose
+    /// tables get `bloom_bits` Bloom bits per key.
+    pub fn new(overhead: u64, bloom_bits: u32) -> Self {
+        TableBuilder {
+            overhead,
+            bloom_bits,
+            entries: Vec::new(),
+            hashes: Vec::new(),
+            size_bytes: 0,
+            largest: 0,
+            spare_entries: Vec::with_capacity(SPARE_BUFFERS),
+            spare_windows: Vec::with_capacity(SPARE_BUFFERS),
+            spare_blooms: Vec::with_capacity(SPARE_BUFFERS),
+            spare_lists: Vec::with_capacity(SPARE_BUFFERS),
+        }
+    }
+
+    /// Entries of the table being built.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no table is being built.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Encoded size of the table being built.
+    pub fn size_bytes(&self) -> u64 {
+        self.size_bytes
+    }
+
+    /// Adds the next entry (keys strictly ascending) to the table being
+    /// built; returns the table's encoded size so far.
+    pub fn push(&mut self, entry: Entry) -> u64 {
+        if self.entries.capacity() == 0 {
+            self.entries = take_spare(&mut self.spare_entries, self.largest);
+        }
+        self.size_bytes += encoded_bytes(&entry, self.overhead);
+        self.hashes.push(key_hash(&entry.0));
+        self.entries.push(entry);
+        self.size_bytes
+    }
+
+    /// Starts a table from a whole sorted run, `entries` (a flushed
+    /// memtable), without moving it.
+    pub fn adopt(&mut self, entries: Vec<Entry>) {
+        debug_assert!(self.is_empty(), "adopt while a table is being built");
+        let spare = std::mem::replace(&mut self.entries, entries);
+        put_spare(&mut self.spare_entries, spare);
+        for entry in &self.entries {
+            self.size_bytes += encoded_bytes(entry, self.overhead);
+            self.hashes.push(key_hash(&entry.0));
+        }
+    }
+
+    /// Finishes the table being built as `file`'s, filling its windows
+    /// and its Bloom filter, and leaves the builder empty. `None` when
+    /// no table is being built.
+    pub fn finish(&mut self, file: FileId) -> Option<SstMeta> {
+        let entries = std::mem::take(&mut self.entries);
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "unsorted SST");
+        // Sorted, so the first and last keys share the shortest prefix.
+        let (min_key, max_key) = match (entries.first(), entries.last()) {
+            (Some((lo, _)), Some((hi, _))) => (lo.clone(), hi.clone()),
+            _ => {
+                put_spare(&mut self.spare_entries, entries);
+                return None;
+            }
+        };
+        let prefix_len = min_key
+            .iter()
+            .zip(max_key.iter())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let mut windows = take_spare(&mut self.spare_windows, entries.len());
+        windows.extend(
+            entries
+                .iter()
+                .map(|(k, _)| window(k.get(prefix_len..).unwrap_or_default())),
+        );
+        self.largest = self.largest.max(entries.len());
+        let n = entries.len() as u64;
+        let words = take_spare(
+            &mut self.spare_blooms,
+            BloomFilter::words_for(n, self.bloom_bits),
+        );
+        let mut bloom = BloomFilter::with_words(n, self.bloom_bits, words);
+        for &hash in &self.hashes {
+            bloom.insert(hash);
+        }
+        self.hashes.clear();
+        Some(SstMeta {
+            file,
+            size_bytes: std::mem::take(&mut self.size_bytes),
+            min_key,
+            max_key,
+            bloom,
+            data: SstData {
+                entries,
+                prefix_len,
+                windows,
+            },
+        })
+    }
+
+    /// An empty entry buffer with room for `want` entries, for the
+    /// memtable's next generation.
+    pub fn spare_entries(&mut self, want: usize) -> Vec<Entry> {
+        take_spare(&mut self.spare_entries, want)
+    }
+
+    /// An empty table list, for a compaction's inputs.
+    pub fn spare_list(&mut self) -> Vec<SstMeta> {
+        self.spare_lists.pop().unwrap_or_default()
+    }
+
+    /// Takes a consumed table's entries, windows and Bloom words for the
+    /// tables built next, leaving it empty (its filter answers "maybe").
+    pub fn recycle(&mut self, table: &mut SstMeta) {
+        put_spare(
+            &mut self.spare_entries,
+            std::mem::take(&mut table.data.entries),
+        );
+        put_spare(
+            &mut self.spare_windows,
+            std::mem::take(&mut table.data.windows),
+        );
+        let bloom = std::mem::take(&mut table.bloom);
+        put_spare(&mut self.spare_blooms, bloom.into_words());
+    }
+
+    /// Takes back a table list [`Self::spare_list`] gave out, its
+    /// tables' buffers included.
+    pub fn recycle_list(&mut self, mut list: Vec<SstMeta>) {
+        for table in &mut list {
+            self.recycle(table);
+        }
+        put_spare(&mut self.spare_lists, list);
+    }
+}
+
+/// A merge run over tables a compaction consumes, in key order: one
+/// table, or a deeper level's disjoint files. It moves their entries
+/// out and hands each table's entry buffer back to the table once it is
+/// spent, for [`Self::recycle_spent`].
+#[derive(Debug)]
+pub struct TableRun {
+    tables: Vec<SstMeta>,
+    /// Tables loaded so far; the last of them is being read.
+    next: usize,
+    /// The unread entries of the table being read.
+    cur: VecDeque<Entry>,
+}
+
+impl TableRun {
+    /// A run over `tables`, which must be disjoint and in key order.
+    pub fn new(tables: Vec<SstMeta>) -> Self {
+        TableRun {
+            tables,
+            next: 0,
+            cur: VecDeque::new(),
+        }
+    }
+
+    /// The run's tables (a spent one holds no entries).
+    pub fn tables(&self) -> &[SstMeta] {
+        &self.tables
+    }
+
+    /// Hands `builder` what the merge no longer reads: the windows and
+    /// Bloom words of every table loaded so far (a merge reads neither)
+    /// and the entry buffer of every spent one.
+    pub fn recycle_spent(&mut self, builder: &mut TableBuilder) {
+        for table in self.tables.iter_mut().take(self.next) {
+            builder.recycle(table);
+        }
+    }
+
+    /// Gives the table list back.
+    pub fn into_tables(self) -> Vec<SstMeta> {
+        self.tables
+    }
+}
+
+impl Iterator for TableRun {
+    type Item = Entry;
+
+    fn next(&mut self) -> Option<Entry> {
+        loop {
+            if let Some(entry) = self.cur.pop_front() {
+                return Some(entry);
+            }
+            if self.cur.capacity() > 0 {
+                let spent = self.tables.get_mut(self.next.checked_sub(1)?)?;
+                spent.data.entries = std::mem::take(&mut self.cur).into();
+            }
+            let table = self.tables.get_mut(self.next)?;
+            self.next += 1;
+            self.cur = std::mem::take(&mut table.data.entries).into();
+        }
+    }
+}
+
+/// A key's first 16 bytes, big-endian, zero-padded: a smaller order key
+/// means a smaller key, so a merge compares whole keys only on a tie.
+fn order_key(key: &[u8]) -> u128 {
+    let mut bytes = [0u8; 16];
+    for (b, &k) in bytes.iter_mut().zip(key) {
+        *b = k;
+    }
+    u128::from_be_bytes(bytes)
+}
+
+/// One sorted source of a merge, with its next entry pulled ahead and
+/// that entry's order key cached.
+#[derive(Debug)]
+pub struct Run<I> {
+    head: Option<(u128, Entry)>,
+    rest: I,
+}
+
+impl<I: Iterator<Item = Entry>> Run<I> {
+    /// A run over `rest`, whose keys must be unique and ascending.
+    pub fn new(mut rest: I) -> Self {
+        let head = keyed(rest.next());
+        Run { head, rest }
+    }
+
+    fn advance(&mut self) -> Option<(u128, Entry)> {
+        let next = keyed(self.rest.next());
+        std::mem::replace(&mut self.head, next)
+    }
+}
+
+impl<I> Run<I> {
+    /// The source.
+    pub fn source(&self) -> &I {
+        &self.rest
+    }
+
+    /// The source, mutably.
+    pub fn source_mut(&mut self) -> &mut I {
+        &mut self.rest
+    }
+
+    /// Gives the source back.
+    pub fn into_source(self) -> I {
+        self.rest
+    }
+}
+
+fn keyed(entry: Option<Entry>) -> Option<(u128, Entry)> {
+    entry.map(|entry| (order_key(&entry.0), entry))
+}
+
+/// The merge of [`merge_runs`].
+#[derive(Debug)]
+pub struct Merge<'a, I> {
+    runs: &'a mut [Run<I>],
+    drop_tombstones: bool,
+}
+
+impl<I> Merge<'_, I> {
+    /// The runs being merged.
+    pub fn runs_mut(&mut self) -> &mut [Run<I>] {
+        self.runs
+    }
+}
+
 /// Merges sorted runs (newest first) into one sorted stream, dropping
 /// shadowed versions: on equal keys the earliest run wins. Tombstones
 /// are kept unless `drop_tombstones` (bottom level). Pulls from the
-/// runs lazily and moves their entries through, allocating nothing per
-/// entry.
-pub fn merge_runs<I>(mut runs: Vec<I>, drop_tombstones: bool) -> impl Iterator<Item = Entry>
+/// runs lazily and moves their entries through, allocating nothing.
+pub fn merge_runs<I>(runs: &mut [Run<I>], drop_tombstones: bool) -> Merge<'_, I>
 where
     I: Iterator<Item = Entry>,
 {
-    let mut heads: Vec<Option<Entry>> = runs.iter_mut().map(Iterator::next).collect();
-    std::iter::from_fn(move || loop {
-        // Smallest head key; `min_by_key` returns the first of equal
-        // minima, which leaves ties with the earliest (newest) run.
-        let (run, _) = heads
-            .iter()
-            .enumerate()
-            .filter_map(|(run, head)| Some((run, &head.as_ref()?.0)))
-            .min_by_key(|&(_, key)| key)?;
-        let (key, value) = std::mem::replace(&mut heads[run], runs[run].next())?;
-        // Keys are unique within a run, so each later run holds at most
-        // one shadowed version of `key`, and it is at that run's head.
-        for (head, later) in heads.iter_mut().zip(&mut runs).skip(run + 1) {
-            if head.as_ref().is_some_and(|(k, _)| *k == key) {
-                *head = later.next();
+    Merge {
+        runs,
+        drop_tombstones,
+    }
+}
+
+impl<I: Iterator<Item = Entry>> Iterator for Merge<'_, I> {
+    type Item = Entry;
+
+    fn next(&mut self) -> Option<Entry> {
+        loop {
+            // Smallest head key. Only a strictly smaller key displaces
+            // the best so far, which leaves ties with the earliest
+            // (newest) run.
+            let mut best: Option<(usize, u128, &[u8])> = None;
+            for (run, head) in self.runs.iter().enumerate() {
+                let Some((order, (key, _))) = &head.head else {
+                    continue;
+                };
+                let smaller = best.is_none_or(|(_, best_order, best_key)| {
+                    *order < best_order || (*order == best_order && key.as_slice() < best_key)
+                });
+                if smaller {
+                    best = Some((run, *order, key));
+                }
+            }
+            let (run, _, _) = best?;
+            let (order, (key, value)) = self.runs.get_mut(run)?.advance()?;
+            // Keys are unique within a run, so each later run holds at
+            // most one shadowed version of `key`, and it is at that
+            // run's head.
+            for later in self.runs.iter_mut().skip(run + 1) {
+                if (later.head.as_ref()).is_some_and(|(o, (k, _))| *o == order && *k == key) {
+                    later.advance();
+                }
+            }
+            if value.is_some() || !self.drop_tombstones {
+                return Some((key, value));
             }
         }
-        if value.is_some() || !drop_tombstones {
-            return Some((key, value));
-        }
-    })
+    }
 }
 
 #[cfg(test)]
@@ -229,20 +529,86 @@ mod tests {
         )
     }
 
-    fn sst(pairs: &[(&str, Option<&str>)]) -> SstData {
-        SstData::from_sorted(pairs.iter().map(|&(k, v)| kv(k, v)).collect())
+    /// A table of `pairs` (sorted, unique keys) built as file 1's.
+    fn sst(pairs: &[(&str, Option<&str>)]) -> SstMeta {
+        build(pairs.iter().map(|&(k, v)| kv(k, v)).collect())
+    }
+
+    fn build(entries: Vec<Entry>) -> SstMeta {
+        let mut builder = TableBuilder::new(10, 10);
+        entries.into_iter().for_each(|e| _ = builder.push(e));
+        builder.finish(FileId(1)).expect("nonempty table")
+    }
+
+    /// The two-pass construction flushes and compactions used before
+    /// the builder: entries first, then a pass for the windows, one for
+    /// the Bloom filter and one for the size.
+    fn two_pass(file: FileId, entries: Vec<Entry>, overhead: u64, bloom_bits: u32) -> SstMeta {
+        let prefix_len = match (entries.first(), entries.last()) {
+            (Some((lo, _)), Some((hi, _))) => {
+                lo.iter().zip(hi.iter()).take_while(|(a, b)| a == b).count()
+            }
+            _ => 0,
+        };
+        let windows = entries
+            .iter()
+            .map(|(k, _)| window(k.get(prefix_len..).unwrap_or_default()))
+            .collect();
+        let mut bloom = BloomFilter::new(entries.len() as u64, bloom_bits);
+        for (k, _) in &entries {
+            bloom.insert(key_hash(k));
+        }
+        let size_bytes = entries
+            .iter()
+            .map(|(k, v)| k.len() as u64 + v.as_ref().map_or(0, Payload::len) + overhead)
+            .sum();
+        SstMeta {
+            file,
+            size_bytes,
+            min_key: entries[0].0.clone(),
+            max_key: entries[entries.len() - 1].0.clone(),
+            bloom,
+            data: SstData {
+                entries,
+                prefix_len,
+                windows,
+            },
+        }
+    }
+
+    /// Field-by-field equality of two tables.
+    fn same_table(got: &SstMeta, want: &SstMeta) -> Result<(), String> {
+        let fields = [
+            ("file", got.file == want.file),
+            ("size_bytes", got.size_bytes == want.size_bytes),
+            ("min_key", got.min_key == want.min_key),
+            ("max_key", got.max_key == want.max_key),
+            ("bloom bits", got.bloom.bits() == want.bloom.bits()),
+            ("bloom words", got.bloom.words() == want.bloom.words()),
+            (
+                "bloom inserts",
+                got.bloom.inserted() == want.bloom.inserted(),
+            ),
+            ("entries", got.data.entries == want.data.entries),
+            ("prefix_len", got.data.prefix_len == want.data.prefix_len),
+            ("windows", got.data.windows == want.data.windows),
+        ];
+        match fields.iter().find(|(_, same)| !same) {
+            Some((field, _)) => Err(format!("{} differs in {field}", want.file.0)),
+            None => Ok(()),
+        }
     }
 
     /// The clone-based merge this crate shipped before the consuming
     /// one, kept as the oracle: rescans every run per output entry.
-    fn merge_runs_reference(runs: &[&SstData], drop_tombstones: bool) -> Vec<Entry> {
+    fn merge_runs_reference(runs: &[&[Entry]], drop_tombstones: bool) -> Vec<Entry> {
         let mut cursors = vec![0usize; runs.len()];
         let mut out = Vec::new();
         loop {
             // Find the smallest current key; ties resolved to newest run.
             let mut best: Option<(usize, &KeyBuf)> = None;
             for (run, &pos) in cursors.iter().enumerate() {
-                let Some((k, _)) = runs[run].entries().get(pos) else {
+                let Some((k, _)) = runs[run].get(pos) else {
                     continue;
                 };
                 if best.is_none_or(|(_, bk)| k < bk) {
@@ -251,17 +617,13 @@ mod tests {
             }
             let Some((winner, key)) = best else { break };
             let key = key.clone();
-            let (_, v) = &runs[winner].entries()[cursors[winner]];
+            let (_, v) = &runs[winner][cursors[winner]];
             if !(drop_tombstones && v.is_none()) {
                 out.push((key.clone(), v.clone()));
             }
             // Advance every run past this key.
             for (run, pos) in cursors.iter_mut().enumerate() {
-                while runs[run]
-                    .entries()
-                    .get(*pos)
-                    .is_some_and(|(k, _)| *k == key)
-                {
+                while runs[run].get(*pos).is_some_and(|(k, _)| *k == key) {
                     *pos += 1;
                 }
             }
@@ -271,24 +633,32 @@ mod tests {
 
     /// Runs the consuming merge over clones of `runs` (each run a chain
     /// of tables) and checks it against the oracle, which sees each
-    /// chain as one concatenated table.
-    fn merge_checked(runs: &[&[&SstData]], drop_tombstones: bool) -> Vec<Entry> {
-        let consuming: Vec<_> = runs
+    /// chain as one concatenated table; then checks that every spent
+    /// table's buffers are handed back.
+    fn merge_checked(runs: &[&[&SstMeta]], drop_tombstones: bool) -> Vec<Entry> {
+        let chains: Vec<Vec<Entry>> = runs
             .iter()
-            .map(|chain| {
-                let tables: Vec<SstData> = chain.iter().map(|&t| t.clone()).collect();
-                tables.into_iter().flat_map(SstData::into_entries)
-            })
+            .map(|chain| chain.iter().flat_map(|t| t.data.entries.clone()).collect())
             .collect();
-        let got: Vec<Entry> = merge_runs(consuming, drop_tombstones).collect();
-        let flat: Vec<SstData> = runs
+        let flat: Vec<&[Entry]> = chains.iter().map(Vec::as_slice).collect();
+        let want = merge_runs_reference(&flat, drop_tombstones);
+        let mut consuming: Vec<Run<TableRun>> = runs
             .iter()
-            .map(|chain| {
-                SstData::from_sorted(chain.iter().flat_map(|t| t.entries().to_vec()).collect())
-            })
+            .map(|chain| Run::new(TableRun::new(chain.iter().map(|&t| t.clone()).collect())))
             .collect();
-        let want = merge_runs_reference(&flat.iter().collect::<Vec<_>>(), drop_tombstones);
+        let got: Vec<Entry> = merge_runs(&mut consuming, drop_tombstones).collect();
         assert_eq!(got, want);
+        let mut builder = TableBuilder::new(10, 10);
+        for run in &mut consuming {
+            run.source_mut().recycle_spent(&mut builder);
+        }
+        let tables = runs.iter().map(|chain| chain.len()).sum::<usize>();
+        assert_eq!(builder.spare_entries.len(), tables.min(SPARE_BUFFERS));
+        for run in consuming {
+            for t in run.into_source().into_tables() {
+                assert_eq!(t.data.entries.capacity(), 0, "buffer left behind");
+            }
+        }
         got
     }
 
@@ -305,7 +675,7 @@ mod tests {
 
     #[test]
     fn find_and_entry() {
-        let s = sst(&[("a", Some("1")), ("c", Some("3"))]);
+        let s = sst(&[("a", Some("1")), ("c", Some("3"))]).data;
         assert_eq!(s.find(b"a"), Some(0));
         assert_eq!(s.find(b"b"), None);
         let (k, v) = s.entry(1);
@@ -313,10 +683,11 @@ mod tests {
         assert_eq!(v.unwrap().as_bytes().unwrap(), b"3");
     }
 
-    /// Keys for `find_agrees_with_binary_search`: one of four shared
-    /// prefixes (none, short, inline-length, past the 22 B inline limit)
-    /// then a short tail over an alphabet with `0x00` and `0xFF`; some
-    /// keys extend an earlier one, so keys are prefixes of others.
+    /// Keys for `find_agrees_with_binary_search` and the builder model:
+    /// one of four shared prefixes (none, short, inline-length, past the
+    /// 22 B inline limit) then a short tail over an alphabet with `0x00`
+    /// and `0xFF`; some keys extend an earlier one, so keys are prefixes
+    /// of others.
     fn table_keys(rng: &mut DeterministicRng) -> Vec<Vec<u8>> {
         const PREFIXES: [&[u8]; 4] = [
             b"",
@@ -345,6 +716,13 @@ mod tests {
         keys
     }
 
+    fn sorted_unique(keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut sorted = keys.to_vec();
+        sorted.sort();
+        sorted.dedup();
+        sorted
+    }
+
     /// Windowed `find` against a plain binary search over the same
     /// entries, for every key, its neighbours and probes outside
     /// `[min, max]`.
@@ -352,11 +730,9 @@ mod tests {
     fn find_agrees_with_binary_search() {
         let shorter = |k: &Vec<u8>| (!k.is_empty()).then(|| k[..k.len() - 1].to_vec());
         check(0..500, table_keys, shorter, |keys| {
-            let mut sorted = keys.to_vec();
-            sorted.sort();
-            sorted.dedup();
+            let sorted = sorted_unique(keys);
             let entries: Vec<Entry> = sorted.iter().map(|k| (KeyBuf::new(k), None)).collect();
-            let table = SstData::from_sorted(entries.clone());
+            let table = build(entries.clone()).data;
             let mut probes = vec![Vec::new(), vec![0xFF; 40], vec![0x00]];
             for k in &sorted {
                 probes.push(k.clone());
@@ -381,9 +757,111 @@ mod tests {
         });
     }
 
+    /// One table of the builder model: its keys (sorted and deduplicated
+    /// before use), a value length per key (0 is a tombstone), and
+    /// whether the builder gets the previous table's buffers back first.
+    #[derive(Debug, Clone)]
+    struct TableCase {
+        keys: Vec<Vec<u8>>,
+        lens: Vec<u8>,
+        recycle_previous: bool,
+    }
+
+    fn table_cases(rng: &mut DeterministicRng) -> Vec<TableCase> {
+        (0..rng.between(1, 8))
+            .map(|_| {
+                let keys = table_keys(rng);
+                let lens = keys.iter().map(|_| rng.below(200) as u8).collect();
+                let recycle_previous = rng.chance(0.7);
+                TableCase {
+                    keys,
+                    lens,
+                    recycle_previous,
+                }
+            })
+            .collect()
+    }
+
+    /// The one-pass builder against the two-pass construction, table
+    /// after table through one builder whose buffers come back from the
+    /// tables it built (dirty windows and Bloom words of other sizes),
+    /// at two Bloom densities and overheads, through `push` and `adopt`.
+    #[test]
+    fn builder_matches_the_two_pass_construction() {
+        let fewer = |case: &TableCase| {
+            (case.keys.len() > 1).then(|| TableCase {
+                keys: case.keys[..case.keys.len() / 2].to_vec(),
+                ..case.clone()
+            })
+        };
+        check(0..300, table_cases, fewer, |cases| {
+            for (overhead, bloom_bits) in [(20, 10), (0, 3)] {
+                let mut builder = TableBuilder::new(overhead, bloom_bits);
+                let mut previous: Option<SstMeta> = None;
+                for (i, case) in cases.iter().enumerate() {
+                    let entries: Vec<Entry> = sorted_unique(&case.keys)
+                        .iter()
+                        .zip(&case.lens)
+                        .map(|(k, &len)| {
+                            let v = (len > 0).then(|| Payload::synthetic(u32::from(len), 7));
+                            (KeyBuf::new(k), v)
+                        })
+                        .collect();
+                    if let Some(mut table) = previous.take().filter(|_| case.recycle_previous) {
+                        builder.recycle(&mut table);
+                    }
+                    let file = FileId(i as u64);
+                    let want = two_pass(file, entries.clone(), overhead, bloom_bits);
+                    if i % 2 == 0 {
+                        entries.into_iter().for_each(|e| _ = builder.push(e));
+                    } else {
+                        builder.adopt(entries);
+                    }
+                    if builder.size_bytes() != want.size_bytes {
+                        return Err(format!("size so far {}", builder.size_bytes()));
+                    }
+                    let got = builder.finish(file).ok_or("no table")?;
+                    same_table(&got, &want)?;
+                    if !builder.is_empty() || builder.size_bytes() != 0 {
+                        return Err("builder not left empty".into());
+                    }
+                    previous = Some(got);
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn builder_reuses_recycled_buffers() {
+        let mut builder = TableBuilder::new(10, 10);
+        let entries = |n: u64| (0..n).map(|i| (KeyBuf::new(&i.to_be_bytes()), None));
+        entries(500).for_each(|e| _ = builder.push(e));
+        let mut first = builder.finish(FileId(1)).unwrap();
+        let ptrs = |t: &SstMeta| {
+            let (e, w, b) = (&t.data.entries, &t.data.windows, t.bloom.words());
+            (
+                e.as_ptr() as usize,
+                w.as_ptr() as usize,
+                b.as_ptr() as usize,
+            )
+        };
+        let before = ptrs(&first);
+        builder.recycle(&mut first);
+        assert!(first.bloom.may_contain(0), "a recycled table answers maybe");
+        entries(400).for_each(|e| _ = builder.push(e));
+        let second = builder.finish(FileId(2)).unwrap();
+        assert_eq!(
+            ptrs(&second),
+            before,
+            "the second table reuses the first's buffers"
+        );
+        assert!(builder.finish(FileId(3)).is_none(), "nothing to finish");
+    }
+
     #[test]
     fn entries_from_starts_at_the_first_key_not_below() {
-        let s = sst(&[("a", Some("1")), ("c", Some("3")), ("e", Some("5"))]);
+        let s = sst(&[("a", Some("1")), ("c", Some("3")), ("e", Some("5"))]).data;
         assert_eq!(keys(s.entries_from(b"")), vec![&b"a"[..], b"c", b"e"]);
         assert_eq!(keys(s.entries_from(b"c")), vec![&b"c"[..], b"e"]);
         assert_eq!(keys(s.entries_from(b"d")), vec![&b"e"[..]]);
@@ -392,25 +870,48 @@ mod tests {
 
     #[test]
     fn meta_covers_and_overlaps() {
-        let s = sst(&[("b", Some("1")), ("f", Some("2"))]);
-        let m = SstMeta::describe(FileId(1), &s, 100, 10);
+        let m = sst(&[("b", Some("1")), ("f", Some("2"))]);
         assert!(m.covers(b"d"));
         assert!(!m.covers(b"a"));
         assert!(m.overlaps(b"a", b"c"));
         assert!(!m.overlaps(b"g", b"z"));
-        assert_eq!(m.entries, 2);
+        assert_eq!(m.data.len(), 2);
     }
 
     #[test]
     fn bloom_rejects_absent_keys() {
-        let s = sst(&[("key1", Some("v")), ("key2", Some("v"))]);
-        let m = SstMeta::describe(FileId(1), &s, 100, 10);
+        let m = sst(&[("key1", Some("v")), ("key2", Some("v"))]);
         assert!(m.bloom.may_contain(key_hash(b"key1")));
         // Absent keys are almost always rejected.
         let rejected = (0..100)
             .filter(|i| !m.bloom.may_contain(key_hash(format!("zz{i}").as_bytes())))
             .count();
         assert!(rejected > 90);
+    }
+
+    #[test]
+    fn order_keys_order_like_keys() {
+        let sorted: [&[u8]; 8] = [
+            b"",
+            b"\0",
+            b"a",
+            b"a\0",
+            b"a\0\0",
+            b"abcdefghijklmnop",
+            b"abcdefghijklmnop\0",
+            b"abcdefghijklmnoq",
+        ];
+        for (i, a) in sorted.iter().enumerate() {
+            for b in &sorted[i + 1..] {
+                assert!(order_key(a) <= order_key(b), "{a:?} vs {b:?}");
+            }
+        }
+        assert!(order_key(b"a") < order_key(b"b"));
+        assert_eq!(
+            order_key(b"a"),
+            order_key(b"a\0"),
+            "a tie: whole keys decide"
+        );
     }
 
     #[test]
@@ -448,29 +949,42 @@ mod tests {
     #[test]
     fn merge_of_four_overlapping_runs_lets_the_earliest_run_win_ties() {
         // "k" is in r0, r1 and r3 (three-way tie), "m" in r1, r2, r3;
-        // "d": a tombstone over a value; "v": a value over a tombstone.
-        let r0 = sst(&[("d", None), ("k", Some("k0")), ("v", Some("v0"))]);
+        // "d": a tombstone over a value; "v": a value over a tombstone;
+        // "p" and "p\0" tie on their order keys.
+        let r0 = sst(&[
+            ("d", None),
+            ("k", Some("k0")),
+            ("p\0", Some("p0")),
+            ("v", Some("v0")),
+        ]);
         let r1 = sst(&[("b", Some("b1")), ("k", Some("k1")), ("m", Some("m1"))]);
-        let r2 = sst(&[("d", Some("d2")), ("m", Some("m2")), ("z", None)]);
+        let r2 = sst(&[
+            ("d", Some("d2")),
+            ("m", Some("m2")),
+            ("p", Some("p2")),
+            ("z", None),
+        ]);
         let r3 = sst(&[
             ("a", Some("a3")),
             ("k", Some("k3")),
             ("m", None),
             ("v", None),
         ]);
-        let empty = sst(&[]);
-        let runs: [&[&SstData]; 6] = [&[&r0], &[&empty], &[&r1], &[&r2], &[], &[&r3]];
+        let runs: [&[&SstMeta]; 6] = [&[&r0], &[], &[&r1], &[&r2], &[], &[&r3]];
         let kept = merge_checked(&runs, false);
         assert_eq!(
             keys(&kept),
-            vec![&b"a"[..], b"b", b"d", b"k", b"m", b"v", b"z"]
+            vec![&b"a"[..], b"b", b"d", b"k", b"m", b"p", b"p\0", b"v", b"z"]
         );
         assert_eq!(value(&kept, "k").unwrap(), b"k0");
         assert_eq!(value(&kept, "m").unwrap(), b"m1");
         assert_eq!(value(&kept, "d"), None, "tombstone over value");
         assert_eq!(value(&kept, "v").unwrap(), b"v0", "value over tombstone");
         let dropped = merge_checked(&runs, true);
-        assert_eq!(keys(&dropped), vec![&b"a"[..], b"b", b"k", b"m", b"v"]);
+        assert_eq!(
+            keys(&dropped),
+            vec![&b"a"[..], b"b", b"k", b"m", b"p", b"p\0", b"v"]
+        );
     }
 
     #[test]
@@ -481,7 +995,7 @@ mod tests {
         let d2 = sst(&[("p", Some("p-old")), ("q", Some("q-old"))]);
         let newest = sst(&[("c", None), ("g", Some("g-new")), ("q", Some("q-new"))]);
         let newer = sst(&[("c", Some("c-mid")), ("f", Some("f-mid")), ("z", Some("z"))]);
-        let runs: [&[&SstData]; 3] = [&[&newest], &[&newer], &[&d0, &d1, &d2]];
+        let runs: [&[&SstMeta]; 3] = [&[&newest], &[&newer], &[&d0, &d1, &d2]];
         let kept = merge_checked(&runs, false);
         assert_eq!(
             keys(&kept),
@@ -500,13 +1014,13 @@ mod tests {
     #[test]
     fn merge_of_nothing_is_empty() {
         assert!(merge_checked(&[], false).is_empty());
-        assert!(merge_checked(&[&[], &[&sst(&[])]], true).is_empty());
+        assert!(merge_checked(&[&[], &[]], true).is_empty());
     }
 
     #[test]
-    fn user_bytes_counts_live_data() {
+    fn size_counts_keys_live_values_and_overhead() {
         let s = sst(&[("aa", Some("xyz")), ("bb", None)]);
         // 2+3 + 2+0 user, plus 2 * overhead.
-        assert_eq!(s.user_bytes(10), 2 + 3 + 2 + 20);
+        assert_eq!(s.size_bytes, 2 + 3 + 2 + 20);
     }
 }

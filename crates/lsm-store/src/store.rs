@@ -5,11 +5,11 @@ use std::ops::Range;
 use kvssd_core::hash::key_hash;
 use kvssd_core::Payload;
 use kvssd_host_stack::{ExtFs, FileId, HostCpu, LruCache, PageCache};
-use kvssd_sim::{PrehashedMap, SimDuration, SimTime};
+use kvssd_sim::{SimDuration, SimTime};
 
 use crate::config::LsmConfig;
 use crate::memtable::Memtable;
-use crate::sst::{merge_runs, Entry, SstData, SstMeta};
+use crate::sst::{merge_runs, Entry, Run, SstMeta, TableBuilder, TableRun};
 
 /// One live entry returned by [`LsmStore::scan`]: owned key + payload.
 pub type ScanEntry = (Box<[u8]>, Payload);
@@ -55,7 +55,10 @@ pub struct LsmStore {
     memtable_bytes: u64,
     wal: FileId,
     levels: Vec<Vec<SstMeta>>,
-    tables: PrehashedMap<FileId, SstData>,
+    /// Builds every flushed and compacted table, from recycled buffers.
+    builder: TableBuilder,
+    /// A compaction's runs, newest first; empty between compactions.
+    runs: Vec<Run<TableRun>>,
     /// Completion horizon of the background flush/compaction worker.
     bg_done: SimTime,
     live_user_bytes: u64,
@@ -86,7 +89,8 @@ impl LsmStore {
             memtable: Memtable::default(),
             memtable_bytes: 0,
             levels: vec![Vec::new()],
-            tables: PrehashedMap::default(),
+            builder: TableBuilder::new(config.entry_overhead_bytes, config.bloom_bits_per_key),
+            runs: Vec::new(),
             bg_done: SimTime::ZERO,
             live_user_bytes: 0,
             live_keys: 0,
@@ -176,8 +180,7 @@ impl LsmStore {
                 if !meta.bloom.may_contain(hash) {
                     continue;
                 }
-                let file = meta.file;
-                let (done, hit) = self.probe_table(t, file, key);
+                let (done, hit) = self.probe_table(t, lvl, i, key);
                 t = done;
                 if let Some(v) = hit {
                     return (t, v);
@@ -192,34 +195,39 @@ impl LsmStore {
     /// entries). Charges a block probe per visited table.
     pub fn scan(&mut self, now: SimTime, from: &[u8], limit: usize) -> (SimTime, Vec<ScanEntry>) {
         let mut t = now;
-        let visited: Vec<FileId> = self
+        let visited: Vec<(FileId, u64)> = self
             .levels
             .iter()
             .flatten()
             .filter(|m| m.max_key.as_slice() >= from)
-            .map(|m| m.file)
+            .map(|m| (m.file, m.size_bytes))
             .collect();
-        for file in visited {
-            let size = self.fs.size_of(file).expect("live SST");
+        for (file, size) in visited {
             t = self.read_block(t, file, self.index_block(size), size);
         }
         // One run per source, newest first: the memtable, each L0 table
         // from the youngest back, then each deeper level's disjoint,
         // key-ordered files chained. The merge pulls lazily, so no
         // source is cut short of a version that shadows an older one.
-        let tables = &self.tables;
-        let tail = move |m: &SstMeta| tables[&m.file].entries_from(from).iter().cloned();
+        fn tail<'a>(m: &'a SstMeta, from: &'a [u8]) -> impl Iterator<Item = Entry> + 'a {
+            m.data.entries_from(from).iter().cloned()
+        }
         let (l0, deeper) = self.levels.split_first().expect("L0 always exists");
-        let mut runs: Vec<Box<dyn Iterator<Item = Entry> + '_>> =
-            vec![Box::new(self.memtable.sorted_from(from).into_iter())];
-        runs.extend(l0.iter().rev().map(|m| Box::new(tail(m)) as _));
+        let mut runs: Vec<Run<Box<dyn Iterator<Item = Entry> + '_>>> = vec![Run::new(Box::new(
+            self.memtable.sorted_from(from).into_iter(),
+        ))];
         runs.extend(
-            deeper
-                .iter()
-                .map(|metas| Box::new(metas.iter().flat_map(tail)) as _),
+            l0.iter()
+                .rev()
+                .map(|m| Run::new(Box::new(tail(m, from)) as _)),
+        );
+        runs.extend(
+            deeper.iter().map(|metas| {
+                Run::new(Box::new(metas.iter().flat_map(move |m| tail(m, from))) as _)
+            }),
         );
         let mut out = Vec::new();
-        for (k, v) in merge_runs(runs, false) {
+        for (k, v) in merge_runs(&mut runs, false) {
             if out.len() >= limit {
                 break;
             }
@@ -316,9 +324,8 @@ impl LsmStore {
                 if !meta.covers(key) || !meta.bloom.may_contain(hash) {
                     continue;
                 }
-                let data = &self.tables[&meta.file];
-                if let Some(idx) = data.find(key) {
-                    return data.entry(idx).1;
+                if let Some(idx) = meta.data.find(key) {
+                    return meta.data.entry(idx).1;
                 }
             }
         }
@@ -342,18 +349,18 @@ impl LsmStore {
         range
     }
 
-    /// Reads one table's index + data block for `key`, via block cache,
-    /// page cache, then device.
+    /// Reads table `i` of `lvl`'s index + data block for `key`, via
+    /// block cache, page cache, then device.
     fn probe_table(
         &mut self,
         now: SimTime,
-        file: FileId,
+        lvl: usize,
+        i: usize,
         key: &[u8],
     ) -> (SimTime, Option<Option<Payload>>) {
-        let data = &self.tables[&file];
-        let idx = data.find(key);
-        let size = self.fs.size_of(file).expect("SST exists");
-        let entries = data.len() as u64;
+        let meta = &self.levels[lvl][i];
+        let (file, size, idx) = (meta.file, meta.size_bytes, meta.data.find(key));
+        let entries = meta.data.len() as u64;
         let mut t = now;
         t = self.read_block(t, file, self.index_block(size), size);
         let Some(idx) = idx else {
@@ -363,8 +370,7 @@ impl LsmStore {
         let block_no = (idx as u64 * size / entries.max(1)) / self.config.block_bytes;
         t = self.read_block(t, file, block_no, size);
         t = self.cpu.run(t, self.config.cost_block_parse);
-        let data = &self.tables[&file];
-        let (_, v) = data.entry(idx);
+        let (_, v) = self.levels[lvl][i].data.entry(idx);
         (t, Some(v.cloned()))
     }
 
@@ -406,10 +412,11 @@ impl LsmStore {
             return;
         }
         self.stats.flushes += 1;
-        let data = SstData::from_sorted(self.memtable.take_sorted());
+        let next = self.builder.spare_entries(self.memtable.capacity());
+        self.builder.adopt(self.memtable.take_sorted(next));
         self.memtable_bytes = 0;
         let start = self.bg_done.max(now);
-        let t = self.write_sst_chain(start, vec![data], 0, true);
+        let t = self.write_table(start, 0, true);
         // WAL writeback + recycle.
         let t = self
             .fs
@@ -437,7 +444,7 @@ impl LsmStore {
             mix(level as u64);
             mix(metas.len() as u64);
             for m in metas {
-                mix(m.entries);
+                mix(m.data.len() as u64);
                 mix(m.size_bytes);
                 mix(digest64(&m.min_key));
                 mix(digest64(&m.max_key));
@@ -447,49 +454,33 @@ impl LsmStore {
         self.layout_fold = fold;
     }
 
-    /// Writes SST runs to `level`, returning the completion time.
-    fn write_sst_chain(
-        &mut self,
-        start: SimTime,
-        runs: Vec<SstData>,
-        level: usize,
-        is_flush: bool,
-    ) -> SimTime {
-        let mut t = start;
-        while self.levels.len() <= level {
-            self.levels.push(Vec::new());
+    /// Writes the builder's table (not empty) to `level` (which exists),
+    /// returning the completion time: merge CPU for its entries, then
+    /// create, append and fsync.
+    fn write_table(&mut self, start: SimTime, level: usize, is_flush: bool) -> SimTime {
+        let size = self.builder.size_bytes();
+        let cpu_work = self.config.cost_merge_entry * self.builder.len() as u64;
+        let t = self.bg_cpu.run(start, cpu_work);
+        let (t, file) = self.fs.create(t, &mut self.bg_cpu);
+        let t = self
+            .fs
+            .append(t, &mut self.bg_cpu, &mut self.page_cache, file, size)
+            .expect("SST write");
+        let t = self.fs.fsync(t, &mut self.bg_cpu, file).expect("SST fsync");
+        if is_flush {
+            self.stats.bytes_flushed += size;
+        } else {
+            self.stats.bytes_compacted += size;
         }
-        for data in runs {
-            if data.is_empty() {
-                continue;
-            }
-            let size = data.user_bytes(self.config.entry_overhead_bytes);
-            let cpu_work = self.config.cost_merge_entry * data.len() as u64;
-            t = self.bg_cpu.run(t, cpu_work);
-            let (t2, file) = self.fs.create(t, &mut self.bg_cpu);
-            let t3 = self
-                .fs
-                .append(t2, &mut self.bg_cpu, &mut self.page_cache, file, size)
-                .expect("SST write");
-            t = self
-                .fs
-                .fsync(t3, &mut self.bg_cpu, file)
-                .expect("SST fsync");
-            if is_flush {
-                self.stats.bytes_flushed += size;
-            } else {
-                self.stats.bytes_compacted += size;
-            }
-            let meta = SstMeta::describe(file, &data, size, self.config.bloom_bits_per_key);
-            self.tables.insert(file, data);
-            if level == 0 {
-                self.levels[0].push(meta);
-            } else {
-                let pos = self.levels[level]
-                    .binary_search_by(|m| m.min_key.cmp(&meta.min_key))
-                    .unwrap_or_else(|e| e);
-                self.levels[level].insert(pos, meta);
-            }
+        let meta = self.builder.finish(file).expect("a table to write");
+        let metas = &mut self.levels[level];
+        if level == 0 {
+            metas.push(meta);
+        } else {
+            let pos = metas
+                .binary_search_by(|m| m.min_key.cmp(&meta.min_key))
+                .unwrap_or_else(|e| e);
+            metas.insert(pos, meta);
         }
         t
     }
@@ -530,90 +521,113 @@ impl LsmStore {
     }
 
     fn compact_l0(&mut self) {
-        let l0: Vec<SstMeta> = std::mem::take(&mut self.levels[0]);
         if self.levels.len() < 2 {
             self.levels.push(Vec::new());
         }
+        let [l0, l1, ..] = self.levels.as_mut_slice() else {
+            return;
+        };
         let lo = l0.iter().map(|m| &m.min_key).min().expect("L0 files");
         let hi = l0.iter().map(|m| &m.max_key).max().expect("L0 files");
-        let l1_in = self.take_overlapping(1, lo, hi);
-        self.merge_into(l0, l1_in, 1);
+        let dest = Self::take_overlapping(l1, lo, hi, self.builder.spare_list());
+        // Newest first: each L0 file its own run, then L1's chain.
+        for meta in l0.drain(..).rev() {
+            let mut list = self.builder.spare_list();
+            list.push(meta);
+            self.runs.push(Run::new(TableRun::new(list)));
+        }
+        self.runs.push(Run::new(TableRun::new(dest)));
+        self.merge_into(1);
     }
 
     fn compact_level(&mut self, level: usize) {
-        let src = self.levels[level].remove(0);
         while self.levels.len() <= level + 1 {
             self.levels.push(Vec::new());
         }
-        let next_in = self.take_overlapping(level + 1, &src.min_key, &src.max_key);
-        self.merge_into(vec![src], next_in, level + 1);
+        let [src, next, ..] = &mut self.levels[level..] else {
+            return;
+        };
+        let mut upper = self.builder.spare_list();
+        upper.push(src.remove(0));
+        let (lo, hi) = (&upper[0].min_key, &upper[0].max_key);
+        let dest = Self::take_overlapping(next, lo, hi, self.builder.spare_list());
+        self.runs.push(Run::new(TableRun::new(upper)));
+        self.runs.push(Run::new(TableRun::new(dest)));
+        self.merge_into(level + 1);
     }
 
-    /// Removes and returns the files of `level` overlapping `[lo, hi]`,
-    /// in key order.
-    fn take_overlapping(&mut self, level: usize, lo: &[u8], hi: &[u8]) -> Vec<SstMeta> {
-        let (taken, kept) = std::mem::take(&mut self.levels[level])
-            .into_iter()
-            .partition(|m| m.overlaps(lo, hi));
-        self.levels[level] = kept;
-        taken
+    /// Moves the files of `level` (a deeper level: disjoint and
+    /// key-ordered) that overlap `[lo, hi]` into `into`, in key order.
+    /// They are one contiguous range of the level.
+    fn take_overlapping(
+        level: &mut Vec<SstMeta>,
+        lo: &[u8],
+        hi: &[u8],
+        mut into: Vec<SstMeta>,
+    ) -> Vec<SstMeta> {
+        let start = level.partition_point(|m| m.max_key.as_slice() < lo);
+        let end = level.partition_point(|m| m.min_key.as_slice() <= hi);
+        debug_assert!(
+            (level.iter().enumerate())
+                .all(|(i, m)| m.overlaps(lo, hi) == (start..end).contains(&i)),
+            "the overlapping files are not one range"
+        );
+        into.extend(level.drain(start..end.max(start)));
+        into
     }
 
-    /// Merges `upper` (oldest first, each file its own run) with `dest`
-    /// (the output level's overlapping files: disjoint and key-ordered,
-    /// so one chained run) into `out_level`, charging reads of every
-    /// input, CPU merge work, writes of the outputs, and deleting
-    /// (TRIM-ing) the inputs — which is why the merge may consume them.
-    fn merge_into(&mut self, upper: Vec<SstMeta>, dest: Vec<SstMeta>, out_level: usize) {
+    /// Merges `self.runs` — the upper files newest first, each its own
+    /// run, then the output level's overlapping files as one chained run
+    /// — into `out_level`: charges reads of every input, then merge CPU
+    /// and writes of each target-sized output as the merge fills it,
+    /// then deletes (TRIMs) the inputs, which is why the merge may
+    /// consume them. An input's buffers go to the outputs once the merge
+    /// has read it.
+    fn merge_into(&mut self, out_level: usize) {
+        let mut runs = std::mem::take(&mut self.runs);
         let mut t = self.bg_done;
         // Read every input through the fs (sequential, page-cache aware),
         // newest first.
-        for m in upper.iter().rev().chain(&dest) {
-            let size = self.fs.size_of(m.file).expect("input exists");
+        for m in runs.iter().flat_map(|run| run.source().tables()) {
+            let (file, size) = (m.file, m.size_bytes);
             if size > 0 {
                 t = self
                     .fs
-                    .read(t, &mut self.bg_cpu, &mut self.page_cache, m.file, 0, size)
+                    .read(t, &mut self.bg_cpu, &mut self.page_cache, file, 0, size)
                     .expect("compaction input read");
             }
         }
-        let mut take = |m: &SstMeta| self.tables.remove(&m.file).expect("input table");
-        let mut runs: Vec<Vec<SstData>> = upper.iter().rev().map(|m| vec![take(m)]).collect();
-        runs.push(dest.iter().map(take).collect());
-        let runs = runs
-            .into_iter()
-            .map(|chain| chain.into_iter().flat_map(SstData::into_entries))
-            .collect();
         // Tombstones drop when merging into the bottom-most populated level.
         let bottom = (out_level + 1..self.levels.len()).all(|l| self.levels[l].is_empty());
-        // Split into target-sized output files.
-        let mut outputs = Vec::new();
-        let mut cur: Vec<Entry> = Vec::new();
-        let mut cur_bytes = 0u64;
-        for (k, v) in merge_runs(runs, bottom) {
-            cur_bytes += k.len() as u64
-                + v.as_ref().map_or(0, Payload::len)
-                + self.config.entry_overhead_bytes;
-            cur.push((k, v));
-            if cur_bytes >= self.config.sst_target_bytes {
-                let next = Vec::with_capacity(cur.len());
-                outputs.push(SstData::from_sorted(std::mem::replace(&mut cur, next)));
-                cur_bytes = 0;
+        let mut merge = merge_runs(&mut runs, bottom);
+        while let Some(entry) = merge.next() {
+            if self.builder.is_empty() {
+                for run in merge.runs_mut() {
+                    run.source_mut().recycle_spent(&mut self.builder);
+                }
+            }
+            if self.builder.push(entry) >= self.config.sst_target_bytes {
+                t = self.write_table(t, out_level, false);
             }
         }
-        if !cur.is_empty() {
-            outputs.push(SstData::from_sorted(cur));
+        if !self.builder.is_empty() {
+            t = self.write_table(t, out_level, false);
         }
-        self.bg_done = t;
-        let mut t = self.write_sst_chain(t, outputs, out_level, false);
-        // Delete the inputs (whole-file TRIM on the device).
-        for m in upper.iter().chain(&dest) {
+        // Delete the inputs (whole-file TRIM on the device): the upper
+        // files oldest first, then the output level's.
+        let (dest, upper) = runs.split_last().expect("a compaction has runs");
+        let inputs = upper.iter().rev().chain([dest]);
+        for m in inputs.flat_map(|run| run.source().tables()) {
             t = self
                 .fs
                 .delete(t, &mut self.bg_cpu, &mut self.page_cache, m.file)
                 .expect("compaction input delete");
             self.block_cache.invalidate_file(m.file.0);
         }
+        for run in runs.drain(..) {
+            self.builder.recycle_list(run.into_source().into_tables());
+        }
+        self.runs = runs;
         self.bg_done = t;
     }
 }

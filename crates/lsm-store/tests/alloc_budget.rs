@@ -130,12 +130,16 @@ fn lsm_store_host_paths_stay_off_the_heap() {
         "the measured updates must flush and compact: {flushed} / {compacted}"
     );
     assert_eq!(quiet, 0, "an update that does not flush must not allocate");
-    // Measured: 8 368 (418 per 1 000 updates), all of them in flushes
-    // and compactions; the tiny config flushes every ~280 updates.
+    // Measured: 34 (1.7 per 1 000 updates), all of them in flushes and
+    // compactions, which take their buffers from the tables compaction
+    // consumed: where a compaction needs more than its bounded spare
+    // lists hold, and the level and cache vectors' growth steps. Before
+    // the buffers were recycled: 8 368. The tiny config flushes every
+    // ~280 updates.
     assert!(
-        total * 1_000 <= 425 * OPS,
+        total * 1_000 <= 3 * OPS,
         "{total} allocations in {OPS} updates with {flushed} flushes and {compacted} \
-         compactions (budget: 425 per 1 000)"
+         compactions (budget: 3 per 1 000)"
     );
 
     // Uniform reads over 1.1x the keys: memtable hits, table hits and
