@@ -43,6 +43,9 @@ pub struct SstData {
 
 /// The first 8 bytes of `rest`, big-endian, zero-padded.
 fn window(rest: &[u8]) -> u64 {
+    if let Some(head) = rest.first_chunk() {
+        return u64::from_be_bytes(*head);
+    }
     let mut bytes = [0u8; 8];
     for (b, &k) in bytes.iter_mut().zip(rest) {
         *b = k;
@@ -177,7 +180,7 @@ fn encoded_bytes((key, value): &Entry, overhead: u64) -> u64 {
 /// them into a table. Compaction hands the buffers of every table it
 /// consumed back through [`Self::recycle`].
 #[derive(Debug)]
-pub struct TableBuilder {
+pub(crate) struct TableBuilder {
     overhead: u64,
     bloom_bits: u32,
     /// The table being built.
@@ -342,7 +345,7 @@ impl TableBuilder {
 /// out and hands each table's entry buffer back to the table once it is
 /// spent, for [`Self::recycle_spent`].
 #[derive(Debug)]
-pub struct TableRun {
+pub(crate) struct TableRun {
     tables: Vec<SstMeta>,
     /// Tables loaded so far; the last of them is being read.
     next: usize,
@@ -402,6 +405,9 @@ impl Iterator for TableRun {
 /// A key's first 16 bytes, big-endian, zero-padded: a smaller order key
 /// means a smaller key, so a merge compares whole keys only on a tie.
 fn order_key(key: &[u8]) -> u128 {
+    if let Some(head) = key.first_chunk() {
+        return u128::from_be_bytes(*head);
+    }
     let mut bytes = [0u8; 16];
     for (b, &k) in bytes.iter_mut().zip(key) {
         *b = k;
