@@ -111,7 +111,10 @@ impl BlockTable {
         let refs = self.refs.get_mut(b.0 as usize)?;
         if refs.capacity() == 0 {
             let longest = self.longest_refs;
-            *refs = (self.spare_refs.pop()).unwrap_or_else(|| Vec::with_capacity(longest));
+            *refs = self
+                .spare_refs
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(longest));
         }
         Some(b)
     }

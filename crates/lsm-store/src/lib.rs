@@ -19,8 +19,9 @@
 //! Functional state (which key maps to which value) is exact; I/O and
 //! CPU time flow through `kvssd-host-stack` onto the shared block-SSD.
 //!
-//! The host side is built so an op does little work and, outside
-//! flushes and compactions, allocates nothing: the memtable is a
+//! The host side is built so an op does little work and allocates
+//! nothing (flushes and compactions take their buffers from the tables
+//! compaction consumed): the memtable is a
 //! hash-indexed arrival-order vector that a flush sorts once, a put
 //! learns the version it replaces from its one memtable probe (and
 //! walks the levels only on a miss, to keep live-byte accounting exact),

@@ -15,10 +15,10 @@
 //! merge orders run heads the same way, by their first 16 key bytes.
 //!
 //! Flushes and compactions build every table through one
-//! [`TableBuilder`]: it sums the table's size and hashes each key as the
+//! `TableBuilder`: it sums the table's size and hashes each key as the
 //! entry arrives, and fills the windows and the Bloom filter once, when
 //! the table is finished. Its buffers are those of the tables compaction
-//! consumed, so a store at steady state allocates none.
+//! consumed, so a store at steady state seldom allocates.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -92,11 +92,6 @@ impl SstData {
     pub fn entry(&self, idx: usize) -> (&[u8], Option<&Payload>) {
         let (k, v) = &self.entries[idx];
         (k, v.as_ref())
-    }
-
-    /// All entries, in key order.
-    pub fn entries(&self) -> &[Entry] {
-        &self.entries
     }
 
     /// The entries with keys `>= from`, in key order.
