@@ -230,6 +230,32 @@ mod tests {
         assert!(at(49 * 1024) < at(48 * 1024) * 0.85);
     }
 
+    /// Every prediction over a grid of key lengths, value lengths and
+    /// populations, folded bit for bit. Pinned so a change to where the
+    /// model reads its constants from cannot move a prediction.
+    const PREDICTION_HISTORY: u64 = 0xD881_7570_96F2_F233;
+
+    #[test]
+    fn predictions_match_pinned_history() {
+        use kvssd_sim::mix64;
+        let m = model();
+        let mut fold = 0u64;
+        let mut mix = |v: u64| fold = mix64(fold ^ v);
+        for entries in [1, 1_000, 90_000, 500_000, 3_000_000] {
+            mix(m.index_resident_fraction(entries).to_bits());
+            mix(u64::from(m.merge_depth(entries)));
+            for key_len in [4, 16, 20, 255] {
+                for value_len in [0, 128, 4096, 24 * 1024, 25 * 1024, 100_000, 2 << 20] {
+                    mix(m.store_latency_us(key_len, value_len, entries).to_bits());
+                    mix(m.retrieve_latency_us(key_len, value_len, entries).to_bits());
+                    mix(m.write_bandwidth_mbps(key_len, value_len).to_bits());
+                    mix(m.write_degradation(key_len, value_len, entries).to_bits());
+                }
+            }
+        }
+        assert_eq!(fold, PREDICTION_HISTORY, "{fold:#X}");
+    }
+
     #[test]
     fn second_nvme_command_halves_small_value_throughput() {
         let m = model();
