@@ -11,10 +11,13 @@ use kvssd_flash::{
     foreground_reclaim, BlockId, BlockPool, FlashDevice, FlashTiming, Geometry, PageAddr,
     ProgramResult, ReadCache, Reclaim, Undrainable, WriteBuffer,
 };
-use kvssd_nvme::NvmeLink;
+use kvssd_nvme::{NvmeConfig, NvmeLink};
 use kvssd_sim::{SimDuration, SimTime};
 
-use crate::config::BlockFtlConfig;
+use crate::config::{
+    clusters_per_page, BlockFtlConfig, CLUSTER_BYTES, COALESCE_HOLD, GC_COPIES_PER_WRITE, MAP_OP,
+    OVERPROVISION_PCT, PARTIAL_FLUSH_TIMEOUT, PER_CMD_FIRMWARE, SECTOR_BYTES,
+};
 use crate::mapping::{MappingTable, PhysLoc};
 
 /// Host-visible I/O errors (contract violations by the host).
@@ -197,11 +200,11 @@ impl BlockSsd {
             .gc_hard_free_blocks
             .min((blocks / 16).max(1))
             .min(config.gc_soft_free_blocks - 1);
-        let cpp = config.clusters_per_page(g.page_bytes);
+        let cpp = clusters_per_page(g.page_bytes);
         let total_clusters = g.total_blocks() as u64 * g.pages_per_block as u64 * cpp as u64;
-        let logical_clusters = total_clusters * (100 - config.overprovision_pct as u64) / 100;
+        let logical_clusters = total_clusters * (100 - OVERPROVISION_PCT) / 100;
         let map = MappingTable::new(logical_clusters, &g, cpp);
-        let cluster = config.cluster_bytes as u64;
+        let cluster = CLUSTER_BYTES;
         BlockSsd {
             config,
             // Foreground GC asks for a cluster's gain, background GC a
@@ -217,7 +220,7 @@ impl BlockSsd {
             logical_clusters,
             map,
             flash,
-            link: NvmeLink::new(config.nvme),
+            link: NvmeLink::new(NvmeConfig::pm983_like()),
             stats: BlockSsdStats::default(),
             #[cfg(test)]
             victim_trace: 0,
@@ -226,7 +229,7 @@ impl BlockSsd {
 
     /// Logical capacity in bytes (physical minus over-provisioning).
     pub fn capacity_bytes(&self) -> u64 {
-        self.logical_clusters * self.config.cluster_bytes as u64
+        self.logical_clusters * CLUSTER_BYTES
     }
 
     /// Device counters.
@@ -253,7 +256,7 @@ impl BlockSsd {
     pub fn read(&mut self, now: SimTime, offset: u64, len: u64) -> Result<SimTime, BlockIoError> {
         self.check_range(offset, len)?;
         let t = self.link.submit(now, 1, 0);
-        let t = t + self.config.per_cmd_firmware;
+        let t = t + PER_CMD_FIRMWARE;
         let mut finish = t;
         for (lcn, _, _) in self.clusters_of(offset, len) {
             let done = self.read_cluster(t, lcn);
@@ -270,7 +273,7 @@ impl BlockSsd {
     pub fn write(&mut self, now: SimTime, offset: u64, len: u64) -> Result<SimTime, BlockIoError> {
         self.check_range(offset, len)?;
         let t = self.link.submit(now, 1, len);
-        let mut t = t + self.config.per_cmd_firmware;
+        let mut t = t + PER_CMD_FIRMWARE;
         // Timer-driven flush: stale partial pages from *any* stream are
         // programmed out (a real FTL's flush timer; here piggybacked on
         // host activity so an idle stream cannot hold a unit hostage).
@@ -291,11 +294,9 @@ impl BlockSsd {
         // consume many clusters at once, so the background effort scales
         // with the write size.
         if self.free_blocks() < self.config.gc_soft_free_blocks {
-            let cpp = self
-                .config
-                .clusters_per_page(self.flash.geometry().page_bytes);
+            let cpp = clusters_per_page(self.flash.geometry().page_bytes);
             for _ in 0..(1 + clusters / cpp as usize) {
-                for _ in 0..self.config.gc_copies_per_write {
+                for _ in 0..GC_COPIES_PER_WRITE {
                     if !self.gc_copy_one(t, cpp) {
                         break;
                     }
@@ -314,12 +315,12 @@ impl BlockSsd {
         let t = self.link.submit(now, 1, 0);
         let mut ops = 0u64;
         for (lcn, off_in, bytes) in self.clusters_of(offset, len) {
-            if off_in == 0 && bytes == self.config.cluster_bytes as u64 {
+            if off_in == 0 && bytes == CLUSTER_BYTES {
                 self.unmap(lcn);
                 ops += 1;
             }
         }
-        let t = t + self.config.map_op * ops.max(1);
+        let t = t + MAP_OP * ops.max(1);
         Ok(self.link.complete(t, 0))
     }
 
@@ -344,7 +345,7 @@ impl BlockSsd {
 
     /// Unmaps `lcn`; the block it lived in loses a cluster of valid data.
     fn unmap(&mut self, lcn: u32) {
-        let cluster = self.config.cluster_bytes as u64;
+        let cluster = CLUSTER_BYTES;
         if let Some(old) = self.map.invalidate(lcn) {
             self.pool.dec_valid(old.block, cluster, &self.flash);
         }
@@ -354,7 +355,7 @@ impl BlockSsd {
         if len == 0 {
             return Err(BlockIoError::ZeroLength);
         }
-        let s = self.config.sector_bytes as u64;
+        let s = SECTOR_BYTES;
         if !offset.is_multiple_of(s) || !len.is_multiple_of(s) {
             return Err(BlockIoError::Unaligned { offset, len });
         }
@@ -372,7 +373,7 @@ impl BlockSsd {
     /// `u32` cast is exact: `MappingTable::new` refuses a device with
     /// more logical clusters than a `u32` holds.
     fn clusters_of(&self, offset: u64, len: u64) -> impl Iterator<Item = (u32, u64, u64)> {
-        let cb = self.config.cluster_bytes as u64;
+        let cb = CLUSTER_BYTES;
         let first = offset / cb;
         let last = (offset + len - 1) / cb;
         (first..=last).map(move |c| {
@@ -383,7 +384,7 @@ impl BlockSsd {
     }
 
     fn is_sequential(&self, offset: u64) -> bool {
-        let cb = self.config.cluster_bytes as u64;
+        let cb = CLUSTER_BYTES;
         // Sequential = byte-contiguous (or nearly so) with the previous
         // write. Random writes of any size go through the reorganizing
         // random stream — the "block-SSD FTL ... hold[s] data in buffer
@@ -395,7 +396,7 @@ impl BlockSsd {
     }
 
     fn read_cluster(&mut self, t: SimTime, lcn: u32) -> SimTime {
-        let t = t + self.config.map_op;
+        let t = t + MAP_OP;
         self.buffer.drain(t);
         // Volatile write-buffer hit: data not yet drained to flash.
         if self.buffer.is_resident(lcn) {
@@ -419,7 +420,7 @@ impl BlockSsd {
         };
         let read = self
             .read_cache
-            .read(&mut self.flash, t, addr, self.config.cluster_bytes as u64)
+            .read(&mut self.flash, t, addr, CLUSTER_BYTES)
             .expect("FTL mapped cluster must be readable");
         read.unwrap_or_else(|| {
             self.stats.read_buffer_hits += 1;
@@ -428,11 +429,9 @@ impl BlockSsd {
     }
 
     fn write_cluster(&mut self, t: SimTime, lcn: u32, bytes: u64, sequential: bool) -> SimTime {
-        let mut t = t + self.config.map_op;
+        let mut t = t + MAP_OP;
         // Sub-cluster writes of mapped data pay a read-modify-write.
-        if bytes < self.config.cluster_bytes as u64
-            && self.map.lookup(lcn).is_some()
-            && !self.buffer.is_resident(lcn)
+        if bytes < CLUSTER_BYTES && self.map.lookup(lcn).is_some() && !self.buffer.is_resident(lcn)
         {
             self.stats.rmw_reads += 1;
             t = self.read_cluster(t, lcn);
@@ -473,9 +472,7 @@ impl BlockSsd {
 
     fn admit(&mut self, now: SimTime, lcn: u32, which: WhichStream) {
         self.ensure_stream_open(now, which);
-        let cpp = self
-            .config
-            .clusters_per_page(self.flash.geometry().page_bytes) as usize;
+        let cpp = clusters_per_page(self.flash.geometry().page_bytes) as usize;
         let stream = &mut self.streams[which as usize];
         let target_pending = match which {
             WhichStream::Seq => cpp * stream.blocks.len().max(1),
@@ -494,7 +491,7 @@ impl BlockSsd {
             slot: (idx % cpp) as u32,
         };
         stream.pending.push((lcn, now));
-        let cluster = self.config.cluster_bytes as u64;
+        let cluster = CLUSTER_BYTES;
         if let Some(old) = self.map.update(lcn, loc) {
             self.pool.dec_valid(old.block, cluster, &self.flash);
         }
@@ -503,7 +500,7 @@ impl BlockSsd {
         self.buffer.hold(lcn);
         let full = stream.pending.len() >= target_pending;
         let first = stream.first_arrival;
-        let timed_out = now.saturating_since(first) >= self.config.partial_flush_timeout;
+        let timed_out = now.saturating_since(first) >= PARTIAL_FLUSH_TIMEOUT;
         if full || timed_out {
             self.program_stream(now, which);
         }
@@ -516,7 +513,7 @@ impl BlockSsd {
     fn unit_target(&self, which: WhichStream) -> usize {
         let g = self.flash.geometry();
         let budget_blocks =
-            (g.total_blocks() as usize * self.config.overprovision_pct as usize / 100 / 4).max(1);
+            (g.total_blocks() as usize * OVERPROVISION_PCT as usize / 100 / 4).max(1);
         match which {
             WhichStream::Seq => (g.dies() as usize).min((budget_blocks / 2).max(1)),
             // Random data is held and reorganized before programming;
@@ -620,7 +617,7 @@ impl BlockSsd {
         for which in WhichStream::ALL {
             let s = &self.streams[which as usize];
             if !s.pending.is_empty()
-                && now.saturating_since(s.first_arrival) >= self.config.partial_flush_timeout
+                && now.saturating_since(s.first_arrival) >= PARTIAL_FLUSH_TIMEOUT
             {
                 self.program_stream(now, which);
             }
@@ -635,7 +632,7 @@ impl BlockSsd {
     /// stream holds a sibling-plane pair).
     fn program_stream(&mut self, now: SimTime, which: WhichStream) -> Option<SimTime> {
         let page_bytes = self.flash.geometry().page_bytes;
-        let cpp = self.config.clusters_per_page(page_bytes) as usize;
+        let cpp = clusters_per_page(page_bytes) as usize;
         let s = &mut self.streams[which as usize];
         let n = s.pending.len();
         if n == 0 {
@@ -651,7 +648,7 @@ impl BlockSsd {
         let next_page = s.next_page;
         s.next_page += 1;
         let start = match which {
-            WhichStream::Rand => now.max(s.first_arrival + self.config.coalesce_hold),
+            WhichStream::Rand => now.max(s.first_arrival + COALESCE_HOLD),
             WhichStream::Seq | WhichStream::Gc => now,
         };
         let page_bytes = page_bytes as u64;
@@ -868,7 +865,7 @@ impl BlockSsd {
                 };
                 let _ = self
                     .flash
-                    .read_page(now, addr, self.config.cluster_bytes as u64)
+                    .read_page(now, addr, CLUSTER_BYTES)
                     .expect("GC read of live cluster");
                 self.admit(now, lcn, WhichStream::Gc);
                 self.stats.gc_copied_clusters += 1;
@@ -900,7 +897,7 @@ impl BlockSsd {
     /// a block whose erase would gain at least `min_gain` clusters —
     /// copying fully valid blocks around is pure write amplification.
     fn select_victim(&mut self, _now: SimTime, min_gain: u32) -> Option<BlockId> {
-        let gain = min_gain as u64 * self.config.cluster_bytes as u64;
+        let gain = min_gain as u64 * CLUSTER_BYTES;
         let picked = self.pool.select_victim(gain, &self.flash);
         #[cfg(test)]
         {
@@ -1285,7 +1282,7 @@ mod tests {
                 10..=12 => d.read(t, c * cb, cb).unwrap(),
                 13 => d.read(t, c * cb, 8 * cb).unwrap(),
                 14 => d.flush(t),
-                _ => t + d.config.partial_flush_timeout * 2,
+                _ => t + PARTIAL_FLUSH_TIMEOUT * 2,
             };
         }
         (d, t)

@@ -5,7 +5,7 @@
 //! collection needs. Valid-data counts are the shared block pool's: every
 //! change of a cluster's location returns the slot it left. The whole
 //! structure models the FTL's DRAM-resident tables; its *timing* cost is
-//! charged by the device (`BlockFtlConfig::map_op`), its *behavior* is
+//! charged by the device (`config::MAP_OP`), its *behavior* is
 //! exact.
 //!
 //! Layout: two flat `u32` arrays at a real FTL's density, 4 B per cluster

@@ -68,7 +68,7 @@ use kvssd_sim::{
     SimDuration, SimTime,
 };
 
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, VNODES_PER_SHARD};
 use crate::ring::{HashRing, RingDelta};
 use crate::transport::{
     InProcess, ReadFanout, Transport, TransportStats, REQUEST_CAPSULE_BYTES, RESPONSE_CAPSULE_BYTES,
@@ -320,7 +320,7 @@ impl KvCluster {
             );
         }
         let ids: Vec<usize> = (0..config.shards).collect();
-        let ring = HashRing::new(config.seed, config.vnodes_per_shard, &ids);
+        let ring = HashRing::new(config.seed, VNODES_PER_SHARD, &ids);
         let shards = ids
             .iter()
             .map(|&id| Shard::new(id, make_device(id), &config))
@@ -1137,7 +1137,6 @@ impl KvCluster {
                 stall_time,
                 write_buffer_hits,
                 replaced_after_failure,
-                merges,
             } = s.device.stats();
             d.stores += stores;
             d.retrieves += retrieves;
@@ -1153,7 +1152,6 @@ impl KvCluster {
             d.stall_time += stall_time;
             d.write_buffer_hits += write_buffer_hits;
             d.replaced_after_failure += replaced_after_failure;
-            d.merges += merges;
             st.sq_full_stalls += s.sq.stats().full_stalls;
             st.sq_stall_time += s.sq.stats().stall_time;
         }
@@ -1191,7 +1189,7 @@ impl KvCluster {
         lines.push(format!(
             "cluster shards={} vnodes={} seed={}",
             self.shards.len(),
-            self.config.vnodes_per_shard,
+            VNODES_PER_SHARD,
             self.config.seed
         ));
         // Only rendered when replication is on, so R = 1 reports stay

@@ -5,14 +5,15 @@ use kvssd_sim::SimDuration;
 
 use crate::transport::ReadFanout;
 
+/// Virtual nodes per shard on the hash ring. More vnodes flatten the
+/// per-shard key-share spread at the cost of a bigger ring.
+pub const VNODES_PER_SHARD: usize = 64;
+
 /// How a [`crate::KvCluster`] routes, queues, and measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Initial shard (device) count.
     pub shards: usize,
-    /// Virtual nodes per shard on the hash ring. More vnodes flatten the
-    /// per-shard key-share spread at the cost of a bigger ring.
-    pub vnodes_per_shard: usize,
     /// Seed for ring point placement (deterministic from the workload
     /// seed so runs are reproducible end to end).
     pub seed: u64,
@@ -126,7 +127,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             shards: 1,
-            vnodes_per_shard: 64,
             seed: 0,
             sq: SqConfig::passthrough(),
             replication_factor: 1,

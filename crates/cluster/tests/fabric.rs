@@ -732,14 +732,22 @@ fn lossy_repair_scenario(seed: u64, lean: bool) -> String {
     }
     let st = c.stats();
     let ts = st.transport;
+    // The device counters, then the index merges, which the device
+    // counters carried a copy of when these digests were pinned.
+    let devices = format!("{:?}", st.devices);
+    let devices = devices.strip_suffix(" }").expect("a struct's Debug form");
+    let merges: u64 = c
+        .shards()
+        .iter()
+        .map(|s| s.device().index_stats().merges)
+        .sum();
     out.push_str(&format!(
-        "ok={ok} unavailable={unavailable} len={} quiesce={:?}\n{:?}\n\
+        "ok={ok} unavailable={unavailable} len={} quiesce={:?}\n{devices}, merges: {merges} }}\n\
          sq_stalls={} sq_stall={:?} rebalanced={}/{} spares={} retries={} rescued={} \
          write_spares={} dup={}\n\
          wire req={} resp={} dropped={} partition_drops={} dup={} stalls={} bytes={}\n{}",
         c.len(),
         c.quiesce_time(),
-        st.devices,
         st.sq_full_stalls,
         st.sq_stall_time,
         st.rebalanced_keys,

@@ -9,7 +9,7 @@
 //! beyond that, to the fine alignment (64 B) — the exact rule behind the
 //! paper's Fig. 7 space-amplification curve.
 
-use crate::config::KvConfig;
+use crate::config::{KvConfig, META_BYTES, SEG_HEADER_BYTES};
 use crate::inline_vec::InlineVec;
 
 /// Per-segment byte counts. Inline up to two segments: the layout is
@@ -33,7 +33,7 @@ impl BlobLayout {
     /// `value_len`-byte value under `config`.
     pub fn plan(config: &KvConfig, key_len: usize, value_len: u64) -> Self {
         let budget = config.page_payload_bytes as u64;
-        let first_overhead = config.meta_bytes as u64 + key_len as u64;
+        let first_overhead = META_BYTES as u64 + key_len as u64;
         let raw_total = first_overhead + value_len;
         let user_bytes = key_len as u64 + value_len;
         if raw_total <= budget {
@@ -56,10 +56,10 @@ impl BlobLayout {
         let first_value = budget - first_overhead;
         segment_raw.push(budget as u32);
         remaining -= first_value;
-        let cont_capacity = budget - config.seg_header_bytes as u64;
+        let cont_capacity = budget - SEG_HEADER_BYTES as u64;
         while remaining > 0 {
             let take = remaining.min(cont_capacity);
-            segment_raw.push((take + config.seg_header_bytes as u64) as u32);
+            segment_raw.push((take + SEG_HEADER_BYTES as u64) as u32);
             remaining -= take;
         }
         let mut segment_alloc = SegBytes::new();
@@ -107,6 +107,7 @@ impl BlobLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VALUE_MAX;
 
     fn cfg() -> KvConfig {
         KvConfig::pm983_scaled()
@@ -166,7 +167,7 @@ mod tests {
     fn segment_count_steps_at_payload_multiples() {
         let c = cfg();
         let b = c.page_payload_bytes as u64;
-        let one = BlobLayout::plan(&c, 16, b - c.meta_bytes as u64 - 16);
+        let one = BlobLayout::plan(&c, 16, b - META_BYTES as u64 - 16);
         assert_eq!(one.segments(), 1);
         let two = BlobLayout::plan(&c, 16, b);
         assert_eq!(two.segments(), 2);
@@ -177,20 +178,20 @@ mod tests {
     #[test]
     fn max_value_splits_into_bounded_segments() {
         let c = cfg();
-        let l = BlobLayout::plan(&c, 255, c.value_max);
+        let l = BlobLayout::plan(&c, 255, VALUE_MAX);
         // 2 MiB / ~24.5 KiB ≈ 86 segments.
         assert!(l.segments() > 80 && l.segments() < 90, "{}", l.segments());
         // Conservation: raw segments carry all the value bytes once.
         let raw: u64 = l.segment_raw.iter().map(|&r| r as u64).sum();
         let overhead =
-            c.meta_bytes as u64 + 255 + (l.segments() as u64 - 1) * c.seg_header_bytes as u64;
-        assert_eq!(raw, c.value_max + overhead);
+            META_BYTES as u64 + 255 + (l.segments() as u64 - 1) * SEG_HEADER_BYTES as u64;
+        assert_eq!(raw, VALUE_MAX + overhead);
     }
 
     #[test]
     fn no_segment_exceeds_page_payload() {
         let c = cfg();
-        for v in [0u64, 100, 25_000, 100_000, c.value_max] {
+        for v in [0u64, 100, 25_000, 100_000, VALUE_MAX] {
             let l = BlobLayout::plan(&c, 200, v);
             for &r in &l.segment_raw {
                 assert!(r <= c.page_payload_bytes);

@@ -7,7 +7,7 @@
 use kvssd_flash::{BlockId, BlockPool, BlockState, FlashDevice};
 use kvssd_sim::SimTime;
 
-use crate::config::KvConfig;
+use crate::config::{KvConfig, INDEX_RESERVE_PCT};
 use crate::error::KvError;
 
 /// A compact reverse-map record: segment `seg_no` of the key whose
@@ -56,12 +56,12 @@ const ERASE_REJECTED: KvError = KvError::Internal {
 };
 
 impl BlockTable {
-    /// Every block of `flash`, free except the first `index_reserve_pct`
+    /// Every block of `flash`, free except the first `INDEX_RESERVE_PCT`
     /// of each die-plane: those are preprogrammed and returned as the
     /// index region, so index traffic spreads across dies.
     pub(crate) fn new(flash: &mut FlashDevice, config: &KvConfig) -> (Self, Vec<BlockId>) {
         let g = *flash.geometry();
-        let per_dp_reserve = (g.blocks_per_plane * config.index_reserve_pct)
+        let per_dp_reserve = (g.blocks_per_plane * INDEX_RESERVE_PCT)
             .div_ceil(100)
             .max(1);
         let payload = config.page_payload_bytes as u64;

@@ -7,23 +7,68 @@
 //! allocation), and firmware CPU costs are tens-of-microseconds key
 //! handling consistent with the paper's QD-1 latency gap vs. block I/O.
 
-use kvssd_nvme::{KvCommandSet, NvmeConfig};
+use kvssd_nvme::KvCommandSet;
 use kvssd_sim::SimDuration;
 
-/// Configuration of the KV firmware personality.
+/// Minimum key length (4 B on the PM983 KV-SSD). It also makes a key's
+/// iterator bucket (its first four bytes) a contiguous key range.
+pub const KEY_MIN: usize = 4;
+/// Maximum key length (255 B).
+pub const KEY_MAX: usize = 255;
+/// Maximum value length (2 MiB).
+pub const VALUE_MAX: u64 = 2 * 1024 * 1024;
+/// Per-blob metadata bytes stored with the pair (key size, value size,
+/// namespace, ... — Sec. II).
+pub const META_BYTES: u32 = 32;
+/// Header bytes on each continuation segment of a split blob.
+pub const SEG_HEADER_BYTES: u32 = 16;
+/// Number of index managers (partitioned firmware cores handling hashing
+/// and index operations).
+pub const INDEX_MANAGERS: usize = 4;
+/// Local-index entries accumulated per manager before a merge into the
+/// global index.
+pub const LOCAL_INDEX_ENTRIES: usize = 32;
+/// Bytes per global-index entry (hash, fingerprint, location(s), sizes —
+/// the multi-level table's amortized per-record footprint).
+pub const INDEX_ENTRY_BYTES: u32 = 48;
+/// Fraction of blocks reserved for flash-resident index levels, percent
+/// of total.
+pub const INDEX_RESERVE_PCT: u32 = 5;
+/// Fraction of blocks reserved: over-provisioning percent.
+pub const OVERPROVISION_PCT: u32 = 7;
+/// Blob segments copied per store while in the background-GC band.
+pub const GC_COPIES_PER_STORE: u32 = 8;
+
+// --- firmware CPU costs (per index-manager core) ---
+/// Fixed key-hashing cost.
+pub const COST_HASH: SimDuration = SimDuration::from_micros(3);
+/// Additional hashing cost per key byte.
+pub const COST_HASH_PER_BYTE: SimDuration = SimDuration::from_nanos(20);
+/// Bloom-filter membership check.
+pub const COST_MEMBERSHIP: SimDuration = SimDuration::from_micros(1);
+/// DRAM-resident index operation (lookup or local insert).
+pub const COST_INDEX_DRAM: SimDuration = SimDuration::from_micros(2);
+/// Extra bookkeeping per continuation segment (offset pointer management
+/// for split blobs).
+pub const COST_OFFSET_MGMT: SimDuration = SimDuration::from_micros(3);
+/// Packing cost per blob (append bookkeeping into the open page).
+pub const COST_PACK: SimDuration = SimDuration::from_micros(2);
+
+const _: () = assert!(KEY_MIN >= 1 && KEY_MIN <= KEY_MAX);
+const _: () = assert!(KEY_MAX <= 255, "KV API caps keys at 255 B");
+const _: () = assert!(INDEX_MANAGERS >= 1 && LOCAL_INDEX_ENTRIES >= 1);
+
+/// Key-handling CPU cost for a key of `len` bytes (hash + membership
+/// machinery, before any index structure access).
+pub fn key_handling_cost(len: usize) -> SimDuration {
+    COST_HASH + COST_HASH_PER_BYTE * len as u64 + COST_MEMBERSHIP
+}
+
+/// Configuration of the KV firmware personality: the budgets that scale
+/// with the device and the ablation switches. The fixed calibration is
+/// the constants above.
 #[derive(Debug, Clone, Copy)]
 pub struct KvConfig {
-    /// Minimum key length (4 B on the PM983 KV-SSD).
-    pub key_min: usize,
-    /// Maximum key length (255 B).
-    pub key_max: usize,
-    /// Maximum value length (2 MiB).
-    pub value_max: u64,
-    /// Per-blob metadata bytes stored with the pair (key size, value
-    /// size, namespace, ... — Sec. II).
-    pub meta_bytes: u32,
-    /// Header bytes on each continuation segment of a split blob.
-    pub seg_header_bytes: u32,
     /// Minimum allocation unit. The paper infers 1 KiB (ECC-sector
     /// argument, Sec. IV "space amplification") — blobs smaller than this
     /// are padded to it.
@@ -36,15 +81,6 @@ pub struct KvConfig {
     /// plus metadata and a max-size key fit in one page, matching the
     /// paper's Fig. 5 boundary at 24 KiB.
     pub page_payload_bytes: u32,
-    /// Number of index managers (partitioned firmware cores handling
-    /// hashing and index operations).
-    pub index_managers: usize,
-    /// Local-index entries accumulated per manager before a merge into
-    /// the global index.
-    pub local_index_entries: usize,
-    /// Bytes per global-index entry (hash, fingerprint, location(s),
-    /// sizes — the multi-level table's amortized per-record footprint).
-    pub index_entry_bytes: u32,
     /// Device DRAM dedicated to caching the global index. Scaled with the
     /// 4 GiB default geometry exactly as the PM983's DRAM scales with
     /// 3.84 TB, so the Fig. 3 overflow happens at the same *relative*
@@ -65,38 +101,13 @@ pub struct KvConfig {
     /// Idle time after which a partially filled open page is programmed
     /// with padding.
     pub partial_flush_timeout: SimDuration,
-    /// Fraction of blocks reserved: over-provisioning percent.
-    pub overprovision_pct: u32,
-    /// Fraction of blocks reserved for flash-resident index levels,
-    /// percent of total.
-    pub index_reserve_pct: u32,
     /// Free-block watermark where background GC starts.
     pub gc_soft_free_blocks: u32,
     /// Free-block watermark where writes stall behind foreground GC.
     pub gc_hard_free_blocks: u32,
-    /// Blob segments copied per store while in the background-GC band.
-    pub gc_copies_per_store: u32,
     /// Whether iterator buckets retain key copies (disable for macro runs
     /// that never iterate, to bound host memory).
     pub iterator_buckets: bool,
-
-    // --- firmware CPU costs (per index-manager core) ---
-    /// Fixed key-hashing cost.
-    pub cost_hash: SimDuration,
-    /// Additional hashing cost per key byte.
-    pub cost_hash_per_byte: SimDuration,
-    /// Bloom-filter membership check.
-    pub cost_membership: SimDuration,
-    /// DRAM-resident index operation (lookup or local insert).
-    pub cost_index_dram: SimDuration,
-    /// Extra bookkeeping per continuation segment (offset pointer
-    /// management for split blobs).
-    pub cost_offset_mgmt: SimDuration,
-    /// Packing cost per blob (append bookkeeping into the open page).
-    pub cost_pack: SimDuration,
-
-    /// NVMe link parameters.
-    pub nvme: NvmeConfig,
     /// KV command-set rules (inline key limit, compound what-if).
     pub command_set: KvCommandSet,
 }
@@ -109,36 +120,18 @@ impl KvConfig {
     /// (3.2 M here vs. ~3.1 B there) shrink by the same factor.
     pub fn pm983_scaled() -> Self {
         KvConfig {
-            key_min: 4,
-            key_max: 255,
-            value_max: 2 * 1024 * 1024,
-            meta_bytes: 32,
-            seg_header_bytes: 16,
             alloc_unit: 1024,
             fine_align: 64,
             page_payload_bytes: 25_088,
-            index_managers: 4,
-            local_index_entries: 32,
-            index_entry_bytes: 48,
             index_dram_bytes: 4 * 1024 * 1024,
             max_kvps: 2_600_000,
             bloom_bits_per_key: 10,
             bloom_enabled: true,
             write_buffer_bytes: 4 * 1024 * 1024,
             partial_flush_timeout: SimDuration::from_millis(1),
-            overprovision_pct: 7,
-            index_reserve_pct: 5,
             gc_soft_free_blocks: 24,
             gc_hard_free_blocks: 6,
-            gc_copies_per_store: 8,
             iterator_buckets: true,
-            cost_hash: SimDuration::from_micros(3),
-            cost_hash_per_byte: SimDuration::from_nanos(20),
-            cost_membership: SimDuration::from_micros(1),
-            cost_index_dram: SimDuration::from_micros(2),
-            cost_offset_mgmt: SimDuration::from_micros(3),
-            cost_pack: SimDuration::from_micros(2),
-            nvme: NvmeConfig::pm983_like(),
             command_set: KvCommandSet::samsung(),
         }
     }
@@ -156,28 +149,18 @@ impl KvConfig {
         }
     }
 
-    /// Key-handling CPU cost for a key of `len` bytes (hash + membership
-    /// machinery, before any index structure access).
-    pub fn key_handling_cost(&self, len: usize) -> SimDuration {
-        self.cost_hash + self.cost_hash_per_byte * len as u64 + self.cost_membership
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
     ///
     /// Panics on contradictory settings; call after hand-building configs.
     pub fn validate(&self) {
-        assert!(self.key_min >= 1 && self.key_min <= self.key_max);
-        assert!(self.key_max <= 255, "KV API caps keys at 255 B");
         assert!(self.alloc_unit >= self.fine_align);
         assert!(self.alloc_unit.is_power_of_two());
         assert!(self.fine_align.is_power_of_two());
         assert!(self.gc_hard_free_blocks < self.gc_soft_free_blocks);
-        assert!(self.index_managers >= 1);
-        assert!(self.local_index_entries >= 1);
         assert!(
-            self.page_payload_bytes as u64 >= self.meta_bytes as u64 + self.key_max as u64 + 1024,
+            self.page_payload_bytes as u64 >= META_BYTES as u64 + KEY_MAX as u64 + 1024,
             "page payload must fit metadata, a max key, and some value"
         );
     }
@@ -201,17 +184,16 @@ mod tests {
 
     #[test]
     fn key_handling_cost_scales_with_length() {
-        let c = KvConfig::pm983_scaled();
-        assert!(c.key_handling_cost(255) > c.key_handling_cost(16));
+        assert!(key_handling_cost(255) > key_handling_cost(16));
     }
 
     #[test]
     fn page_budget_matches_paper_boundary() {
         let c = KvConfig::pm983_scaled();
         // A 24 KiB value + metadata + a 16 B key fits one page...
-        assert!(24 * 1024 + c.meta_bytes + 16 <= c.page_payload_bytes);
+        assert!(24 * 1024 + META_BYTES + 16 <= c.page_payload_bytes);
         // ...but a 25 KiB value does not (the Fig. 5 dip).
-        assert!(25 * 1024 + c.meta_bytes + 16 > c.page_payload_bytes);
+        assert!(25 * 1024 + META_BYTES + 16 > c.page_payload_bytes);
     }
 
     #[test]

@@ -13,13 +13,17 @@ use std::collections::VecDeque;
 use kvssd_flash::{
     BlockId, BlockState, FlashDevice, FlashTiming, Geometry, PageAddr, ReadCache, WriteBuffer,
 };
-use kvssd_nvme::NvmeLink;
+use kvssd_nvme::{NvmeConfig, NvmeLink};
 use kvssd_sim::{Resource, SimDuration, SimTime};
 
 use crate::blob::BlobLayout;
 use crate::blocks::BlockTable;
 use crate::bloom::BloomFilter;
-use crate::config::KvConfig;
+use crate::config::{
+    key_handling_cost, KvConfig, COST_INDEX_DRAM, COST_OFFSET_MGMT, COST_PACK, GC_COPIES_PER_STORE,
+    INDEX_ENTRY_BYTES, INDEX_MANAGERS, KEY_MAX, KEY_MIN, LOCAL_INDEX_ENTRIES, OVERPROVISION_PCT,
+    VALUE_MAX,
+};
 use crate::error::KvError;
 use crate::hash::{key_fingerprint, key_hash};
 use crate::index::{GlobalStore, IndexEntry, IndexTiming, IterBuckets, SegList, SegLoc};
@@ -100,8 +104,6 @@ pub struct KvSsdStats {
     pub write_buffer_hits: u64,
     /// Segments re-placed after injected program failures.
     pub replaced_after_failure: u64,
-    /// Local-to-global index merges.
-    pub merges: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -218,16 +220,16 @@ impl KvSsd {
         let (blocks, reserved) = BlockTable::new(&mut flash, &config);
         let data_blocks = g.total_blocks() as u64 - reserved.len() as u64;
         let raw_data = data_blocks * g.pages_per_block as u64 * config.page_payload_bytes as u64;
-        let data_capacity = raw_data * (100 - config.overprovision_pct as u64) / 100;
-        let expected_keys_per_manager = (config.max_kvps / config.index_managers as u64).max(1024);
+        let data_capacity = raw_data * (100 - OVERPROVISION_PCT as u64) / 100;
+        let expected_keys_per_manager = (config.max_kvps / INDEX_MANAGERS as u64).max(1024);
         KvSsd {
-            managers: vec![Resource::new(); config.index_managers],
-            local_batches: vec![Vec::new(); config.index_managers],
-            blooms: (0..config.index_managers)
+            managers: vec![Resource::new(); INDEX_MANAGERS],
+            local_batches: vec![Vec::new(); INDEX_MANAGERS],
+            blooms: (0..INDEX_MANAGERS)
                 .map(|_| BloomFilter::new(expected_keys_per_manager, config.bloom_bits_per_key))
                 .collect(),
             index: GlobalStore::new(),
-            itiming: IndexTiming::new(config.index_entry_bytes, config.index_dram_bytes, reserved),
+            itiming: IndexTiming::new(INDEX_ENTRY_BYTES, config.index_dram_bytes, reserved),
             iters: IterBuckets::new(config.iterator_buckets),
             blocks,
             streams: Default::default(),
@@ -247,7 +249,7 @@ impl KvSsd {
             allocated_bytes: 0,
             data_capacity,
             seg_scratch: Vec::new(),
-            link: NvmeLink::new(config.nvme),
+            link: NvmeLink::new(NvmeConfig::pm983_like()),
             stats: KvSsdStats::default(),
             flash,
             config,
@@ -317,10 +319,10 @@ impl KvSsd {
     pub fn store(&mut self, now: SimTime, key: &[u8], value: Payload) -> Result<SimTime, KvError> {
         let mut k = self.keyed(key)?;
         let vlen = value.len();
-        if vlen > self.config.value_max {
+        if vlen > VALUE_MAX {
             return Err(KvError::ValueTooLarge {
                 len: vlen,
-                max: self.config.value_max,
+                max: VALUE_MAX,
             });
         }
         let (h, fp) = k.id;
@@ -359,9 +361,9 @@ impl KvSsd {
             }
         }
         // 2. Key handling on this key's index manager.
-        let mut handling = self.config.cost_index_dram + self.config.cost_pack;
+        let mut handling = COST_INDEX_DRAM + COST_PACK;
         if layout.is_split() {
-            handling += self.config.cost_offset_mgmt * (layout.segments() as u64 - 1);
+            handling += COST_OFFSET_MGMT * (layout.segments() as u64 - 1);
             self.stats.split_stores += 1;
         }
         let mut t = self.submit(now, &k, (key.len() as u64 + vlen).max(1), handling);
@@ -453,7 +455,7 @@ impl KvSsd {
         // implies fewer than `soft` free blocks (open-block tails only
         // add pages), so the page condition is subsumed by the block one.
         if self.blocks.pool.free_blocks() < self.config.gc_soft_free_blocks {
-            for _ in 0..self.config.gc_copies_per_store {
+            for _ in 0..GC_COPIES_PER_STORE {
                 if !self.gc_copy_one(t)? {
                     break;
                 }
@@ -509,7 +511,7 @@ impl KvSsd {
     /// Deletes a key; returns (completion, existed).
     pub fn delete(&mut self, now: SimTime, key: &[u8]) -> Result<(SimTime, bool), KvError> {
         let k = self.keyed(key)?;
-        let t = self.submit(now, &k, key.len() as u64, self.config.cost_index_dram);
+        let t = self.submit(now, &k, key.len() as u64, COST_INDEX_DRAM);
         let mut t = self
             .itiming
             .lookup(t, k.id.0, self.index.len(), &mut self.flash);
@@ -653,24 +655,18 @@ impl KvSsd {
     #[inline(always)]
     fn keyed(&self, key: &[u8]) -> Result<Keyed, KvError> {
         let len = key.len();
-        if len < self.config.key_min {
-            return Err(KvError::KeyTooShort {
-                len,
-                min: self.config.key_min,
-            });
+        if len < KEY_MIN {
+            return Err(KvError::KeyTooShort { len, min: KEY_MIN });
         }
-        if len > self.config.key_max {
-            return Err(KvError::KeyTooLong {
-                len,
-                max: self.config.key_max,
-            });
+        if len > KEY_MAX {
+            return Err(KvError::KeyTooLong { len, max: KEY_MAX });
         }
         let h = key_hash(key);
         Ok(Keyed {
             id: (h, key_fingerprint(key)),
             cmds: self.config.command_set.commands_for_key(len),
             len,
-            m: (h % self.managers.len() as u64) as usize,
+            m: (h % INDEX_MANAGERS as u64) as usize,
         })
     }
 
@@ -680,7 +676,7 @@ impl KvSsd {
     #[inline(always)]
     fn submit(&mut self, now: SimTime, k: &Keyed, bytes: u64, extra: SimDuration) -> SimTime {
         let t = self.link.submit(now, k.cmds, bytes);
-        let handling = self.config.key_handling_cost(k.len) + extra;
+        let handling = key_handling_cost(k.len) + extra;
         self.managers[k.m].acquire(t, handling).end
     }
 
@@ -700,9 +696,7 @@ impl KvSsd {
             self.stats.bloom_negatives += 1;
             return None;
         }
-        let t = self.managers[k.m]
-            .acquire(t, self.config.cost_index_dram)
-            .end;
+        let t = self.managers[k.m].acquire(t, COST_INDEX_DRAM).end;
         Some(
             self.itiming
                 .lookup(t, k.id.0, self.index.len(), &mut self.flash),
@@ -715,14 +709,13 @@ impl KvSsd {
     fn batch_for_merge(&mut self, t: SimTime, k: &Keyed) -> Option<SimTime> {
         let batch = &mut self.local_batches[k.m];
         batch.push(k.id.0);
-        if batch.len() < self.config.local_index_entries {
+        if batch.len() < LOCAL_INDEX_ENTRIES {
             return None;
         }
         let merged = self
             .itiming
             .merge(t, batch, self.index.len(), &mut self.flash);
         batch.clear();
-        self.stats.merges += 1;
         Some(merged)
     }
 
@@ -2023,7 +2016,7 @@ mod spill_boundary_tests {
             ..KvConfig::small()
         };
         let mut d = KvSsd::new(geometry, FlashTiming::pm983_like(), config);
-        let head = d.config().meta_bytes + 16;
+        let head = crate::config::META_BYTES + 16;
         let bytes = |len: u32, seed: u8| -> Payload {
             Payload::from_bytes((0..len).map(|i| i as u8 ^ seed).collect::<Vec<_>>())
         };

@@ -16,10 +16,14 @@
 //!   with open-iterator handles (Sec. II: keys are also "stored in an
 //!   iterator bucket ... based on the first 4 bytes of the key").
 
+use std::collections::BTreeSet;
+use std::ops::Bound;
+
 use kvssd_flash::{BlockId, FlashDevice, PageAddr};
 use kvssd_sim::rng::mix64;
 use kvssd_sim::{PrehashedMap, SimTime};
 
+use crate::config::KEY_MIN;
 use crate::inline_vec::InlineVec;
 use crate::value::Payload;
 
@@ -95,7 +99,7 @@ impl IndexEntry {
 struct IndexSlot(Option<((u64, u64), IndexEntry)>);
 
 // One slot per table position on the host (not the *modelled*
-// `index_entry_bytes`): growing any of these grows every index probe's
+// `INDEX_ENTRY_BYTES`): growing any of these grows every index probe's
 // cache footprint and the simulator's RSS.
 const _: () = {
     use std::mem::{align_of, size_of};
@@ -698,61 +702,26 @@ impl IndexTiming {
     }
 }
 
-/// An open iterator's cursor.
-#[derive(Debug, Clone)]
-struct IterState {
+/// An open iterator: its bucket and the last key it returned.
+#[derive(Debug)]
+struct Cursor {
     bucket: [u8; 4],
-    /// Slot index into the bucket's slot vector (tombstones included),
-    /// so positions stay stable under concurrent deletes.
-    pos: usize,
+    last: Option<Box<[u8]>>,
 }
 
-/// One iterator bucket: insertion-ordered key slots with tombstoned
-/// deletes and an O(1) position map.
+/// Iterator buckets: one ordered set of key copies, plus open-iterator
+/// handles.
 ///
-/// Deletes used to linearly scan the bucket for the key; at
-/// million-key buckets that made every delete O(bucket). Now a
-/// pre-hashed position map finds the slot directly and the slot is
-/// tombstoned in place — surviving keys keep their insertion order and
-/// open cursors keep their positions (snapshot semantics). Tombstones
-/// are compacted away once they dominate a bucket *and* no iterator is
-/// open (compaction renumbers slots, which would move cursors).
-#[derive(Debug, Default)]
-struct Bucket {
-    /// Insertion-ordered slots; `None` is a tombstone left by a delete.
-    slots: Vec<Option<Box<[u8]>>>,
-    /// (key hash, fingerprint) -> slot index.
-    pos: PrehashedMap<(u64, u64), usize>,
-    tombstones: usize,
-}
-
-impl Bucket {
-    fn live(&self) -> usize {
-        self.slots.len() - self.tombstones
-    }
-
-    /// Drops tombstoned slots and renumbers the position map. Only legal
-    /// while no iterator holds a cursor into this bucket.
-    fn compact(&mut self) {
-        self.slots.retain(Option::is_some);
-        self.tombstones = 0;
-        self.pos.clear();
-        for (i, slot) in self.slots.iter().enumerate() {
-            let k = slot.as_deref().expect("retained live slots only");
-            self.pos.insert(
-                (crate::hash::key_hash(k), crate::hash::key_fingerprint(k)),
-                i,
-            );
-        }
-    }
-}
-
-/// Iterator buckets: prefix -> keys, plus open-iterator handles.
+/// A bucket is every key whose first four bytes are its prefix; since no
+/// key is shorter than [`KEY_MIN`] = 4 bytes, that is one contiguous range
+/// of the set. A cursor resumes strictly after the last key it returned,
+/// so a delete never shifts it: no key comes back twice, and every key
+/// live from the open to the end comes back, in key order.
 #[derive(Debug, Default)]
 pub struct IterBuckets {
     enabled: bool,
-    buckets: PrehashedMap<[u8; 4], Bucket>,
-    open: PrehashedMap<u64, IterState>,
+    keys: BTreeSet<Box<[u8]>>,
+    open: PrehashedMap<u64, Cursor>,
     next_handle: u64,
 }
 
@@ -766,82 +735,44 @@ impl IterBuckets {
         }
     }
 
-    /// Records a newly stored key. Re-inserting a key that is already
-    /// present moves it to the bucket tail (the device never does this:
-    /// it inserts only on the new-key path).
+    /// Records a stored key (at least [`KEY_MIN`] bytes long).
     pub fn insert(&mut self, key: &[u8]) {
-        if !self.enabled {
-            return;
+        debug_assert!(key.len() >= KEY_MIN, "a key shorter than its bucket");
+        if self.enabled {
+            self.keys.insert(key.into());
         }
-        let b = self
-            .buckets
-            .entry(crate::hash::iter_bucket(key))
-            .or_default();
-        let id = (
-            crate::hash::key_hash(key),
-            crate::hash::key_fingerprint(key),
-        );
-        if let Some(old) = b.pos.insert(id, b.slots.len()) {
-            b.slots[old] = None;
-            b.tombstones += 1;
-        }
-        b.slots.push(Some(key.to_vec().into_boxed_slice()));
     }
 
-    /// Removes a deleted key: O(1) position-map lookup, tombstone in
-    /// place (survivors keep insertion order and open cursors stay
-    /// valid).
+    /// Removes a deleted key.
     pub fn remove(&mut self, key: &[u8]) {
-        if !self.enabled {
-            return;
-        }
-        let prefix = crate::hash::iter_bucket(key);
-        let Some(b) = self.buckets.get_mut(&prefix) else {
-            return;
-        };
-        let id = (
-            crate::hash::key_hash(key),
-            crate::hash::key_fingerprint(key),
-        );
-        if let Some(i) = b.pos.remove(&id) {
-            debug_assert_eq!(b.slots[i].as_deref(), Some(key));
-            b.slots[i] = None;
-            b.tombstones += 1;
-            // Reclaim tombstone-dominated buckets when no cursor can be
-            // invalidated by the renumbering.
-            if b.tombstones > b.live().max(32) && !self.open.values().any(|st| st.bucket == prefix)
-            {
-                b.compact();
-            }
-        }
+        self.keys.remove(key);
     }
 
     /// Opens an iterator over a 4-byte prefix; returns its handle.
-    pub fn open(&mut self, prefix: [u8; 4]) -> u64 {
+    pub fn open(&mut self, bucket: [u8; 4]) -> u64 {
         let h = self.next_handle;
         self.next_handle += 1;
-        self.open.insert(
-            h,
-            IterState {
-                bucket: prefix,
-                pos: 0,
-            },
-        );
+        self.open.insert(h, Cursor { bucket, last: None });
         h
     }
 
-    /// Returns up to `n` live keys from an open iterator, advancing it
-    /// past any tombstones. `None` when the handle is not open.
+    /// Returns up to `n` keys of an open iterator's bucket, in key order,
+    /// after the last key it returned. `None` when the handle is not open.
     pub fn next(&mut self, handle: u64, n: usize) -> Option<Vec<Box<[u8]>>> {
-        let st = self.open.get_mut(&handle)?;
-        let mut out = Vec::new();
-        if let Some(b) = self.buckets.get(&st.bucket) {
-            while st.pos < b.slots.len() && out.len() < n {
-                if let Some(k) = &b.slots[st.pos] {
-                    out.push(k.clone());
-                }
-                st.pos += 1;
-            }
+        let cur = self.open.get_mut(&handle)?;
+        let from = match &cur.last {
+            Some(last) => Bound::Excluded(&**last),
+            None => Bound::Included(&cur.bucket[..]),
+        };
+        let out: Vec<Box<[u8]>> = self
+            .keys
+            .range::<[u8], _>((from, Bound::Unbounded))
+            .take_while(|k| crate::hash::iter_bucket(k) == cur.bucket)
+            .take(n)
+            .cloned()
+            .collect();
+        if let Some(last) = out.last() {
+            cur.last = Some(last.clone());
         }
         Some(out)
     }
@@ -849,11 +780,6 @@ impl IterBuckets {
     /// Closes an iterator; false when the handle was not open.
     pub fn close(&mut self, handle: u64) -> bool {
         self.open.remove(&handle).is_some()
-    }
-
-    /// Keys currently bucketed under `prefix`.
-    pub fn bucket_len(&self, prefix: [u8; 4]) -> usize {
-        self.buckets.get(&prefix).map_or(0, Bucket::live)
     }
 }
 
@@ -1212,16 +1138,16 @@ mod tests {
     }
 
     #[test]
-    fn iter_buckets_group_by_prefix() {
+    fn iter_buckets_group_by_prefix_in_key_order() {
         let mut ib = IterBuckets::new(true);
-        ib.insert(b"user0001");
         ib.insert(b"user0002");
         ib.insert(b"sess0001");
-        assert_eq!(ib.bucket_len(*b"user"), 2);
-        assert_eq!(ib.bucket_len(*b"sess"), 1);
+        ib.insert(b"user0001");
+        ib.insert(b"usex0001");
         let h = ib.open(*b"user");
         let batch = ib.next(h, 10).unwrap();
-        assert_eq!(batch.len(), 2);
+        let names: Vec<&[u8]> = batch.iter().map(AsRef::as_ref).collect();
+        assert_eq!(names, [b"user0001".as_slice(), b"user0002"]);
         assert!(ib.next(h, 10).unwrap().is_empty());
         assert!(ib.close(h));
         assert!(!ib.close(h));
@@ -1244,7 +1170,6 @@ mod tests {
     fn disabled_buckets_are_noops() {
         let mut ib = IterBuckets::new(false);
         ib.insert(b"abcd1");
-        assert_eq!(ib.bucket_len(*b"abcd"), 0);
         let h = ib.open(*b"abcd");
         assert!(ib.next(h, 5).unwrap().is_empty());
     }
@@ -1255,10 +1180,9 @@ mod tests {
         ib.insert(b"abcd1");
         ib.insert(b"abcd2");
         ib.remove(b"abcd1");
-        assert_eq!(ib.bucket_len(*b"abcd"), 1);
         let h = ib.open(*b"abcd");
         let keys = ib.next(h, 10).unwrap();
-        assert_eq!(keys[0].as_ref(), b"abcd2");
+        assert_eq!(keys, [b"abcd2".as_slice().into()]);
     }
 
     #[test]
@@ -1268,53 +1192,16 @@ mod tests {
     }
 
     #[test]
-    fn large_bucket_deletes_keep_survivor_order() {
-        // Regression for the old O(bucket) swap_remove delete: deletes
-        // from a large bucket must be position-map hits, and the
-        // survivors must still iterate in original insertion order
-        // (swap_remove scrambled it).
-        let mut ib = IterBuckets::new(true);
-        let keys: Vec<String> = (0..1_000).map(|i| format!("bulk{i:05}")).collect();
-        for k in &keys {
-            ib.insert(k.as_bytes());
-        }
-        // Delete every third key, scattered over the whole bucket.
-        for k in keys.iter().step_by(3) {
-            ib.remove(k.as_bytes());
-        }
-        let expected: Vec<&String> = keys
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 3 != 0)
-            .map(|(_, k)| k)
-            .collect();
-        assert_eq!(ib.bucket_len(*b"bulk"), expected.len());
-        let h = ib.open(*b"bulk");
-        let mut got = Vec::new();
-        loop {
-            let batch = ib.next(h, 64).unwrap();
-            if batch.is_empty() {
-                break;
-            }
-            got.extend(batch);
-        }
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(&expected) {
-            assert_eq!(g.as_ref(), e.as_bytes());
-        }
-    }
-
-    #[test]
     fn deletes_behind_an_open_cursor_do_not_shift_it() {
-        // Snapshot semantics: a cursor mid-bucket must not re-see or
-        // skip keys when earlier slots are tombstoned under it.
+        // A cursor mid-bucket must not re-see or skip keys when keys
+        // before or after it are deleted under it.
         let mut ib = IterBuckets::new(true);
         for i in 0..10u32 {
             ib.insert(format!("curs{i:04}").as_bytes());
         }
         let h = ib.open(*b"curs");
         assert_eq!(ib.next(h, 4).unwrap().len(), 4);
-        // Tombstone two already-visited keys and one upcoming key.
+        // Delete two already-visited keys and one upcoming key.
         ib.remove(b"curs0000");
         ib.remove(b"curs0002");
         ib.remove(b"curs0005");
@@ -1330,27 +1217,5 @@ mod tests {
                 b"curs0009"
             ]
         );
-    }
-
-    #[test]
-    fn tombstone_compaction_preserves_contents() {
-        // Drive a bucket well past the compaction threshold with no open
-        // iterators; live keys and order must survive the renumbering.
-        let mut ib = IterBuckets::new(true);
-        for i in 0..200u32 {
-            ib.insert(format!("comp{i:04}").as_bytes());
-        }
-        for i in 0..150u32 {
-            ib.remove(format!("comp{i:04}").as_bytes());
-        }
-        assert_eq!(ib.bucket_len(*b"comp"), 50);
-        // Deletes after compaction still resolve via the rebuilt map.
-        ib.remove(b"comp0175");
-        assert_eq!(ib.bucket_len(*b"comp"), 49);
-        let h = ib.open(*b"comp");
-        let got = ib.next(h, 100).unwrap();
-        assert_eq!(got.len(), 49);
-        assert_eq!(got[0].as_ref(), b"comp0150");
-        assert_eq!(got[48].as_ref(), b"comp0199");
     }
 }

@@ -24,9 +24,13 @@
 //!   the utilization term is what carves the zig-zag).
 
 use kvssd_flash::{FlashTiming, Geometry};
+use kvssd_nvme::NvmeConfig;
 
 use crate::blob::BlobLayout;
-use crate::config::KvConfig;
+use crate::config::{
+    key_handling_cost, KvConfig, COST_INDEX_DRAM, COST_OFFSET_MGMT, COST_PACK, INDEX_ENTRY_BYTES,
+    INDEX_MANAGERS,
+};
 
 /// The analytical model: configuration in, predictions out.
 #[derive(Debug, Clone, Copy)]
@@ -49,14 +53,14 @@ impl KvModel {
     /// Fraction of index leaf segments resident in device DRAM at a
     /// population of `entries` (1.0 while the index fits).
     pub fn index_resident_fraction(&self, entries: u64) -> f64 {
-        let size = entries as f64 * self.config.index_entry_bytes as f64;
+        let size = entries as f64 * INDEX_ENTRY_BYTES as f64;
         (self.config.index_dram_bytes as f64 / size).min(1.0)
     }
 
     /// Flash levels a merge rewrites at this population (0 while the
     /// index is DRAM-resident) — mirrors the simulator's depth rule.
     pub fn merge_depth(&self, entries: u64) -> u32 {
-        let size = entries * self.config.index_entry_bytes as u64;
+        let size = entries * INDEX_ENTRY_BYTES as u64;
         if size <= self.config.index_dram_bytes {
             0
         } else {
@@ -82,13 +86,14 @@ impl KvModel {
         let layout = BlobLayout::plan(&self.config, key_len, value_len);
         let cmds = self.config.command_set.commands_for_key(key_len) as f64;
         let wire = cmds * 64.0 + key_len as f64 + value_len as f64;
-        let link = wire / self.config.nvme.pcie_bytes_per_sec as f64 * 1e6
-            + cmds * self.config.nvme.per_command.as_micros_f64()
-            + self.config.nvme.per_completion.as_micros_f64();
-        let handling = self.config.key_handling_cost(key_len).as_micros_f64()
-            + self.config.cost_index_dram.as_micros_f64()
-            + self.config.cost_pack.as_micros_f64()
-            + (layout.segments() as f64 - 1.0) * self.config.cost_offset_mgmt.as_micros_f64();
+        let nvme = NvmeConfig::pm983_like();
+        let link = wire / nvme.pcie_bytes_per_sec as f64 * 1e6
+            + cmds * nvme.per_command.as_micros_f64()
+            + nvme.per_completion.as_micros_f64();
+        let handling = key_handling_cost(key_len).as_micros_f64()
+            + COST_INDEX_DRAM.as_micros_f64()
+            + COST_PACK.as_micros_f64()
+            + (layout.segments() as f64 - 1.0) * COST_OFFSET_MGMT.as_micros_f64();
         // Amortized local->global merge: every `batch`-th store pays
         // `depth` flash reads per merged entry.
         let depth = self.merge_depth(entries) as f64;
@@ -113,12 +118,12 @@ impl KvModel {
         let layout = BlobLayout::plan(&self.config, key_len, value_len);
         let cmds = self.config.command_set.commands_for_key(key_len) as f64;
         let wire = cmds * 64.0 + key_len as f64;
-        let link = wire / self.config.nvme.pcie_bytes_per_sec as f64 * 1e6
-            + cmds * self.config.nvme.per_command.as_micros_f64()
-            + (value_len as f64 + 16.0) / self.config.nvme.pcie_bytes_per_sec as f64 * 1e6
-            + self.config.nvme.per_completion.as_micros_f64();
-        let handling = self.config.key_handling_cost(key_len).as_micros_f64()
-            + self.config.cost_index_dram.as_micros_f64();
+        let nvme = NvmeConfig::pm983_like();
+        let link = wire / nvme.pcie_bytes_per_sec as f64 * 1e6
+            + cmds * nvme.per_command.as_micros_f64()
+            + (value_len as f64 + 16.0) / nvme.pcie_bytes_per_sec as f64 * 1e6
+            + nvme.per_completion.as_micros_f64();
+        let handling = key_handling_cost(key_len).as_micros_f64() + COST_INDEX_DRAM.as_micros_f64();
         let miss = 1.0 - self.index_resident_fraction(entries);
         let lookup = miss * self.page_read_us(4096);
         // Head segment read, then continuations overlap (their tR's
@@ -153,10 +158,9 @@ impl KvModel {
             / self.timing.write_pipeline_time(page_bytes).as_secs_f64();
         // Ceiling 3: command front-end.
         let cmds = self.config.command_set.commands_for_key(key_len) as f64;
-        let fe_ops_per_sec = 1.0 / (cmds * self.config.nvme.per_command.as_secs_f64());
+        let fe_ops_per_sec = 1.0 / (cmds * NvmeConfig::pm983_like().per_command.as_secs_f64());
         // Ceiling 4: manager key handling across index managers.
-        let mgr_ops_per_sec = self.config.index_managers as f64
-            / self.config.key_handling_cost(key_len).as_secs_f64();
+        let mgr_ops_per_sec = INDEX_MANAGERS as f64 / key_handling_cost(key_len).as_secs_f64();
         let pages_per_sec = die_pages_per_sec.min(ch_pages_per_sec);
         let ops_per_sec = (pages_per_sec / pages_per_blob)
             .min(fe_ops_per_sec)

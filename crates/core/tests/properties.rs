@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use kvssd_core::blob::BlobLayout;
 use kvssd_core::bloom::BloomFilter;
+use kvssd_core::config::{META_BYTES, SEG_HEADER_BYTES};
 use kvssd_core::hash::key_hash;
 use kvssd_core::index::{GlobalStore, IndexEntry, IterBuckets, SegList, SEGMENT_SLOTS};
 use kvssd_core::{KvConfig, KvSsd, Payload};
@@ -236,25 +237,86 @@ fn bloom_no_false_negatives() {
     }
 }
 
-/// Iterator buckets return exactly the live keys of a prefix, for any
-/// interleaving of inserts and removals.
+/// An open iterator-bucket cursor and what it has returned so far.
+struct CursorModel {
+    handle: u64,
+    /// Keys it returned.
+    seen: [bool; 256],
+    /// Keys of its bucket live from its open until now.
+    kept: [bool; 256],
+}
+
+impl CursorModel {
+    fn open(ib: &mut IterBuckets, live: &[bool; 256]) -> Self {
+        let mut kept = *live;
+        (1..256).step_by(2).for_each(|k| kept[k] = false);
+        CursorModel {
+            handle: ib.open(*b"pfx."),
+            seen: [false; 256],
+            kept,
+        }
+    }
+
+    /// Takes up to `n` keys: none twice, none from the other bucket, and
+    /// none that is not live right now.
+    fn take(&mut self, ib: &mut IterBuckets, n: usize, live: &[bool; 256]) -> usize {
+        let keys = ib.next(self.handle, n).expect("open handle");
+        for key in &keys {
+            let k = key[4];
+            assert_eq!(key.as_ref(), bucket_key(k), "key from another bucket");
+            assert!(!self.seen[k as usize], "{k} returned twice");
+            assert!(live[k as usize], "{k} returned while not live");
+            self.seen[k as usize] = true;
+        }
+        keys.len()
+    }
+}
+
+/// Key `k` of the bucket `pfx.` when even, of its neighbour `pfx/` when
+/// odd.
+fn bucket_key(k: u8) -> [u8; 5] {
+    [b'p', b'f', b'x', b'.' + (k & 1), k]
+}
+
+/// Iterator-bucket cursors under any interleaving of inserts and
+/// removals. One cursor opens before the ops and one halfway; both are
+/// drained in small batches between the ops. Neither returns a key
+/// twice or a key that is not live, and each returns every key live
+/// from its open to the end. A cursor opened after the ops returns
+/// exactly the live keys of its bucket.
 fn buckets_track_live_keys(ops: &[(u8, bool)]) -> Result<(), String> {
     let mut ib = IterBuckets::new(true);
     let mut live = [false; 256];
-    for &(k, insert) in ops {
+    let mut cursors = vec![CursorModel::open(&mut ib, &live)];
+    for (i, &(k, insert)) in ops.iter().enumerate() {
+        if i == ops.len() / 2 {
+            cursors.push(CursorModel::open(&mut ib, &live));
+        }
         // Like the device: insert only absent keys, remove only live ones.
         match (insert, std::mem::replace(&mut live[k as usize], insert)) {
-            (true, false) => ib.insert(&[b'p', b'f', b'x', b'.', k]),
-            (false, true) => ib.remove(&[b'p', b'f', b'x', b'.', k]),
+            (true, false) => ib.insert(&bucket_key(k)),
+            (false, true) => {
+                ib.remove(&bucket_key(k));
+                cursors.iter_mut().for_each(|c| c.kept[k as usize] = false);
+            }
             _ => {}
         }
+        for c in &mut cursors {
+            c.take(&mut ib, usize::from(k % 4), &live);
+        }
     }
-    let handle = ib.open(*b"pfx.");
-    let keys = ib.next(handle, usize::MAX).expect("open handle");
-    let mut got: Vec<u8> = keys.iter().map(|k| k[4]).collect();
-    got.sort_unstable();
-    let want: Vec<u8> = (0..=255).filter(|&k| live[k as usize]).collect();
-    assert_eq!(got, want);
+    for mut c in cursors {
+        while c.take(&mut ib, 3, &live) > 0 {}
+        for k in 0..256 {
+            assert!(
+                !c.kept[k] || c.seen[k],
+                "{k} live throughout, never returned"
+            );
+        }
+    }
+    let mut last = CursorModel::open(&mut ib, &live);
+    last.take(&mut ib, usize::MAX, &live);
+    assert_eq!(last.seen, last.kept);
     Ok(())
 }
 
@@ -331,8 +393,8 @@ fn blob_layout_conserves_bytes() {
         }
         // Raw bytes across segments carry the value exactly once.
         let raw: u64 = l.segment_raw.iter().map(|&r| r as u64).sum();
-        let headers = (l.segments() as u64 - 1) * cfg.seg_header_bytes as u64;
-        assert_eq!(raw, value_len + cfg.meta_bytes as u64 + key_len + headers);
+        let headers = (l.segments() as u64 - 1) * SEG_HEADER_BYTES as u64;
+        assert_eq!(raw, value_len + META_BYTES as u64 + key_len + headers);
     }
 }
 

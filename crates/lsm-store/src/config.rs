@@ -2,21 +2,41 @@
 
 use kvssd_sim::SimDuration;
 
-/// LSM tuning knobs. Defaults mirror RocksDB's as the paper used it,
-/// scaled to the 4 GiB device (the real runs used 64 MB memtables on a
-/// 3.84 TB device; everything here shrinks by the same ~1000x as the
-/// substrate, except the block cache — the paper pinned that to 10 MB
-/// explicitly, so it stays 10 MB).
+/// L0 file count that triggers compaction into L1.
+pub const L0_COMPACTION_TRIGGER: usize = 4;
+/// Growth factor between levels: each level below L1 is this much
+/// larger than the one above it.
+pub const LEVEL_MULTIPLIER: u64 = 10;
+/// Bloom filter bits per key per SST.
+pub const BLOOM_BITS_PER_KEY: u32 = 10;
+/// Dedicated background threads (flush + compaction workers).
+pub const BG_THREADS: usize = 2;
+/// CPU cost of a memtable insert (skiplist walk + node write).
+pub const COST_MEMTABLE_INSERT: SimDuration = SimDuration::from_micros(2);
+/// CPU cost of a memtable/SST point lookup step.
+pub const COST_LOOKUP: SimDuration = SimDuration::from_nanos(700);
+/// CPU cost of a Bloom filter probe.
+pub const COST_BLOOM: SimDuration = SimDuration::from_nanos(500);
+/// CPU cost to parse/verify one data block on read.
+pub const COST_BLOCK_PARSE: SimDuration = SimDuration::from_micros(2);
+/// CPU cost per entry merged during flush/compaction.
+pub const COST_MERGE_ENTRY: SimDuration = SimDuration::from_nanos(400);
+
+const _: () = assert!(L0_COMPACTION_TRIGGER >= 1 && LEVEL_MULTIPLIER >= 2 && BG_THREADS >= 1);
+
+/// LSM tuning knobs: the sizes that scale with the device and host.
+/// Defaults mirror RocksDB's as the paper used it, scaled to the 4 GiB
+/// device (the real runs used 64 MB memtables on a 3.84 TB device;
+/// everything here shrinks by the same ~1000x as the substrate, except
+/// the block cache — the paper pinned that to 10 MB explicitly, so it
+/// stays 10 MB). RocksDB's fixed choices are the constants above.
 #[derive(Debug, Clone, Copy)]
 pub struct LsmConfig {
     /// Memtable size that triggers a flush.
     pub memtable_bytes: u64,
-    /// L0 file count that triggers compaction into L1.
-    pub l0_compaction_trigger: usize,
-    /// Target size of L1; each deeper level is `level_multiplier` larger.
+    /// Target size of L1; each deeper level is [`LEVEL_MULTIPLIER`]
+    /// larger.
     pub level_base_bytes: u64,
-    /// Growth factor between levels.
-    pub level_multiplier: u64,
     /// Target SST file size written by flushes and compactions.
     pub sst_target_bytes: u64,
     /// Data block size within SSTs (read granularity).
@@ -26,28 +46,14 @@ pub struct LsmConfig {
     /// OS page cache available to this store's files. The paper's hosts
     /// had 192 GB (6 GB for macro runs); scaled ~1000x.
     pub page_cache_bytes: u64,
-    /// Bloom filter bits per key per SST.
-    pub bloom_bits_per_key: u32,
     /// Writes stall when the background flush/compaction worker's
     /// completion horizon lags the foreground by more than this
     /// (RocksDB's pending-compaction-bytes stall, expressed in time).
     pub stall_lag: SimDuration,
     /// Host cores available to foreground operations.
     pub host_cores: usize,
-    /// Dedicated background threads (flush + compaction workers).
-    pub bg_threads: usize,
     /// Approximate per-entry overhead bytes in WAL and SST encodings.
     pub entry_overhead_bytes: u64,
-    /// CPU cost of a memtable insert (skiplist walk + node write).
-    pub cost_memtable_insert: SimDuration,
-    /// CPU cost of a memtable/SST point lookup step.
-    pub cost_lookup: SimDuration,
-    /// CPU cost of a Bloom filter probe.
-    pub cost_bloom: SimDuration,
-    /// CPU cost to parse/verify one data block on read.
-    pub cost_block_parse: SimDuration,
-    /// CPU cost per entry merged during flush/compaction.
-    pub cost_merge_entry: SimDuration,
 }
 
 impl LsmConfig {
@@ -55,23 +61,14 @@ impl LsmConfig {
     pub fn rocksdb_like() -> Self {
         LsmConfig {
             memtable_bytes: 8 * 1024 * 1024,
-            l0_compaction_trigger: 4,
             level_base_bytes: 32 * 1024 * 1024,
-            level_multiplier: 10,
             sst_target_bytes: 8 * 1024 * 1024,
             block_bytes: 4096,
             block_cache_bytes: 10 * 1024 * 1024,
             page_cache_bytes: 192 * 1024 * 1024,
-            bloom_bits_per_key: 10,
             stall_lag: SimDuration::from_millis(20),
             host_cores: 8,
-            bg_threads: 2,
             entry_overhead_bytes: 20,
-            cost_memtable_insert: SimDuration::from_micros(2),
-            cost_lookup: SimDuration::from_nanos(700),
-            cost_bloom: SimDuration::from_nanos(500),
-            cost_block_parse: SimDuration::from_micros(2),
-            cost_merge_entry: SimDuration::from_nanos(400),
         }
     }
 
@@ -104,11 +101,8 @@ impl LsmConfig {
     ///
     /// Panics on contradictory settings.
     pub fn validate(&self) {
-        assert!(self.l0_compaction_trigger >= 1);
-        assert!(self.level_multiplier >= 2);
         assert!(self.sst_target_bytes >= self.block_bytes);
         assert!(self.host_cores >= 1);
-        assert!(self.bg_threads >= 1);
     }
 }
 

@@ -7,7 +7,10 @@ use kvssd_core::Payload;
 use kvssd_host_stack::{ExtFs, FileId, HostCpu, LruCache, PageCache};
 use kvssd_sim::{SimDuration, SimTime};
 
-use crate::config::LsmConfig;
+use crate::config::{
+    LsmConfig, BG_THREADS, BLOOM_BITS_PER_KEY, COST_BLOCK_PARSE, COST_BLOOM, COST_LOOKUP,
+    COST_MEMTABLE_INSERT, COST_MERGE_ENTRY, L0_COMPACTION_TRIGGER, LEVEL_MULTIPLIER,
+};
 use crate::memtable::Memtable;
 use crate::sst::{merge_runs, Entry, Run, SstMeta, TableBuilder, TableRun};
 
@@ -78,7 +81,7 @@ impl LsmStore {
     pub fn new(fs: ExtFs, config: LsmConfig) -> Self {
         config.validate();
         let mut cpu = HostCpu::new(config.host_cores);
-        let bg_cpu = HostCpu::new(config.bg_threads);
+        let bg_cpu = HostCpu::new(BG_THREADS);
         let mut fs = fs;
         let (_, wal) = fs.create(SimTime::ZERO, &mut cpu);
         LsmStore {
@@ -89,7 +92,7 @@ impl LsmStore {
             memtable: Memtable::default(),
             memtable_bytes: 0,
             levels: vec![Vec::new()],
-            builder: TableBuilder::new(config.entry_overhead_bytes, config.bloom_bits_per_key),
+            builder: TableBuilder::new(config.entry_overhead_bytes, BLOOM_BITS_PER_KEY),
             runs: Vec::new(),
             bg_done: SimTime::ZERO,
             live_user_bytes: 0,
@@ -163,7 +166,7 @@ impl LsmStore {
     pub fn get(&mut self, now: SimTime, key: &[u8]) -> (SimTime, Option<Payload>) {
         self.stats.gets += 1;
         let depth = (self.memtable.len().max(2) as f64).log2() as u64;
-        let mut t = self.cpu.run(now, self.config.cost_lookup * depth.max(1));
+        let mut t = self.cpu.run(now, COST_LOOKUP * depth.max(1));
         let hash = key_hash(key);
         if let Some(v) = self.memtable.get(hash, key) {
             self.stats.gets_from_memtable += 1;
@@ -176,7 +179,7 @@ impl LsmStore {
                 if !meta.covers(key) {
                     continue;
                 }
-                t = self.cpu.run(t, self.config.cost_bloom);
+                t = self.cpu.run(t, COST_BLOOM);
                 if !meta.bloom.may_contain(hash) {
                     continue;
                 }
@@ -232,7 +235,7 @@ impl LsmStore {
                 break;
             }
             if let Some(v) = v {
-                t = self.cpu.run(t, self.config.cost_lookup);
+                t = self.cpu.run(t, COST_LOOKUP);
                 out.push((k.as_slice().into(), v));
             }
         }
@@ -263,10 +266,7 @@ impl LsmStore {
             .expect("WAL append");
         // Memtable insert.
         let depth = (self.memtable.len().max(2) as f64).log2() as u64;
-        t = self.cpu.run(
-            t,
-            self.config.cost_memtable_insert + self.config.cost_lookup * depth,
-        );
+        t = self.cpu.run(t, COST_MEMTABLE_INSERT + COST_LOOKUP * depth);
         let live = value.is_some();
         let hash = key_hash(key);
         let prev = self.memtable.insert(hash, key, value);
@@ -369,7 +369,7 @@ impl LsmStore {
         };
         let block_no = (idx as u64 * size / entries.max(1)) / self.config.block_bytes;
         t = self.read_block(t, file, block_no, size);
-        t = self.cpu.run(t, self.config.cost_block_parse);
+        t = self.cpu.run(t, COST_BLOCK_PARSE);
         let (_, v) = self.levels[lvl][i].data.entry(idx);
         (t, Some(v.cloned()))
     }
@@ -384,7 +384,7 @@ impl LsmStore {
     fn read_block(&mut self, now: SimTime, file: FileId, block_no: u64, size: u64) -> SimTime {
         if self.block_cache.touch(&(file.0, block_no)) {
             self.stats.block_cache_hits += 1;
-            return self.cpu.run(now, self.config.cost_lookup);
+            return self.cpu.run(now, COST_LOOKUP);
         }
         self.stats.block_cache_misses += 1;
         let offset = if block_no == self.index_block(size) {
@@ -396,7 +396,7 @@ impl LsmStore {
         let offset = offset.min(size.saturating_sub(1));
         let len = self.config.block_bytes.min(size - offset);
         if len == 0 {
-            return self.cpu.run(now, self.config.cost_lookup);
+            return self.cpu.run(now, COST_LOOKUP);
         }
         let t = self
             .fs
@@ -459,7 +459,7 @@ impl LsmStore {
     /// create, append and fsync.
     fn write_table(&mut self, start: SimTime, level: usize, is_flush: bool) -> SimTime {
         let size = self.builder.size_bytes();
-        let cpu_work = self.config.cost_merge_entry * self.builder.len() as u64;
+        let cpu_work = COST_MERGE_ENTRY * self.builder.len() as u64;
         let t = self.bg_cpu.run(start, cpu_work);
         let (t, file) = self.fs.create(t, &mut self.bg_cpu);
         let t = self
@@ -487,17 +487,13 @@ impl LsmStore {
 
     /// Target size of level `i` (1-based levels).
     fn level_target(&self, level: usize) -> u64 {
-        self.config.level_base_bytes
-            * self
-                .config
-                .level_multiplier
-                .pow(level.saturating_sub(1) as u32)
+        self.config.level_base_bytes * LEVEL_MULTIPLIER.pow(level.saturating_sub(1) as u32)
     }
 
     /// Runs compactions until no level violates its trigger.
     fn run_compactions(&mut self) {
         loop {
-            if self.levels[0].len() >= self.config.l0_compaction_trigger {
+            if self.levels[0].len() >= L0_COMPACTION_TRIGGER {
                 self.compact_l0();
                 self.stats.compactions += 1;
                 #[cfg(test)]
@@ -736,10 +732,7 @@ mod tests {
         }
         t = s.flush_all(t);
         assert!(s.stats().compactions > 0);
-        assert!(
-            s.levels[0].len() < s.config.l0_compaction_trigger,
-            "L0 drained"
-        );
+        assert!(s.levels[0].len() < L0_COMPACTION_TRIGGER, "L0 drained");
         // Compaction deletes should have TRIMmed the device.
         assert!(s.fs().device().stats().host_writes > 0);
         let _ = t;

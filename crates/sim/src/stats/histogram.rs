@@ -114,11 +114,6 @@ impl LatencyHistogram {
         self.max()
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.merge_from(other);
-    }
-
     /// Merges `other` into `self` without allocating: both histograms
     /// have the same fixed bucket layout, so this is a pure element-wise
     /// add. Callers that aggregate many histograms repeatedly can keep
@@ -264,7 +259,7 @@ mod tests {
         let mut b = LatencyHistogram::new();
         a.record(us(10));
         b.record(us(30));
-        a.merge(&b);
+        a.merge_from(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), us(20));
         assert_eq!(a.max(), us(30));
