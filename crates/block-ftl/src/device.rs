@@ -204,12 +204,11 @@ impl BlockSsd {
         let total_clusters = g.total_blocks() as u64 * g.pages_per_block as u64 * cpp as u64;
         let logical_clusters = total_clusters * (100 - OVERPROVISION_PCT) / 100;
         let map = MappingTable::new(logical_clusters, &g, cpp);
-        let cluster = CLUSTER_BYTES;
         BlockSsd {
             config,
             // Foreground GC asks for a cluster's gain, background GC a
             // page's: the cluster is the floor.
-            pool: BlockPool::new(&g, cpp as u64 * cluster, cluster, 0),
+            pool: BlockPool::new(&g, cpp as u64 * CLUSTER_BYTES, CLUSTER_BYTES, 0),
             program_scratch: ProgramScratch::default(),
             streams: Default::default(),
             buffer: WriteBuffer::with_capacity(0),
@@ -345,9 +344,8 @@ impl BlockSsd {
 
     /// Unmaps `lcn`; the block it lived in loses a cluster of valid data.
     fn unmap(&mut self, lcn: u32) {
-        let cluster = CLUSTER_BYTES;
         if let Some(old) = self.map.invalidate(lcn) {
-            self.pool.dec_valid(old.block, cluster, &self.flash);
+            self.pool.dec_valid(old.block, CLUSTER_BYTES, &self.flash);
         }
     }
 
@@ -355,8 +353,7 @@ impl BlockSsd {
         if len == 0 {
             return Err(BlockIoError::ZeroLength);
         }
-        let s = SECTOR_BYTES;
-        if !offset.is_multiple_of(s) || !len.is_multiple_of(s) {
+        if !offset.is_multiple_of(SECTOR_BYTES) || !len.is_multiple_of(SECTOR_BYTES) {
             return Err(BlockIoError::Unaligned { offset, len });
         }
         let cap = self.capacity_bytes();
@@ -373,24 +370,22 @@ impl BlockSsd {
     /// `u32` cast is exact: `MappingTable::new` refuses a device with
     /// more logical clusters than a `u32` holds.
     fn clusters_of(&self, offset: u64, len: u64) -> impl Iterator<Item = (u32, u64, u64)> {
-        let cb = CLUSTER_BYTES;
-        let first = offset / cb;
-        let last = (offset + len - 1) / cb;
+        let first = offset / CLUSTER_BYTES;
+        let last = (offset + len - 1) / CLUSTER_BYTES;
         (first..=last).map(move |c| {
-            let start = (offset).max(c * cb);
-            let end = (offset + len).min((c + 1) * cb);
-            (c as u32, start - c * cb, end - start)
+            let start = (offset).max(c * CLUSTER_BYTES);
+            let end = (offset + len).min((c + 1) * CLUSTER_BYTES);
+            (c as u32, start - c * CLUSTER_BYTES, end - start)
         })
     }
 
     fn is_sequential(&self, offset: u64) -> bool {
-        let cb = CLUSTER_BYTES;
         // Sequential = byte-contiguous (or nearly so) with the previous
         // write. Random writes of any size go through the reorganizing
         // random stream — the "block-SSD FTL ... hold[s] data in buffer
         // much longer" behavior the paper infers (Sec. IV).
         match self.last_written_end {
-            Some(end) => offset >= end && offset - end < cb,
+            Some(end) => offset >= end && offset - end < CLUSTER_BYTES,
             None => offset == 0,
         }
     }
@@ -491,11 +486,10 @@ impl BlockSsd {
             slot: (idx % cpp) as u32,
         };
         stream.pending.push((lcn, now));
-        let cluster = CLUSTER_BYTES;
         if let Some(old) = self.map.update(lcn, loc) {
-            self.pool.dec_valid(old.block, cluster, &self.flash);
+            self.pool.dec_valid(old.block, CLUSTER_BYTES, &self.flash);
         }
-        self.pool.add_valid(block, cluster);
+        self.pool.add_valid(block, CLUSTER_BYTES);
         self.buffer.admit(1);
         self.buffer.hold(lcn);
         let full = stream.pending.len() >= target_pending;

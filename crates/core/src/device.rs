@@ -21,8 +21,7 @@ use crate::blocks::BlockTable;
 use crate::bloom::BloomFilter;
 use crate::config::{
     key_handling_cost, KvConfig, COST_INDEX_DRAM, COST_OFFSET_MGMT, COST_PACK, GC_COPIES_PER_STORE,
-    INDEX_ENTRY_BYTES, INDEX_MANAGERS, KEY_MAX, KEY_MIN, LOCAL_INDEX_ENTRIES, OVERPROVISION_PCT,
-    VALUE_MAX,
+    INDEX_MANAGERS, KEY_MAX, KEY_MIN, LOCAL_INDEX_ENTRIES, OVERPROVISION_PCT, VALUE_MAX,
 };
 use crate::error::KvError;
 use crate::hash::{key_fingerprint, key_hash};
@@ -229,7 +228,7 @@ impl KvSsd {
                 .map(|_| BloomFilter::new(expected_keys_per_manager, config.bloom_bits_per_key))
                 .collect(),
             index: GlobalStore::new(),
-            itiming: IndexTiming::new(INDEX_ENTRY_BYTES, config.index_dram_bytes, reserved),
+            itiming: IndexTiming::new(config.index_dram_bytes, reserved),
             iters: IterBuckets::new(config.iterator_buckets),
             blocks,
             streams: Default::default(),

@@ -23,7 +23,7 @@ use kvssd_flash::{BlockId, FlashDevice, PageAddr};
 use kvssd_sim::rng::mix64;
 use kvssd_sim::{PrehashedMap, SimTime};
 
-use crate::config::KEY_MIN;
+use crate::config::{INDEX_ENTRY_BYTES, KEY_MIN};
 use crate::inline_vec::InlineVec;
 use crate::value::Payload;
 
@@ -522,7 +522,6 @@ pub struct IndexTimingStats {
 /// Timing model of the multi-level hash index (see module docs).
 #[derive(Debug)]
 pub struct IndexTiming {
-    entry_bytes: u32,
     dram_bytes: u64,
     reserved: Vec<BlockId>,
     /// Write cursor into the reserved region: (block index, next page).
@@ -534,13 +533,12 @@ pub struct IndexTiming {
 impl IndexTiming {
     /// Creates the model over `reserved` index-region blocks, which must
     /// already be pre-programmed (mount-time state).
-    pub fn new(entry_bytes: u32, dram_bytes: u64, reserved: Vec<BlockId>) -> Self {
+    pub fn new(dram_bytes: u64, reserved: Vec<BlockId>) -> Self {
         assert!(
             reserved.len() >= 2,
             "index region needs at least two blocks (one is the write cursor)"
         );
         IndexTiming {
-            entry_bytes,
             dram_bytes,
             cursor: (0, u32::MAX), // forces an erase before the first program
             dirty_bytes: 0,
@@ -556,7 +554,7 @@ impl IndexTiming {
 
     /// Total index size for `entries` records.
     pub fn index_bytes(&self, entries: u64) -> u64 {
-        entries * self.entry_bytes as u64
+        entries * INDEX_ENTRY_BYTES as u64
     }
 
     /// Fraction of leaf segments resident in DRAM.
@@ -609,7 +607,7 @@ impl IndexTiming {
     ///
     /// Each merged entry whose leaf segment is non-resident costs
     /// `flash_depth` reads (the level chain is rewritten leaf-up), and
-    /// the merge appends `entry_bytes` per record to the index log,
+    /// the merge appends `INDEX_ENTRY_BYTES` per record to the index log,
     /// programming pages as they fill.
     pub fn merge(
         &mut self,
@@ -629,7 +627,7 @@ impl IndexTiming {
                     t = t.max(done);
                 }
             }
-            self.dirty_bytes += self.entry_bytes as u64;
+            self.dirty_bytes += INDEX_ENTRY_BYTES as u64;
         }
         // Flush full index pages to the log.
         let page_bytes = flash.geometry().page_bytes as u64;
@@ -650,7 +648,7 @@ impl IndexTiming {
         if frac >= 1.0 {
             return true;
         }
-        // Leaf segments hold ~page/entry_bytes records; residency is a
+        // Leaf segments hold ~page/INDEX_ENTRY_BYTES records; residency is a
         // deterministic pseudo-random property of the segment id.
         let seg = hash >> 10;
         (mix64(seg) % 1_000_000) < (frac * 1_000_000.0) as u64
@@ -701,6 +699,10 @@ impl IndexTiming {
         r.done
     }
 }
+
+// A bucket is one contiguous range of the key set only if no key is
+// shorter than its four-byte prefix.
+const _: () = assert!(KEY_MIN >= 4);
 
 /// An open iterator: its bucket and the last key it returned.
 #[derive(Debug)]
@@ -1069,7 +1071,7 @@ mod tests {
             flash.preprogram_block(b);
         }
         // 64 KiB DRAM, 48 B entries -> overflow past ~1365 entries.
-        (IndexTiming::new(48, 64 * 1024, reserved), flash)
+        (IndexTiming::new(64 * 1024, reserved), flash)
     }
 
     #[test]
