@@ -343,6 +343,116 @@ mod tests {
         }
     }
 
+    /// `partial_page_digest`'s behavior digest: final virtual time, GC
+    /// erases, GC-copied segments, segments re-placed after program
+    /// failures, live pairs and a fold of every live key's segment
+    /// locations.
+    type PartialPageDigest = (SimTime, u64, u64, u64, u64, u64);
+
+    /// Overwrites of 200 B to 6 KiB values on 64 blocks, a third of them
+    /// arriving after the 1 ms partial-flush timeout, so data pages are
+    /// programmed part full and blocks close holding refs to stale,
+    /// colliding and live segments in one order (the cluster's regime).
+    /// Where each GC copy and each program-failure re-placement lands
+    /// follows the order the victim's refs are read in, so the fold of
+    /// segment locations pins that order.
+    fn partial_page_digest(seed: u64, program_fail_one_in: Option<u64>) -> PartialPageDigest {
+        use kvssd_sim::rng::mix64;
+        use kvssd_sim::{DeterministicRng, SimDuration};
+        let geometry = Geometry {
+            blocks_per_plane: 8,
+            pages_per_block: 16,
+            ..Geometry::small()
+        };
+        let faults = FaultPlan {
+            program_fail_one_in,
+            erase_fail_one_in: None,
+        };
+        let flash = FlashDevice::with_faults(geometry, FlashTiming::pm983_like(), faults);
+        let mut d = KvSsd::over(flash, KvConfig::small());
+        let mut rng = DeterministicRng::seed_from(seed);
+        let n = 2_000u64;
+        let mut t = SimTime::ZERO;
+        for op in 0..8 * n {
+            if rng.below(3) == 0 {
+                t += SimDuration::from_millis(2);
+            }
+            let i = if op < n { op } else { rng.below(n) };
+            let len = rng.between(200, 6_144) as u32;
+            t = d.store(t, &key(i), Payload::synthetic(len, op)).unwrap();
+        }
+        t = d.flush(t).unwrap();
+        let s = d.stats();
+        assert!(s.gc_copied_segments > 0 && s.gc_erases > 0);
+        let mut fold = 0u64;
+        for i in 0..n {
+            for seg in d.segments_of(&key(i)).unwrap_or_default() {
+                let at = (seg.block.0 as u64) << 40 | (seg.page as u64) << 20 | seg.offset as u64;
+                fold = mix64(fold ^ at) ^ ((seg.alloc as u64) << 32) ^ seg.raw as u64;
+            }
+        }
+        (
+            t,
+            s.gc_erases,
+            s.gc_copied_segments,
+            s.replaced_after_failure,
+            d.len(),
+            fold,
+        )
+    }
+
+    /// `partial_page_digest` per seed and program-fault rate, pinned on
+    /// the reverse map as one `Vec` per block.
+    const PARTIAL_PAGE_HISTORY: [(u64, Option<u64>, PartialPageDigest); 3] = [
+        (
+            5,
+            None,
+            (
+                SimTime::from_nanos(12_017_602_516),
+                428,
+                11_499,
+                0,
+                2_000,
+                0xF32D_8DCD_A65A_30D4,
+            ),
+        ),
+        (
+            0x9A9E,
+            None,
+            (
+                SimTime::from_nanos(12_309_837_261),
+                446,
+                12_044,
+                0,
+                2_000,
+                0xDB0B_21D9_815D_9BB5,
+            ),
+        ),
+        (
+            5,
+            Some(1_500),
+            (
+                SimTime::from_nanos(12_082_092_925),
+                445,
+                13_204,
+                15,
+                2_000,
+                0xD1D5_FAE8_5DD7_591E,
+            ),
+        ),
+    ];
+
+    #[test]
+    fn partial_page_gc_matches_pinned_history() {
+        for (seed, fail, want) in PARTIAL_PAGE_HISTORY {
+            assert_eq!(
+                partial_page_digest(seed, fail),
+                want,
+                "GC or re-placement order diverged at seed {seed}, program faults {fail:?}"
+            );
+        }
+    }
+
     #[test]
     fn gc_workload_matches_pinned_reference_history() {
         // The incremental victim queue must reproduce the reference
