@@ -1,14 +1,17 @@
 //! The KV-FTL's share of block accounting: every block's reverse map
-//! and trapped page-tail waste, on top of the [`BlockPool`] both
-//! firmwares share (block states, valid bytes, free queues, the GC victim
-//! queue). [`BlockTable`] owns both, so every accounting change passes
-//! through this module.
+//! (in one [`RefPool`]) and trapped page-tail waste, on top of the
+//! [`BlockPool`] both firmwares share (block states, valid bytes, free
+//! queues, the GC victim queue). [`BlockTable`] owns both, so every
+//! accounting change passes through this module.
+
+mod ref_pool;
 
 use kvssd_flash::{BlockId, BlockPool, BlockState, FlashDevice};
 use kvssd_sim::SimTime;
 
 use crate::config::{KvConfig, INDEX_RESERVE_PCT};
 use crate::error::KvError;
+use ref_pool::RefPool;
 
 /// A compact reverse-map record: segment `seg_no` of the key whose
 /// 64-bit hash is `hash` was appended to this block. The fingerprint is
@@ -25,29 +28,16 @@ pub(crate) struct BlobRef {
 // block: the largest host structure after the index itself.
 const _: () = assert!(std::mem::size_of::<BlobRef>() == 12);
 
-/// Ref buffers of fully invalid closed blocks, kept for blocks opened
-/// later (see [`BlockTable::retire_refs`]).
-const SPARE_REF_BUFFERS: usize = 64;
-
 /// The KV firmware's block accounting (see module docs).
 #[derive(Debug)]
 pub(crate) struct BlockTable {
     /// Block states, valid bytes, free queues and the GC victim.
     pub(crate) pool: BlockPool,
-    refs: Vec<Vec<BlobRef>>,
-    /// Cleared ref buffers handed over by closed blocks whose valid bytes
-    /// reached zero, for blocks that open without one. Reserved at
-    /// construction and never over-filled, so it never reallocates.
-    spare_refs: Vec<Vec<BlobRef>>,
-    /// What a block opening without a buffer reserves, in one
-    /// allocation: the most refs a block has held when it closed. A block
-    /// closing with under half that resets it to its own count, so a
-    /// workload whose blocks take fewer refs than the fill's did stops
-    /// reserving for the fill.
-    longest_refs: usize,
+    /// Every block's refs, in append order. Appends and retirement go
+    /// through this table; GC pops and pushes back directly.
+    pub(crate) refs: RefPool,
     waste: Waste,
     alloc_cursor: usize,
-    soft_free: u32,
 }
 
 /// The error every erase the flash rejects maps to.
@@ -73,17 +63,18 @@ impl BlockTable {
         for &b in &reserved {
             flash.preprogram_block(b);
         }
+        // Every segment takes at least `alloc_unit` of its block's pages.
+        let block_bytes = u64::from(g.pages_per_block) * payload;
+        let max_refs =
+            u64::from(g.total_blocks()) * block_bytes / u64::from(config.alloc_unit.max(1));
         let table = BlockTable {
             pool,
-            refs: vec![Vec::new(); g.total_blocks() as usize],
-            spare_refs: Vec::with_capacity(SPARE_REF_BUFFERS),
-            longest_refs: 0,
+            refs: RefPool::new(g.total_blocks() as usize, max_refs as usize),
             waste: Waste {
                 per_block: vec![0; g.total_blocks() as usize],
                 total: 0,
             },
             alloc_cursor: 0,
-            soft_free: config.gc_soft_free_blocks,
         };
         (table, reserved)
     }
@@ -93,29 +84,10 @@ impl BlockTable {
         self.waste.total
     }
 
-    pub(crate) fn refs(&self, b: BlockId) -> &[BlobRef] {
-        self.refs.get(b.0 as usize).map_or(&[], Vec::as_slice)
-    }
-
-    pub(crate) fn refs_mut(&mut self, b: BlockId) -> Option<&mut Vec<BlobRef>> {
-        self.refs.get_mut(b.0 as usize)
-    }
-
-    /// Opens the next free block, round-robin across die-planes, giving
-    /// it a spare ref buffer if it has none of its own, else a new one
-    /// sized to the longest ref list a closed block has held (see
-    /// `longest_refs`).
+    /// Opens the next free block, round-robin across die-planes.
     pub(crate) fn open_free(&mut self) -> Option<BlockId> {
         let (next, b) = self.pool.pop_free_from(self.alloc_cursor)?;
         self.alloc_cursor = next;
-        let refs = self.refs.get_mut(b.0 as usize)?;
-        if refs.capacity() == 0 {
-            let longest = self.longest_refs;
-            *refs = self
-                .spare_refs
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(longest));
-        }
         Some(b)
     }
 
@@ -128,13 +100,11 @@ impl BlockTable {
         seg_no: u32,
         alloc: u32,
     ) -> Result<(), KvError> {
-        let Some(refs) = self.refs.get_mut(b.0 as usize) else {
-            return Err(KvError::Internal {
-                what: "segment appended to a block outside the device",
-            });
+        let outside = KvError::Internal {
+            what: "segment appended to a block outside the device",
         };
+        self.refs.push(b, BlobRef { hash, seg_no }).ok_or(outside)?;
         self.pool.add_valid(b, alloc as u64);
-        refs.push(BlobRef { hash, seg_no });
         Ok(())
     }
 
@@ -151,10 +121,6 @@ impl BlockTable {
         if flash.written_pages(b) < flash.geometry().pages_per_block {
             return false;
         }
-        let held = self.refs(b).len();
-        if held > self.longest_refs || held * 2 < self.longest_refs {
-            self.longest_refs = held;
-        }
         if self.pool.close(b, flash) {
             self.retire_refs(b);
         }
@@ -170,22 +136,9 @@ impl BlockTable {
     }
 
     /// A closed block's valid bytes reached zero, so every ref in it is
-    /// stale: clear them. While the collector is idle (free blocks at or
-    /// above the soft watermark) the block will sit closed until GC needs
-    /// it, so its buffer goes to the spare list for a block opening in the
-    /// meantime. Under GC, blocks die and reopen at the same pace, and each
-    /// keeps its own buffer. No buffer is ever freed.
+    /// stale: its chunks go back to the pool.
     fn retire_refs(&mut self, b: BlockId) {
-        let Some(refs) = self.refs.get_mut(b.0 as usize) else {
-            return;
-        };
-        refs.clear();
-        if refs.capacity() > 0
-            && self.pool.free_blocks() >= self.soft_free
-            && self.spare_refs.len() < SPARE_REF_BUFFERS
-        {
-            self.spare_refs.push(std::mem::take(refs));
-        }
+        self.refs.clear(b);
     }
 
     /// Erases the held victim, if it is still closed; returns when the
@@ -228,12 +181,5 @@ impl Waste {
             .per_block
             .get_mut(b.0 as usize)
             .map_or(0, std::mem::take);
-    }
-}
-
-#[cfg(test)]
-impl BlockTable {
-    pub(crate) fn spare_ref_buffers(&self) -> usize {
-        self.spare_refs.len()
     }
 }

@@ -62,13 +62,13 @@ impl KvSsd {
         // page); each live segment must be re-placed exactly once.
         let mut seen = PrehashedSet::default();
         let on_page = |s: &SegLoc| s.block == block && u32::from(s.page) == page;
-        let live = |r: &BlobRef| {
+        let live = |r: BlobRef| {
             Some((
                 self.index.find_segment(r.hash, r.seg_no, on_page)?.0,
                 r.seg_no,
             ))
         };
-        let victims: Vec<(KeyId, u32)> = (self.blocks.refs(block).iter())
+        let victims: Vec<(KeyId, u32)> = (self.blocks.refs.iter(block))
             .filter_map(live)
             .filter(|v| seen.insert(*v))
             .collect();

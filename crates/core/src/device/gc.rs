@@ -57,7 +57,7 @@ impl KvSsd {
     fn select_victim(&mut self) -> Option<BlockId> {
         let page = self.config.page_payload_bytes as u64;
         let v = self.blocks.pool.select_victim(page, &self.flash)?;
-        self.gc_prefetched = self.blocks.refs(v).len();
+        self.gc_prefetched = self.blocks.refs.len(v);
         Some(v)
     }
 
@@ -67,23 +67,20 @@ impl KvSsd {
         let Some(v) = self.blocks.pool.victim().or_else(|| self.select_victim()) else {
             return Ok(false);
         };
-        const OUTSIDE: KvError = KvError::Internal {
-            what: "GC victim outside the device",
-        };
-        let refs = self.blocks.refs_mut(v).ok_or(OUTSIDE)?;
         // The liveness probes below are cold index misses, and the keys
         // they will probe are known: refs are taken from the back. Start
         // loading the slots of the next `GC_PREFETCH_REFS`, each once.
-        let ahead = refs.len().saturating_sub(GC_PREFETCH_REFS);
-        let fresh = refs.get(ahead..self.gc_prefetched.min(refs.len()));
-        for r in fresh.into_iter().flatten() {
+        let len = self.blocks.refs.len(v);
+        let ahead = len.saturating_sub(GC_PREFETCH_REFS);
+        let fresh = self.gc_prefetched.min(len).saturating_sub(ahead);
+        for r in self.blocks.refs.last(v, len - ahead).take(fresh) {
             self.index.prefetch(r.hash);
         }
         self.gc_prefetched = self.gc_prefetched.min(ahead);
         // Find the next still-live ref in the victim, keeping the key and
         // segment location the liveness probe already fetched.
         let live = loop {
-            let Some(r) = refs.pop() else {
+            let Some(r) = self.blocks.refs.pop(v) else {
                 break None;
             };
             if let Some((key, seg)) = self.index.find_segment(r.hash, r.seg_no, |s| s.block == v) {
@@ -122,7 +119,10 @@ impl KvSsd {
         self.in_gc = was_gc;
         let Some((new_loc, _)) = appended? else {
             // Nowhere to move the data: put the ref back and give up.
-            self.blocks.refs_mut(v).ok_or(OUTSIDE)?.push(r);
+            let outside = KvError::Internal {
+                what: "GC victim outside the device",
+            };
+            self.blocks.refs.push(v, r).ok_or(outside)?;
             return Ok(false);
         };
         self.blocks.dec_valid(v, seg.alloc as u64, &self.flash);

@@ -176,14 +176,10 @@ fn read(d: &mut KvSsd, t: &mut SimTime, pairs: u64, rng: &mut DeterministicRng) 
     i < pairs
 }
 
-/// Reverse-map buffers change hands between blocks (while the collector
-/// is idle, a fully invalid closed block's buffer goes to a spare list
-/// that opening blocks draw from) but are never freed, and a buffer lent
-/// to a block opening for the first time comes back once GC runs. So once
-/// the device is at steady GC, overwriting its 1 KiB values allocates
-/// nothing, erase cycle after erase cycle. Pages are only ever programmed
-/// full (no partial-flush timeout), so every block takes the same number
-/// of refs and a buffer that changes hands never has to grow.
+/// Reverse-map chunks go back to the pool as GC drains a victim and as
+/// blocks die, and the pool never frees a slab. So once the device is at
+/// steady GC, overwriting its 1 KiB values allocates nothing, erase cycle
+/// after erase cycle.
 fn ref_buffers_are_recycled_not_reallocated() {
     // 128 blocks of 16 pages (120 for data) under the scaled firmware
     // constants, two thirds full of keys written in random order.
@@ -223,12 +219,27 @@ fn ref_buffers_are_recycled_not_reallocated() {
     assert_eq!(allocs, 0, "allocations in six erase cycles at steady GC");
 }
 
-/// A block that opens with no ref buffer to take over (on a device being
-/// filled nothing has died yet, so the spare list stays empty) reserves
-/// one in one allocation, sized to the longest ref list a closed block
-/// has held, and never grows it as it fills. Grown by doubling instead,
-/// a block's buffer cost nine reallocations.
-fn a_block_opening_without_a_buffer_allocates_once() {
+/// Refs per slab of the KV-FTL's reverse-map pool: 48 chunks of 128
+/// refs (`CHUNK_REFS` and `SLAB_CHUNKS` in `blocks/ref_pool.rs`).
+const REFS_PER_SLAB: u64 = 48 * 128;
+
+/// Allocations the index and the other structures make while a fill
+/// past its first two stripes of blocks stores its keys: measured, 8.
+const OTHER_FILL_ALLOCS: u64 = 8;
+
+/// Stores `next_key(i)` with 1 KiB values on 128 blocks of 16 pages,
+/// the store for `i` arriving `gap` after the previous one finished,
+/// until the soft watermark where GC starts. Returns how many blocks
+/// opened and how many allocations were made after the first two
+/// stripes of blocks had opened (none of those opens after a block has
+/// closed, and the index grows fastest meanwhile), and the refs
+/// appended in all: no ref dies before GC, so that is the most the
+/// device held.
+fn fill_to_the_soft_watermark(
+    partial_flush_timeout: SimDuration,
+    gap: SimDuration,
+    mut next_key: impl FnMut(u64) -> u64,
+) -> (u32, u64, u64) {
     let geometry = Geometry {
         blocks_per_plane: 16,
         pages_per_block: 16,
@@ -236,54 +247,81 @@ fn a_block_opening_without_a_buffer_allocates_once() {
     };
     let config = KvConfig {
         iterator_buckets: false,
-        partial_flush_timeout: SimDuration::from_secs(3_600),
+        partial_flush_timeout,
         ..KvConfig::pm983_scaled()
     };
     let mut d = KvSsd::new(geometry, FlashTiming::pm983_like(), config);
     let data_blocks = d.free_blocks();
     let (mut t, mut kb) = (SimTime::ZERO, [0u8; 16]);
-    let (mut opened, mut opening_allocs, mut other_allocs) = (0u32, 0u64, 0u64);
+    let (mut opened, mut allocs, mut refs) = (0u32, 0u64, 0u64);
     for i in 0u64.. {
-        // Stop short of the soft watermark, where GC starts.
         let free = d.free_blocks();
-        if free <= 24 {
+        if free <= config.gc_soft_free_blocks {
             break;
         }
-        let allocs = allocs_during(|| {
+        let k = next_key(i);
+        let store_allocs = allocs_during(|| {
             t = d
-                .store(t, key(&mut kb, i), Payload::synthetic(1024, i))
+                .store(t + gap, key(&mut kb, k), Payload::synthetic(1024, k))
                 .unwrap();
         });
-        // Skip the first two stripes of blocks: none of them opens after
-        // a block has closed, and the index grows fastest meanwhile.
-        if data_blocks - free < 16 {
-            continue;
-        }
-        match free - d.free_blocks() {
-            0 => other_allocs += allocs,
-            n => {
-                opened += n;
-                opening_allocs += allocs;
-            }
+        refs += 1;
+        if data_blocks - free >= 16 {
+            opened += free - d.free_blocks();
+            allocs += store_allocs;
         }
     }
-    assert!(opened > 50, "{opened} blocks opened");
+    assert_eq!(d.stats().gc_erases, 0, "GC ran before the soft watermark");
+    (opened, allocs, refs)
+}
+
+/// Blocks take their refs from one pool of fixed-size chunks, carved
+/// from slabs only when no chunk is free, so opening a block allocates
+/// nothing. A fill of fresh keys kills no ref: it allocates each slab
+/// its refs need, once, and nothing per block. Measured: 13 allocations
+/// while 80 blocks opened; with a ref buffer reserved per opening block,
+/// 88.
+fn a_fill_allocates_whole_slabs_not_blocks() {
+    let (opened, allocs, refs) =
+        fill_to_the_soft_watermark(SimDuration::from_secs(3_600), SimDuration::ZERO, |i| i);
+    assert!(opened >= 50, "{opened} blocks opened");
+    let slabs = refs.div_ceil(REFS_PER_SLAB) + 1;
     assert!(
-        opening_allocs <= u64::from(opened),
-        "{opening_allocs} allocations in the stores that opened {opened} blocks"
+        allocs <= slabs + OTHER_FILL_ALLOCS,
+        "{allocs} allocations while {opened} blocks opened: budget {slabs} slabs \
+         and {OTHER_FILL_ALLOCS} others"
     );
-    // Measured: 8, the other structures' growth steps; with the ref
-    // buffers grown by doubling, 628.
+}
+
+/// The cluster's regime: a device takes uniform overwrites of a small
+/// population at intervals that let the partial-flush timeout program
+/// pages part full, and fills with garbage before GC starts. Blocks die
+/// while the collector is idle and new ones open; neither allocates, and
+/// chunks freed by dead blocks are taken before a slab is carved.
+/// Measured: 7 allocations while 80 blocks opened; with per-block ref
+/// buffers handed from dead blocks to opening ones, 50.
+fn overwrites_before_gc_allocate_no_more_than_the_fill() {
+    let pairs = 1_000;
+    let mut rng = DeterministicRng::seed_from(31);
+    let (opened, allocs, refs) = fill_to_the_soft_watermark(
+        KvConfig::pm983_scaled().partial_flush_timeout,
+        SimDuration::from_micros(150),
+        |_| rng.below(pairs),
+    );
+    assert!(opened >= 50, "{opened} blocks opened");
+    let slabs = refs.div_ceil(REFS_PER_SLAB) + 1;
     assert!(
-        other_allocs <= 8,
-        "{other_allocs} allocations in stores that opened no block"
+        allocs <= slabs + OTHER_FILL_ALLOCS,
+        "{allocs} allocations while {opened} blocks opened: budget {slabs} slabs \
+         and {OTHER_FILL_ALLOCS} others"
     );
 }
 
 #[test]
 fn kv_ftl_hot_paths_stay_off_the_heap() {
     inline_vec_spill_costs_one_allocation_per_growth_step();
-    a_block_opening_without_a_buffer_allocates_once();
+    a_fill_allocates_whole_slabs_not_blocks();
+    overwrites_before_gc_allocate_no_more_than_the_fill();
     ref_buffers_are_recycled_not_reallocated();
     global_index_never_holds_two_copies_of_itself();
 
