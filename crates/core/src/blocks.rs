@@ -63,13 +63,9 @@ impl BlockTable {
         for &b in &reserved {
             flash.preprogram_block(b);
         }
-        // Every segment takes at least `alloc_unit` of its block's pages.
-        let block_bytes = u64::from(g.pages_per_block) * payload;
-        let max_refs =
-            u64::from(g.total_blocks()) * block_bytes / u64::from(config.alloc_unit.max(1));
         let table = BlockTable {
             pool,
-            refs: RefPool::new(g.total_blocks() as usize, max_refs as usize),
+            refs: RefPool::new(g.total_blocks() as usize),
             waste: Waste {
                 per_block: vec![0; g.total_blocks() as usize],
                 total: 0,

@@ -1,12 +1,13 @@
 //! Every block's reverse map in one pool of fixed-size chunks.
 //!
 //! A block's refs are a chain of [`CHUNK_REFS`]-ref chunks, pushed and
-//! popped at the tail and read in append order. Chunks are carved from
-//! [`SLAB_CHUNKS`]-chunk slabs; a slab is allocated only when no chunk
-//! is free and is never moved or freed while the pool lives. A chunk
-//! returns to the free list when a pop empties it and when its block's
-//! list is cleared, so the pool holds at most one slab's worth of chunks
-//! beyond the most its lists ever held at once.
+//! popped at the tail and read in append order. A chunk returns to the
+//! free list when a pop empties it and when its block's list is cleared,
+//! and a fresh one is carved only when that list is empty, so the pool
+//! never holds more chunks than its lists once held together. Chunks are
+//! carved in order from [`SLAB_CHUNKS`]-chunk slabs, each one allocation
+//! that is never moved or freed while the pool lives and is touched only
+//! as far as it has been carved.
 
 use kvssd_flash::BlockId;
 
@@ -15,8 +16,12 @@ use super::BlobRef;
 /// Refs per chunk: 1.5 KiB of refs.
 const CHUNK_REFS: usize = 128;
 
-/// Chunks per slab: one allocation of 72 KiB.
-const SLAB_CHUNKS: usize = 48;
+/// Chunks per slab: one allocation of 256 KiB. The size is measured,
+/// not derived: under the benchmark's heap, which never returns memory,
+/// where slabs land among the index's freed tables moves the KV
+/// workloads' peak RSS by up to 40 MB either way, and this size left all
+/// three below their one-`Vec`-per-block peaks (DESIGN.md).
+const SLAB_CHUNKS: usize = 170;
 
 const _: () = assert!(SLAB_CHUNKS * std::mem::size_of::<Chunk>() >= 64 * 1024);
 
@@ -57,20 +62,18 @@ const EMPTY_LIST: List = List {
 #[derive(Debug)]
 pub(crate) struct RefPool {
     lists: Vec<List>,
-    slabs: Vec<Box<[Chunk]>>,
+    /// Each of capacity `SLAB_CHUNKS`, so pushing a chunk never moves one.
+    slabs: Vec<Vec<Chunk>>,
     /// Head of the free-chunk list, linked through `next`.
     free: u32,
 }
 
 impl RefPool {
-    /// Empty lists for blocks `0..lists`; the slab directory is reserved
-    /// for `max_refs` refs held at once, so it does not grow while they
-    /// fit.
-    pub(crate) fn new(lists: usize, max_refs: usize) -> Self {
-        let chunks = max_refs.div_ceil(CHUNK_REFS) + lists;
+    /// Empty lists for blocks `0..lists`.
+    pub(crate) fn new(lists: usize) -> Self {
         RefPool {
             lists: vec![EMPTY_LIST; lists],
-            slabs: Vec::with_capacity(chunks.div_ceil(SLAB_CHUNKS)),
+            slabs: Vec::new(),
             free: NONE,
         }
     }
@@ -187,22 +190,26 @@ impl RefPool {
             .get_mut(c % SLAB_CHUNKS)
     }
 
-    /// Pops a free chunk, carving a new slab first if none is free.
+    /// Pops a free chunk, or carves the next one if none is free.
     fn take_chunk(&mut self) -> Option<u32> {
-        if self.free == NONE {
-            let first = self.slabs.len() * SLAB_CHUNKS;
-            let end = u32::try_from(first + SLAB_CHUNKS).ok()?;
-            let slab = (first as u32 + 1..=end)
-                .map(|next| Chunk {
-                    next: if next < end { next } else { NONE },
-                    ..EMPTY_CHUNK
-                })
-                .collect();
-            self.slabs.push(slab);
-            self.free = first as u32;
+        if self.free != NONE {
+            let c = self.free;
+            self.free = self.chunk(c)?.next;
+            return Some(c);
         }
-        let c = self.free;
-        self.free = self.chunk(c)?.next;
+        if self
+            .slabs
+            .last()
+            .is_none_or(|slab| slab.len() == SLAB_CHUNKS)
+        {
+            self.slabs.push(Vec::with_capacity(SLAB_CHUNKS));
+        }
+        let full = (self.slabs.len() - 1) * SLAB_CHUNKS;
+        let slab = self.slabs.last_mut()?;
+        let c = u32::try_from(full + slab.len())
+            .ok()
+            .filter(|&c| c != NONE)?;
+        slab.push(EMPTY_CHUNK);
         Some(c)
     }
 }
@@ -280,10 +287,10 @@ mod tests {
     /// Runs `ops` on a pool and on `Vec<Vec<BlobRef>>`: after every op
     /// each list's length, its refs in order and the back windows GC
     /// prefetches from agree, every pop returns the model's, and the
-    /// slabs never outgrow the most chunks the lists held at once.
+    /// pool never carves more chunks than the lists once held together.
     fn matches_a_vec_per_list(ops: &[Op]) -> Result<(), String> {
         let b = |l: usize| BlockId(l as u32);
-        let mut pool = RefPool::new(LISTS, 0);
+        let mut pool = RefPool::new(LISTS);
         let mut model: Vec<Vec<BlobRef>> = vec![Vec::new(); LISTS];
         let (mut next, mut peak_chunks) = (0u64, 0usize);
         for (i, op) in ops.iter().enumerate() {
@@ -314,10 +321,11 @@ mod tests {
             }
             let chunks: usize = model.iter().map(|m| m.len().div_ceil(CHUNK_REFS)).sum();
             peak_chunks = peak_chunks.max(chunks);
-            if pool.slabs.len() > peak_chunks.div_ceil(SLAB_CHUNKS) {
+            let carved: usize = pool.slabs.iter().map(Vec::len).sum();
+            if carved > peak_chunks || pool.slabs.len() > peak_chunks.div_ceil(SLAB_CHUNKS) {
+                let slabs = pool.slabs.len();
                 return Err(format!(
-                    "op {i}: {} slabs for a peak of {peak_chunks} chunks",
-                    pool.slabs.len()
+                    "op {i}: {carved} chunks in {slabs} slabs for a peak of {peak_chunks}"
                 ));
             }
             for (l, m) in model.iter().enumerate() {
@@ -350,7 +358,7 @@ mod tests {
 
     #[test]
     fn lists_outside_the_pool_hold_nothing() {
-        let (mut pool, outside) = (RefPool::new(2, 0), BlockId(2));
+        let (mut pool, outside) = (RefPool::new(2), BlockId(2));
         let r = BlobRef { hash: 1, seg_no: 2 };
         assert_eq!(pool.push(outside, r), None);
         assert_eq!(pool.pop(outside).map(key), None);

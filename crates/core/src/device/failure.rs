@@ -68,10 +68,9 @@ impl KvSsd {
                 r.seg_no,
             ))
         };
-        let victims: Vec<(KeyId, u32)> = (self.blocks.refs.iter(block))
-            .filter_map(live)
-            .filter(|v| seen.insert(*v))
-            .collect();
+        let refs = self.blocks.refs.iter(block);
+        let victims: Vec<(KeyId, u32)> =
+            refs.filter_map(live).filter(|v| seen.insert(*v)).collect();
         for &(key, seg_no) in &victims {
             let Some(&seg) = self
                 .index

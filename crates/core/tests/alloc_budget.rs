@@ -219,9 +219,9 @@ fn ref_buffers_are_recycled_not_reallocated() {
     assert_eq!(allocs, 0, "allocations in six erase cycles at steady GC");
 }
 
-/// Refs per slab of the KV-FTL's reverse-map pool: 48 chunks of 128
-/// refs (`CHUNK_REFS` and `SLAB_CHUNKS` in `blocks/ref_pool.rs`).
-const REFS_PER_SLAB: u64 = 48 * 128;
+/// Refs per slab of the KV-FTL's reverse-map pool: 170 chunks of 128
+/// refs (`SLAB_CHUNKS` and `CHUNK_REFS` in `blocks/ref_pool.rs`).
+const REFS_PER_SLAB: u64 = 170 * 128;
 
 /// Allocations the index and the other structures make while a fill
 /// past its first two stripes of blocks stores its keys: measured, 8.
@@ -278,7 +278,7 @@ fn fill_to_the_soft_watermark(
 /// Blocks take their refs from one pool of fixed-size chunks, carved
 /// from slabs only when no chunk is free, so opening a block allocates
 /// nothing. A fill of fresh keys kills no ref: it allocates each slab
-/// its refs need, once, and nothing per block. Measured: 13 allocations
+/// its refs need, once, and nothing per block. Measured: 9 allocations
 /// while 80 blocks opened; with a ref buffer reserved per opening block,
 /// 88.
 fn a_fill_allocates_whole_slabs_not_blocks() {
@@ -298,9 +298,9 @@ fn a_fill_allocates_whole_slabs_not_blocks() {
 /// pages part full, and fills with garbage before GC starts. Blocks die
 /// while the collector is idle and new ones open; neither allocates, and
 /// chunks freed by dead blocks are taken before a slab is carved.
-/// Measured: 7 allocations while 80 blocks opened; with per-block ref
+/// Measured: 6 allocations while 80 blocks opened; with per-block ref
 /// buffers handed from dead blocks to opening ones, 50.
-fn overwrites_before_gc_allocate_no_more_than_the_fill() {
+fn overwrites_before_gc_allocate_whole_slabs_not_blocks() {
     let pairs = 1_000;
     let mut rng = DeterministicRng::seed_from(31);
     let (opened, allocs, refs) = fill_to_the_soft_watermark(
@@ -321,7 +321,7 @@ fn overwrites_before_gc_allocate_no_more_than_the_fill() {
 fn kv_ftl_hot_paths_stay_off_the_heap() {
     inline_vec_spill_costs_one_allocation_per_growth_step();
     a_fill_allocates_whole_slabs_not_blocks();
-    overwrites_before_gc_allocate_no_more_than_the_fill();
+    overwrites_before_gc_allocate_whole_slabs_not_blocks();
     ref_buffers_are_recycled_not_reallocated();
     global_index_never_holds_two_copies_of_itself();
 
