@@ -18,9 +18,10 @@ const CHUNK_REFS: usize = 128;
 
 /// Chunks per slab: one allocation of 256 KiB. The size is measured,
 /// not derived: under the benchmark's heap, which never returns memory,
-/// where slabs land among the index's freed tables moves the KV
-/// workloads' peak RSS by up to 40 MB either way, and this size left all
-/// three below their one-`Vec`-per-block peaks (DESIGN.md).
+/// where slabs land among the index's freed tables moved the KV
+/// workloads' peak RSS by −12 to +72 MB over the sizes tried, and this
+/// one left all three below their one-`Vec`-per-block peaks
+/// (DESIGN.md).
 const SLAB_CHUNKS: usize = 170;
 
 const _: () = assert!(SLAB_CHUNKS * std::mem::size_of::<Chunk>() >= 64 * 1024);
@@ -163,13 +164,12 @@ impl RefPool {
             c = self.chunk(c).map_or(NONE, |chunk| chunk.prev);
             base -= CHUNK_REFS;
         }
-        let cur = self
-            .chunk(c)
-            .and_then(|chunk| chunk.refs.get(start - base..));
+        let chunk = self.chunk(c);
+        let cur = chunk.and_then(|chunk| chunk.refs.get(start - base..));
         Refs {
             pool: self,
             cur: cur.unwrap_or_default().iter(),
-            next: self.chunk(c).map_or(NONE, |chunk| chunk.next),
+            next: chunk.map_or(NONE, |chunk| chunk.next),
             remaining: len - start,
         }
     }
