@@ -57,37 +57,39 @@ impl std::fmt::Display for BlockIoError {
 
 impl std::error::Error for BlockIoError {}
 
-/// Device-level counters.
-#[derive(Debug, Clone, Default)]
-pub struct BlockSsdStats {
-    /// Host write commands.
-    pub host_writes: u64,
-    /// Host read commands.
-    pub host_reads: u64,
-    /// Host bytes written.
-    pub host_bytes_written: u64,
-    /// Host bytes read.
-    pub host_bytes_read: u64,
-    /// Read-modify-write flash reads caused by sub-cluster writes.
-    pub rmw_reads: u64,
-    /// Clusters copied by garbage collection.
-    pub gc_copied_clusters: u64,
-    /// Blocks erased by garbage collection.
-    pub gc_erases: u64,
-    /// Synchronous (foreground) GC episodes that ran at least one
-    /// reclaim round. No host write waits for one: the die pays.
-    pub foreground_gc_events: u64,
-    /// Total virtual time host writes spent stalled on the write buffer.
-    pub stall_time: SimDuration,
-    /// Reads satisfied from the device read buffer (page already
-    /// fetched by a neighboring cluster read).
-    pub read_buffer_hits: u64,
-    /// Reads satisfied from the volatile write buffer.
-    pub write_buffer_hits: u64,
-    /// Multi-plane stripe programs issued for sequential data.
-    pub stripe_programs: u64,
-    /// Clusters re-placed after an injected program failure.
-    pub replaced_after_failure: u64,
+kvssd_sim::counters! {
+    /// Device-level counters.
+    #[derive(Debug, Clone, Default)]
+    pub struct BlockSsdStats {
+        /// Host write commands.
+        pub host_writes: u64,
+        /// Host read commands.
+        pub host_reads: u64,
+        /// Host bytes written.
+        pub host_bytes_written: u64,
+        /// Host bytes read.
+        pub host_bytes_read: u64,
+        /// Read-modify-write flash reads caused by sub-cluster writes.
+        pub rmw_reads: u64,
+        /// Clusters copied by garbage collection.
+        pub gc_copied_clusters: u64,
+        /// Blocks erased by garbage collection.
+        pub gc_erases: u64,
+        /// Synchronous (foreground) GC episodes that ran at least one
+        /// reclaim round. No host write waits for one: the die pays.
+        pub foreground_gc_events: u64,
+        /// Total virtual time host writes spent stalled on the write buffer.
+        pub stall_time: SimDuration,
+        /// Reads satisfied from the device read buffer (page already
+        /// fetched by a neighboring cluster read).
+        pub read_buffer_hits: u64,
+        /// Reads satisfied from the volatile write buffer.
+        pub write_buffer_hits: u64,
+        /// Multi-plane stripe programs issued for sequential data.
+        pub stripe_programs: u64,
+        /// Clusters re-placed after an injected program failure.
+        pub replaced_after_failure: u64,
+    }
 }
 
 /// The block(s) of one unit: a sibling-plane pair, one block, or none.
@@ -1220,31 +1222,9 @@ mod tests {
         let (d, t) = reference_workload(seed, faults, ops);
         let clusters = d.capacity_bytes() / 4096;
         let (s, f) = (d.stats(), d.flash().stats());
-        let counters = [
-            s.host_writes,
-            s.host_reads,
-            s.host_bytes_written,
-            s.host_bytes_read,
-            s.rmw_reads,
-            s.gc_copied_clusters,
-            s.gc_erases,
-            s.foreground_gc_events,
-            s.stall_time.as_nanos(),
-            s.read_buffer_hits,
-            s.write_buffer_hits,
-            s.stripe_programs,
-            s.replaced_after_failure,
-            f.reads,
-            f.programs,
-            f.erases,
-            f.bytes_read,
-            f.bytes_written,
-            f.program_failures,
-            f.erase_failures,
-            d.free_blocks() as u64,
-            d.valid_bytes(),
-        ];
-        let mut fold = counters.into_iter().fold(0, |h, v| mix64(h ^ v));
+        let pool = [d.free_blocks() as u64, d.valid_bytes()];
+        let counters = s.values().into_iter().chain(f.values()).chain(pool);
+        let mut fold = counters.fold(0, |h, v| mix64(h ^ v));
         for lcn in 0..clusters as u32 {
             let at = d.map.lookup(lcn).map_or(u64::MAX, |l| {
                 (l.block.0 as u64) << 40 | (l.page as u64) << 20 | l.slot as u64

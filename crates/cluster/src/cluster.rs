@@ -162,10 +162,8 @@ impl Shard {
 pub struct ClusterStats {
     /// Per-device counters, summed field by field.
     pub devices: KvSsdStats,
-    /// Submission-queue stalls across shards.
-    pub sq_full_stalls: u64,
-    /// Total virtual time spent waiting on full submission queues.
-    pub sq_stall_time: SimDuration,
+    /// Submission-queue counters, summed field by field.
+    pub sq: SqStats,
     /// Keys moved by rebalances so far.
     pub rebalanced_keys: u64,
     /// Bytes moved by rebalances so far.
@@ -1118,42 +1116,9 @@ impl KvCluster {
     /// transport sums.
     pub fn stats(&self) -> ClusterStats {
         let mut st = self.counters.clone();
-        let d = &mut st.devices;
         for s in &self.shards {
-            // Destructured whole: a counter added to the device does not
-            // compile until it is summed here.
-            let &KvSsdStats {
-                stores,
-                retrieves,
-                deletes,
-                exists,
-                not_found,
-                bloom_negatives,
-                split_stores,
-                write_through,
-                gc_copied_segments,
-                gc_erases,
-                foreground_gc_events,
-                stall_time,
-                write_buffer_hits,
-                replaced_after_failure,
-            } = s.device.stats();
-            d.stores += stores;
-            d.retrieves += retrieves;
-            d.deletes += deletes;
-            d.exists += exists;
-            d.not_found += not_found;
-            d.bloom_negatives += bloom_negatives;
-            d.split_stores += split_stores;
-            d.write_through += write_through;
-            d.gc_copied_segments += gc_copied_segments;
-            d.gc_erases += gc_erases;
-            d.foreground_gc_events += foreground_gc_events;
-            d.stall_time += stall_time;
-            d.write_buffer_hits += write_buffer_hits;
-            d.replaced_after_failure += replaced_after_failure;
-            st.sq_full_stalls += s.sq.stats().full_stalls;
-            st.sq_stall_time += s.sq.stats().stall_time;
+            st.devices.add(s.device.stats());
+            st.sq.add(s.sq.stats());
         }
         st.transport = self.transport.stats();
         st
@@ -1170,13 +1135,7 @@ impl KvCluster {
     pub fn space(&self) -> SpaceReport {
         let mut out = SpaceReport::default();
         for s in &self.shards {
-            let r = s.device.space();
-            out.user_bytes += r.user_bytes;
-            out.allocated_bytes += r.allocated_bytes;
-            out.capacity_bytes += r.capacity_bytes;
-            out.kvp_count += r.kvp_count;
-            out.max_kvps += r.max_kvps;
-            out.waste_bytes += r.waste_bytes;
+            out.add(&s.device.space());
         }
         out
     }
@@ -1451,14 +1410,43 @@ mod tests {
 
     #[test]
     fn stats_and_space_aggregate() {
-        let mut c = KvCluster::for_test_replicated(2, 1);
-        let _done = fill(&mut c, 50);
+        fn summed<const N: usize>(parts: impl Iterator<Item = [u64; N]>) -> [u64; N] {
+            parts.fold([0; N], |mut acc, v| {
+                acc.iter_mut().zip(v).for_each(|(a, x)| *a += x);
+                acc
+            })
+        }
+        let mut c = KvCluster::for_test_replicated(3, 2);
+        let mut t = fill(&mut c, 60);
+        for i in (0..60u64).step_by(3) {
+            t = c
+                .store(t, format!("key{i:08}").as_bytes(), payload(2_000, i + 1))
+                .unwrap();
+        }
+        for i in (1..60u64).step_by(4) {
+            t = c.delete(t, format!("key{i:08}").as_bytes()).unwrap().0;
+        }
+        for i in 0..70u64 {
+            t = c.retrieve(t, format!("key{i:08}").as_bytes()).unwrap().at;
+        }
         let st = c.stats();
-        assert_eq!(st.devices.stores, 50);
+        assert_eq!(st.devices.stores, 2 * (60 + 20));
+        assert_eq!(st.devices.deletes, 2 * 15);
+        let shards = c.shards();
+        let devices = summed(shards.iter().map(|s| s.device().stats().values()));
+        assert_eq!(st.devices.values(), devices);
+        assert_eq!(
+            st.sq.values(),
+            summed(shards.iter().map(|s| s.sq_stats().values()))
+        );
+        assert!(st.sq.submitted > 0);
         let sp = c.space();
-        assert_eq!(sp.kvp_count, 50);
-        assert!(sp.user_bytes > 0);
-        assert!(sp.capacity_bytes > 0);
+        assert_eq!(
+            sp.values(),
+            summed(shards.iter().map(|s| s.device().space().values()))
+        );
+        assert_eq!(sp.kvp_count, 2 * (60 - 15));
+        assert!(sp.user_bytes > 0 && sp.capacity_bytes > 0);
     }
 
     #[test]

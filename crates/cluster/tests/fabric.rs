@@ -748,8 +748,8 @@ fn lossy_repair_scenario(seed: u64, lean: bool) -> String {
          wire req={} resp={} dropped={} partition_drops={} dup={} stalls={} bytes={}\n{}",
         c.len(),
         c.quiesce_time(),
-        st.sq_full_stalls,
-        st.sq_stall_time,
+        st.sq.full_stalls,
+        st.sq.stall_time,
         st.rebalanced_keys,
         st.rebalanced_bytes,
         st.hedged_spares,

@@ -46,22 +46,24 @@ pub struct Lookup {
     pub value: Option<Payload>,
 }
 
-/// Space accounting snapshot (drives Fig. 7).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpaceReport {
-    /// Bytes of user data stored (keys + values of live pairs).
-    pub user_bytes: u64,
-    /// Bytes allocated on media for those pairs (incl. padding).
-    pub allocated_bytes: u64,
-    /// Usable data capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Live KVP count.
-    pub kvp_count: u64,
-    /// The device KVP limit.
-    pub max_kvps: u64,
-    /// Page-tail bytes currently trapped as internal fragmentation
-    /// (reclaimed when GC erases the owning blocks).
-    pub waste_bytes: u64,
+kvssd_sim::counters! {
+    /// Space accounting snapshot (drives Fig. 7).
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct SpaceReport {
+        /// Bytes of user data stored (keys + values of live pairs).
+        pub user_bytes: u64,
+        /// Bytes allocated on media for those pairs (incl. padding).
+        pub allocated_bytes: u64,
+        /// Usable data capacity in bytes.
+        pub capacity_bytes: u64,
+        /// Live KVP count.
+        pub kvp_count: u64,
+        /// The device KVP limit.
+        pub max_kvps: u64,
+        /// Page-tail bytes currently trapped as internal fragmentation
+        /// (reclaimed when GC erases the owning blocks).
+        pub waste_bytes: u64,
+    }
 }
 
 impl SpaceReport {
@@ -71,38 +73,40 @@ impl SpaceReport {
     }
 }
 
-/// Device counters.
-#[derive(Debug, Clone, Default)]
-pub struct KvSsdStats {
-    /// Store commands completed.
-    pub stores: u64,
-    /// Retrieve commands completed.
-    pub retrieves: u64,
-    /// Delete commands completed.
-    pub deletes: u64,
-    /// Exist commands completed.
-    pub exists: u64,
-    /// Lookups answered not-found.
-    pub not_found: u64,
-    /// Negative lookups short-circuited by a Bloom filter.
-    pub bloom_negatives: u64,
-    /// Stores whose blob split into multiple segments.
-    pub split_stores: u64,
-    /// Blobs written through (larger than the volatile buffer's half).
-    pub write_through: u64,
-    /// Segments copied by GC.
-    pub gc_copied_segments: u64,
-    /// Blocks erased by GC.
-    pub gc_erases: u64,
-    /// Foreground GC episodes that ran at least one reclaim round.
-    pub foreground_gc_events: u64,
-    /// Total time writes spent stalled: on buffer space, and on the
-    /// foreground GC a store runs at the hard watermark.
-    pub stall_time: SimDuration,
-    /// Reads served from the volatile write buffer.
-    pub write_buffer_hits: u64,
-    /// Segments re-placed after injected program failures.
-    pub replaced_after_failure: u64,
+kvssd_sim::counters! {
+    /// Device counters.
+    #[derive(Debug, Clone, Default)]
+    pub struct KvSsdStats {
+        /// Store commands completed.
+        pub stores: u64,
+        /// Retrieve commands completed.
+        pub retrieves: u64,
+        /// Delete commands completed.
+        pub deletes: u64,
+        /// Exist commands completed.
+        pub exists: u64,
+        /// Lookups answered not-found.
+        pub not_found: u64,
+        /// Negative lookups short-circuited by a Bloom filter.
+        pub bloom_negatives: u64,
+        /// Stores whose blob split into multiple segments.
+        pub split_stores: u64,
+        /// Blobs written through (larger than the volatile buffer's half).
+        pub write_through: u64,
+        /// Segments copied by GC.
+        pub gc_copied_segments: u64,
+        /// Blocks erased by GC.
+        pub gc_erases: u64,
+        /// Foreground GC episodes that ran at least one reclaim round.
+        pub foreground_gc_events: u64,
+        /// Total time writes spent stalled: on buffer space, and on the
+        /// foreground GC a store runs at the hard watermark.
+        pub stall_time: SimDuration,
+        /// Reads served from the volatile write buffer.
+        pub write_buffer_hits: u64,
+        /// Segments re-placed after injected program failures.
+        pub replaced_after_failure: u64,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]

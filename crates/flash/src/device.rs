@@ -91,23 +91,25 @@ pub struct EraseResult {
     pub failed: bool,
 }
 
-/// Operation and byte counters, plus failure tallies.
-#[derive(Debug, Clone, Default)]
-pub struct FlashStats {
-    /// Page reads issued.
-    pub reads: u64,
-    /// Page programs issued (including failed ones).
-    pub programs: u64,
-    /// Block erases issued (including failed ones).
-    pub erases: u64,
-    /// Bytes transferred out on reads.
-    pub bytes_read: u64,
-    /// Bytes transferred in on programs.
-    pub bytes_written: u64,
-    /// Injected program failures.
-    pub program_failures: u64,
-    /// Injected erase failures.
-    pub erase_failures: u64,
+kvssd_sim::counters! {
+    /// Operation and byte counters, plus failure tallies.
+    #[derive(Debug, Clone, Default)]
+    pub struct FlashStats {
+        /// Page reads issued.
+        pub reads: u64,
+        /// Page programs issued (including failed ones).
+        pub programs: u64,
+        /// Block erases issued (including failed ones).
+        pub erases: u64,
+        /// Bytes transferred out on reads.
+        pub bytes_read: u64,
+        /// Bytes transferred in on programs.
+        pub bytes_written: u64,
+        /// Injected program failures.
+        pub program_failures: u64,
+        /// Injected erase failures.
+        pub erase_failures: u64,
+    }
 }
 
 #[derive(Debug, Clone, Default)]

@@ -53,25 +53,27 @@ impl std::fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
-/// Filesystem counters.
-#[derive(Debug, Clone, Default)]
-pub struct FsStats {
-    /// Files created.
-    pub creates: u64,
-    /// Files deleted.
-    pub deletes: u64,
-    /// fsync calls.
-    pub fsyncs: u64,
-    /// Journal records written.
-    pub journal_writes: u64,
-    /// Bytes read through the filesystem.
-    pub bytes_read: u64,
-    /// Bytes written through the filesystem.
-    pub bytes_written: u64,
-    /// Page-cache hits on reads.
-    pub cache_hits: u64,
-    /// Page-cache misses (device reads).
-    pub cache_misses: u64,
+kvssd_sim::counters! {
+    /// Filesystem counters.
+    #[derive(Debug, Clone, Default)]
+    pub struct FsStats {
+        /// Files created.
+        pub creates: u64,
+        /// Files deleted.
+        pub deletes: u64,
+        /// fsync calls.
+        pub fsyncs: u64,
+        /// Journal records written.
+        pub journal_writes: u64,
+        /// Bytes read through the filesystem.
+        pub bytes_read: u64,
+        /// Bytes written through the filesystem.
+        pub bytes_written: u64,
+        /// Page-cache hits on reads.
+        pub cache_hits: u64,
+        /// Page-cache misses (device reads).
+        pub cache_misses: u64,
+    }
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -17,31 +17,33 @@ use crate::sst::{merge_runs, Entry, Run, SstMeta, TableBuilder, TableRun};
 /// One live entry returned by [`LsmStore::scan`]: owned key + payload.
 pub type ScanEntry = (Box<[u8]>, Payload);
 
-/// Store counters.
-#[derive(Debug, Clone, Default)]
-pub struct LsmStats {
-    /// Puts (inserts/updates/deletes) applied.
-    pub puts: u64,
-    /// Gets served.
-    pub gets: u64,
-    /// Memtable flushes.
-    pub flushes: u64,
-    /// Compactions run.
-    pub compactions: u64,
-    /// Puts that stalled on L0 pressure.
-    pub stalls: u64,
-    /// Total stall time.
-    pub stall_time: SimDuration,
-    /// Bytes written by flushes.
-    pub bytes_flushed: u64,
-    /// Bytes written by compactions.
-    pub bytes_compacted: u64,
-    /// Gets answered from the memtable.
-    pub gets_from_memtable: u64,
-    /// Block-cache hits.
-    pub block_cache_hits: u64,
-    /// Block-cache misses.
-    pub block_cache_misses: u64,
+kvssd_sim::counters! {
+    /// Store counters.
+    #[derive(Debug, Clone, Default)]
+    pub struct LsmStats {
+        /// Puts (inserts/updates/deletes) applied.
+        pub puts: u64,
+        /// Gets served.
+        pub gets: u64,
+        /// Memtable flushes.
+        pub flushes: u64,
+        /// Compactions run.
+        pub compactions: u64,
+        /// Puts that stalled on L0 pressure.
+        pub stalls: u64,
+        /// Total stall time.
+        pub stall_time: SimDuration,
+        /// Bytes written by flushes.
+        pub bytes_flushed: u64,
+        /// Bytes written by compactions.
+        pub bytes_compacted: u64,
+        /// Gets answered from the memtable.
+        pub gets_from_memtable: u64,
+        /// Block-cache hits.
+        pub block_cache_hits: u64,
+        /// Block-cache misses.
+        pub block_cache_misses: u64,
+    }
 }
 
 /// The RocksDB-like store (see crate docs). Owns its filesystem (and

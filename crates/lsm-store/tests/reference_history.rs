@@ -13,8 +13,8 @@
 use kvssd_block_ftl::{BlockFtlConfig, BlockSsd};
 use kvssd_core::Payload;
 use kvssd_flash::{FlashTiming, Geometry};
-use kvssd_host_stack::{ExtFs, FsStats};
-use kvssd_lsm_store::{LsmConfig, LsmStats, LsmStore};
+use kvssd_host_stack::ExtFs;
+use kvssd_lsm_store::{LsmConfig, LsmStore};
 use kvssd_sim::{digest64, mix64, DeterministicRng, SimDuration, SimTime, ZipfianDistribution};
 
 /// Keys in the population.
@@ -109,60 +109,19 @@ fn history(seed: u64) -> u64 {
     }
     let end = db.flush_all(issue);
     mix(end.as_nanos());
-    let LsmStats {
-        puts,
-        gets,
-        flushes,
-        compactions,
-        stalls,
-        stall_time,
-        bytes_flushed,
-        bytes_compacted,
-        gets_from_memtable,
-        block_cache_hits,
-        block_cache_misses,
-    } = db.stats().clone();
-    let FsStats {
-        creates,
-        deletes,
-        fsyncs,
-        journal_writes,
-        bytes_read,
-        bytes_written,
-        cache_hits,
-        cache_misses,
-    } = db.fs().stats().clone();
+    let (st, fs) = (db.stats(), db.fs().stats());
     // The history is meant to flush, compact, stall and evict from both
     // caches in every run.
     assert!(
-        flushes > 20 && compactions > 5 && stalls > 0,
-        "{flushes} / {compactions} / {stalls}"
+        st.flushes > 20 && st.compactions > 5 && st.stalls > 0,
+        "{} / {} / {}",
+        st.flushes,
+        st.compactions,
+        st.stalls
     );
-    assert!(block_cache_misses > 100 * 4 && cache_misses > 10 * 32);
-    for v in [
-        puts,
-        gets,
-        flushes,
-        compactions,
-        stalls,
-        stall_time.as_nanos(),
-        bytes_flushed,
-        bytes_compacted,
-        gets_from_memtable,
-        block_cache_hits,
-        block_cache_misses,
-        creates,
-        deletes,
-        fsyncs,
-        journal_writes,
-        bytes_read,
-        bytes_written,
-        cache_hits,
-        cache_misses,
-        db.len(),
-        db.user_bytes(),
-        db.disk_bytes(),
-    ] {
+    assert!(st.block_cache_misses > 100 * 4 && fs.cache_misses > 10 * 32);
+    let store = [db.len(), db.user_bytes(), db.disk_bytes()];
+    for v in st.values().into_iter().chain(fs.values()).chain(store) {
         mix(v);
     }
     fold

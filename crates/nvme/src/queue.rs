@@ -52,17 +52,19 @@ impl Default for SqConfig {
     }
 }
 
-/// Submission-queue counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SqStats {
-    /// Commands submitted through this queue.
-    pub submitted: u64,
-    /// Doorbell rings (one per command).
-    pub doorbells: u64,
-    /// Submissions that found the queue full and had to wait.
-    pub full_stalls: u64,
-    /// Total virtual time submissions spent waiting for a free slot.
-    pub stall_time: SimDuration,
+kvssd_sim::counters! {
+    /// Submission-queue counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SqStats {
+        /// Commands submitted through this queue.
+        pub submitted: u64,
+        /// Doorbell rings (one per command).
+        pub doorbells: u64,
+        /// Submissions that found the queue full and had to wait.
+        pub full_stalls: u64,
+        /// Total virtual time submissions spent waiting for a free slot.
+        pub stall_time: SimDuration,
+    }
 }
 
 /// One shard's NVMe submission queue (see module docs).

@@ -17,6 +17,8 @@
 //! * [`QueueRunner`] — an outstanding-operation scheduler that models a
 //!   host issuing requests at a fixed queue depth,
 //! * [`rng`] — deterministic RNG and a Zipfian distribution for workloads,
+//! * [`counters!`] — counter structs declared once, summed and folded
+//!   field by field,
 //! * [`check`] — seeded property checking with shrink-by-deletion (what
 //!   every property and model-oracle suite in the workspace runs on),
 //! * [`stats`] — latency histograms with percentiles and bandwidth time
@@ -38,6 +40,7 @@
 //! ```
 
 pub mod check;
+pub mod counters;
 pub mod prehash;
 pub mod resource;
 pub mod rng;

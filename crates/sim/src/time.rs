@@ -207,6 +207,13 @@ impl Sum for SimDuration {
     }
 }
 
+impl From<SimDuration> for u64 {
+    /// The duration in nanoseconds.
+    fn from(d: SimDuration) -> u64 {
+        d.0
+    }
+}
+
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs_f64())
