@@ -29,5 +29,5 @@ pub mod link;
 pub mod queue;
 
 pub use command::{KvCommandSet, COMMAND_BYTES, INLINE_KEY_BYTES};
-pub use link::{NvmeConfig, NvmeLink, NvmeStats};
+pub use link::{NvmeConfig, NvmeLink};
 pub use queue::{SqConfig, SqStats, SubmissionQueue};

@@ -43,19 +43,6 @@ impl Default for NvmeConfig {
     }
 }
 
-/// Link traffic counters.
-#[derive(Debug, Clone, Default)]
-pub struct NvmeStats {
-    /// Command capsules processed.
-    pub commands: u64,
-    /// Data bytes moved host -> device.
-    pub bytes_in: u64,
-    /// Data bytes moved device -> host.
-    pub bytes_out: u64,
-    /// Completions posted.
-    pub completions: u64,
-}
-
 /// The shared host-device transport (see module docs).
 #[derive(Debug)]
 pub struct NvmeLink {
@@ -63,7 +50,6 @@ pub struct NvmeLink {
     front_end: Resource,
     pcie_in: Resource,
     pcie_out: Resource,
-    stats: NvmeStats,
 }
 
 impl NvmeLink {
@@ -74,18 +60,12 @@ impl NvmeLink {
             front_end: Resource::new(),
             pcie_in: Resource::new(),
             pcie_out: Resource::new(),
-            stats: NvmeStats::default(),
         }
     }
 
     /// The link configuration.
     pub fn config(&self) -> &NvmeConfig {
         &self.config
-    }
-
-    /// Traffic counters.
-    pub fn stats(&self) -> &NvmeStats {
-        &self.stats
     }
 
     /// Submits an operation encoded as `commands` capsules with
@@ -110,8 +90,6 @@ impl NvmeLink {
         let fe = self
             .front_end
             .acquire_after(now, xfer.end, self.config.per_command * commands);
-        self.stats.commands += commands;
-        self.stats.bytes_in += payload_bytes;
         fe.end
     }
 
@@ -128,8 +106,6 @@ impl NvmeLink {
             ready,
             SimDuration::for_bytes(payload_bytes + 16, self.config.pcie_bytes_per_sec),
         );
-        self.stats.bytes_out += payload_bytes;
-        self.stats.completions += 1;
         xfer.end + self.config.per_completion
     }
 }
@@ -176,16 +152,18 @@ mod tests {
         let ts = small.submit(SimTime::ZERO, 1, 4096);
         let tb = big.submit(SimTime::ZERO, 1, 1 << 20);
         assert!(tb > ts);
-        assert_eq!(big.stats().bytes_in, 1 << 20);
     }
 
     #[test]
     fn completion_moves_data_out() {
-        let mut l = link();
-        let done = l.complete(SimTime::ZERO, 4096);
-        assert!(done > SimTime::ZERO);
-        assert_eq!(l.stats().bytes_out, 4096);
-        assert_eq!(l.stats().completions, 1);
+        let (mut empty, mut full) = (link(), link());
+        let bare = empty.complete(SimTime::ZERO, 0);
+        let done = full.complete(SimTime::ZERO, 4096);
+        assert_eq!(
+            done.since(bare),
+            SimDuration::for_bytes(4096 + 16, full.config().pcie_bytes_per_sec)
+                - SimDuration::for_bytes(16, full.config().pcie_bytes_per_sec)
+        );
     }
 
     #[test]
