@@ -24,8 +24,8 @@ pub struct BandwidthPoint {
 #[derive(Debug, Clone)]
 pub struct BandwidthSeries {
     window: SimDuration,
-    bytes: Vec<u64>,
-    ops: Vec<u64>,
+    /// `(bytes, ops)` completed in each window.
+    buckets: Vec<(u64, u64)>,
     total_bytes: u64,
     last_at: SimTime,
 }
@@ -40,8 +40,7 @@ impl BandwidthSeries {
         assert!(!window.is_zero(), "window must be positive");
         BandwidthSeries {
             window,
-            bytes: Vec::new(),
-            ops: Vec::new(),
+            buckets: Vec::new(),
             total_bytes: 0,
             last_at: SimTime::ZERO,
         }
@@ -50,12 +49,12 @@ impl BandwidthSeries {
     /// Records `bytes` completed at time `at`.
     pub fn record(&mut self, at: SimTime, bytes: u64) {
         let idx = (at.as_nanos() / self.window.as_nanos()) as usize;
-        if idx >= self.bytes.len() {
-            self.bytes.resize(idx + 1, 0);
-            self.ops.resize(idx + 1, 0);
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, (0, 0));
         }
-        self.bytes[idx] += bytes;
-        self.ops[idx] += 1;
+        let w = &mut self.buckets[idx];
+        w.0 += bytes;
+        w.1 += 1;
         self.total_bytes += bytes;
         self.last_at = self.last_at.max(at);
     }
@@ -82,11 +81,10 @@ impl BandwidthSeries {
     /// The per-window series (includes empty windows between activity).
     pub fn points(&self) -> Vec<BandwidthPoint> {
         let wsec = self.window.as_secs_f64();
-        self.bytes
+        self.buckets
             .iter()
-            .zip(&self.ops)
             .enumerate()
-            .map(|(i, (&bytes, &ops))| BandwidthPoint {
+            .map(|(i, &(bytes, ops))| BandwidthPoint {
                 at: SimTime::from_nanos(i as u64 * self.window.as_nanos()),
                 bytes,
                 ops,
