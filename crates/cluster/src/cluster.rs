@@ -59,7 +59,7 @@
 //! (`run_mutation`), and store, retrieve and delete share one
 //! first-wave → hedge → spare → quorum driver (`quorum_op`).
 
-use kvssd_core::hash::{key_fingerprint, key_hash};
+use kvssd_core::hash::{key_hash, KeyId};
 use kvssd_core::KeyBuf;
 use kvssd_core::{KvError, KvSsd, KvSsdStats, Lookup, Payload, SpaceReport};
 use kvssd_nvme::{SqStats, SubmissionQueue};
@@ -75,8 +75,8 @@ use crate::transport::{
 };
 
 /// Live-key registry of one shard, keyed like the device's global index
-/// by `(key_hash, key_fingerprint)`, so distinct keys that share a
-/// 64-bit hash stay distinct.
+/// by the key's [`KeyId`] (hash and fingerprint), so distinct keys that
+/// share a 64-bit hash stay distinct.
 ///
 /// The per-op store/delete path updates this on every leg that adds or
 /// removes a key, so it must stay O(1); a `BTreeSet<Box<[u8]>>` here
@@ -85,7 +85,7 @@ use crate::transport::{
 /// needs byte order, and it is rare — it sorts a snapshot instead
 /// ([`KvCluster::repair_placement`]), reproducing the tree's enumeration
 /// order exactly.
-type KeyRegistry = PrehashedMap<(u64, u64), KeyBuf>;
+type KeyRegistry = PrehashedMap<KeyId, KeyBuf>;
 
 /// Window of each shard's bandwidth series.
 const BANDWIDTH_WINDOW: SimDuration = SimDuration::from_millis(10);
@@ -152,8 +152,7 @@ impl Shard {
 
     /// True when this shard holds a replica of `key`.
     pub fn holds(&self, key: &[u8]) -> bool {
-        self.keys
-            .contains_key(&(key_hash(key), key_fingerprint(key)))
+        self.keys.contains_key(&KeyId::of(key))
     }
 }
 
@@ -414,21 +413,22 @@ impl KvCluster {
     /// Fills `replica_scratch` with the key's replica shard *indices*
     /// and empties `op_fan` (legs push their acknowledgement times as
     /// they land, so lost legs simply never appear). Returns the
-    /// replica count and the key's hash, so the per-leg registry
-    /// updates reuse it instead of rehashing the key once per replica.
-    /// Every replica's device is told the key is coming, so the legs'
-    /// index probes overlap their cache misses instead of paying them
-    /// one after another.
-    fn begin_replicated_op(&mut self, key: &[u8]) -> Result<(usize, u64), KvError> {
-        let h = key_hash(key);
+    /// replica count and the key's id: the op's one hash pass. Every
+    /// leg, retry, hedge and duplicate delivery hands that id to the
+    /// device and the registry instead of hashing the key again. Every
+    /// replica's device is told the key is coming, so the legs' index
+    /// probes overlap their cache misses instead of paying them one
+    /// after another.
+    fn begin_replicated_op(&mut self, key: &[u8]) -> Result<(usize, KeyId), KvError> {
+        let key_id = KeyId::of(key);
         let mut ids = std::mem::take(&mut self.replica_scratch);
         self.ring
-            .replica_set_into(h, self.config.replication_factor, &mut ids);
+            .replica_set_into(key_id.hash, self.config.replication_factor, &mut ids);
         for id in ids.iter_mut() {
             match self.index_of(*id) {
                 Ok(idx) => {
                     if let Some(shard) = self.shards.get(idx) {
-                        shard.device.prefetch_key(key, h);
+                        shard.device.prefetch_id(key, key_id);
                     }
                     *id = idx;
                 }
@@ -442,7 +442,7 @@ impl KvCluster {
         let k = ids.len();
         self.replica_scratch = ids;
         self.op_fan.reset_empty();
-        Ok((k, h))
+        Ok((k, key_id))
     }
 
     /// The next mutation id; replicas dedupe re-deliveries by it.
@@ -488,25 +488,25 @@ impl KvCluster {
         Ok((timing, out))
     }
 
-    /// Stores `key` on replica `idx`'s device and mirrors it into the
-    /// shard's registry (client store legs and repair copies alike).
+    /// Stores `key`, whose id is `id`, on replica `idx`'s device and
+    /// mirrors it into the shard's registry (client store legs and
+    /// repair copies alike).
     fn exec_store(
         &mut self,
         idx: usize,
         arrival: SimTime,
-        h: u64,
         key: &[u8],
+        id: KeyId,
         value: &Payload,
     ) -> Result<(OpTiming, bool), KvError> {
         let (timing, ()) = self.submit_on(idx, arrival, |device, issue| {
-            Ok((device.store(issue, key, value.clone())?, ()))
+            Ok((device.store_id(issue, key, id, value.clone())?, ()))
         })?;
         // The registry mirrors the device's key set leg for leg, so only
         // a key the device did not hold yet is new to the registry.
         let shard = &mut self.shards[idx];
         let existed = shard.device.last_store_was_update();
         if !existed {
-            let id = (h, key_fingerprint(key));
             shard.keys.insert(id, KeyBuf::new(key));
         }
         Ok((timing, existed))
@@ -518,13 +518,13 @@ impl KvCluster {
         &mut self,
         idx: usize,
         arrival: SimTime,
-        h: u64,
         key: &[u8],
+        id: KeyId,
     ) -> Result<(OpTiming, bool), KvError> {
-        let (timing, existed) =
-            self.submit_on(idx, arrival, |device, issue| device.delete(issue, key))?;
+        let (timing, existed) = self.submit_on(idx, arrival, |device, issue| {
+            device.delete_id(issue, key, id)
+        })?;
         if existed {
-            let id = (h, key_fingerprint(key));
             self.shards[idx].keys.remove(&id);
         }
         Ok((timing, existed))
@@ -537,9 +537,10 @@ impl KvCluster {
         idx: usize,
         arrival: SimTime,
         key: &[u8],
+        id: KeyId,
     ) -> Result<(OpTiming, Option<Payload>), KvError> {
         let (timing, value) = self.submit_on(idx, arrival, |device, issue| {
-            let l = device.retrieve(issue, key)?;
+            let l = device.retrieve_id(issue, key, id)?;
             Ok((l.at, l.value))
         })?;
         self.completions.record(idx, timing.completed);
@@ -742,14 +743,14 @@ impl KvCluster {
     /// (the repair pass of the next membership change re-converges
     /// placement).
     pub fn store(&mut self, now: SimTime, key: &[u8], value: Payload) -> Result<SimTime, KvError> {
-        let (k, h) = self.begin_replicated_op(key)?;
+        let (k, id) = self.begin_replicated_op(key)?;
         let op_id = self.next_op_id();
         let wq = self.config.write_quorum.min(k);
         let bytes = key.len() as u64 + value.len();
         let req_bytes = REQUEST_CAPSULE_BYTES + bytes;
         self.quorum_op(now, k, wq, self.config.write_hedge, true, |c, at, idx| {
             let apply = |c: &mut Self, arrival| {
-                let (timing, existed) = c.exec_store(idx, arrival, h, key, &value)?;
+                let (timing, existed) = c.exec_store(idx, arrival, key, id, &value)?;
                 let shard = &mut c.shards[idx];
                 shard.writes.record(timing.latency());
                 shard.bandwidth.record(timing.completed, bytes);
@@ -773,7 +774,7 @@ impl KvCluster {
     /// holds one; if fewer than `read_quorum` legs acknowledge,
     /// [`KvError::QuorumUnavailable`] is returned.
     pub fn retrieve(&mut self, now: SimTime, key: &[u8]) -> Result<Lookup, KvError> {
-        let (k, _) = self.begin_replicated_op(key)?;
+        let (k, id) = self.begin_replicated_op(key)?;
         let rq = self.config.read_quorum.min(k);
         let (legs, hedge) = match self.config.read_fanout {
             ReadFanout::All => (k, None),
@@ -782,7 +783,7 @@ impl KvCluster {
         let mut value: Option<Payload> = None;
         let at = self.quorum_op(now, legs, rq, hedge, false, |c, at, idx| {
             let exec = |c: &mut Self, arrival| {
-                let (timing, found) = c.exec_read(idx, arrival, key)?;
+                let (timing, found) = c.exec_read(idx, arrival, key, id)?;
                 let shard = &mut c.shards[idx];
                 shard.reads.record(timing.latency());
                 let mut resp_bytes = RESPONSE_CAPSULE_BYTES;
@@ -812,13 +813,13 @@ impl KvCluster {
     /// [`Self::store`]. Returns whether any replica held it (known at
     /// execution, acknowledged or not).
     pub fn delete(&mut self, now: SimTime, key: &[u8]) -> Result<(SimTime, bool), KvError> {
-        let (k, h) = self.begin_replicated_op(key)?;
+        let (k, id) = self.begin_replicated_op(key)?;
         let op_id = self.next_op_id();
         let wq = self.config.write_quorum.min(k);
         let mut existed_any = false;
         let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
         let at = self.quorum_op(now, k, wq, self.config.write_hedge, true, |c, at, idx| {
-            let apply = |c: &mut Self, arrival| c.exec_delete(idx, arrival, h, key);
+            let apply = |c: &mut Self, arrival| c.exec_delete(idx, arrival, key, id);
             let (out, existed) = c.run_mutation(at, idx, op_id, req_bytes, apply)?;
             existed_any |= existed;
             Ok(out)
@@ -902,10 +903,11 @@ impl KvCluster {
         now: SimTime,
         src: usize,
         key: &[u8],
+        id: KeyId,
     ) -> Result<Option<(Payload, SimTime)>, KvError> {
         let mut payload: Option<Payload> = None;
         let exec = |c: &mut Self, arrival| {
-            let (timing, found) = c.exec_read(src, arrival, key)?;
+            let (timing, found) = c.exec_read(src, arrival, key, id)?;
             let found = found.ok_or(KvError::Internal {
                 what: "registry said the repaired key was live",
             })?;
@@ -978,13 +980,15 @@ impl KvCluster {
 
         // Snapshot every registered key in ascending byte order — the
         // same sequence the former per-shard BTreeSet union produced, at
-        // a one-time sort cost instead of a per-op tree insert.
-        let mut all_keys: Vec<Box<[u8]>> = Vec::new();
+        // a one-time sort cost instead of a per-op tree insert. Each key
+        // keeps the id its registry entry is filed under, so repair
+        // hashes nothing.
+        let mut all_keys: Vec<(KeyBuf, KeyId)> = Vec::new();
         for s in &self.shards {
-            all_keys.extend(s.keys.values().map(|k| Box::from(k.as_slice())));
+            all_keys.extend(s.keys.iter().map(|(&id, k)| (k.clone(), id)));
         }
-        all_keys.sort_unstable();
-        all_keys.dedup();
+        all_keys.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        all_keys.dedup_by(|(a, _), (b, _)| a == b);
 
         let mut desired_ids: Vec<usize> = Vec::new();
         let mut desired: Vec<usize> = Vec::new();
@@ -992,12 +996,13 @@ impl KvCluster {
         let mut missing: Vec<usize> = Vec::new();
         let mut sources: Vec<usize> = Vec::new();
 
-        for key in &all_keys {
-            let key: &[u8] = key;
-            let h = key_hash(key);
-            let key_id = (h, key_fingerprint(key));
-            self.ring
-                .replica_set_into(h, self.config.replication_factor, &mut desired_ids);
+        for (key, key_id) in &all_keys {
+            let (key, key_id): (&[u8], KeyId) = (key, *key_id);
+            self.ring.replica_set_into(
+                key_id.hash,
+                self.config.replication_factor,
+                &mut desired_ids,
+            );
             desired.clear();
             for &id in &desired_ids {
                 desired.push(self.index_of(id)?);
@@ -1030,7 +1035,7 @@ impl KvCluster {
                 );
                 let mut read: Option<(Payload, SimTime)> = None;
                 for &src in &sources {
-                    read = self.repair_read_leg(now, src, key)?;
+                    read = self.repair_read_leg(now, src, key, key_id)?;
                     if read.is_some() {
                         break;
                     }
@@ -1040,7 +1045,8 @@ impl KvCluster {
                         let mut copied = 0u64;
                         let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64 + payload.len();
                         for &dst in &missing {
-                            let store = |c: &mut Self, at| c.exec_store(dst, at, h, key, &payload);
+                            let store =
+                                |c: &mut Self, at| c.exec_store(dst, at, key, key_id, &payload);
                             match self.repair_write_leg(have_at, dst, req_bytes, store)? {
                                 Some(done) => {
                                     write_barrier = write_barrier.max(done);
@@ -1086,7 +1092,7 @@ impl KvCluster {
                     continue;
                 }
                 let req_bytes = REQUEST_CAPSULE_BYTES + key.len() as u64;
-                let delete = |c: &mut Self, at| c.exec_delete(holder, at, h, key);
+                let delete = |c: &mut Self, at| c.exec_delete(holder, at, key, key_id);
                 match self.repair_write_leg(write_barrier, holder, req_bytes, delete)? {
                     Some(done) => {
                         barrier = barrier.max(done);
@@ -1454,8 +1460,11 @@ mod tests {
         // Two distinct keys are astronomically unlikely to share a 64-bit
         // hash, so forge the collision by registering both under one.
         let (a, b) = (b"collide-a".as_slice(), b"collide-b".as_slice());
-        let h = key_hash(a);
-        let id = |k: &[u8]| (h, key_fingerprint(k));
+        let hash = key_hash(a);
+        let id = |k: &[u8]| KeyId {
+            hash,
+            fp: kvssd_core::hash::key_fingerprint(k),
+        };
         let mut reg = KeyRegistry::default();
         reg.insert(id(a), KeyBuf::new(a));
         reg.insert(id(b), KeyBuf::new(b));
@@ -1593,7 +1602,7 @@ mod tests {
             let (mut c, wire) = scripted(deadlines);
             wire.script().responses.push_back(Wire::After(500));
             if repair {
-                let store = |c: &mut KvCluster, at| c.exec_store(0, at, key_hash(KEY), KEY, &v);
+                let store = |c: &mut KvCluster, at| c.exec_store(0, at, KEY, KeyId::of(KEY), &v);
                 let durable = c.repair_write_leg(SimTime::ZERO, 0, req_bytes, store);
                 assert!(durable.unwrap().is_some(), "the copy executed");
             } else {
@@ -1619,7 +1628,10 @@ mod tests {
         assert!(c.retrieve(t, KEY).unwrap().value.is_some());
         assert_eq!(c.stats().devices.retrieves, 2, "every copy executes");
         wire.script().requests.push_back(Wire::Twice);
-        let (got, _) = c.repair_read_leg(t, 0, KEY).unwrap().expect("acked");
+        let (got, _) = c
+            .repair_read_leg(t, 0, KEY, KeyId::of(KEY))
+            .unwrap()
+            .expect("acked");
         assert_eq!(got, payload(512, 1));
         assert_eq!(c.stats().devices.retrieves, 4, "every copy executes");
     }

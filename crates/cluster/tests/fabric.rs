@@ -9,7 +9,8 @@
 //! also pinned byte for byte (digests of their rendered summaries), so
 //! a refactor of the leg engine cannot move a retry, a dedupe or a
 //! repair leg unnoticed. A register check holds quorum reads to the
-//! newest acknowledged write.
+//! newest acknowledged write, and a counting test holds every client op
+//! to one hash of its key.
 
 use kvssd_cluster::{ClusterConfig, KvCluster};
 use kvssd_core::{KvConfig, KvError, KvSsd, Payload};
@@ -799,6 +800,66 @@ fn lossy_scenarios_match_their_pinned_digests() {
         );
         check_pin("lossy_repair_scenario", &rendered, want);
     }
+}
+
+/// One hash per client op, whatever the wire does: the router computes
+/// the key's id once, and every replica leg, deadline retry, hedged
+/// spare and wire duplicate hands that id to the device and the
+/// registry. A repair pass reuses the ids the registries hold and hashes
+/// nothing. Debug builds count every hash pass over key bytes.
+#[cfg(debug_assertions)]
+#[test]
+fn each_client_op_hashes_its_key_once_and_repair_hashes_none() {
+    use kvssd_core::hash::key_passes;
+    let link = LinkConfig {
+        latency: SimDuration::from_micros(15),
+        jitter: SimDuration::from_micros(30),
+        drop_ppm: 200_000,
+        duplicate_ppm: 20_000,
+        ..LinkConfig::ideal()
+    };
+    let cfg = ClusterConfig::new(6, 9)
+        .replication(3)
+        .deadlines(SimDuration::from_millis(1), 2)
+        .hedged_writes(Some(SimDuration::from_micros(200)))
+        .lean_reads(Some(SimDuration::from_micros(300)));
+    let fabric = Fabric::new(FabricConfig::new(9, link), 6);
+    let mut c = KvCluster::with_transport(cfg, Box::new(fabric), device);
+    let mut t = SimTime::ZERO;
+    for i in 0..600u64 {
+        if i == 300 {
+            let before = key_passes();
+            let (_, rep) = c.add_shard(t, device(0)).unwrap();
+            let rep_remove = c.remove_shard(rep.completed, 0).unwrap();
+            assert!(rep.copied_replicas > 0 && rep_remove.copied_replicas > 0);
+            assert_eq!(key_passes(), before, "repair hashed a key");
+            t = rep_remove.completed;
+        }
+        let k = key(i % 150);
+        let before = key_passes();
+        let done = match i % 3 {
+            0 => c.store(t, k.as_bytes(), Payload::synthetic(512, i)),
+            1 => c.retrieve(t, k.as_bytes()).map(|l| l.at),
+            _ => c.delete(t, k.as_bytes()).map(|(d, _)| d),
+        };
+        assert_eq!(key_passes() - before, 1, "op {i}: one hash per op");
+        match done {
+            Ok(at) => t = at,
+            Err(KvError::QuorumUnavailable { .. }) => {}
+            Err(e) => panic!("op {i}: {e}"),
+        }
+    }
+    let st = c.stats();
+    let faults = [
+        st.leg_retries,
+        st.dup_suppressed,
+        st.hedged_write_spares,
+        st.hedged_spares,
+    ];
+    assert!(
+        faults.iter().all(|&n| n > 0),
+        "retries, duplicate deliveries and both hedges happened: {faults:?}"
+    );
 }
 
 /// One op of the register check, on key `key(k)` of eight.

@@ -24,15 +24,12 @@ use crate::config::{
     INDEX_MANAGERS, KEY_MAX, KEY_MIN, LOCAL_INDEX_ENTRIES, OVERPROVISION_PCT, VALUE_MAX,
 };
 use crate::error::KvError;
-use crate::hash::{key_fingerprint, key_hash};
+use crate::hash::KeyId;
 use crate::index::{GlobalStore, IndexEntry, IndexTiming, IterBuckets, SegList, SegLoc};
 use crate::value::Payload;
 
 mod failure;
 mod gc;
-
-/// A key identity inside the device: (hash, fingerprint).
-pub(crate) type KeyId = (u64, u64);
 
 /// Keys returned by one iterator batch.
 pub type IterBatch = Vec<Box<[u8]>>;
@@ -320,7 +317,19 @@ impl KvSsd {
     /// placement that fails after the old version was invalidated (out
     /// of pages, or an internal error) rolls the new segments back.
     pub fn store(&mut self, now: SimTime, key: &[u8], value: Payload) -> Result<SimTime, KvError> {
-        let mut k = self.keyed(key)?;
+        self.store_id(now, key, KeyId::of(key), value)
+    }
+
+    /// [`Self::store`] for a caller that already holds the key's id:
+    /// `id` must be `KeyId::of(key)` (debug builds check it).
+    pub fn store_id(
+        &mut self,
+        now: SimTime,
+        key: &[u8],
+        id: KeyId,
+        value: Payload,
+    ) -> Result<SimTime, KvError> {
+        let mut k = self.keyed(key, id)?;
         let vlen = value.len();
         if vlen > VALUE_MAX {
             return Err(KvError::ValueTooLarge {
@@ -328,7 +337,7 @@ impl KvSsd {
                 max: VALUE_MAX,
             });
         }
-        let (h, fp) = k.id;
+        let KeyId { hash: h, fp } = k.id;
         let layout = BlobLayout::plan(&self.config, key.len(), vlen);
         // One probe answers both "does it exist" and "how much does the
         // old version hold" (GC may relocate the old segments below, but
@@ -471,14 +480,20 @@ impl KvSsd {
 
     /// Retrieves a value by key.
     pub fn retrieve(&mut self, now: SimTime, key: &[u8]) -> Result<Lookup, KvError> {
-        let k = self.keyed(key)?;
+        self.retrieve_id(now, key, KeyId::of(key))
+    }
+
+    /// [`Self::retrieve`] of a key whose id the caller holds (see
+    /// [`Self::store_id`]).
+    pub fn retrieve_id(&mut self, now: SimTime, key: &[u8], id: KeyId) -> Result<Lookup, KvError> {
+        let k = self.keyed(key, id)?;
         let t = self.submit(now, &k, key.len() as u64, SimDuration::ZERO);
         // Payload clone is an `Arc` refcount bump (no value copy); the
         // segment list is copied into the reusable scratch buffer instead
         // of cloning a fresh list per lookup.
         let mut segs = std::mem::take(&mut self.seg_scratch);
         segs.clear();
-        let entry = self.index.get(k.id.0, k.id.1).map(|e| {
+        let entry = self.index.get(id.hash, id.fp).map(|e| {
             segs.extend_from_slice(e.segs.as_slice());
             e.payload.clone()
         });
@@ -503,22 +518,44 @@ impl KvSsd {
 
     /// Membership check; returns (completion, exists).
     pub fn exist(&mut self, now: SimTime, key: &[u8]) -> Result<(SimTime, bool), KvError> {
-        let k = self.keyed(key)?;
+        self.exist_id(now, key, KeyId::of(key))
+    }
+
+    /// [`Self::exist`] of a key whose id the caller holds (see
+    /// [`Self::store_id`]).
+    pub fn exist_id(
+        &mut self,
+        now: SimTime,
+        key: &[u8],
+        id: KeyId,
+    ) -> Result<(SimTime, bool), KvError> {
+        let k = self.keyed(key, id)?;
         let t = self.submit(now, &k, key.len() as u64, SimDuration::ZERO);
         self.stats.exists += 1;
-        let found = self.index.get(k.id.0, k.id.1).is_some();
+        let found = self.index.get(id.hash, id.fp).is_some();
         let t = self.walk_index(t, &k, found).unwrap_or(t);
         Ok((self.link.complete(t, 0), found))
     }
 
     /// Deletes a key; returns (completion, existed).
     pub fn delete(&mut self, now: SimTime, key: &[u8]) -> Result<(SimTime, bool), KvError> {
-        let k = self.keyed(key)?;
+        self.delete_id(now, key, KeyId::of(key))
+    }
+
+    /// [`Self::delete`] of a key whose id the caller holds (see
+    /// [`Self::store_id`]).
+    pub fn delete_id(
+        &mut self,
+        now: SimTime,
+        key: &[u8],
+        id: KeyId,
+    ) -> Result<(SimTime, bool), KvError> {
+        let k = self.keyed(key, id)?;
         let t = self.submit(now, &k, key.len() as u64, COST_INDEX_DRAM);
         let mut t = self
             .itiming
-            .lookup(t, k.id.0, self.index.len(), &mut self.flash);
-        let existed = match self.index.remove(k.id.0, k.id.1) {
+            .lookup(t, id.hash, self.index.len(), &mut self.flash);
+        let existed = match self.index.remove(id.hash, id.fp) {
             Some(entry) => {
                 self.invalidate_entry(&entry);
                 self.iters.remove(key);
@@ -613,21 +650,17 @@ impl KvSsd {
     /// vendor log pages). Borrowed straight from the index entry; clone
     /// the slice if the locations must outlive further device calls.
     pub fn segments_of(&self, key: &[u8]) -> Option<&[SegLoc]> {
-        let (h, fp) = (key_hash(key), key_fingerprint(key));
-        self.index.get(h, fp).map(|e| e.segs.as_slice())
+        let id = KeyId::of(key);
+        self.index.get(id.hash, id.fp).map(|e| e.segs.as_slice())
     }
 
-    /// Hints that a command for `key`, whose [`key_hash`] the caller has
-    /// already computed as `hash`, is coming: starts loading the key's
-    /// index slot into the CPU cache so the command's index probe finds
-    /// it there. Changes no state, no result and no virtual time.
-    pub fn prefetch_key(&self, key: &[u8], hash: u64) {
-        debug_assert_eq!(
-            key_hash(key),
-            hash,
-            "prefetch_key: hash is not key_hash(key)"
-        );
-        self.index.prefetch(hash);
+    /// Hints that a command for `key`, whose id the caller holds as
+    /// `id`, is coming: starts loading the key's index slot into the CPU
+    /// cache so the command's index probe finds it there. Changes no
+    /// state, no result and no virtual time.
+    pub fn prefetch_id(&self, key: &[u8], id: KeyId) {
+        debug_assert!(id.is_of(key), "prefetch_id: id is not KeyId::of(key)");
+        self.index.prefetch(id.hash);
     }
 
     /// Programs all partially filled open pages (end-of-phase barrier),
@@ -648,15 +681,15 @@ impl KvSsd {
 
     // ----- internals -------------------------------------------------
 
-    /// The first half of every keyed command's prologue: check the key,
-    /// hash and fingerprint it, count its link commands and pick its
-    /// index manager. Nothing is charged yet, so a store can still refuse.
+    /// The first half of every keyed command's prologue: check the key
+    /// and the id handed in with it, count its link commands and pick
+    /// its index manager. Nothing is charged yet, so a store can still refuse.
     /// This, [`Self::submit`], [`Self::place_segments`] and
     /// [`Self::program`] are forced inline: called out of line they cost
     /// `kv_update_gc` 3–6 % of its host throughput (EXPERIMENTS.md, "The
     /// KV-FTL split").
     #[inline(always)]
-    fn keyed(&self, key: &[u8]) -> Result<Keyed, KvError> {
+    fn keyed(&self, key: &[u8], id: KeyId) -> Result<Keyed, KvError> {
         let len = key.len();
         if len < KEY_MIN {
             return Err(KvError::KeyTooShort { len, min: KEY_MIN });
@@ -664,12 +697,12 @@ impl KvSsd {
         if len > KEY_MAX {
             return Err(KvError::KeyTooLong { len, max: KEY_MAX });
         }
-        let h = key_hash(key);
+        debug_assert!(id.is_of(key), "the id handed in is not KeyId::of(key)");
         Ok(Keyed {
-            id: (h, key_fingerprint(key)),
+            id,
             cmds: self.config.command_set.commands_for_key(len),
             len,
-            m: (h % INDEX_MANAGERS as u64) as usize,
+            m: (id.hash % INDEX_MANAGERS as u64) as usize,
         })
     }
 
@@ -692,17 +725,17 @@ impl KvSsd {
     fn walk_index(&mut self, t: SimTime, k: &Keyed, indexed: bool) -> Option<SimTime> {
         let bloom = &self.blooms[k.m];
         debug_assert!(
-            !indexed || bloom.may_contain(k.id.0),
+            !indexed || bloom.may_contain(k.id.hash),
             "an indexed key must be in its manager's Bloom filter"
         );
-        if !indexed && self.config.bloom_enabled && !bloom.may_contain(k.id.0) {
+        if !indexed && self.config.bloom_enabled && !bloom.may_contain(k.id.hash) {
             self.stats.bloom_negatives += 1;
             return None;
         }
         let t = self.managers[k.m].acquire(t, COST_INDEX_DRAM).end;
         Some(
             self.itiming
-                .lookup(t, k.id.0, self.index.len(), &mut self.flash),
+                .lookup(t, k.id.hash, self.index.len(), &mut self.flash),
         )
     }
 
@@ -711,7 +744,7 @@ impl KvSsd {
     /// merge finished.
     fn batch_for_merge(&mut self, t: SimTime, k: &Keyed) -> Option<SimTime> {
         let batch = &mut self.local_batches[k.m];
-        batch.push(k.id.0);
+        batch.push(k.id.hash);
         if batch.len() < LOCAL_INDEX_ENTRIES {
             return None;
         }
@@ -752,7 +785,7 @@ impl KvSsd {
                 last_program = last_program.max(done);
             }
             self.index
-                .get_mut(key.0, key.1)
+                .get_mut(key.hash, key.fp)
                 .ok_or(KvError::Internal {
                     what: "skeleton index entry committed before placement",
                 })?
@@ -841,7 +874,7 @@ impl KvSsd {
                 alloc: alloc as u16,
                 raw: raw as u16,
             };
-            self.blocks.append(block, key.0, seg_no, alloc)?;
+            self.blocks.append(block, key.hash, seg_no, alloc)?;
             self.buffer.admit(alloc as u64);
             let done = self.program(now, kind, page, Some(PendingSeg { key, alloc }))?;
             return Ok(Some((loc, Some(done))));
@@ -903,7 +936,7 @@ impl KvSsd {
         open.used += alloc;
         stream.pending.push(PendingSeg { key, alloc });
         let full = open.used + alloc_unit > payload;
-        self.blocks.append(loc.block, key.0, seg_no, alloc)?;
+        self.blocks.append(loc.block, key.hash, seg_no, alloc)?;
         self.buffer.admit(alloc as u64);
         if full {
             let done = self.program_open_page(now, kind)?;
@@ -1490,7 +1523,7 @@ mod tests {
                     })
                     .collect();
                 for i in (0..n).filter(|&i| live[i as usize]) {
-                    let h = key_hash(&key(i));
+                    let h = KeyId::of(&key(i)).hash;
                     for (seg_no, s) in (0..).zip(d.segments_of(&key(i)).unwrap()) {
                         assert!(
                             refs.contains(&(s.block.0, h, seg_no)),
@@ -1792,7 +1825,7 @@ mod lookup_history_tests {
                     _ => t = d.power_cycle(t).unwrap(),
                 }
                 for k in 0..KEYS {
-                    let (h, fp) = (key_hash(&key(k)), key_fingerprint(&key(k)));
+                    let KeyId { hash: h, fp } = KeyId::of(&key(k));
                     let m = (h % d.managers.len() as u64) as usize;
                     assert!(
                         d.index.get(h, fp).is_none() || d.blooms[m].may_contain(h),

@@ -74,7 +74,7 @@ impl KvSsd {
         for &(key, seg_no) in &victims {
             let Some(&seg) = self
                 .index
-                .get(key.0, key.1)
+                .get(key.hash, key.fp)
                 .and_then(|e| e.segs.get(seg_no as usize))
             else {
                 continue;
@@ -89,7 +89,7 @@ impl KvSsd {
                 })?;
             if let Some(s) = self
                 .index
-                .get_mut(key.0, key.1)
+                .get_mut(key.hash, key.fp)
                 .and_then(|e| e.segs.get_mut(seg_no as usize))
             {
                 *s = new_loc;

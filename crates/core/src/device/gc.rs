@@ -129,7 +129,7 @@ impl KvSsd {
         // Only install our copy if the entry still points at the victim:
         // a program-failure handler may have re-placed it while our
         // append was in flight.
-        let install = match self.index.get_mut(key.0, key.1) {
+        let install = match self.index.get_mut(key.hash, key.fp) {
             Some(entry) => match entry.segs.get_mut(r.seg_no as usize) {
                 Some(s) if *s == seg => {
                     *s = new_loc;

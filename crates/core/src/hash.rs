@@ -10,15 +10,89 @@
 
 use kvssd_sim::rng::mix64;
 
+/// FNV-1a offset basis of the primary hash.
+const HASH_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// Offset basis of the fingerprint's independently seeded chain.
+const FP_BASIS: u64 = 0x6c62_272e_07bb_0142;
+/// Folded into the fingerprint chain before its finalizer.
+const FP_TWEAK: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// Primary 64-bit key hash (FNV-1a + finalizer).
 pub fn key_hash(key: &[u8]) -> u64 {
-    mix64(fnv1a(key, 0xcbf2_9ce4_8422_2325))
+    count_pass();
+    mix64(fnv1a(key, HASH_BASIS))
 }
 
 /// Independent 64-bit fingerprint used to verify identity on hash-slot
 /// collisions.
 pub fn key_fingerprint(key: &[u8]) -> u64 {
-    mix64(fnv1a(key, 0x6c62_272e_07bb_0142) ^ 0x9E37_79B9_7F4A_7C15)
+    count_pass();
+    mix64(fnv1a(key, FP_BASIS) ^ FP_TWEAK)
+}
+
+/// A key's identity, `(key_hash, key_fingerprint)`: what the device's
+/// global index, a cluster shard's key registry and the ring need of a
+/// key. Computed once per operation at the API edge ([`KeyId::of`]) and
+/// handed down, so no layer below rehashes the key.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct KeyId {
+    /// [`key_hash`] of the key.
+    pub hash: u64,
+    /// [`key_fingerprint`] of the key.
+    pub fp: u64,
+}
+
+impl KeyId {
+    /// The key's hash and fingerprint, in one pass that runs both FNV-1a
+    /// chains side by side; bit-identical to calling [`key_hash`] and
+    /// [`key_fingerprint`].
+    #[inline]
+    pub fn of(key: &[u8]) -> Self {
+        count_pass();
+        Self::compute(key)
+    }
+
+    /// True when this is `key`'s id. Makes no counted pass, so debug
+    /// assertions can check an id handed in without moving
+    /// [`key_passes`].
+    pub fn is_of(self, key: &[u8]) -> bool {
+        self == Self::compute(key)
+    }
+
+    #[inline]
+    fn compute(key: &[u8]) -> Self {
+        let (mut h, mut f) = (HASH_BASIS, FP_BASIS);
+        for &b in key {
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+            f = (f ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        KeyId {
+            hash: mix64(h),
+            fp: mix64(f ^ FP_TWEAK),
+        }
+    }
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline(always)]
+fn count_pass() {
+    #[cfg(debug_assertions)]
+    PASSES.with(|n| n.set(n.get() + 1));
+}
+
+/// Hash passes over key bytes made on this thread so far: one per
+/// [`key_hash`], [`key_fingerprint`] or [`KeyId::of`] call. Debug builds
+/// only; tests read it to check that a layer hashes a key once per
+/// operation, however many replicas, retries or compactions it crosses.
+#[cfg(debug_assertions)]
+pub fn key_passes() -> u64 {
+    PASSES.with(std::cell::Cell::get)
 }
 
 /// The iterator-bucket id: the first four key bytes, zero-padded — the
@@ -32,11 +106,10 @@ pub fn iter_bucket(key: &[u8]) -> [u8; 4] {
 }
 
 fn fnv1a(data: &[u8], basis: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut h = basis;
     for &b in data {
         h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -93,6 +166,48 @@ mod tests {
         for &c in &counts {
             assert!((c as i64 - 25_000).abs() < 1_500, "skewed: {counts:?}");
         }
+    }
+
+    /// Random keys of every length the KV API accepts (and the empty
+    /// key), each byte drawn from the whole `u8` range.
+    #[test]
+    fn key_id_equals_hash_and_fingerprint() {
+        use crate::config::KEY_MAX;
+        use kvssd_sim::check::check;
+        check(
+            0..64,
+            |rng| {
+                (0..=KEY_MAX)
+                    .map(|len| (0..len).map(|_| rng.below(256) as u8).collect())
+                    .collect::<Vec<Vec<u8>>>()
+            },
+            |_| None,
+            |keys| {
+                for key in keys {
+                    let id = KeyId::of(key);
+                    if (id.hash, id.fp) != (key_hash(key), key_fingerprint(key)) {
+                        return Err(format!("{} B key {key:?}: {id:?}", key.len()));
+                    }
+                    if !id.is_of(key) {
+                        return Err(format!("is_of rejects its own key {key:?}"));
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn passes_count_every_hash_but_not_a_check() {
+        let before = key_passes();
+        let id = KeyId::of(b"user0001");
+        assert_eq!(key_passes() - before, 1);
+        assert!(id.is_of(b"user0001") && !id.is_of(b"user0002"));
+        assert_eq!(key_passes() - before, 1);
+        key_hash(b"user0001");
+        key_fingerprint(b"user0001");
+        assert_eq!(key_passes() - before, 3);
     }
 
     #[test]

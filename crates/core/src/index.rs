@@ -24,6 +24,7 @@ use kvssd_sim::rng::mix64;
 use kvssd_sim::{PrehashedMap, SimTime};
 
 use crate::config::{INDEX_ENTRY_BYTES, KEY_MIN};
+use crate::hash::KeyId;
 use crate::inline_vec::InlineVec;
 use crate::value::Payload;
 
@@ -351,14 +352,15 @@ impl<const SEG: usize> GlobalStore<SEG> {
         hash: u64,
         seg_no: u32,
         here: impl Fn(&SegLoc) -> bool,
-    ) -> Option<((u64, u64), SegLoc)> {
+    ) -> Option<(KeyId, SegLoc)> {
         let seg = self.segment(hash)?;
         let mask = seg.mask();
         let mut i = hash as usize & mask;
         while let Some(IndexSlot(Some((key, entry)))) = seg.slots.get(i) {
             if key.0 == hash {
                 if let Some(loc) = entry.segs.get(seg_no as usize).filter(|s| here(s)) {
-                    return Some((*key, *loc));
+                    let (hash, fp) = *key;
+                    return Some((KeyId { hash, fp }, *loc));
                 }
             }
             i = (i + 1) & mask;
@@ -976,13 +978,14 @@ mod tests {
 
         // A ref naming (h, 0) in block 5 resolves to the record nearest
         // the home slot: the first inserted.
-        let first = Some(((h, 1), seg(5, 0)));
+        let id = |fp| KeyId { hash: h, fp };
+        let first = Some((id(1), seg(5, 0)));
         assert_eq!(g.find_segment(h, 0, in_block(5)), first);
         // A narrower question (the page) picks out the other one, and
         // keys elsewhere or segments nobody has are not found.
         let on_page_3 = |s: &SegLoc| s.block == BlockId(5) && s.page == 3;
-        assert_eq!(g.find_segment(h, 0, on_page_3), Some(((h, 2), seg(5, 3))));
-        assert_eq!(g.find_segment(h, 0, in_block(9)), Some(((h, 3), seg(9, 0))));
+        assert_eq!(g.find_segment(h, 0, on_page_3), Some((id(2), seg(5, 3))));
+        assert_eq!(g.find_segment(h, 0, in_block(9)), Some((id(3), seg(9, 0))));
         assert_eq!(g.find_segment(h, 1, in_block(5)), None);
         assert_eq!(g.find_segment(h ^ 1, 0, in_block(5)), None);
 
@@ -993,12 +996,12 @@ mod tests {
         let mut copied = Vec::new();
         while let Some((hash, seg_no)) = refs.pop() {
             if let Some((key, at)) = g.find_segment(hash, seg_no, in_block(5)) {
-                let moved = g.get_mut(key.0, key.1).and_then(|e| e.segs.get_mut(0));
+                let moved = g.get_mut(key.hash, key.fp).and_then(|e| e.segs.get_mut(0));
                 *moved.unwrap() = seg(7, at.page);
                 copied.push(key);
             }
         }
-        assert_eq!(copied, vec![(h, 1), (h, 2)]);
+        assert_eq!(copied, vec![id(1), id(2)]);
         assert_eq!(g.find_segment(h, 0, in_block(5)), None);
         assert_eq!(g.get(other, 1).map(|e| e.segs[0]), Some(seg(5, 1)));
     }

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use kvssd_core::blob::BlobLayout;
 use kvssd_core::bloom::BloomFilter;
 use kvssd_core::config::{META_BYTES, SEG_HEADER_BYTES};
-use kvssd_core::hash::key_hash;
+use kvssd_core::hash::{key_hash, KeyId};
 use kvssd_core::index::{GlobalStore, IndexEntry, IterBuckets, SegList, SEGMENT_SLOTS};
 use kvssd_core::{KvConfig, KvSsd, Payload};
 use kvssd_flash::{BlockId, FlashTiming, Geometry};
@@ -214,7 +214,7 @@ fn prefetching_a_key_on_an_empty_device_changes_nothing() {
         KvConfig::small(),
     );
     for key in [&b"user.0000"[..], b"\xff\xff\xff\xff\xff\xff\xff\xff"] {
-        dev.prefetch_key(key, key_hash(key));
+        dev.prefetch_id(key, KeyId::of(key));
     }
     assert!(dev.is_empty());
     let l = dev.retrieve(SimTime::ZERO, b"user.0000").expect("retrieve");

@@ -7,7 +7,8 @@
 //! either replaces the value in place or appends. Nothing is kept in key
 //! order: a flush sorts the entries once, and a scan sorts the ones it
 //! needs. The caller passes each key's hash in, so the store hashes a
-//! key once per operation and reuses it for the Bloom filters.
+//! key once per operation; the entry keeps it, and the tables it is
+//! flushed and compacted into fill their Bloom filters from it.
 
 use std::collections::hash_map::Entry as Slot;
 
@@ -22,7 +23,7 @@ const NIL: u32 = u32::MAX;
 /// See the module docs.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    /// Every key's newest version, in first-arrival order.
+    /// Every key's newest version, with its hash, in first-arrival order.
     entries: Vec<Entry>,
     /// Per entry: the next older entry with the same key hash.
     chain: Vec<u32>,
@@ -46,9 +47,9 @@ impl Memtable {
     pub fn get(&self, hash: u64, key: &[u8]) -> Option<&Option<Payload>> {
         let mut at = *self.heads.get(&hash)?;
         loop {
-            let (k, v) = self.entries.get(at as usize)?;
-            if k.as_slice() == key {
-                return Some(v);
+            let e = self.entries.get(at as usize)?;
+            if e.key.as_slice() == key {
+                return Some(&e.value);
             }
             at = *self.chain.get(at as usize)?;
         }
@@ -67,9 +68,9 @@ impl Memtable {
         match self.heads.entry(hash) {
             Slot::Occupied(mut head) => {
                 let mut at = *head.get();
-                while let Some((k, v)) = self.entries.get_mut(at as usize) {
-                    if k.as_slice() == key {
-                        return Some(std::mem::replace(v, value));
+                while let Some(e) = self.entries.get_mut(at as usize) {
+                    if e.key.as_slice() == key {
+                        return Some(std::mem::replace(&mut e.value, value));
                     }
                     at = self.chain.get(at as usize).copied().unwrap_or(NIL);
                 }
@@ -80,7 +81,11 @@ impl Memtable {
                 self.chain.push(NIL);
             }
         }
-        self.entries.push((KeyBuf::new(key), value));
+        self.entries.push(Entry {
+            key: KeyBuf::new(key),
+            value,
+            hash,
+        });
         None
     }
 
@@ -96,7 +101,7 @@ impl Memtable {
         let mut entries = std::mem::replace(&mut self.entries, next);
         self.chain.clear();
         self.heads.clear();
-        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        entries.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         entries
     }
 
@@ -105,10 +110,10 @@ impl Memtable {
         let mut out: Vec<Entry> = self
             .entries
             .iter()
-            .filter(|(k, _)| k.as_slice() >= from)
+            .filter(|e| e.key.as_slice() >= from)
             .cloned()
             .collect();
-        out.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         out
     }
 }
@@ -162,6 +167,12 @@ mod tests {
     /// chain, 64 is the store's own hash.
     fn agrees(ops: &[Op], bits: u32) -> Result<(), String> {
         let hash = |k: &[u8]| key_hash(k).checked_shr(64 - bits).unwrap_or(0);
+        // Flushed and scanned entries carry the hash their put passed in.
+        let entry = |key: &[u8], value| Entry {
+            key: KeyBuf::new(key),
+            value,
+            hash: hash(key),
+        };
         let mut table = Memtable::default();
         let mut model: BTreeMap<Vec<u8>, Option<Payload>> = BTreeMap::new();
         for (i, &op) in ops.iter().enumerate() {
@@ -179,14 +190,14 @@ mod tests {
                     let from = key(k);
                     let want: Vec<Entry> = model
                         .range(from.clone()..)
-                        .map(|(k, v)| (KeyBuf::new(k), v.clone()))
+                        .map(|(k, v)| entry(k, v.clone()))
                         .collect();
                     table.sorted_from(&from) != want
                 }
                 Op::Flush => {
                     let want: Vec<Entry> = std::mem::take(&mut model)
                         .into_iter()
-                        .map(|(k, v)| (KeyBuf::new(&k), v))
+                        .map(|(k, v)| entry(&k, v))
                         .collect();
                     table.take_sorted(Vec::new()) != want || !table.is_empty()
                 }

@@ -14,22 +14,32 @@
 //! `u64` per step and reads a whole key only where windows tie. The
 //! merge orders run heads the same way, by their first 16 key bytes.
 //!
-//! Flushes and compactions build every table through one
-//! `TableBuilder`: it sums the table's size and hashes each key as the
-//! entry arrives, and fills the windows and the Bloom filter once, when
-//! the table is finished. Its buffers are those of the tables compaction
-//! consumed, so a store at steady state seldom allocates.
+//! Every entry carries its key's hash from the put that wrote it, through
+//! the memtable, the flush and every compaction, so no table is built by
+//! hashing keys again. Flushes and compactions build every table through
+//! one `TableBuilder`: it sums the table's size as the entries arrive,
+//! and fills the windows and the Bloom filter from the carried hashes
+//! once, when the table is finished. Its buffers are those of the tables
+//! compaction consumed, so a store at steady state seldom allocates.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use kvssd_core::bloom::BloomFilter;
-use kvssd_core::hash::key_hash;
 use kvssd_core::{KeyBuf, Payload};
 use kvssd_host_stack::FileId;
 
-/// One stored version of a key; a `None` value is a tombstone.
-pub type Entry = (KeyBuf, Option<Payload>);
+/// One stored version of a key.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Entry {
+    /// The key.
+    pub key: KeyBuf,
+    /// The value; `None` is a tombstone.
+    pub value: Option<Payload>,
+    /// The key's [`kvssd_core::hash::key_hash`], computed once by the put
+    /// that wrote this version; tables fill their Bloom filters from it.
+    pub hash: u64,
+}
 
 /// One table's sorted entries.
 #[derive(Debug, Clone)]
@@ -69,14 +79,14 @@ impl SstData {
     /// table's shared prefix is in no entry, so it is answered without
     /// a search.
     pub fn find(&self, key: &[u8]) -> Option<usize> {
-        let (first, _) = self.entries.first()?;
+        let first = &self.entries.first()?.key;
         let rest = key.strip_prefix(first.get(..self.prefix_len)?)?;
         let want = window(rest);
         let (mut lo, mut hi) = (0, self.entries.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let order = match self.windows.get(mid)?.cmp(&want) {
-                Ordering::Equal => self.entries.get(mid)?.0.as_slice().cmp(key),
+                Ordering::Equal => self.entries.get(mid)?.key.as_slice().cmp(key),
                 order => order,
             };
             match order {
@@ -90,13 +100,13 @@ impl SstData {
 
     /// Entry at `idx`.
     pub fn entry(&self, idx: usize) -> (&[u8], Option<&Payload>) {
-        let (k, v) = &self.entries[idx];
-        (k, v.as_ref())
+        let e = &self.entries[idx];
+        (&e.key, e.value.as_ref())
     }
 
     /// The entries with keys `>= from`, in key order.
     pub fn entries_from(&self, from: &[u8]) -> &[Entry] {
-        let start = self.entries.partition_point(|(k, _)| k.as_slice() < from);
+        let start = self.entries.partition_point(|e| e.key.as_slice() < from);
         &self.entries[start..]
     }
 }
@@ -165,8 +175,8 @@ fn put_spare<T>(spares: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
 }
 
 /// An entry's encoded size: key, live value and `overhead`.
-fn encoded_bytes((key, value): &Entry, overhead: u64) -> u64 {
-    key.len() as u64 + value.as_ref().map_or(0, Payload::len) + overhead
+fn encoded_bytes(entry: &Entry, overhead: u64) -> u64 {
+    entry.key.len() as u64 + entry.value.as_ref().map_or(0, Payload::len) + overhead
 }
 
 /// Builds tables one at a time, from recycled buffers (see module docs).
@@ -180,8 +190,6 @@ pub(crate) struct TableBuilder {
     bloom_bits: u32,
     /// The table being built.
     entries: Vec<Entry>,
-    /// Each entry's key hash, for the Bloom filter.
-    hashes: Vec<u64>,
     /// Encoded size of `entries`.
     size_bytes: u64,
     /// Entries of the largest table built so far.
@@ -200,7 +208,6 @@ impl TableBuilder {
             overhead,
             bloom_bits,
             entries: Vec::new(),
-            hashes: Vec::new(),
             size_bytes: 0,
             largest: 0,
             spare_entries: Vec::with_capacity(SPARE_BUFFERS),
@@ -232,7 +239,6 @@ impl TableBuilder {
             self.entries = take_spare(&mut self.spare_entries, self.largest);
         }
         self.size_bytes += encoded_bytes(&entry, self.overhead);
-        self.hashes.push(key_hash(&entry.0));
         self.entries.push(entry);
         self.size_bytes
     }
@@ -245,7 +251,6 @@ impl TableBuilder {
         put_spare(&mut self.spare_entries, spare);
         for entry in &self.entries {
             self.size_bytes += encoded_bytes(entry, self.overhead);
-            self.hashes.push(key_hash(&entry.0));
         }
     }
 
@@ -254,10 +259,13 @@ impl TableBuilder {
     /// no table is being built.
     pub fn finish(&mut self, file: FileId) -> Option<SstMeta> {
         let entries = std::mem::take(&mut self.entries);
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "unsorted SST");
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].key < w[1].key),
+            "unsorted SST"
+        );
         // Sorted, so the first and last keys share the shortest prefix.
         let (min_key, max_key) = match (entries.first(), entries.last()) {
-            (Some((lo, _)), Some((hi, _))) => (lo.clone(), hi.clone()),
+            (Some(lo), Some(hi)) => (lo.key.clone(), hi.key.clone()),
             _ => {
                 put_spare(&mut self.spare_entries, entries);
                 return None;
@@ -268,23 +276,18 @@ impl TableBuilder {
             .zip(max_key.iter())
             .take_while(|(a, b)| a == b)
             .count();
-        let mut windows = take_spare(&mut self.spare_windows, entries.len());
-        windows.extend(
-            entries
-                .iter()
-                .map(|(k, _)| window(k.get(prefix_len..).unwrap_or_default())),
-        );
         self.largest = self.largest.max(entries.len());
         let n = entries.len() as u64;
+        let mut windows = take_spare(&mut self.spare_windows, entries.len());
         let words = take_spare(
             &mut self.spare_blooms,
             BloomFilter::words_for(n, self.bloom_bits),
         );
         let mut bloom = BloomFilter::with_words(n, self.bloom_bits, words);
-        for &hash in &self.hashes {
-            bloom.insert(hash);
+        for e in &entries {
+            windows.push(window(e.key.get(prefix_len..).unwrap_or_default()));
+            bloom.insert(e.hash);
         }
-        self.hashes.clear();
         Some(SstMeta {
             file,
             size_bytes: std::mem::take(&mut self.size_bytes),
@@ -449,7 +452,7 @@ impl<I> Run<I> {
 }
 
 fn keyed(entry: Option<Entry>) -> Option<(u128, Entry)> {
-    entry.map(|entry| (order_key(&entry.0), entry))
+    entry.map(|entry| (order_key(&entry.key), entry))
 }
 
 /// The merge of [`merge_runs`].
@@ -490,7 +493,7 @@ impl<I: Iterator<Item = Entry>> Iterator for Merge<'_, I> {
             // (newest) run.
             let mut best: Option<(usize, u128, &[u8])> = None;
             for (run, head) in self.runs.iter().enumerate() {
-                let Some((order, (key, _))) = &head.head else {
+                let Some((order, Entry { key, .. })) = &head.head else {
                     continue;
                 };
                 let smaller = best.is_none_or(|(_, best_order, best_key)| {
@@ -501,17 +504,17 @@ impl<I: Iterator<Item = Entry>> Iterator for Merge<'_, I> {
                 }
             }
             let (run, _, _) = best?;
-            let (order, (key, value)) = self.runs.get_mut(run)?.advance()?;
+            let (order, entry) = self.runs.get_mut(run)?.advance()?;
             // Keys are unique within a run, so each later run holds at
             // most one shadowed version of `key`, and it is at that
             // run's head.
             for later in self.runs.iter_mut().skip(run + 1) {
-                if (later.head.as_ref()).is_some_and(|(o, (k, _))| *o == order && *k == key) {
+                if (later.head.as_ref()).is_some_and(|(o, e)| *o == order && e.key == entry.key) {
                     later.advance();
                 }
             }
-            if value.is_some() || !self.drop_tombstones {
-                return Some((key, value));
+            if entry.value.is_some() || !self.drop_tombstones {
+                return Some(entry);
             }
         }
     }
@@ -520,14 +523,22 @@ impl<I: Iterator<Item = Entry>> Iterator for Merge<'_, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kvssd_core::hash::key_hash;
     use kvssd_sim::check::check;
     use kvssd_sim::DeterministicRng;
 
+    /// `key`'s version `value`, carrying the key's hash as a put does.
+    fn entry(key: &[u8], value: Option<Payload>) -> Entry {
+        Entry {
+            key: KeyBuf::new(key),
+            value,
+            hash: key_hash(key),
+        }
+    }
+
     fn kv(k: &str, v: Option<&str>) -> Entry {
-        (
-            KeyBuf::new(k.as_bytes()),
-            v.map(|s| Payload::from_bytes(s.as_bytes().to_vec())),
-        )
+        let v = v.map(|s| Payload::from_bytes(s.as_bytes().to_vec()));
+        entry(k.as_bytes(), v)
     }
 
     /// A table of `pairs` (sorted, unique keys) built as file 1's.
@@ -546,28 +557,28 @@ mod tests {
     /// the Bloom filter and one for the size.
     fn two_pass(file: FileId, entries: Vec<Entry>, overhead: u64, bloom_bits: u32) -> SstMeta {
         let prefix_len = match (entries.first(), entries.last()) {
-            (Some((lo, _)), Some((hi, _))) => {
-                lo.iter().zip(hi.iter()).take_while(|(a, b)| a == b).count()
-            }
+            (Some(lo), Some(hi)) => (lo.key.iter().zip(hi.key.iter()))
+                .take_while(|(a, b)| a == b)
+                .count(),
             _ => 0,
         };
         let windows = entries
             .iter()
-            .map(|(k, _)| window(k.get(prefix_len..).unwrap_or_default()))
+            .map(|e| window(e.key.get(prefix_len..).unwrap_or_default()))
             .collect();
         let mut bloom = BloomFilter::new(entries.len() as u64, bloom_bits);
-        for (k, _) in &entries {
-            bloom.insert(key_hash(k));
+        for e in &entries {
+            bloom.insert(key_hash(&e.key));
         }
         let size_bytes = entries
             .iter()
-            .map(|(k, v)| k.len() as u64 + v.as_ref().map_or(0, Payload::len) + overhead)
+            .map(|e| e.key.len() as u64 + e.value.as_ref().map_or(0, Payload::len) + overhead)
             .sum();
         SstMeta {
             file,
             size_bytes,
-            min_key: entries[0].0.clone(),
-            max_key: entries[entries.len() - 1].0.clone(),
+            min_key: entries[0].key.clone(),
+            max_key: entries[entries.len() - 1].key.clone(),
             bloom,
             data: SstData {
                 entries,
@@ -609,7 +620,7 @@ mod tests {
             // Find the smallest current key; ties resolved to newest run.
             let mut best: Option<(usize, &KeyBuf)> = None;
             for (run, &pos) in cursors.iter().enumerate() {
-                let Some((k, _)) = runs[run].get(pos) else {
+                let Some(Entry { key: k, .. }) = runs[run].get(pos) else {
                     continue;
                 };
                 if best.is_none_or(|(_, bk)| k < bk) {
@@ -618,13 +629,13 @@ mod tests {
             }
             let Some((winner, key)) = best else { break };
             let key = key.clone();
-            let (_, v) = &runs[winner][cursors[winner]];
-            if !(drop_tombstones && v.is_none()) {
-                out.push((key.clone(), v.clone()));
+            let won = &runs[winner][cursors[winner]];
+            if !(drop_tombstones && won.value.is_none()) {
+                out.push(won.clone());
             }
             // Advance every run past this key.
             for (run, pos) in cursors.iter_mut().enumerate() {
-                while runs[run].get(*pos).is_some_and(|(k, _)| *k == key) {
+                while runs[run].get(*pos).is_some_and(|e| e.key == key) {
                     *pos += 1;
                 }
             }
@@ -664,14 +675,14 @@ mod tests {
     }
 
     fn keys(entries: &[Entry]) -> Vec<&[u8]> {
-        entries.iter().map(|(k, _)| k.as_slice()).collect()
+        entries.iter().map(|e| e.key.as_slice()).collect()
     }
 
     fn value(entries: &[Entry], key: &str) -> Option<Vec<u8>> {
-        let (_, v) = entries
+        let e = entries
             .iter()
-            .find(|(k, _)| k.as_slice() == key.as_bytes())?;
-        Some(v.as_ref()?.as_bytes().unwrap().to_vec())
+            .find(|e| e.key.as_slice() == key.as_bytes())?;
+        Some(e.value.as_ref()?.as_bytes().unwrap().to_vec())
     }
 
     #[test]
@@ -732,7 +743,7 @@ mod tests {
         let shorter = |k: &Vec<u8>| (!k.is_empty()).then(|| k[..k.len() - 1].to_vec());
         check(0..500, table_keys, shorter, |keys| {
             let sorted = sorted_unique(keys);
-            let entries: Vec<Entry> = sorted.iter().map(|k| (KeyBuf::new(k), None)).collect();
+            let entries: Vec<Entry> = sorted.iter().map(|k| entry(k, None)).collect();
             let table = build(entries.clone()).data;
             let mut probes = vec![Vec::new(), vec![0xFF; 40], vec![0x00]];
             for k in &sorted {
@@ -747,7 +758,7 @@ mod tests {
             }
             for probe in &probes {
                 let want = entries
-                    .binary_search_by(|(k, _)| k.as_slice().cmp(probe))
+                    .binary_search_by(|e| e.key.as_slice().cmp(probe))
                     .ok();
                 let got = table.find(probe);
                 if got != want {
@@ -805,7 +816,7 @@ mod tests {
                         .zip(&case.lens)
                         .map(|(k, &len)| {
                             let v = (len > 0).then(|| Payload::synthetic(u32::from(len), 7));
-                            (KeyBuf::new(k), v)
+                            entry(k, v)
                         })
                         .collect();
                     if let Some(mut table) = previous.take().filter(|_| case.recycle_previous) {
@@ -836,7 +847,7 @@ mod tests {
     #[test]
     fn builder_reuses_recycled_buffers() {
         let mut builder = TableBuilder::new(10, 10);
-        let entries = |n: u64| (0..n).map(|i| (KeyBuf::new(&i.to_be_bytes()), None));
+        let entries = |n: u64| (0..n).map(|i| entry(&i.to_be_bytes(), None));
         entries(500).for_each(|e| _ = builder.push(e));
         let mut first = builder.finish(FileId(1)).unwrap();
         let ptrs = |t: &SstMeta| {
@@ -934,7 +945,7 @@ mod tests {
         let older = sst(&[("a", Some("old")), ("b", Some("b1"))]);
         let kept = merge_checked(&[&[&newer], &[&older]], false);
         assert_eq!(kept.len(), 2);
-        assert!(kept[0].1.is_none(), "tombstone shadows older value");
+        assert!(kept[0].value.is_none(), "tombstone shadows older value");
         let dropped = merge_checked(&[&[&newer], &[&older]], true);
         assert_eq!(keys(&dropped), vec![&b"b"[..]]);
     }
