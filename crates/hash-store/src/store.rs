@@ -346,7 +346,14 @@ impl WriteBlocks {
         let offset = w.used_bytes;
         w.used_bytes += rec;
         w.live_bytes += rec;
-        self.keys[cur].push(KeyBuf::new(key));
+        let keys = &mut self.keys[cur];
+        if keys.capacity() == 0 {
+            // A block's first record: room for as many records of its
+            // size as the block holds, in one allocation. A reclaimed
+            // block keeps its list's capacity (`reclaim` only clears it).
+            keys.reserve_exact((self.block_bytes / rec) as usize);
+        }
+        keys.push(KeyBuf::new(key));
         let loc = RecordLoc {
             wblock: self.current,
             offset,

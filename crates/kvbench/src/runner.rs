@@ -46,6 +46,15 @@ pub struct OpBatch {
 }
 
 impl OpBatch {
+    /// An empty batch with room for `ops` operations whose keys total
+    /// `key_bytes`, so filling it up to that allocates nothing.
+    pub fn with_capacity(ops: usize, key_bytes: usize) -> Self {
+        OpBatch {
+            keys: Vec::with_capacity(key_bytes),
+            ops: Vec::with_capacity(ops),
+        }
+    }
+
     /// Empties the batch, keeping its allocations.
     pub fn clear(&mut self) {
         self.keys.clear();
@@ -217,9 +226,12 @@ pub fn run_phase(store: &mut dyn KvStore, spec: &WorkloadSpec, start: SimTime) -
     let mut not_found = 0u64;
     let cpu_before = store.host_cpu_busy();
     // One key buffer for the whole phase: `key_into` regenerates in
-    // place, so the hot loop makes zero key allocations.
+    // place, so the hot loop makes zero key allocations. The batch is
+    // sized once for the most it plans (every key is `key_bytes` long),
+    // so a phase allocates the same whatever its op count.
     let mut key_buf = Vec::with_capacity(spec.key_bytes);
-    let mut batch = OpBatch::default();
+    let batch_ops = BATCH_OPS.min(spec.ops as usize);
+    let mut batch = OpBatch::with_capacity(batch_ops, batch_ops * spec.key_bytes);
 
     // Plan-then-execute in batches: planning drains the RNG in the
     // exact per-op order, execution spends only virtual time, so this
