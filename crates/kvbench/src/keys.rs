@@ -141,6 +141,44 @@ mod tests {
         }
     }
 
+    /// The bytes of long keys, pinned: a body of 20 B or more is the
+    /// index in decimal, zero-padded to 20 digits, then `x` filler.
+    #[test]
+    fn long_key_bytes_are_pinned() {
+        let bodies: [(u64, &[u8; 20]); 6] = [
+            (0, b"00000000000000000000"),
+            (1, b"00000000000000000001"),
+            (35, b"00000000000000000035"),
+            (36, b"00000000000000000036"),
+            (123_456_789, b"00000000000123456789"),
+            (u64::MAX, b"18446744073709551615"),
+        ];
+        for len in [24, 32, 64, 255] {
+            let g = KeyGen::new(len);
+            for (i, body) in bodies {
+                let want = [b"usr.".as_slice(), body, &vec![b'x'; len - 24]].concat();
+                assert_eq!(g.key(i), want, "len={len} i={i}");
+            }
+        }
+    }
+
+    /// The bytes of short keys, pinned: a shorter body is the index in
+    /// base 36, zero-padded to the body's width.
+    #[test]
+    fn short_key_bytes_are_pinned() {
+        let g = KeyGen::new(16);
+        for (i, want) in [
+            (0, b"usr.000000000000"),
+            (1, b"usr.000000000001"),
+            (35, b"usr.00000000000z"),
+            (36, b"usr.000000000010"),
+            (123_456_789, b"usr.00000021i3v9"),
+        ] {
+            assert_eq!(g.key(i), want, "i={i}");
+        }
+        assert_eq!(KeyGen::new(23).key(u64::MAX), b"usr.0000003w5e11264sgsf");
+    }
+
     #[test]
     fn tiny_keys_work() {
         let g = KeyGen::new(4);
