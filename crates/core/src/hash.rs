@@ -89,7 +89,7 @@ fn count_pass() {
 /// Hash passes over key bytes made on this thread so far: one per
 /// [`key_hash`], [`key_fingerprint`] or [`KeyId::of`] call. Debug builds
 /// only; tests read it to check that a layer hashes a key once per
-/// operation, however many replicas, retries or compactions it crosses.
+/// operation, however many replicas, retries or hedges it crosses.
 #[cfg(debug_assertions)]
 pub fn key_passes() -> u64 {
     PASSES.with(std::cell::Cell::get)

@@ -7,8 +7,8 @@
 //! either replaces the value in place or appends. Nothing is kept in key
 //! order: a flush sorts the entries once, and a scan sorts the ones it
 //! needs. The caller passes each key's hash in, so the store hashes a
-//! key once per operation; the entry keeps it, and the tables it is
-//! flushed and compacted into fill their Bloom filters from it.
+//! key once per operation and reuses it for the Bloom filters; the map
+//! is the only place the hash is kept.
 
 use std::collections::hash_map::Entry as Slot;
 
@@ -23,7 +23,7 @@ const NIL: u32 = u32::MAX;
 /// See the module docs.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    /// Every key's newest version, with its hash, in first-arrival order.
+    /// Every key's newest version, in first-arrival order.
     entries: Vec<Entry>,
     /// Per entry: the next older entry with the same key hash.
     chain: Vec<u32>,
@@ -84,7 +84,6 @@ impl Memtable {
         self.entries.push(Entry {
             key: KeyBuf::new(key),
             value,
-            hash,
         });
         None
     }
@@ -167,11 +166,9 @@ mod tests {
     /// chain, 64 is the store's own hash.
     fn agrees(ops: &[Op], bits: u32) -> Result<(), String> {
         let hash = |k: &[u8]| key_hash(k).checked_shr(64 - bits).unwrap_or(0);
-        // Flushed and scanned entries carry the hash their put passed in.
         let entry = |key: &[u8], value| Entry {
             key: KeyBuf::new(key),
             value,
-            hash: hash(key),
         };
         let mut table = Memtable::default();
         let mut model: BTreeMap<Vec<u8>, Option<Payload>> = BTreeMap::new();

@@ -14,18 +14,19 @@
 //! `u64` per step and reads a whole key only where windows tie. The
 //! merge orders run heads the same way, by their first 16 key bytes.
 //!
-//! Every entry carries its key's hash from the put that wrote it, through
-//! the memtable, the flush and every compaction, so no table is built by
-//! hashing keys again. Flushes and compactions build every table through
-//! one `TableBuilder`: it sums the table's size as the entries arrive,
-//! and fills the windows and the Bloom filter from the carried hashes
-//! once, when the table is finished. Its buffers are those of the tables
-//! compaction consumed, so a store at steady state seldom allocates.
+//! Flushes and compactions build every table through one
+//! `TableBuilder`: it sums the table's size as the entries arrive, and
+//! fills the windows and the Bloom filter from the keys in one pass,
+//! when the table is finished (as RocksDB's table builder fills a
+//! table's filter block from the keys it writes). Its buffers are those
+//! of the tables compaction consumed, so a store at steady state seldom
+//! allocates.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 use kvssd_core::bloom::BloomFilter;
+use kvssd_core::hash::key_hash;
 use kvssd_core::{KeyBuf, Payload};
 use kvssd_host_stack::FileId;
 
@@ -36,10 +37,12 @@ pub struct Entry {
     pub key: KeyBuf,
     /// The value; `None` is a tombstone.
     pub value: Option<Payload>,
-    /// The key's [`kvssd_core::hash::key_hash`], computed once by the put
-    /// that wrote this version; tables fill their Bloom filters from it.
-    pub hash: u64,
 }
+
+// Entries fill the memtable, every table and every merge. Carrying the
+// put's key hash in them grew them to 48 B and saved no host time
+// (ROADMAP item 18(d)); tables hash their keys as they are built.
+const _: () = assert!(size_of::<Entry>() <= 40);
 
 /// One table's sorted entries.
 #[derive(Debug, Clone)]
@@ -286,7 +289,7 @@ impl TableBuilder {
         let mut bloom = BloomFilter::with_words(n, self.bloom_bits, words);
         for e in &entries {
             windows.push(window(e.key.get(prefix_len..).unwrap_or_default()));
-            bloom.insert(e.hash);
+            bloom.insert(key_hash(&e.key));
         }
         Some(SstMeta {
             file,
@@ -523,16 +526,14 @@ impl<I: Iterator<Item = Entry>> Iterator for Merge<'_, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kvssd_core::hash::key_hash;
     use kvssd_sim::check::check;
     use kvssd_sim::DeterministicRng;
 
-    /// `key`'s version `value`, carrying the key's hash as a put does.
+    /// `key`'s version `value`.
     fn entry(key: &[u8], value: Option<Payload>) -> Entry {
         Entry {
             key: KeyBuf::new(key),
             value,
-            hash: key_hash(key),
         }
     }
 
