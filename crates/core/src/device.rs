@@ -518,17 +518,7 @@ impl KvSsd {
 
     /// Membership check; returns (completion, exists).
     pub fn exist(&mut self, now: SimTime, key: &[u8]) -> Result<(SimTime, bool), KvError> {
-        self.exist_id(now, key, KeyId::of(key))
-    }
-
-    /// [`Self::exist`] of a key whose id the caller holds (see
-    /// [`Self::store_id`]).
-    pub fn exist_id(
-        &mut self,
-        now: SimTime,
-        key: &[u8],
-        id: KeyId,
-    ) -> Result<(SimTime, bool), KvError> {
+        let id = KeyId::of(key);
         let k = self.keyed(key, id)?;
         let t = self.submit(now, &k, key.len() as u64, SimDuration::ZERO);
         self.stats.exists += 1;
