@@ -1,8 +1,9 @@
 //! Deterministic key generation.
 //!
 //! Keys are derived from a dense index space `0..n`: a fixed 4-byte
-//! prefix (which doubles as the KV-SSD's iterator bucket), a zero-padded
-//! decimal body, and optional padding to reach the requested length.
+//! prefix (which doubles as the KV-SSD's iterator bucket), then a
+//! zero-padded body: the index in decimal and `x` filler when the body
+//! has room for 20 digits, in base 36 otherwise.
 //! `key(i)` is injective and stable, so phases can regenerate the same
 //! population without storing it.
 
@@ -48,37 +49,34 @@ impl KeyGen {
     /// loops reuse one buffer across ops instead of allocating per key.
     pub fn key_into(&self, i: u64, buf: &mut Vec<u8>) {
         buf.clear();
-        let k = buf;
-        k.extend_from_slice(&self.prefix);
-        if self.key_bytes <= 4 {
-            k.truncate(self.key_bytes);
+        buf.extend_from_slice(&self.prefix);
+        let body = self.key_bytes - 4;
+        if body == 0 {
             return;
         }
-        let body = self.key_bytes - 4;
-        if body >= 20 {
-            // Room for the full decimal form plus filler.
-            let digits = format!("{i:020}");
-            k.extend_from_slice(digits.as_bytes());
-            while k.len() < self.key_bytes {
-                k.push(b'x');
-            }
+        // A body of 20 B or more holds any index in decimal, then filler;
+        // a shorter one is base 36, where 8 digits cover 2.8e12 indices.
+        let mut digits = [b'0'; 20];
+        let (width, rest) = if body >= 20 {
+            (20, write_digits::<10>(i, &mut digits))
         } else {
-            // Compact base-36 body, zero-padded; 8 base-36 digits cover
-            // 2.8e12 indices — far beyond any run here.
-            let mut buf = [b'0'; 20];
-            let mut v = i;
-            let mut pos = body;
-            while pos > 0 {
-                pos -= 1;
-                let d = (v % 36) as u8;
-                buf[pos] = if d < 10 { b'0' + d } else { b'a' + d - 10 };
-                v /= 36;
-            }
-            assert_eq!(v, 0, "index {i} does not fit in a {body}-char key body");
-            k.extend_from_slice(&buf[..body]);
-        }
-        debug_assert_eq!(k.len(), self.key_bytes);
+            (body, write_digits::<36>(i, &mut digits[..body]))
+        };
+        assert_eq!(rest, 0, "index {i} does not fit in a {body}-char key body");
+        buf.extend_from_slice(&digits[..width]);
+        buf.resize(self.key_bytes, b'x');
     }
+}
+
+/// Writes `v`'s last `out.len()` digits in base `RADIX` (at most 36) into
+/// `out`, most significant first; returns what is left of `v`.
+fn write_digits<const RADIX: u64>(mut v: u64, out: &mut [u8]) -> u64 {
+    for d in out.iter_mut().rev() {
+        let r = (v % RADIX) as u8;
+        *d = if r < 10 { b'0' + r } else { b'a' + r - 10 };
+        v /= RADIX;
+    }
+    v
 }
 
 #[cfg(test)]

@@ -98,23 +98,23 @@ impl KvStore for Null {
 /// the most it will hold, and reused batch after batch. A batch grown by
 /// doubling allocates more the more ops its first batch plans. (Every
 /// phase here ends inside one 100 ms bandwidth window, so the series
-/// never grows.)
+/// never grows.) Short keys have a base-36 body and 32 B keys a decimal
+/// one; neither form allocates per key.
 #[test]
 fn a_phase_allocates_the_same_whatever_its_op_count() {
-    let spec = |ops: u64| {
-        WorkloadSpec::new("budget", ops, 10_000)
-            .pattern(AccessPattern::Uniform)
-            .mix(OpMix::Mixed { read_pct: 50 })
-            .key_bytes(16)
-            .queue_depth(4)
-            .seed(48)
-    };
-    let allocs = |ops: u64| {
-        let spec = spec(ops);
-        allocs_during(|| drop(run_phase(&mut Null, &spec, SimTime::ZERO)))
-    };
-    let one_batch = allocs(256);
-    for ops in [1, 7, 100, 257, 5_000, 20_480] {
-        assert_eq!(allocs(ops), one_batch, "{ops} ops");
+    for key_bytes in [16, 32] {
+        let allocs = |ops: u64| {
+            let spec = WorkloadSpec::new("budget", ops, 10_000)
+                .pattern(AccessPattern::Uniform)
+                .mix(OpMix::Mixed { read_pct: 50 })
+                .key_bytes(key_bytes)
+                .queue_depth(4)
+                .seed(48);
+            allocs_during(|| drop(run_phase(&mut Null, &spec, SimTime::ZERO)))
+        };
+        let one_batch = allocs(256);
+        for ops in [1, 7, 100, 257, 5_000, 20_480] {
+            assert_eq!(allocs(ops), one_batch, "{key_bytes} B keys, {ops} ops");
+        }
     }
 }
