@@ -16,11 +16,9 @@
 //!
 //! Flushes and compactions build every table through one
 //! `TableBuilder`: it sums the table's size as the entries arrive, and
-//! fills the windows and the Bloom filter from the keys in one pass,
-//! when the table is finished (as RocksDB's table builder fills a
-//! table's filter block from the keys it writes). Its buffers are those
-//! of the tables compaction consumed, so a store at steady state seldom
-//! allocates.
+//! fills the windows and the Bloom filter from the keys in one pass when
+//! the table is finished. Its buffers are those of the tables compaction
+//! consumed, so a store at steady state seldom allocates.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -39,9 +37,7 @@ pub struct Entry {
     pub value: Option<Payload>,
 }
 
-// Entries fill the memtable, every table and every merge. Carrying the
-// put's key hash in them grew them to 48 B and saved no host time
-// (ROADMAP item 18(d)); tables hash their keys as they are built.
+// Every stored version pays for each byte here (ROADMAP item 18(d)).
 const _: () = assert!(size_of::<Entry>() <= 40);
 
 /// One table's sorted entries.

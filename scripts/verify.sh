@@ -48,9 +48,9 @@ echo "== cargo test --workspace =="
 # golden digests at threads 1 and 4, determinism, the kvlint gate, the
 # map oracle over every store on clean and faulty flash) and each
 # crate's unit/property tests — cluster replication and fabric fault
-# regressions, the fabric transport's contracts, the core alloc budget
-# and lookup history, the LSM store's alloc budget
-# (crates/lsm-store/tests/alloc_budget.rs) and pinned history. A test
+# regressions, the fabric transport's contracts, the core lookup history,
+# the LSM store's pinned history and the core, lsm-store, kvbench and
+# hash-store alloc budgets (crates/*/tests/alloc_budget.rs). A test
 # binary that compiles to nothing is a failure: a suite gated off whole
 # looks exactly like that.
 cargo test "${CARGO_FLAGS[@]}" -q --workspace 2>&1 | tee target/verify-test.log
