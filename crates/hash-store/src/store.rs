@@ -589,6 +589,95 @@ mod tests {
         )
     }
 
+    /// A fill of 3 000 keys (every fifth one 40 B, so it spills out of
+    /// a `KeyBuf`), then `ops` seeded ops over 3 300 indices on a 32 MiB
+    /// device: puts with values of 100 B–6 KiB, deletes and gets, which
+    /// keep defrag copying and recycling write blocks. Folds every
+    /// completion instant, each delete's answer, each get's hit or miss
+    /// and payload tag, then `HashStoreStats`, `live_device_bytes()` and
+    /// the device's counters.
+    fn history_digest(seed: u64, ops: u64) -> u64 {
+        use kvssd_sim::rng::mix64;
+        use kvssd_sim::DeterministicRng;
+        let history_key = |i: u64| {
+            let mut k = key(i);
+            if i.is_multiple_of(5) {
+                k.extend_from_slice(&[b'L'; 24]);
+            }
+            k
+        };
+        let mut s = store_with_blocks_per_plane(8);
+        let mut rng = DeterministicRng::seed_from(seed);
+        let mut t = SimTime::ZERO;
+        let mut fold = seed;
+        for i in 0..3_000 {
+            t = s.put(t, &history_key(i), Payload::synthetic(2_000, i));
+            fold = mix64(fold ^ t.as_nanos());
+        }
+        for op in 0..ops {
+            let k = history_key(rng.below(3_300));
+            let answer = match rng.below(10) {
+                0..=5 => {
+                    let len = 100 + rng.below(6_000) as u32;
+                    t = s.put(t, &k, Payload::synthetic(len, op));
+                    0
+                }
+                6 => {
+                    let existed;
+                    (t, existed) = s.delete(t, &k);
+                    existed as u64
+                }
+                _ => {
+                    let v;
+                    (t, v) = s.get(t, &k);
+                    match v {
+                        Some(Payload::Synthetic { tag, .. }) => tag,
+                        Some(Payload::Bytes(_)) => unreachable!("only synthetic values stored"),
+                        None => u64::MAX,
+                    }
+                }
+            };
+            fold = mix64(mix64(fold ^ t.as_nanos()) ^ answer);
+        }
+        let HashStoreStats {
+            puts,
+            gets,
+            deletes,
+            blocks_flushed,
+            defrag_copies,
+            defrag_reclaims,
+        } = *s.stats();
+        assert!(defrag_copies > 0 && defrag_reclaims > 0, "{:?}", s.stats());
+        let live = s.live_device_bytes();
+        let counters = [puts, gets, deletes, blocks_flushed, defrag_copies];
+        let device = s.device().stats().values();
+        for v in counters
+            .into_iter()
+            .chain([defrag_reclaims, live])
+            .chain(device)
+        {
+            fold = mix64(fold ^ v);
+        }
+        fold
+    }
+
+    /// `history_digest` at three seeds, 30 000 ops each. Pinned before
+    /// the index took inline keys and the key lists took tombstones;
+    /// never re-pinned: it holds defrag's copy order.
+    const HASH_STORE_HISTORY: [(u64, u64); 3] = [
+        (7, 0xC995_01A9_58E9_180C),
+        (0x51, 0x0D73_284F_9C9D_91D3),
+        (0xB0B, 0xEF27_6DEF_30F1_08B0),
+    ];
+
+    #[test]
+    fn hash_store_matches_pinned_history() {
+        for (seed, want) in HASH_STORE_HISTORY {
+            let got = history_digest(seed, 30_000);
+            assert_eq!(got, want, "seed {seed}: {got:#X}");
+        }
+    }
+
     #[test]
     fn index_work_per_op_does_not_grow_with_population() {
         let small = index_probes_per_op(5_000);
