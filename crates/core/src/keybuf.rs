@@ -1,21 +1,22 @@
 //! An owned key copy that avoids the heap for short keys.
 //!
 //! Host-side bookkeeping structures (the cluster's per-shard key
-//! registry, the hash store's per-write-block key lists, and the LSM
-//! store's memtable, SST entries and per-table min/max keys) retain a
-//! copy of every stored key. With `Box<[u8]>` that is one heap
+//! registry, the hash store's index and per-write-block key lists, and
+//! the LSM store's memtable, SST entries and per-table min/max keys)
+//! retain a copy of every stored key. With `Box<[u8]>` that is one heap
 //! allocation per store operation — pure overhead, since real workload
 //! keys (kvbench emits 16-byte keys) fit in the slot a fat pointer
 //! already occupies. [`KeyBuf`] keeps keys up to 22 bytes inline and
 //! spills longer ones to a box, so the common case allocates nothing
 //! and a sorted run of keys is contiguous memory.
 //!
-//! Ordering contract: `Eq` and `Ord` compare the key bytes
+//! Ordering contract: `Eq`, `Ord` and `Hash` see the key bytes
 //! ([`KeyBuf::as_slice`]) and nothing else, so an inline key and a
-//! spilled one order exactly as their slices do, and `Borrow<[u8]>`
-//! lets an ordered map keyed by `KeyBuf` be searched with a `&[u8]`.
-//! `Hash` is deliberately absent: nothing hashes a `KeyBuf`, and an
-//! impl would have to match `[u8]`'s to keep `Borrow` lawful.
+//! spilled one compare, order and hash exactly as their slices do, and
+//! `Borrow<[u8]>` lets a map keyed by `KeyBuf` be searched with a
+//! `&[u8]`. `Hash` exists for the hash store's index: keyed by
+//! `KeyBuf`, a bucket holds a 16 B key in place, so a probe compares it
+//! without loading a boxed key from elsewhere in memory.
 
 /// An owned key: inline when short (the universal case), boxed
 /// otherwise.
@@ -94,6 +95,12 @@ impl Ord for KeyBuf {
     }
 }
 
+impl std::hash::Hash for KeyBuf {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,5 +169,27 @@ mod tests {
         let spilled = KeyBuf::new(&long);
         let borrowed: &[u8] = spilled.borrow();
         assert_eq!(borrowed, &long[..]);
+    }
+
+    #[test]
+    fn hashes_as_its_bytes_and_hash_maps_are_searched_by_slice() {
+        use kvssd_sim::PrehashedMap;
+        use std::hash::BuildHasher;
+        let hasher = PrehashedMap::<KeyBuf, u32>::default().hasher().clone();
+        let keys: Vec<Vec<u8>> = [0, 1, 16, KeyBuf::INLINE, 23, 255]
+            .into_iter()
+            .map(|len| (0..len as u8).map(|b| b.wrapping_mul(37)).collect())
+            .collect();
+        let mut map = PrehashedMap::default();
+        for (i, key) in keys.iter().enumerate() {
+            let k = KeyBuf::new(key);
+            assert_eq!(matches!(k, KeyBuf::Heap(_)), key.len() > KeyBuf::INLINE);
+            assert_eq!(hasher.hash_one(&k), hasher.hash_one(&key[..]), "{key:?}");
+            map.insert(k, i);
+        }
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(map.get(&key[..]), Some(&i), "{key:?}");
+        }
+        assert_eq!(map.get(&[9u8; 23][..]), None);
     }
 }

@@ -1,5 +1,7 @@
 //! The hash-index store implementation.
 
+use std::collections::VecDeque;
+
 use kvssd_block_ftl::BlockSsd;
 use kvssd_core::{KeyBuf, Payload};
 use kvssd_host_stack::{CpuCosts, HostCpu};
@@ -68,9 +70,14 @@ pub struct HashStoreStats {
 #[derive(Debug, Clone, Copy)]
 struct RecordLoc {
     wblock: u32,
+    /// The record's position in its write block's key list.
+    slot: u32,
     offset: u64,
     len: u64,
 }
+
+// The slot packs beside the block number: an index entry stays 24 B.
+const _: () = assert!(std::mem::size_of::<RecordLoc>() == 24);
 
 #[derive(Debug, Clone, Copy, Default)]
 struct WBlockMeta {
@@ -79,6 +86,8 @@ struct WBlockMeta {
     /// Device sectors [0, flushed_hi) already written for this block.
     flushed_hi: u64,
     sealed: bool,
+    /// On the defrag queue.
+    queued: bool,
 }
 
 /// The device and its write-block layout: everything a record append
@@ -90,14 +99,18 @@ struct WriteBlocks {
     block_bytes: u64,
     defrag_threshold: f64,
     meta: Vec<WBlockMeta>,
-    /// Keys whose newest record was appended to each write block (may
-    /// contain stale entries; verified against the index during defrag).
-    /// Inline key copies: pushing one is allocation-free on the put path.
-    keys: Vec<Vec<KeyBuf>>,
+    /// The key of every record appended to each write block, at the
+    /// record's `RecordLoc::slot`; `None` once the record is dead, so
+    /// defrag skips it without probing the index. Inline key copies:
+    /// pushing one is allocation-free on the put path.
+    keys: Vec<Vec<Option<KeyBuf>>>,
     free: Vec<u32>,
     current: u32,
-    defrag_queue: Vec<u32>,
+    defrag_queue: VecDeque<u32>,
 }
+
+// `KeyBuf`'s tag leaves a niche: a tombstone costs no byte.
+const _: () = assert!(std::mem::size_of::<Option<KeyBuf>>() == 24);
 
 /// The Aerospike-like store (see crate docs). Owns its device directly
 /// (direct I/O — no filesystem, no page cache).
@@ -106,7 +119,7 @@ pub struct HashStore {
     config: HashStoreConfig,
     cpu: HostCpu,
     costs: CpuCosts,
-    index: PrehashedMap<Box<[u8]>, (RecordLoc, Payload)>,
+    index: PrehashedMap<KeyBuf, (RecordLoc, Payload)>,
     blocks: WriteBlocks,
     user_bytes: u64,
     stats: HashStoreStats,
@@ -120,7 +133,7 @@ pub struct HashStore {
 struct WorkProbe {
     /// Index lookups (one hash plus one table walk each).
     index_probes: u64,
-    /// Candidate keys defrag popped off a block's key list.
+    /// Entries defrag popped off a block's key list, tombstones included.
     defrag_pops: u64,
 }
 
@@ -141,7 +154,7 @@ impl HashStore {
                 keys: vec![Vec::new(); n_wblocks as usize],
                 free: (1..n_wblocks).rev().collect(),
                 current: 0,
-                defrag_queue: Vec::new(),
+                defrag_queue: VecDeque::new(),
             },
             user_bytes: 0,
             stats: HashStoreStats::default(),
@@ -209,10 +222,10 @@ impl HashStore {
             }
             None => {
                 let (loc, t) = self.blocks.append(&mut self.stats, t, key, rec);
-                // Only first-time keys allocate a boxed key (and pay a
-                // second walk: std has no entry API for borrowed keys).
+                // Only first-time keys pay a second walk: std has no
+                // entry API for borrowed keys.
                 self.count_probe();
-                self.index.insert(key.into(), (loc, value));
+                self.index.insert(KeyBuf::new(key), (loc, value));
                 t
             }
         };
@@ -277,25 +290,34 @@ impl HashStore {
     /// Copies one live record off the defrag queue's head block; reclaims
     /// the block when empty. Returns false when idle.
     fn defrag_step(&mut self, now: SimTime) -> bool {
-        let Some(&wb) = self.blocks.defrag_queue.first() else {
+        let Some(&wb) = self.blocks.defrag_queue.front() else {
             return false;
         };
-        // Pop candidates off the block's key list until one is still
-        // live *in this block* (others are stale: overwritten or moved).
-        // The probe that tells is also the slot the copy re-points.
-        while let Some(key) = self.blocks.keys[wb as usize].pop() {
-            self.count_probe();
+        // Pop entries off the block's key list until one is live; dead
+        // records left a tombstone and cost no probe. The probe of a
+        // live one is also the slot the copy re-points.
+        while let Some(entry) = self.blocks.keys.get_mut(wb as usize).and_then(Vec::pop) {
             #[cfg(test)]
             {
                 self.probe.defrag_pops += 1;
             }
-            let Some((loc, _)) = self.index.get_mut(key.as_slice()) else {
+            let Some(key) = entry else {
                 continue;
             };
-            if loc.wblock != wb {
+            self.count_probe();
+            let found = self.index.get_mut(key.as_slice());
+            debug_assert!(
+                found.as_ref().is_some_and(|(loc, _)| {
+                    let popped = self.blocks.keys.get(wb as usize).map_or(0, Vec::len);
+                    (loc.wblock, loc.slot as usize) == (wb, popped)
+                }),
+                "a live key-list entry must index its own record"
+            );
+            let Some((loc, _)) = found else {
                 continue;
-            }
-            // Read the record and re-append it.
+            };
+            // Read the record and re-append it. Its entry is popped
+            // already, so `invalidate` finds no slot to tombstone.
             let old = *loc;
             let _ = self.blocks.read(now, old);
             self.blocks.invalidate(old);
@@ -353,12 +375,13 @@ impl WriteBlocks {
             // block keeps its list's capacity (`reclaim` only clears it).
             keys.reserve_exact((self.block_bytes / rec) as usize);
         }
-        keys.push(KeyBuf::new(key));
         let loc = RecordLoc {
             wblock: self.current,
+            slot: keys.len() as u32,
             offset,
             len: rec,
         };
+        keys.push(Some(KeyBuf::new(key)));
         // Commit-to-device writes flush the not-yet-written enclosing
         // 512 B sectors (records are 128 B-aligned inside the block; the
         // shared boundary sector was already flushed with its
@@ -377,27 +400,38 @@ impl WriteBlocks {
         (loc, done)
     }
 
+    /// Marks the record at `loc` dead: tombstones its key-list entry
+    /// (unless defrag already popped it) and takes its bytes off the
+    /// block's live count.
     fn invalidate(&mut self, loc: RecordLoc) {
+        let keys = self.keys.get_mut(loc.wblock as usize);
+        if let Some(entry) = keys.and_then(|k| k.get_mut(loc.slot as usize)) {
+            *entry = None;
+        }
         self.meta[loc.wblock as usize].live_bytes -= loc.len;
         self.maybe_queue_defrag(loc.wblock);
     }
 
     fn maybe_queue_defrag(&mut self, wblock: u32) {
-        let w = &self.meta[wblock as usize];
+        let current = self.current;
+        let Some(w) = self.meta.get_mut(wblock as usize) else {
+            return;
+        };
         if w.sealed
             && w.used_bytes > 0
             && (w.live_bytes as f64) < self.defrag_threshold * w.used_bytes as f64
-            && !self.defrag_queue.contains(&wblock)
-            && wblock != self.current
+            && !w.queued
+            && wblock != current
         {
-            self.defrag_queue.push(wblock);
+            w.queued = true;
+            self.defrag_queue.push_back(wblock);
         }
     }
 
     /// TRIMs the fully dead block at the head of the defrag queue and
     /// returns it to the free list.
     fn reclaim(&mut self, now: SimTime, wb: u32) {
-        self.defrag_queue.remove(0);
+        self.defrag_queue.pop_front();
         self.keys[wb as usize].clear();
         let _ = self
             .device
@@ -552,8 +586,36 @@ mod tests {
         );
     }
 
+    /// Overwrites leave dead records in every block defrag empties: it
+    /// pops their tombstones without probing the index, and probes once
+    /// per record it copies.
+    #[test]
+    fn defrag_probes_the_index_once_per_copy() {
+        let mut s = store();
+        let mut t = SimTime::ZERO;
+        for i in 0..2_000u64 {
+            t = s.put(t, &key(i), Payload::synthetic(500, 0));
+        }
+        let (was, before) = (s.probe, s.stats().clone());
+        for round in 1..4u64 {
+            for i in 0..2_000u64 {
+                t = s.put(
+                    t,
+                    &key((i * 7 + round) % 2_000),
+                    Payload::synthetic(500, round),
+                );
+            }
+        }
+        let puts = s.stats().puts - before.puts;
+        let copies = s.stats().defrag_copies - before.defrag_copies;
+        let pops = s.probe.defrag_pops - was.defrag_pops;
+        assert!(copies > 0 && pops > copies, "{pops} pops, {copies} copies");
+        assert_eq!(s.probe.index_probes - was.index_probes, puts + copies);
+    }
+
     /// Index lookups per op over a 20 000-op Zipfian update/read mix on a
-    /// store of `n` 512 B pairs: (per get, per put beyond its defrag pops).
+    /// store of `n` 512 B pairs: (per get, per put beyond its defrag
+    /// copies).
     fn index_probes_per_op(n: u64) -> (f64, f64) {
         use kvssd_sim::{DeterministicRng, ZipfianDistribution};
         // 64 MiB of flash per 16 blocks a plane; 50 000 x 640 B records
@@ -569,11 +631,11 @@ mod tests {
         let before = s.stats().clone();
         for op in 0..20_000u64 {
             let k = key(zipf.sample(&mut rng));
-            let was = s.probe;
+            let (was, copies) = (s.probe, s.stats().defrag_copies);
             if rng.chance(0.5) {
                 t = s.put(t, &k, Payload::synthetic(512, op));
                 put_probes += s.probe.index_probes - was.index_probes;
-                put_probes -= s.probe.defrag_pops - was.defrag_pops;
+                put_probes -= s.stats().defrag_copies - copies;
             } else {
                 let (done, v) = s.get(t, &k);
                 assert!(v.is_some());

@@ -13,11 +13,11 @@
 //!   only, which is enough here: a word that went through `mix64` is
 //!   uniform in every bit, and a small integer has its entropy in the
 //!   *low* bits, where hashbrown takes the bucket index from.
-//! * **Byte strings** (`write`: `Box<[u8]>`, `Vec<u8>`, `[u8; N]`,
-//!   `String` keys — `hash-store`'s index, the block-direct slot table,
-//!   `lsm-store`'s scan shadow set, `host-stack` file names): the same
-//!   fold per 8-byte word, then a full-width avalanche (xor-shift,
-//!   multiply, xor-shift) that brings the high bits down.
+//! * **Byte strings** (`write`: `kvssd_core::KeyBuf`, `Vec<u8>`,
+//!   `[u8; N]`, `String` keys — `hash-store`'s index, the block-direct
+//!   slot table, `lsm-store`'s scan shadow set, `host-stack` file
+//!   names): the same fold per 8-byte word, then a full-width avalanche
+//!   (xor-shift, multiply, xor-shift) that brings the high bits down.
 //!
 //! # Why `write` avalanches
 //!
