@@ -4,8 +4,9 @@
 //! prefix (which doubles as the KV-SSD's iterator bucket), then a
 //! zero-padded body: the index in decimal and `x` filler when the body
 //! has room for 20 digits, in base 36 otherwise.
-//! `key(i)` is injective and stable, so phases can regenerate the same
-//! population without storing it.
+//! `key(i)` is stable, and injective over `0..=max_index()` (the body's
+//! capacity: every `u64` from 20 digits up, `36^body - 1` below), so
+//! phases can regenerate the same population without storing it.
 
 /// Generates fixed-length keys from dense indices.
 #[derive(Debug, Clone)]
@@ -15,20 +16,26 @@ pub struct KeyGen {
 }
 
 impl KeyGen {
-    /// A generator for `key_bytes`-long keys (minimum 4: the prefix).
+    /// A generator for `key_bytes`-long keys (minimum 5: the prefix and
+    /// a body of at least one character).
     ///
     /// # Panics
     ///
-    /// Panics if `key_bytes` is out of the device's 4..=255 range.
+    /// Panics if `key_bytes` is out of the 5..=255 range.
     pub fn new(key_bytes: usize) -> Self {
         Self::with_prefix(*b"usr.", key_bytes)
     }
 
     /// A generator with an explicit 4-byte prefix (iterator bucket).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key_bytes` is out of the 5..=255 range: an empty body
+    /// would give every index the same key.
     pub fn with_prefix(prefix: [u8; 4], key_bytes: usize) -> Self {
         assert!(
-            (4..=255).contains(&key_bytes),
-            "key length {key_bytes} outside the device's 4..=255"
+            (5..=255).contains(&key_bytes),
+            "key length {key_bytes} outside 5..=255 (a prefix and a body)"
         );
         KeyGen { prefix, key_bytes }
     }
@@ -36,6 +43,16 @@ impl KeyGen {
     /// Key length produced.
     pub fn key_bytes(&self) -> usize {
         self.key_bytes
+    }
+
+    /// The largest index whose key fits the body: any `u64` when it
+    /// holds 20 decimal digits, `36^body - 1` below that.
+    pub fn max_index(&self) -> u64 {
+        let body = self.key_bytes - 4;
+        if body >= 20 {
+            return u64::MAX;
+        }
+        36u64.checked_pow(body as u32).map_or(u64::MAX, |n| n - 1)
     }
 
     /// The key for index `i`.
@@ -51,9 +68,6 @@ impl KeyGen {
         buf.clear();
         buf.extend_from_slice(&self.prefix);
         let body = self.key_bytes - 4;
-        if body == 0 {
-            return;
-        }
         // A body of 20 B or more holds any index in decimal, then filler;
         // a shorter one is base 36, where 8 digits cover 2.8e12 indices.
         let mut digits = [b'0'; 20];
@@ -86,7 +100,7 @@ mod tests {
 
     #[test]
     fn keys_have_requested_length() {
-        for len in [4, 8, 16, 24, 64, 255] {
+        for len in [8, 16, 24, 64, 255] {
             let g = KeyGen::new(len);
             assert_eq!(g.key(0).len(), len);
             assert_eq!(g.key(123_456).len(), len);
@@ -123,14 +137,13 @@ mod tests {
         // The hot path reuses one buffer via `key_into`; it must produce
         // byte-identical keys to the allocating `key`, including after
         // reuse with longer prior contents.
-        for len in [4, 8, 16, 24, 64] {
+        for len in [5, 8, 16, 24, 64] {
             let g = KeyGen::new(len);
             let mut buf = vec![0xAAu8; 300];
             for i in [0u64, 1, 35, 36, 1000, 123_456_789] {
                 // Skip indices past the body's base-36 capacity (the
                 // overflow panic is covered by `overflowing_body_panics`).
-                let body = len.saturating_sub(4) as u32;
-                if (1..20).contains(&body) && i >= 36u64.saturating_pow(body) {
+                if i > g.max_index() {
                     continue;
                 }
                 g.key_into(i, &mut buf);
@@ -178,9 +191,23 @@ mod tests {
     }
 
     #[test]
-    fn tiny_keys_work() {
-        let g = KeyGen::new(4);
-        assert_eq!(g.key(0), b"usr.");
+    #[should_panic(expected = "outside")]
+    fn keys_without_a_body_rejected() {
+        let _ = KeyGen::with_prefix(*b"sens", 4);
+    }
+
+    #[test]
+    fn max_index_is_the_body_capacity() {
+        assert_eq!(KeyGen::new(5).max_index(), 35);
+        assert_eq!(KeyGen::new(6).max_index(), 36 * 36 - 1);
+        assert_eq!(KeyGen::new(16).max_index(), 36u64.pow(12) - 1);
+        for len in [17, 23, 24, 255] {
+            assert_eq!(KeyGen::new(len).max_index(), u64::MAX, "len={len}");
+        }
+        for len in [5, 6, 8] {
+            let g = KeyGen::new(len);
+            assert_ne!(g.key(g.max_index()), g.key(g.max_index() - 1));
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Workload descriptions.
 
+use crate::keys::KeyGen;
+
 /// How keys are chosen for each operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
@@ -200,10 +202,16 @@ impl WorkloadSpec {
     pub fn validate(&self) {
         assert!(self.ops > 0, "a workload needs operations");
         assert!(self.queue_depth >= 1);
-        assert!(self.key_bytes >= 4 && self.key_bytes <= 255);
         if !matches!(self.mix, OpMix::InsertOnly) {
             assert!(self.key_space > 0, "updates/reads need a population");
         }
+        let largest = self.largest_key_index();
+        let capacity = KeyGen::new(self.key_bytes).max_index();
+        assert!(
+            largest <= capacity,
+            "{} B keys index at most {capacity}, the phase reaches {largest}",
+            self.key_bytes
+        );
         if let AccessPattern::Zipfian { theta } = self.pattern {
             assert!(theta > 0.0 && theta < 1.0);
         }
@@ -213,6 +221,21 @@ impl WorkloadSpec {
         if let OpMix::Mixed { read_pct } | OpMix::ReadLatest { read_pct } = self.mix {
             assert!(read_pct <= 100);
         }
+    }
+
+    /// The largest key index the phase may touch: inserts count up from
+    /// `insert_base` (a `ReadLatest` phase from past its population),
+    /// everything else stays below `key_space`.
+    fn largest_key_index(&self) -> u64 {
+        let end = match self.mix {
+            OpMix::InsertOnly => self.insert_base.saturating_add(self.ops),
+            OpMix::ReadLatest { .. } => self
+                .insert_base
+                .saturating_add(self.key_space)
+                .saturating_add(self.ops),
+            _ => self.key_space,
+        };
+        end - 1
     }
 }
 
@@ -238,6 +261,28 @@ mod tests {
             (57..=154).contains(&m),
             "facebook mixture mean {m} should match the paper's 57-154 B band"
         );
+    }
+
+    #[test]
+    fn key_bodies_must_index_the_whole_phase() {
+        // A 5 B key's one base-36 character indexes 0..=35.
+        WorkloadSpec::new("w", 10, 36).key_bytes(5).validate();
+        let grow = WorkloadSpec::new("w", 6, 30).key_bytes(5);
+        grow.clone()
+            .mix(OpMix::ReadLatest { read_pct: 50 })
+            .validate();
+        let inserts = grow.mix(OpMix::InsertOnly).insert_base(30);
+        inserts.clone().validate();
+        for spec in [
+            WorkloadSpec::new("w", 10, 37).key_bytes(5),
+            WorkloadSpec::new("w", 7, 30)
+                .key_bytes(5)
+                .mix(OpMix::ReadLatest { read_pct: 50 }),
+            inserts.insert_base(31),
+        ] {
+            let rejected = std::panic::catch_unwind(|| spec.validate());
+            assert!(rejected.is_err(), "{spec:?} accepted");
+        }
     }
 
     #[test]
