@@ -173,9 +173,9 @@ mod tests {
 
     #[test]
     fn hashes_as_its_bytes_and_hash_maps_are_searched_by_slice() {
-        use kvssd_sim::PrehashedMap;
-        use std::hash::BuildHasher;
-        let hasher = PrehashedMap::<KeyBuf, u32>::default().hasher().clone();
+        use kvssd_sim::{PrehashHasher, PrehashedMap};
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let hasher = BuildHasherDefault::<PrehashHasher>::default();
         let keys: Vec<Vec<u8>> = [0, 1, 16, KeyBuf::INLINE, 23, 255]
             .into_iter()
             .map(|len| (0..len as u8).map(|b| b.wrapping_mul(37)).collect())
