@@ -5,7 +5,7 @@
 //! zero-padded body: the index in decimal and `x` filler when the body
 //! has room for 20 digits, in base 36 otherwise.
 //! `key(i)` is stable, and injective over `0..=max_index()` (the body's
-//! capacity: every `u64` from 20 digits up, `36^body - 1` below), so
+//! capacity: `36^body - 1`, every `u64` from 13 characters up), so
 //! phases can regenerate the same population without storing it.
 
 /// Generates fixed-length keys from dense indices.
@@ -45,14 +45,12 @@ impl KeyGen {
         self.key_bytes
     }
 
-    /// The largest index whose key fits the body: any `u64` when it
-    /// holds 20 decimal digits, `36^body - 1` below that.
+    /// The largest index whose key fits the body: `36^body - 1`, or any
+    /// `u64` once that overflows (13 characters and up, which covers the
+    /// 20-digit decimal bodies).
     pub fn max_index(&self) -> u64 {
-        let body = self.key_bytes - 4;
-        if body >= 20 {
-            return u64::MAX;
-        }
-        36u64.checked_pow(body as u32).map_or(u64::MAX, |n| n - 1)
+        let body = (self.key_bytes - 4) as u32;
+        36u64.checked_pow(body).map_or(u64::MAX, |n| n - 1)
     }
 
     /// The key for index `i`.
